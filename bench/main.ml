@@ -68,6 +68,16 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+(* Committed results, relative to the repository root (the cwd of
+   `dune exec bench/main.exe` there). *)
+let baseline_dir = "bench/baselines"
+
 let json_of_operation (op : Experiment.operation) =
   Printf.sprintf
     {|{"name":%S,"elapsed_s":%.6g,"mb_s":%.6g,"gb_h":%.6g,"payload_bytes":%d,"streams":%d}|}
@@ -1243,14 +1253,8 @@ let run_speed ?(volumes = 100) () =
             float_of_string_opt (String.sub json j (!k - j))))
   in
   let baseline =
-    let path = "bench/baselines/BENCH_speed.json" in
-    if Sys.file_exists path then (
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      Some s)
-    else None
+    let path = Filename.concat baseline_dir "BENCH_speed.json" in
+    if Sys.file_exists path then Some (read_file path) else None
   in
   (* Each scenario is gated on the metric that actually moves for it
      (its [gate_metric], also recorded in the JSON). A scenario with no
@@ -1468,10 +1472,8 @@ let run_slo () =
   say "  [BENCH_slo.json, BENCH_slo_alerts.json, BENCH_slo_report.json written]@.";
   ok
 
-let usage () =
-  say
-    "usage: main [all|tables|ablations|micro|faults|obs|scaling|net|analysis|dr|fleet|slo|speed [--volumes N]]";
-  exit 2
+(* ------------------------------------------------------------------ *)
+(* Part registry                                                       *)
 
 (* `speed --volumes N` widens the fleet sweep (default 100). *)
 let speed_volumes () =
@@ -1480,43 +1482,101 @@ let speed_volumes () =
     else if Sys.argv.(i) = "--volumes" then
       match int_of_string_opt Sys.argv.(i + 1) with
       | Some n when n > 0 -> n
-      | _ -> usage ()
+      | _ ->
+        say "usage: main speed [--volumes N] (N > 0)";
+        exit 2
     else go (i + 1)
   in
   go 2
 
+(* Every part in `all` order: [run] returns its gate verdict (parts
+   without a gate always pass), and [baselines] names the BENCH_*.json
+   files it writes that must match bench/baselines/ byte for byte —
+   the parts `check` runs. *)
+type part = { name : string; run : unit -> bool; baselines : string list }
+
+let ungated f () =
+  f ();
+  true
+
+let parts =
+  [
+    { name = "tables"; run = ungated run_tables; baselines = [ "BENCH_table2.json" ] };
+    { name = "ablations"; run = ungated run_ablations; baselines = [] };
+    { name = "micro"; run = ungated run_microbenchmarks; baselines = [] };
+    { name = "faults"; run = ungated run_faults; baselines = [] };
+    { name = "obs"; run = run_obs; baselines = [] };
+    { name = "scaling"; run = run_scaling; baselines = [ "BENCH_scaling.json" ] };
+    { name = "net"; run = run_net; baselines = [ "BENCH_net.json" ] };
+    { name = "analysis"; run = run_analysis; baselines = [ "BENCH_analysis.json" ] };
+    { name = "dr"; run = run_dr; baselines = [ "BENCH_dr.json" ] };
+    { name = "fleet"; run = run_fleet; baselines = [ "BENCH_fleet.json" ] };
+    { name = "slo"; run = run_slo; baselines = [ "BENCH_slo.json" ] };
+    {
+      name = "speed";
+      run = (fun () -> run_speed ~volumes:(speed_volumes ()) ());
+      baselines = [];
+    };
+  ]
+
+let usage () =
+  say "usage: main [all|check|%s [--volumes N]]"
+    (String.concat "|" (List.map (fun p -> p.name) parts));
+  exit 2
+
+(* A written file against its committed baseline, reporting the first
+   differing byte. *)
+let matches_baseline file =
+  let base = Filename.concat baseline_dir file in
+  match (read_file base, read_file file) with
+  | exception Sys_error e ->
+    say "  %s: %s" file e;
+    false
+  | want, got ->
+    let n = Stdlib.min (String.length want) (String.length got) in
+    let rec first i = if i < n && want.[i] = got.[i] then first (i + 1) else i in
+    let same = String.equal want got in
+    if same then say "  %s: identical to %s" file base
+    else
+      say "  %s: differs from %s at byte %d (%d bytes written, %d in baseline)"
+        file base (first 0) (String.length got) (String.length want);
+    same
+
+(* Run every byte-diffed part, then diff all of its files (every
+   mismatch is reported, not just the first). *)
+let check () =
+  let results =
+    List.filter_map
+      (fun p ->
+        if p.baselines = [] then None
+        else begin
+          let gate = p.run () in
+          let diffs = List.map matches_baseline p.baselines in
+          Some (p.name, gate, List.for_all Fun.id diffs)
+        end)
+      parts
+  in
+  say "bench check:";
+  List.iter
+    (fun (name, gate, same) ->
+      say "  %-9s gate %s, baseline %s" name
+        (if gate then "PASS" else "FAIL")
+        (if same then "identical" else "DIFFERS"))
+    results;
+  List.for_all (fun (_, gate, same) -> gate && same) results
+
 let () =
   let part = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
-  match part with
-  | "all" ->
-    run_tables ();
-    run_ablations ();
-    run_microbenchmarks ();
-    run_faults ();
-    let obs_ok = run_obs () in
-    let scaling_ok = run_scaling () in
-    let net_ok = run_net () in
-    let analysis_ok = run_analysis () in
-    let dr_ok = run_dr () in
-    let fleet_ok = run_fleet () in
-    let slo_ok = run_slo () in
-    let speed_ok = run_speed () in
-    say "bench: all parts complete.";
-    if
-      not
-        (obs_ok && scaling_ok && net_ok && analysis_ok && dr_ok && fleet_ok
-       && slo_ok && speed_ok)
-    then exit 1
-  | "tables" -> run_tables ()
-  | "ablations" -> run_ablations ()
-  | "micro" -> run_microbenchmarks ()
-  | "faults" -> run_faults ()
-  | "obs" -> if not (run_obs ()) then exit 1
-  | "scaling" -> if not (run_scaling ()) then exit 1
-  | "net" -> if not (run_net ()) then exit 1
-  | "analysis" -> if not (run_analysis ()) then exit 1
-  | "dr" -> if not (run_dr ()) then exit 1
-  | "fleet" -> if not (run_fleet ()) then exit 1
-  | "slo" -> if not (run_slo ()) then exit 1
-  | "speed" -> if not (run_speed ~volumes:(speed_volumes ()) ()) then exit 1
-  | _ -> usage ()
+  let ok =
+    match part with
+    | "all" ->
+      let ok = List.fold_left (fun ok p -> p.run () && ok) true parts in
+      say "bench: all parts complete.";
+      ok
+    | "check" -> check ()
+    | name -> (
+      match List.find_opt (fun p -> p.name = name) parts with
+      | Some p -> p.run ()
+      | None -> usage ())
+  in
+  if not ok then exit 1

@@ -41,7 +41,7 @@ let feed ps ~on_record ~on_mark chunk =
    with Exit -> ());
   ps.pending <- String.sub data !pos (n - !pos)
 
-let remote_sink ?record_bytes ~session lib =
+let remote_sink ~session lib =
   let be = Tapeio.library_backend lib in
   let ps = { pending = "" } in
   let stream =
@@ -61,7 +61,7 @@ let remote_sink ?record_bytes ~session lib =
           sh.sh_xfer <- Some (Session.close_stream stream));
     }
   in
-  (sh, Tapeio.sink_to ?record_bytes wire)
+  (sh, Tapeio.sink_to wire)
 
 let remote_source ?skip_streams ~session lib =
   let next = Tapeio.records ?skip_streams lib in

@@ -21,7 +21,6 @@ val xfer : shipment -> Repro_net.Session.xfer option
 (** [None] until the stream has closed. *)
 
 val remote_sink :
-  ?record_bytes:int ->
   session:Repro_net.Session.t ->
   Repro_tape.Library.t ->
   shipment * Repro_tape.Tapeio.sink

@@ -1,6 +1,5 @@
 module Serde = Repro_util.Serde
 module Crc32 = Repro_util.Crc32
-module Refpath = Repro_util.Refpath
 
 let magic = "RNF1"
 let overhead = String.length magic + 4 + 4 + 4
@@ -11,29 +10,16 @@ let p_frame = Repro_prof.Prof.probe "net.frame"
 let c_frames = Repro_prof.Prof.counter "net.frames"
 
 (* The CRC covers the sequence number as well as the payload: a damaged
-   seq must not deliver an intact payload into the wrong slot. *)
-let[@inline never] crc_of_reference ~seq payload =
-  let w = Serde.writer ~initial_size:4 () in
-  Serde.write_u32 w seq;
-  Crc32.finish
-    (Crc32.update_string
-       (Crc32.update_string Crc32.init (Serde.contents w))
-       payload)
-
+   seq must not deliver an intact payload into the wrong slot. The four
+   little-endian seq bytes are fed directly (their range is checked by
+   the u32 write in [encode] and implied by the u32 read in [decode]). *)
 let crc_of ~seq payload =
-  if Refpath.enabled () then crc_of_reference ~seq payload
-  else begin
-    (* same failure as the reference's Serde.write_u32 on a bad seq *)
-    if seq < 0 || seq > 0xffffffff then invalid_arg "Serde.write_u32";
-    (* feed the four little-endian seq bytes directly instead of
-       serializing them into a throwaway buffer *)
-    let c = Crc32.init in
-    let c = Crc32.update_byte c (seq land 0xff) in
-    let c = Crc32.update_byte c ((seq lsr 8) land 0xff) in
-    let c = Crc32.update_byte c ((seq lsr 16) land 0xff) in
-    let c = Crc32.update_byte c ((seq lsr 24) land 0xff) in
-    Crc32.finish (Crc32.update_string c payload)
-  end
+  let c = Crc32.init in
+  let c = Crc32.update_byte c (seq land 0xff) in
+  let c = Crc32.update_byte c ((seq lsr 8) land 0xff) in
+  let c = Crc32.update_byte c ((seq lsr 16) land 0xff) in
+  let c = Crc32.update_byte c ((seq lsr 24) land 0xff) in
+  Crc32.finish (Crc32.update_string c payload)
 
 (* One warm buffer for all encodes (a frame image is built and copied
    out before the next encode can begin, so sharing is safe): the
@@ -41,27 +27,14 @@ let crc_of ~seq payload =
    remains. *)
 let encode_pool = Serde.writer ~initial_size:4096 ()
 
-let[@inline never] encode_reference ~seq payload =
-  let w = Serde.writer ~initial_size:(overhead + String.length payload) () in
-  Serde.write_fixed w magic;
-  Serde.write_u32 w seq;
-  Serde.write_u32 w (crc_of ~seq payload);
-  Serde.write_string w payload;
-  Serde.contents w
-
 let encode ~seq payload =
   let tok = Repro_prof.Prof.enter p_frame in
-  let s =
-    if Refpath.enabled () then encode_reference ~seq payload
-    else begin
-      Serde.clear encode_pool;
-      Serde.write_fixed encode_pool magic;
-      Serde.write_u32 encode_pool seq;
-      Serde.write_u32 encode_pool (crc_of ~seq payload);
-      Serde.write_string encode_pool payload;
-      Serde.contents encode_pool
-    end
-  in
+  Serde.clear encode_pool;
+  Serde.write_fixed encode_pool magic;
+  Serde.write_u32 encode_pool seq;
+  Serde.write_u32 encode_pool (crc_of ~seq payload);
+  Serde.write_string encode_pool payload;
+  let s = Serde.contents encode_pool in
   Repro_prof.Prof.leave tok;
   Repro_prof.Prof.bump c_frames;
   s

@@ -25,17 +25,10 @@ type xfer = {
 
 type frame_state = { fs_payload : string; mutable fs_attempts : int }
 
-(* Partial payload below one MTU. The fast stage is a reused [Bytes]
-   with an explicit length (MTU payloads are cut out of it by offset);
-   the pre-optimization Buffer chunker is kept as the differential
-   reference, chosen once at [open_stream] (Repro_util.Refpath). *)
-type fast_chunk = { mutable cs_bytes : Bytes.t; mutable cs_len : int }
-type chunker = Cfast of fast_chunk | Cref of Buffer.t
-
 type stream = {
   st : t;
   deliver : string -> unit;
-  chunk : chunker;
+  chunk : Repro_util.Stage.t;  (** cuts writes into MTU payloads for [sendq] *)
   sendq : string Queue.t;  (** MTU payloads awaiting window room *)
   inflight : (int, frame_state) Hashtbl.t;
   mutable next_seq : int;
@@ -224,14 +217,14 @@ let open_stream ?(label = "stream") t ~deliver =
     Obs.span_begin "net.stream"
       ~attrs:[ ("host", Obs.Str t.s_host); ("label", Obs.Str label) ]
   in
+  let sendq = Queue.create () in
   {
     st = t;
     deliver;
     chunk =
-      (let mtu = (Link.params_of t.s_link).Link.mtu_bytes in
-       if Repro_util.Refpath.enabled () then Cref (Buffer.create mtu)
-       else Cfast { cs_bytes = Bytes.create (2 * mtu); cs_len = 0 });
-    sendq = Queue.create ();
+      Repro_util.Stage.create ~piece:(Link.params_of t.s_link).Link.mtu_bytes
+        ~emit:(fun payload -> Queue.push payload sendq);
+    sendq;
     inflight = Hashtbl.create 64;
     next_seq = 0;
     acked_upto = 0;
@@ -248,70 +241,19 @@ let open_stream ?(label = "stream") t ~deliver =
     closed = false;
   }
 
-let[@inline never] reference_flush_chunks st buf ~all ~mtu =
-  while Buffer.length buf >= mtu do
-    let whole = Buffer.contents buf in
-    Queue.push (String.sub whole 0 mtu) st.sendq;
-    Buffer.clear buf;
-    Buffer.add_substring buf whole mtu (String.length whole - mtu)
-  done;
-  if all && Buffer.length buf > 0 then begin
-    Queue.push (Buffer.contents buf) st.sendq;
-    Buffer.clear buf
-  end
-
-let fast_flush_chunks st c ~all ~mtu =
-  if c.cs_len >= mtu then begin
-    let off = ref 0 in
-    while c.cs_len - !off >= mtu do
-      Queue.push (Bytes.sub_string c.cs_bytes !off mtu) st.sendq;
-      off := !off + mtu
-    done;
-    Bytes.blit c.cs_bytes !off c.cs_bytes 0 (c.cs_len - !off);
-    c.cs_len <- c.cs_len - !off
-  end;
-  if all && c.cs_len > 0 then begin
-    Queue.push (Bytes.sub_string c.cs_bytes 0 c.cs_len) st.sendq;
-    c.cs_len <- 0
-  end
-
-let flush_chunks st ~all =
-  let mtu = (Link.params_of st.st.s_link).Link.mtu_bytes in
-  (match st.chunk with
-  | Cfast c -> fast_flush_chunks st c ~all ~mtu
-  | Cref buf -> reference_flush_chunks st buf ~all ~mtu);
-  try_send st
-
-let chunk_add st s =
-  match st.chunk with
-  | Cref buf -> Buffer.add_string buf s
-  | Cfast c ->
-    let slen = String.length s in
-    let cap = Bytes.length c.cs_bytes in
-    if c.cs_len + slen > cap then begin
-      let ncap = ref (cap * 2) in
-      while c.cs_len + slen > !ncap do
-        ncap := !ncap * 2
-      done;
-      let nb = Bytes.create !ncap in
-      Bytes.blit c.cs_bytes 0 nb 0 c.cs_len;
-      c.cs_bytes <- nb
-    end;
-    Bytes.blit_string s 0 c.cs_bytes c.cs_len slen;
-    c.cs_len <- c.cs_len + slen
-
 let write st s =
   if st.closed then invalid_arg "Session.write: stream closed";
   st.payload_bytes <- st.payload_bytes + String.length s;
-  chunk_add st s;
-  flush_chunks st ~all:false
+  Repro_util.Stage.add st.chunk s;
+  try_send st
 
 (* Mark the stream finished before propagating, so stale events left in
    the queue (timeouts of frames already acknowledged, arrivals of a
    dead stream) are inert when a later stream pumps the engine. *)
 let close_stream st =
   if st.closed then invalid_arg "Session.close_stream: already closed";
-  flush_chunks st ~all:true;
+  Repro_util.Stage.flush st.chunk;
+  try_send st;
   (try
      while Hashtbl.length st.inflight > 0 || not (Queue.is_empty st.sendq) do
        if not (Sim.step st.st.engine) then

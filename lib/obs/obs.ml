@@ -144,20 +144,11 @@ let begin_span t ~attrs name =
   push t { ph = B; ev_name = name; span = id; parent; ts = now_us t; dur = 0; attrs };
   id
 
-(* Span attributes accumulate newest-first on the fast path (annotate
-   is a single rev_append of the new attrs), so closing the span is one
-   rev_append instead of the reference's reverse-then-reverse-append.
-   Both orders denote the same logical list; the reference transcription
-   of the pre-optimization code keeps them honest (Repro_util.Refpath:
-   under it annotate appends in order and end_one double-reverses). *)
-let[@inline never] end_attrs_reference stored extra =
-  List.rev_append (List.rev stored) extra
-
+(* Span attributes accumulate newest-first (annotate is a single
+   rev_append of the new attrs), so closing the span is one rev_append
+   that restores call order and appends the end attrs. *)
 let end_one t s extra =
-  let attrs =
-    if Repro_util.Refpath.enabled () then end_attrs_reference s.os_attrs extra
-    else List.rev_append s.os_attrs extra
-  in
+  let attrs = List.rev_append s.os_attrs extra in
   push t
     {
       ph = E;
@@ -207,17 +198,12 @@ let with_span ?(attrs = []) name f =
 
 let observe name f = with_span name f
 
-let[@inline never] annotate_reference s attrs =
-  s.os_attrs <- s.os_attrs @ attrs
-
 let annotate attrs =
   match active () with
   | None -> ()
   | Some t -> (
     match t.stack with
-    | s :: _ ->
-      if Repro_util.Refpath.enabled () then annotate_reference s attrs
-      else s.os_attrs <- List.rev_append attrs s.os_attrs
+    | s :: _ -> s.os_attrs <- List.rev_append attrs s.os_attrs
     | [] -> ())
 
 let current_span () =

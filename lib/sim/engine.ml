@@ -1,85 +1,44 @@
-type event = { time : float; action : unit -> unit }
-
 (* The dispatch loop runs on the indexed {!Eventq} — no per-event record
-   or comparator closure. The generic polymorphic heap the engine used
-   before is kept as the reference implementation: under
-   {!Repro_util.Refpath} a whole scenario runs on it, and the
-   differential harness asserts the traces are byte-identical, which
-   pins dispatch order (including ties) to the old behaviour. *)
-type queue = Fast of Eventq.t | Reference of event Repro_util.Heap.t
-
-type t = { clock : Clock.t; queue : queue }
+   or comparator closure. *)
+type t = { clock : Clock.t; queue : Eventq.t }
 
 (* Self-profiling hooks: host wall clock only, never simulated time. *)
 let p_dispatch = Repro_prof.Prof.probe "sim.dispatch"
 let c_events = Repro_prof.Prof.counter "sim.events_dispatched"
 let c_heap_peak = Repro_prof.Prof.counter "sim.heap_depth"
 
-let[@inline never] reference_queue () =
-  Reference
-    (Repro_util.Heap.create ~cmp:(fun a b -> Float.compare a.time b.time))
-
-let create () =
-  let queue =
-    if Repro_util.Refpath.enabled () then reference_queue ()
-    else Fast (Eventq.create ())
-  in
-  { clock = Clock.create (); queue }
-
+let create () = { clock = Clock.create (); queue = Eventq.create () }
 let clock t = t.clock
 let now t = Clock.now t.clock
 
 let schedule_at t time action =
   if time < Clock.now t.clock -. 1e-9 then
     invalid_arg "Engine.schedule_at: time in the past";
-  match t.queue with
-  | Fast q -> Eventq.push q time action
-  | Reference h -> Repro_util.Heap.push h { time; action }
+  Eventq.push t.queue time action
 
 let schedule_in t delay action = schedule_at t (now t +. delay) action
-
-let pending t =
-  match t.queue with
-  | Fast q -> Eventq.length q
-  | Reference h -> Repro_util.Heap.length h
-
-let[@inline] dispatch t time action =
-  Clock.advance_to t.clock time;
-  let tok = Repro_prof.Prof.enter p_dispatch in
-  action ();
-  Repro_prof.Prof.leave tok;
-  Repro_prof.Prof.bump c_events;
-  true
+let pending t = Eventq.length t.queue
 
 let step t =
   if Repro_prof.Prof.enabled () then
     Repro_prof.Prof.peak c_heap_peak (pending t);
-  match t.queue with
-  | Fast q ->
-    if Eventq.is_empty q then false
-    else
-      let time = Eventq.min_time q in
-      dispatch t time (Eventq.pop q)
-  | Reference h -> (
-    match Repro_util.Heap.pop h with
-    | None -> false
-    | Some { time; action } -> dispatch t time action)
+  let q = t.queue in
+  if Eventq.is_empty q then false
+  else begin
+    Clock.advance_to t.clock (Eventq.min_time q);
+    let action = Eventq.pop q in
+    let tok = Repro_prof.Prof.enter p_dispatch in
+    action ();
+    Repro_prof.Prof.leave tok;
+    Repro_prof.Prof.bump c_events;
+    true
+  end
 
 let run t = while step t do () done
 
-(* Time of the earliest event, [infinity] when idle — a float instead of
-   an option so the run_until loop allocates nothing per iteration. *)
-let next_time t =
-  match t.queue with
-  | Fast q -> if Eventq.is_empty q then infinity else Eventq.min_time q
-  | Reference h -> (
-    match Repro_util.Heap.peek h with
-    | Some e -> e.time
-    | None -> infinity)
-
 let run_until t horizon =
-  let continue = ref true in
-  while !continue do
-    if next_time t <= horizon then ignore (step t) else continue := false
+  let q = t.queue in
+  while (not (Eventq.is_empty q)) && Eventq.min_time q <= horizon do
+    ignore (step t)
   done;
   Clock.advance_to t.clock horizon

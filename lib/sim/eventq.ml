@@ -23,7 +23,7 @@ let length t = t.size
 let is_empty t = t.size = 0
 
 (* Strict (time, seq) order. Seqs are distinct, so this is exactly the
-   reference heap's [entry_le a b && not (entry_le b a)]. Indices are
+   oracle heap's [entry_le a b && not (entry_le b a)]. Indices are
    in [0, size) at every call site, hence the unchecked accesses. *)
 let[@inline] lt t i j =
   let ti = Array.unsafe_get t.times i and tj = Array.unsafe_get t.times j in

@@ -2,15 +2,15 @@
 
     An indexed binary min-heap over parallel arrays — a flat [float]
     array of times, an [int] array of insertion sequence numbers, and
-    the action closures — ordered by [(time, seq)]. Unlike the generic
-    {!Repro_util.Heap} (which this replaces on the dispatch path, and
-    which remains the reference implementation the differential harness
-    runs against), a push allocates no per-event record and the
-    comparator is inlined rather than a closure: the only allocation on
-    the scheduling path is the caller's action closure itself.
+    the action closures — ordered by [(time, seq)]. A push allocates no
+    per-event record and the comparator is inlined rather than a
+    closure: the only allocation on the scheduling path is the caller's
+    action closure itself.
 
-    Ties fire in insertion order, exactly like the reference heap, so
-    dispatch order — observable in every trace — is unchanged. *)
+    Ties fire in insertion order, exactly like the generic comparator
+    heap the engine used before (kept as a test oracle in
+    [test/oracle.ml]), so dispatch order — observable in every trace —
+    is unchanged. *)
 
 type t
 

@@ -8,20 +8,9 @@ let c_stream_bytes = Repro_prof.Prof.counter "tape.bytes_streamed"
 
 type backend = { be_put : string -> unit; be_mark : unit -> unit }
 
-(* The fast stage is a reused [Bytes] with an explicit length: full
-   records are emitted straight from it by offset and the remainder is
-   blitted back to the front, instead of the reference Buffer's
-   contents-copy + sub + re-add round trip per record. Which stage a
-   sink gets is decided once, at creation (Repro_util.Refpath). *)
-type fast_stage = { mutable stage : Bytes.t; mutable len : int }
-type stage = Fast of fast_stage | Reference of Buffer.t
-
-type sink = {
-  be : backend;
-  record_bytes : int;
-  st : stage;
-  mutable written : int;
-}
+(* Records are cut out of one reused stage (Repro_util.Stage); the
+   backend's put is the stage's emit, bound once per sink. *)
+type sink = { be : backend; stage : Repro_util.Stage.t; mutable written : int }
 
 (* Write one physical record, changing cartridges on end-of-tape. *)
 let rec put_record lib s =
@@ -39,71 +28,23 @@ let library_backend lib =
   }
 
 let sink_to ?(record_bytes = default_record_bytes) be =
-  if record_bytes <= 0 then invalid_arg "Tapeio.sink";
-  let st =
-    if Repro_util.Refpath.enabled () then
-      Reference (Buffer.create record_bytes)
-    else Fast { stage = Bytes.create (2 * record_bytes); len = 0 }
-  in
-  { be; record_bytes; st; written = 0 }
+  {
+    be;
+    stage = Repro_util.Stage.create ~piece:record_bytes ~emit:be.be_put;
+    written = 0;
+  }
 
 let sink ?record_bytes lib = sink_to ?record_bytes (library_backend lib)
-
-let[@inline never] reference_output t buf s =
-  Buffer.add_string buf s;
-  while Buffer.length buf >= t.record_bytes do
-    let all = Buffer.contents buf in
-    t.be.be_put (String.sub all 0 t.record_bytes);
-    Buffer.clear buf;
-    Buffer.add_substring buf all t.record_bytes
-      (String.length all - t.record_bytes)
-  done
-
-let fast_output t f s =
-  let slen = String.length s in
-  let cap = Bytes.length f.stage in
-  if f.len + slen > cap then begin
-    let ncap = ref (cap * 2) in
-    while f.len + slen > !ncap do
-      ncap := !ncap * 2
-    done;
-    let nb = Bytes.create !ncap in
-    Bytes.blit f.stage 0 nb 0 f.len;
-    f.stage <- nb
-  end;
-  Bytes.blit_string s 0 f.stage f.len slen;
-  f.len <- f.len + slen;
-  if f.len >= t.record_bytes then begin
-    let off = ref 0 in
-    while f.len - !off >= t.record_bytes do
-      t.be.be_put (Bytes.sub_string f.stage !off t.record_bytes);
-      off := !off + t.record_bytes
-    done;
-    Bytes.blit f.stage !off f.stage 0 (f.len - !off);
-    f.len <- f.len - !off
-  end
 
 let output t s =
   let tok = Repro_prof.Prof.enter p_output in
   t.written <- t.written + String.length s;
-  (match t.st with
-  | Fast f -> fast_output t f s
-  | Reference buf -> reference_output t buf s);
+  Repro_util.Stage.add t.stage s;
   Repro_prof.Prof.leave tok;
   if tok > 0 then Repro_prof.Prof.add c_stream_bytes (String.length s)
 
 let close_sink t =
-  (match t.st with
-  | Fast f ->
-    if f.len > 0 then begin
-      t.be.be_put (Bytes.sub_string f.stage 0 f.len);
-      f.len <- 0
-    end
-  | Reference buf ->
-    if Buffer.length buf > 0 then begin
-      t.be.be_put (Buffer.contents buf);
-      Buffer.clear buf
-    end);
+  Repro_util.Stage.flush t.stage;
   t.be.be_mark ();
   Repro_obs.Obs.hist "tape.stream_bytes" t.written
 
@@ -172,7 +113,7 @@ let records ?(skip_streams = 0) lib =
 
 let source_of next_rec = { next_rec; cur = ""; pos = 0; finished = false }
 
-let source ?record_bytes:_ ?skip_streams lib = source_of (records ?skip_streams lib)
+let source ?skip_streams lib = source_of (records ?skip_streams lib)
 
 let refill t =
   if not t.finished && t.pos >= String.length t.cur then begin

@@ -56,7 +56,7 @@ val records : ?skip_streams:int -> Library.t -> unit -> string option
 
 val source_of : (unit -> string option) -> source
 
-val source : ?record_bytes:int -> ?skip_streams:int -> Library.t -> source
+val source : ?skip_streams:int -> Library.t -> source
 (** [source lib] is [source_of (records lib)]. *)
 
 val input : source -> int -> string

@@ -25,56 +25,45 @@ let tab =
 
 let init = 0xffffffff
 
-(* The pre-slicing loop, kept verbatim as the differential reference. *)
-let[@inline never] update_substring_bytewise crc s pos len =
-  let c = ref crc in
-  for i = pos to pos + len - 1 do
-    c := tab.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
-  done;
-  !c
-
 let update_substring crc s pos len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Crc32.update_substring";
-  if Refpath.enabled () then update_substring_bytewise crc s pos len
-  else begin
-    let c = ref crc in
-    let i = ref pos in
-    let fin = pos + len in
-    (* in-range by the loop condition, hence the unchecked reads *)
-    let byte k = Char.code (String.unsafe_get s k) in
-    while fin - !i >= 8 do
-      let k = !i in
-      let a =
-        !c
-        lxor (byte k
-             lor (byte (k + 1) lsl 8)
-             lor (byte (k + 2) lsl 16)
-             lor (byte (k + 3) lsl 24))
-      in
-      let b =
-        byte (k + 4)
-        lor (byte (k + 5) lsl 8)
-        lor (byte (k + 6) lsl 16)
-        lor (byte (k + 7) lsl 24)
-      in
-      c :=
-        Array.unsafe_get tab ((7 * 256) + (a land 0xff))
-        lxor Array.unsafe_get tab ((6 * 256) + ((a lsr 8) land 0xff))
-        lxor Array.unsafe_get tab ((5 * 256) + ((a lsr 16) land 0xff))
-        lxor Array.unsafe_get tab ((4 * 256) + (a lsr 24))
-        lxor Array.unsafe_get tab ((3 * 256) + (b land 0xff))
-        lxor Array.unsafe_get tab ((2 * 256) + ((b lsr 8) land 0xff))
-        lxor Array.unsafe_get tab ((1 * 256) + ((b lsr 16) land 0xff))
-        lxor Array.unsafe_get tab (b lsr 24);
-      i := k + 8
-    done;
-    while !i < fin do
-      c := tab.((!c lxor Char.code s.[!i]) land 0xff) lxor (!c lsr 8);
-      incr i
-    done;
-    !c
-  end
+  let c = ref crc in
+  let i = ref pos in
+  let fin = pos + len in
+  (* in-range by the loop condition, hence the unchecked reads *)
+  let byte k = Char.code (String.unsafe_get s k) in
+  while fin - !i >= 8 do
+    let k = !i in
+    let a =
+      !c
+      lxor (byte k
+           lor (byte (k + 1) lsl 8)
+           lor (byte (k + 2) lsl 16)
+           lor (byte (k + 3) lsl 24))
+    in
+    let b =
+      byte (k + 4)
+      lor (byte (k + 5) lsl 8)
+      lor (byte (k + 6) lsl 16)
+      lor (byte (k + 7) lsl 24)
+    in
+    c :=
+      Array.unsafe_get tab ((7 * 256) + (a land 0xff))
+      lxor Array.unsafe_get tab ((6 * 256) + ((a lsr 8) land 0xff))
+      lxor Array.unsafe_get tab ((5 * 256) + ((a lsr 16) land 0xff))
+      lxor Array.unsafe_get tab ((4 * 256) + (a lsr 24))
+      lxor Array.unsafe_get tab ((3 * 256) + (b land 0xff))
+      lxor Array.unsafe_get tab ((2 * 256) + ((b lsr 8) land 0xff))
+      lxor Array.unsafe_get tab ((1 * 256) + ((b lsr 16) land 0xff))
+      lxor Array.unsafe_get tab (b lsr 24);
+    i := k + 8
+  done;
+  while !i < fin do
+    c := tab.((!c lxor Char.code s.[!i]) land 0xff) lxor (!c lsr 8);
+    incr i
+  done;
+  !c
 
 let update_byte crc b = tab.((crc lxor b) land 0xff) lxor (crc lsr 8)
 let update_string crc s = update_substring crc s 0 (String.length s)

@@ -5,11 +5,11 @@
    restored destination volume image. Two captures can then be compared
    byte for byte.
 
-   This is the plane that makes hot-path refactors safe: the optimized
-   implementations in lib/sim, lib/tape, lib/net, and lib/obs are run
-   against their [@inline never] reference transcriptions
-   (Repro_util.Refpath) and against pre-optimization goldens checked in
-   under test/fixtures/, and every stream must be identical. The module
+   This is the plane that makes hot-path refactors safe: whole
+   scenarios must reproduce, byte for byte, the stream digests recorded
+   on the pre-optimization reference paths and the pre-optimization
+   goldens checked in under test/fixtures/, while oracle.ml pins each
+   optimized algorithm against its original transcription. The module
    is linked into every test executable (it is not itself a test), so
    test_prof, test_scheduler, test_net, and test_differential all share
    one engine-fixture and byte-capture vocabulary instead of private
@@ -28,7 +28,7 @@ module Compare = Repro_workload.Compare
 module Obs = Repro_obs.Obs
 module Prof = Repro_prof.Prof
 module Serde = Repro_util.Serde
-module Refpath = Repro_util.Refpath
+module Crc32 = Repro_util.Crc32
 module Link = Repro_net.Link
 
 (* --------------------------- engine fixtures ------------------------- *)
@@ -117,12 +117,20 @@ type artifacts = {
 
 let streams =
   [
-    ("chrome trace", fun a -> a.a_trace);
-    ("metrics jsonl", fun a -> a.a_metrics);
-    ("tape bytes", fun a -> a.a_tapes);
+    ("trace", fun a -> a.a_trace);
+    ("metrics", fun a -> a.a_metrics);
+    ("tapes", fun a -> a.a_tapes);
     ("catalog", fun a -> a.a_catalog);
-    ("restored volume", fun a -> a.a_volume);
+    ("volume", fun a -> a.a_volume);
   ]
+
+(* One fixture line per stream: "<case> <stream> <length> <crc32>". *)
+let digest_lines case a =
+  List.map
+    (fun (name, get) ->
+      let s = get a in
+      Printf.sprintf "%s %s %d %08x" case name (String.length s) (Crc32.string s))
+    streams
 
 let first_diff a b =
   let n = Stdlib.min (String.length a) (String.length b) in
@@ -146,15 +154,6 @@ let fat_link () =
   Link.params ~bandwidth_bytes_s:1e9 ~latency_s:1e-5
     ~window_bytes:(16 * 1024 * 1024) ()
 
-(* One seeded backup scenario, every byte stream captured.
-
-   [reference] selects the [@inline never] reference implementations of
-   the optimized hot paths for the whole run. [profiled] arms a host
-   profile around the run (and asserts it observed something), for the
-   zero-feedback property. [remote] ships the backup to a remote vault
-   over a fat link, so the frame/session paths are in the loop.
-   [restore] additionally restores into a fresh volume and captures its
-   image. *)
 (* A deliberately tiny workload for golden fixtures: a couple dozen
    small files, so the checked-in tape image stays small. *)
 let tiny_profile =
@@ -167,71 +166,74 @@ let tiny_profile =
     max_depth = 2;
   }
 
-let run ?(profiled = false) ?(reference = false) ?(remote = false)
-    ?(restore = false) ?(parts = 2) ?drives ?(blocks = 16384) ?(bytes = 200_000)
-    ?profile ~seed ~strategy () =
-  let go () =
-    let clock = Clock.create () in
-    let eng, _fs, libs = make_engine ~clock ~blocks ~bytes ?profile ~seed () in
-    let vault_libs =
-      if remote then
-        [
-          Library.create ~slots:16 ~label:"V0" ();
-          Library.create ~slots:16 ~label:"V1" ();
-        ]
-      else []
-    in
-    let remote_drives =
-      if remote then
-        Engine.attach_remote eng ~host:"vault" ~link_params:(fat_link ())
-          ~libraries:vault_libs ()
-      else []
-    in
-    let drives =
-      match drives with
-      | Some d -> d
-      | None -> if remote then remote_drives else [ 0 ]
-    in
-    let obs = Obs.create ~clock () in
-    let restored = ref None in
-    let body () =
-      Obs.with_armed obs (fun () ->
-          ignore (backup eng ~strategy ~parts ~drives);
-          if restore then restored := Some (restore_volume eng ~strategy))
-    in
-    if profiled then begin
-      let p = Prof.create () in
-      Prof.with_armed p body;
-      (* the profile must actually have observed the run, or a property
-         built on this harness tests nothing *)
-      if (Prof.summary p).Prof.s_rows = [] then
-        Alcotest.fail "profiled run recorded no probes"
-    end
-    else body ();
-    let tapes =
-      let w = Serde.writer () in
-      List.iter (fun lib -> Library.save w lib) (libs @ vault_libs);
-      Serde.contents w
-    in
-    let catalog =
-      let w = Serde.writer () in
-      Engine.save w eng;
-      Serde.contents w
-    in
-    let volume =
-      match !restored with
-      | None -> ""
-      | Some vol ->
-        let w = Serde.writer () in
-        Persist.write w vol;
-        Serde.contents w
-    in
-    {
-      a_trace = Obs.chrome_trace obs;
-      a_metrics = Obs.metrics_jsonl obs;
-      a_tapes = tapes;
-      a_catalog = catalog;
-      a_volume = volume;
-    }
+(* One seeded backup scenario, every byte stream captured.
+
+   [profiled] arms a host profile around the run (and asserts it
+   observed something), for the zero-feedback property. [remote] ships
+   the backup to a remote vault over a fat link, so the frame/session
+   paths are in the loop. [restore] additionally restores into a fresh
+   volume and captures its image. *)
+let run ?(profiled = false) ?(remote = false) ?(restore = false) ?(parts = 2)
+    ?drives ?(blocks = 16384) ?(bytes = 200_000) ?profile ~seed ~strategy () =
+  let clock = Clock.create () in
+  let eng, _fs, libs = make_engine ~clock ~blocks ~bytes ?profile ~seed () in
+  let vault_libs =
+    if remote then
+      [
+        Library.create ~slots:16 ~label:"V0" ();
+        Library.create ~slots:16 ~label:"V1" ();
+      ]
+    else []
   in
-  if reference then Refpath.with_reference go else go ()
+  let remote_drives =
+    if remote then
+      Engine.attach_remote eng ~host:"vault" ~link_params:(fat_link ())
+        ~libraries:vault_libs ()
+    else []
+  in
+  let drives =
+    match drives with
+    | Some d -> d
+    | None -> if remote then remote_drives else [ 0 ]
+  in
+  let obs = Obs.create ~clock () in
+  let restored = ref None in
+  let body () =
+    Obs.with_armed obs (fun () ->
+        ignore (backup eng ~strategy ~parts ~drives);
+        if restore then restored := Some (restore_volume eng ~strategy))
+  in
+  if profiled then begin
+    let p = Prof.create () in
+    Prof.with_armed p body;
+    (* the profile must actually have observed the run, or a property
+       built on this harness tests nothing *)
+    if (Prof.summary p).Prof.s_rows = [] then
+      Alcotest.fail "profiled run recorded no probes"
+  end
+  else body ();
+  let tapes =
+    let w = Serde.writer () in
+    List.iter (fun lib -> Library.save w lib) (libs @ vault_libs);
+    Serde.contents w
+  in
+  let catalog =
+    let w = Serde.writer () in
+    Engine.save w eng;
+    Serde.contents w
+  in
+  let volume =
+    match !restored with
+    | None -> ""
+    | Some vol ->
+      let w = Serde.writer () in
+      Persist.write w vol;
+      Serde.contents w
+  in
+  {
+    a_trace = Obs.chrome_trace obs;
+    a_metrics = Obs.metrics_jsonl obs;
+    a_tapes = tapes;
+    a_catalog = catalog;
+    a_volume = volume;
+  }

@@ -1,10 +1,10 @@
-(* The differential suite (see differential.ml): every optimized hot
-   path — the indexed event queue, the tape blocking layer, the wire
-   framing, the span-attribute path — must produce byte-identical
-   artifacts to its [@inline never] reference transcription, across
-   seeds and both strategies, locally and over the network plane; and
-   the checked-in pre-optimization goldens must still be reproduced
-   byte for byte. *)
+(* The differential suite (see differential.ml): every whole scenario —
+   seeds and both strategies locally, over the network plane, and with a
+   restore — must reproduce byte for byte the stream digests recorded on
+   the pre-optimization reference paths (test/fixtures/
+   differential_digests.txt), and the checked-in pre-optimization goldens
+   must still be reproduced. The algorithm-level oracles are in
+   oracle.ml. *)
 
 module D = Differential
 module Strategy = Repro_backup.Strategy
@@ -15,17 +15,34 @@ let seeds = [ 1; 42; 1999 ]
 let strategies =
   [ ("logical", Strategy.Logical); ("physical", Strategy.Physical) ]
 
-let test_ref_equals_fast ~remote (sname, strategy) seed () =
-  let fast = D.run ~remote ~seed ~strategy () in
-  let reference = D.run ~remote ~reference:true ~seed ~strategy () in
-  D.check_identical
-    (Printf.sprintf "%s seed %d%s" sname seed (if remote then " remote" else ""))
-    fast reference
-
-let test_restore_ref_equals_fast (sname, strategy) () =
-  let fast = D.run ~restore:true ~seed:42 ~strategy () in
-  let reference = D.run ~restore:true ~reference:true ~seed:42 ~strategy () in
-  D.check_identical (sname ^ " with restore") fast reference
+(* The whole-scenario cases: (alcotest group, test name, fixture key,
+   run). Each was once checked against the same run on the reference
+   paths; its digests were recorded there. *)
+let cases =
+  List.concat_map
+    (fun (sname, strategy) ->
+      List.map
+        (fun seed ->
+          ( "reference==fast local",
+            Printf.sprintf "%s seed %d" sname seed,
+            Printf.sprintf "local-%s-s%d" sname seed,
+            fun () -> D.run ~seed ~strategy () ))
+        seeds)
+    strategies
+  @ List.map
+      (fun (sname, strategy) ->
+        ( "reference==fast remote",
+          sname ^ " seed 42",
+          "remote-" ^ sname ^ "-s42",
+          fun () -> D.run ~remote:true ~seed:42 ~strategy () ))
+      strategies
+  @ List.map
+      (fun (sname, strategy) ->
+        ( "reference==fast with restore",
+          sname,
+          "restore-" ^ sname ^ "-s42",
+          fun () -> D.run ~restore:true ~seed:42 ~strategy () ))
+      strategies
 
 let test_deterministic () =
   let a = D.run ~seed:7 ~strategy:Strategy.Logical () in
@@ -37,7 +54,8 @@ let test_deterministic () =
 (* The golden scenario streams a seeded logical dump through every hot
    seam — dump, tape blocking, mover, session, frame, remote tape — and
    its tape bytes and chrome trace were captured before the fast paths
-   existed. Regenerate (only when a format deliberately changes) with
+   existed. Regenerate them and differential_digests.txt (only when a
+   format deliberately changes) with
    DIFF_FIXTURES_DIR=$PWD/test/fixtures dune exec test/test_differential.exe *)
 let golden_run () =
   D.run ~remote:true ~seed:42 ~strategy:Strategy.Logical ~blocks:2048
@@ -62,6 +80,11 @@ let write_file path s =
   output_string oc s;
   close_out oc
 
+let digests_file = "differential_digests.txt"
+
+let all_digest_lines () =
+  List.concat_map (fun (_, _, key, run) -> D.digest_lines key (run ())) cases
+
 let test_goldens () =
   let a = golden_run () in
   match Sys.getenv_opt "DIFF_FIXTURES_DIR" with
@@ -69,8 +92,11 @@ let test_goldens () =
     List.iter
       (fun (name, get) -> write_file (Filename.concat dir name) (get a))
       golden_files;
-    Printf.printf "regenerated %d golden fixtures into %s\n"
-      (List.length golden_files) dir
+    write_file
+      (Filename.concat dir digests_file)
+      (String.concat "" (List.map (fun l -> l ^ "\n") (all_digest_lines ())));
+    Printf.printf "regenerated %d golden fixtures and %s into %s\n"
+      (List.length golden_files) digests_file dir
   | None ->
     List.iter
       (fun (name, get) ->
@@ -81,6 +107,22 @@ let test_goldens () =
             "golden %s no longer reproduced (first diff at byte %d; lengths %d vs %d)"
             name (D.first_diff want got) (String.length want) (String.length got))
       golden_files
+
+(* A case must reproduce its fixture lines exactly. While fixtures are
+   being regenerated the goldens test rewrites the file instead. *)
+let test_digests key run () =
+  if Sys.getenv_opt "DIFF_FIXTURES_DIR" = None then begin
+    let prefix = key ^ " " in
+    let want =
+      List.filter
+        (String.starts_with ~prefix)
+        (String.split_on_char '\n'
+           (read_file (Filename.concat (fixtures_dir ()) digests_file)))
+    in
+    if want = [] then Alcotest.failf "%s: no digests in %s" key digests_file;
+    Alcotest.(check (list string)) (key ^ " stream digests") want
+      (D.digest_lines key (run ()))
+  end
 
 (* --------------------- fleet granularity ---------------------------- *)
 
@@ -120,35 +162,29 @@ let prop_fleet_storm_restart_identical =
            full.Fleet.rp_tapes)
 
 let () =
-  let case ~remote s seed =
-    Alcotest.test_case
-      (Printf.sprintf "%s seed %d" (fst s) seed)
-      `Quick
-      (test_ref_equals_fast ~remote s seed)
-  in
+  let groups = List.sort_uniq compare (List.map (fun (g, _, _, _) -> g) cases) in
   Alcotest.run "differential"
-    [
-      ( "reference==fast local",
-        List.concat_map
-          (fun s -> List.map (case ~remote:false s) seeds)
-          strategies );
-      ( "reference==fast remote",
-        List.map (fun s -> case ~remote:true s 42) strategies );
-      ( "reference==fast with restore",
-        List.map
-          (fun s ->
-            Alcotest.test_case (fst s) `Quick (test_restore_ref_equals_fast s))
-          strategies );
-      ( "goldens",
-        [
-          Alcotest.test_case "same seed twice is identical" `Quick
-            test_deterministic;
-          Alcotest.test_case "pre-optimization goldens reproduced" `Quick
-            test_goldens;
-        ] );
-      ( "fleet granularity",
-        [
-          QCheck_alcotest.to_alcotest ~long:false
-            prop_fleet_storm_restart_identical;
-        ] );
-    ]
+    (List.map
+       (fun group ->
+         ( group,
+           List.filter_map
+             (fun (g, name, key, run) ->
+               if g = group then
+                 Some (Alcotest.test_case name `Quick (test_digests key run))
+               else None)
+             cases ))
+       groups
+    @ [
+        ( "goldens",
+          [
+            Alcotest.test_case "same seed twice is identical" `Quick
+              test_deterministic;
+            Alcotest.test_case "pre-optimization goldens reproduced" `Quick
+              test_goldens;
+          ] );
+        ( "fleet granularity",
+          [
+            QCheck_alcotest.to_alcotest ~long:false
+              prop_fleet_storm_restart_identical;
+          ] );
+      ])

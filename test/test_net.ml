@@ -16,7 +16,6 @@ module Catalog = Repro_backup.Catalog
 module Engine = Repro_backup.Engine
 module Compare = Repro_workload.Compare
 module Serde = Repro_util.Serde
-module Refpath = Repro_util.Refpath
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -46,17 +45,20 @@ let test_frame_corruption =
            seq+payload, or the length prefix failing the read *)
         false)
 
-(* The pooled-buffer/byte-fed-CRC encode must produce the same image as
-   the reference writer-per-frame transcription. *)
+(* The pooled-buffer/byte-fed-CRC encode must produce the same image —
+   magic, seq, CRC over seq+payload, payload — as the writer-per-frame
+   oracle (Oracle.Frame), for sequence numbers across the whole u32
+   range, and decode must accept the oracle's image. *)
 let test_frame_fast_equals_reference =
   QCheck.Test.make ~count:200 ~name:"frame fast path equals reference bytes"
-    QCheck.(pair small_nat (string_of_size Gen.(0 -- 2000)))
+    QCheck.(
+      pair
+        (oneof [ small_nat; map (fun n -> n land 0xffffffff) int ])
+        (string_of_size Gen.(0 -- 2000)))
     (fun (seq, payload) ->
-      let fast = Frame.encode ~seq payload in
-      let reference =
-        Refpath.with_reference (fun () -> Frame.encode ~seq payload)
-      in
-      String.equal fast reference)
+      let reference = Oracle.Frame.encode_reference ~seq payload in
+      String.equal (Frame.encode ~seq payload) reference
+      && Frame.decode reference = (seq, payload))
 
 let test_frame_sizes () =
   checks "magic" "RNF1" Frame.magic;

@@ -116,6 +116,58 @@ let test_unbalanced_exit () =
   Obs.with_armed p (fun () -> Obs.span_end 0);
   checki "id 0 not counted" 2 (Obs.unbalanced p)
 
+(* Span attributes are stored newest-first and reversed once at close;
+   the exported E-event attrs must equal the in-order append of the
+   original code (Oracle.Spans) under any interleaving of begins,
+   annotates and ends — including ends of outer spans that abandon inner
+   ones and ends of spans already closed. *)
+type span_op = Begin | Annotate of Obs.attr list | End of int * Obs.attr list
+
+let span_ops_gen =
+  let open QCheck2.Gen in
+  let attr =
+    map2 (fun k v -> (Printf.sprintf "k%d" k, Obs.Int v)) (int_bound 3) (int_bound 9)
+  in
+  let attrs = list_size (int_bound 3) attr in
+  list_size (int_bound 40)
+    (frequency
+       [
+         (3, return Begin);
+         (4, map (fun a -> Annotate a) attrs);
+         (3, map2 (fun i a -> End (i, a)) (int_bound 10) attrs);
+       ])
+
+let prop_span_attrs_match_oracle =
+  QCheck2.Test.make ~count:300 ~name:"span attrs = in-order append oracle"
+    span_ops_gen (fun ops ->
+      let p = Obs.create () in
+      let o = Oracle.Spans.create () in
+      let ids = ref [||] in
+      Obs.with_armed p (fun () ->
+          List.iter
+            (function
+              | Begin ->
+                let id = Obs.span_begin "s" in
+                if id <> Oracle.Spans.span_begin o then failwith "span ids diverged";
+                ids := Array.append !ids [| id |]
+              | Annotate a ->
+                Obs.annotate a;
+                Oracle.Spans.annotate o a
+              | End (i, a) ->
+                if Array.length !ids > 0 then begin
+                  let id = !ids.(i mod Array.length !ids) in
+                  Obs.span_end ~attrs:a id;
+                  Oracle.Spans.span_end o ~attrs:a id
+                end)
+            ops);
+      let got =
+        List.filter_map
+          (fun ev ->
+            if ev.Obs.ph = Obs.E then Some (ev.Obs.span, ev.Obs.attrs) else None)
+          (Obs.events p)
+      in
+      got = Oracle.Spans.ends o)
+
 let test_disabled_plane_records_nothing () =
   let p = Obs.create ~enabled:false () in
   Obs.with_armed p (fun () ->
@@ -411,6 +463,7 @@ let () =
           ("nesting and instants", `Quick, test_span_nesting);
           ("unbalanced exits", `Quick, test_unbalanced_exit);
           ("disabled plane records nothing", `Quick, test_disabled_plane_records_nothing);
+          QCheck_alcotest.to_alcotest ~long:false prop_span_attrs_match_oracle;
         ] );
       ( "trace",
         [

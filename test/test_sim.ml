@@ -4,8 +4,7 @@
 module Clock = Repro_sim.Clock
 module Engine = Repro_sim.Engine
 module Eventq = Repro_sim.Eventq
-module Heap = Repro_util.Heap
-module Refpath = Repro_util.Refpath
+module Heap = Oracle.Heap
 module Resource = Repro_sim.Resource
 module Pipeline = Repro_sim.Pipeline
 module Stats = Repro_sim.Stats
@@ -94,8 +93,9 @@ let prop_eventq_pops_stable_sorted =
         expected;
       Eventq.is_empty q && List.rev !popped = expected)
 
-(* The indexed queue agrees with the generic reference heap under
-   interleaved pushes and pops, not just push-all-pop-all. *)
+(* The indexed queue agrees with the generic comparator heap it replaced
+   (Oracle.Heap) under interleaved pushes and pops, not just
+   push-all-pop-all. *)
 let prop_eventq_matches_reference_heap =
   QCheck2.Test.make ~count:100
     ~name:"eventq = reference heap under interleaved ops"
@@ -137,26 +137,61 @@ let prop_eventq_matches_reference_heap =
       !from_q = !from_h)
 
 (* Equal-time events dispatch in scheduling order through the full
-   engine, and the fast queue dispatches exactly like the reference one
-   (Repro_util.Refpath selects it at Engine.create). *)
-let dispatch_order ~reference times =
-  let go () =
-    let e = Engine.create () in
-    let log = ref [] in
-    List.iteri (fun i t -> Engine.schedule_at e t (fun () -> log := i :: !log)) times;
-    Engine.run e;
-    List.rev !log
+   engine. *)
+let dispatch_order times =
+  let e = Engine.create () in
+  let log = ref [] in
+  List.iteri (fun i t -> Engine.schedule_at e t (fun () -> log := i :: !log)) times;
+  Engine.run e;
+  List.rev !log
+
+(* The engine dispatches exactly like the Heap-based engine it replaced
+   (Oracle.Heap_engine), including events scheduled from inside a
+   dispatch (each may spawn one child [delay] later) and a [run_until]
+   horizon part way through. The log records event, firing time and
+   queue depth. *)
+module type ENGINE = sig
+  type t
+
+  val create : unit -> t
+  val now : t -> float
+  val schedule_at : t -> float -> (unit -> unit) -> unit
+  val schedule_in : t -> float -> (unit -> unit) -> unit
+  val pending : t -> int
+  val run : t -> unit
+  val run_until : t -> float -> unit
+end
+
+let dispatch_trace (module E : ENGINE) (events, horizon) =
+  let e = E.create () in
+  let log = ref [] in
+  let rec fire id child () =
+    log := (id, E.now e, E.pending e) :: !log;
+    match child with
+    | Some delay -> E.schedule_in e delay (fire (id + 1000) None)
+    | None -> ()
   in
-  if reference then Refpath.with_reference go else go ()
+  List.iteri (fun i (t, child) -> E.schedule_at e t (fire i child)) events;
+  E.run_until e horizon;
+  let at_horizon = (E.now e, E.pending e) in
+  E.run e;
+  (List.rev !log, at_horizon, E.now e)
 
 let prop_engine_dispatch_matches_reference =
   QCheck2.Test.make ~count:100 ~name:"engine dispatch order = reference heap order"
-    times_gen
-    (fun times ->
-      dispatch_order ~reference:false times = dispatch_order ~reference:true times)
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 0 200)
+           (pair
+              (map (fun t -> Float.of_int t /. 4.0) (int_range 0 9))
+              (opt (map (fun d -> Float.of_int d /. 4.0) (int_range 0 4)))))
+        (map (fun h -> Float.of_int h /. 4.0) (int_range 0 12)))
+    (fun prog ->
+      dispatch_trace (module Engine) prog
+      = dispatch_trace (module Oracle.Heap_engine) prog)
 
 let test_equal_time_stability () =
-  let order = dispatch_order ~reference:false (List.init 100 (fun _ -> 1.0)) in
+  let order = dispatch_order (List.init 100 (fun _ -> 1.0)) in
   Alcotest.(check (list int)) "ties fire in insertion order" (List.init 100 Fun.id) order
 
 let test_resource_accounting () =

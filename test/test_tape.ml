@@ -173,6 +173,30 @@ let prop_tapeio_roundtrip =
       let src = Tapeio.source lib in
       String.equal whole (Tapeio.input_all src))
 
+(* End to end through a real stacker: the records on tape are exactly
+   the pieces the Buffer chunker oracle cuts from the same writes. *)
+let prop_tapeio_records_match_chunker =
+  QCheck2.Test.make ~name:"tapeio: records = Buffer chunker oracle"
+    QCheck2.Gen.(list_size (int_range 1 20) (string_size (int_bound 2000)))
+    (fun chunks ->
+      let lib = Library.create ~slots:16 ~label:"L" () in
+      let sink = Tapeio.sink ~record_bytes:777 lib in
+      List.iter (Tapeio.output sink) chunks;
+      Tapeio.close_sink sink;
+      let want = ref [] in
+      let o =
+        Oracle.Chunker.create ~piece:777 ~emit:(fun p -> want := p :: !want)
+      in
+      List.iter
+        (fun c ->
+          Oracle.Chunker.add o c;
+          Oracle.Chunker.flush_chunks o ~all:false)
+        chunks;
+      Oracle.Chunker.flush_chunks o ~all:true;
+      let next = Tapeio.records lib in
+      let rec drain acc = match next () with Some r -> drain (r :: acc) | None -> acc in
+      drain [] = !want)
+
 let () =
   Alcotest.run "tape"
     [
@@ -198,5 +222,6 @@ let () =
           Alcotest.test_case "spans cartridges" `Quick test_tapeio_spans_cartridges;
           Alcotest.test_case "stream indexing" `Quick test_tapeio_multiple_streams;
           QCheck_alcotest.to_alcotest ~long:false prop_tapeio_roundtrip;
+          QCheck_alcotest.to_alcotest ~long:false prop_tapeio_records_match_chunker;
         ] );
     ]

@@ -5,7 +5,8 @@ module Serde = Repro_util.Serde
 module Bitmap = Repro_util.Bitmap
 module Crc32 = Repro_util.Crc32
 module Prng = Repro_util.Prng
-module Heap = Repro_util.Heap
+module Heap = Oracle.Heap
+module Stage = Repro_util.Stage
 module Units = Repro_util.Units
 
 module Lru = Repro_util.Lru.Make (struct
@@ -177,20 +178,16 @@ let test_crc32_incremental () =
   in
   checki "incremental = one-shot" whole stepped
 
-(* The slicing-by-8 fast path computes the same function as the bytewise
-   reference loop (Repro_util.Refpath selects it), for every offset and
-   length — including the head/tail cases shorter than one 8-byte step. *)
+(* The slicing-by-8 loop computes the same function as the bytewise
+   oracle loop (Oracle.Crc32), for every offset and length — including
+   the head/tail cases shorter than one 8-byte step. *)
 let prop_crc32_sliced_equals_bytewise =
   QCheck2.Test.make ~name:"crc32: slicing-by-8 = bytewise reference"
     QCheck2.Gen.(triple (string_size (int_range 0 300)) (int_bound 32) (int_bound 10_000))
     (fun (s, pos, len) ->
       let pos = if String.length s = 0 then 0 else pos mod String.length s in
       let len = len mod (String.length s - pos + 1) in
-      let fast = Crc32.substring s pos len in
-      let reference =
-        Repro_util.Refpath.with_reference (fun () -> Crc32.substring s pos len)
-      in
-      fast = reference)
+      Crc32.substring s pos len = Oracle.Crc32.substring s pos len)
 
 let prop_crc32_detects_flip =
   QCheck2.Test.make ~name:"crc32: single byte flip always detected"
@@ -200,6 +197,49 @@ let prop_crc32_detects_flip =
       let b = Bytes.of_string s in
       Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x5a));
       Crc32.string s <> Crc32.string (Bytes.to_string b))
+
+(* ------------------------------- stage ------------------------------- *)
+
+(* The shared stager emits exactly the pieces of the Buffer chunker it
+   replaced in tape blocking and session MTU cutting (Oracle.Chunker):
+   piece sizes down to 1, writes past twice the piece size (which force
+   the stage to grow), empty writes, mid-stream flushes, and a final
+   flush. *)
+type stage_op = Write of string | Flush
+
+let stage_gen =
+  let open QCheck2.Gen in
+  let* piece = oneof [ return 1; int_range 1 64 ] in
+  let op =
+    frequency
+      [
+        (8, map (fun s -> Write s) (string_size (int_bound ((3 * piece) + 8))));
+        (1, return Flush);
+      ]
+  in
+  pair (return piece) (list_size (int_bound 30) op)
+
+let prop_stage_matches_chunker =
+  QCheck2.Test.make ~count:500 ~name:"stage: pieces = Buffer chunker oracle"
+    stage_gen (fun (piece, ops) ->
+      let got = ref [] and want = ref [] in
+      let st = Stage.create ~piece ~emit:(fun p -> got := p :: !got) in
+      let o = Oracle.Chunker.create ~piece ~emit:(fun p -> want := p :: !want) in
+      List.iter
+        (function
+          | Write s ->
+            Stage.add st s;
+            Oracle.Chunker.add o s;
+            Oracle.Chunker.flush_chunks o ~all:false
+          | Flush ->
+            Stage.flush st;
+            Oracle.Chunker.flush_chunks o ~all:true)
+        (ops @ [ Flush ]);
+      !got = !want)
+
+let test_stage_rejects_empty_piece () =
+  Alcotest.check_raises "piece 0" (Invalid_argument "Stage.create") (fun () ->
+      ignore (Stage.create ~piece:0 ~emit:ignore))
 
 (* -------------------------------- prng ------------------------------- *)
 
@@ -264,6 +304,8 @@ let test_prng_shuffle () =
   checkb "actually shuffled" true (a <> Array.init 50 (fun i -> i))
 
 (* -------------------------------- heap ------------------------------- *)
+
+(* The oracle heap the event-queue properties in test_sim trust. *)
 
 let test_heap_ordering () =
   let h = Heap.create ~cmp:compare in
@@ -363,6 +405,10 @@ let () =
         ] );
       qsuite "crc32 properties"
         [ prop_crc32_sliced_equals_bytewise; prop_crc32_detects_flip ];
+      ( "stage",
+        [ Alcotest.test_case "rejects empty piece" `Quick test_stage_rejects_empty_piece ]
+      );
+      qsuite "stage properties" [ prop_stage_matches_chunker ];
       ( "prng",
         [
           Alcotest.test_case "determinism" `Quick test_prng_determinism;
