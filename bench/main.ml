@@ -25,7 +25,7 @@ let backup eng ~strategy ?level ?subtree ?exclude ?label ?parts ?drives ?resume
        ?resume ())
 module Strategy = Repro_backup.Strategy
 module Scheduler = Repro_backup.Scheduler
-module Pipeline = Repro_sim.Pipeline
+module Instrument = Repro_backup.Instrument
 module Resource = Repro_sim.Resource
 module Cost = Repro_sim.Cost
 module Volume = Repro_block.Volume
@@ -169,10 +169,10 @@ let ablation_nvram () =
   let fill b =
     match
       List.find_opt
-        (fun (s : Pipeline.stage_summary) -> s.Pipeline.stage_label = "filling in data")
-        b.Experiment.logical_restore.Experiment.report.Pipeline.stages
+        (fun (s : Instrument.stage_summary) -> s.Instrument.stage_label = "filling in data")
+        b.Experiment.logical_restore.Experiment.report.Instrument.stages
     with
-    | Some s -> (Pipeline.stage_elapsed s, Experiment.stage_cpu s)
+    | Some s -> (Instrument.stage_elapsed s, Experiment.stage_cpu s)
     | None -> (0.0, 0.0)
   in
   let with_nvram = Experiment.run_basic ~tapes:4 cfg in
@@ -393,10 +393,10 @@ let bench_table3_physical_restore =
          Sys.opaque_identity
            (Image_restore.apply ~volume:vol (Tapeio.source fixture_image_lib))))
 
-(* Tables 4/5: the multi-stream fluid solver that turns measured demands
-   into parallel elapsed times. *)
+(* Tables 4/5: the multi-stream fluid runner that turns measured demands
+   into parallel elapsed times on the scheduler core. *)
 let bench_table45_solver =
-  Test.make ~name:"table45.pipeline-solver-4streams"
+  Test.make ~name:"table45.stream-solver-4streams"
     (Staged.stage (fun () ->
          let disk = Resource.create "disk" in
          let cpu = Resource.create "cpu" in
@@ -404,19 +404,19 @@ let bench_table45_solver =
            List.init 4 (fun i ->
                let tape = Resource.create (Printf.sprintf "tape%d" i) in
                {
-                 Pipeline.stream_label = Printf.sprintf "s%d" i;
+                 Instrument.stream_label = Printf.sprintf "s%d" i;
                  stages =
                    List.init 5 (fun s ->
-                       Pipeline.stage
+                       Instrument.stage
                          (Printf.sprintf "stage%d" s)
                          [
-                           Pipeline.demand disk 0.2;
-                           Pipeline.demand cpu 0.3;
-                           Pipeline.demand tape 0.5;
+                           Instrument.demand disk 0.2;
+                           Instrument.demand cpu 0.3;
+                           Instrument.demand tape 0.5;
                          ]);
                })
          in
-         Sys.opaque_identity (Pipeline.run streams)))
+         Sys.opaque_identity (Instrument.run streams)))
 
 let run_microbenchmarks () =
   say "============================================================";
@@ -1501,7 +1501,11 @@ let ungated f () =
 
 let parts =
   [
-    { name = "tables"; run = ungated run_tables; baselines = [ "BENCH_table2.json" ] };
+    {
+      name = "tables";
+      run = ungated run_tables;
+      baselines = [ "BENCH_table2.json"; "BENCH_table4.json"; "BENCH_table5.json" ];
+    };
     { name = "ablations"; run = ungated run_ablations; baselines = [] };
     { name = "micro"; run = ungated run_microbenchmarks; baselines = [] };
     { name = "faults"; run = ungated run_faults; baselines = [] };

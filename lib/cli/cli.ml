@@ -116,9 +116,7 @@ let summary = Usage.summary
 (* --------------------------- observability --------------------------- *)
 
 let write_file path contents =
-  let oc = open_out_bin path in
-  output_string oc contents;
-  close_out oc
+  Repro_util.Atomic_file.write path (fun oc -> output_string oc contents)
 
 let obs_cmds = [ "backup"; "restore"; "fault"; "fleet" ]
 

@@ -1,6 +1,5 @@
 module Resource = Repro_sim.Resource
 module Cost = Repro_sim.Cost
-module Pipeline = Repro_sim.Pipeline
 module Disk = Repro_block.Disk
 module Volume = Repro_block.Volume
 module Tape = Repro_tape.Tape
@@ -65,12 +64,12 @@ let quick_config () =
 
 type operation = {
   op_name : string;
-  report : Pipeline.report;
+  report : Instrument.report;
   payload_bytes : int;
   stream_count : int;
 }
 
-let elapsed op = op.report.Pipeline.elapsed
+let elapsed op = op.report.Instrument.elapsed
 let mb_s op = Repro_util.Units.mb_per_s ~bytes:op.payload_bytes ~seconds:(elapsed op)
 let gb_h op = Repro_util.Units.gb_per_hour ~bytes:op.payload_bytes ~seconds:(elapsed op)
 
@@ -88,7 +87,7 @@ type basic = {
 type concurrent = {
   home_solo : operation;
   rlse_solo : operation;
-  combined : Pipeline.report;
+  combined : Instrument.report;
   home_combined_elapsed : float;
   rlse_combined_elapsed : float;
 }
@@ -141,8 +140,6 @@ let tape_libs cfg ~prefix n =
         ~label:(Printf.sprintf "%s%d" prefix i)
         ())
 
-let fresh_clock () = Repro_sim.Clock.create ()
-
 (* ------------------------------------------------------------------ *)
 
 let run_basic ?(tapes = 1) cfg =
@@ -180,7 +177,7 @@ let run_basic ?(tapes = 1) cfg =
         in
         let stages =
           Instrument.add_demand stages ~stage:"dumping files"
-            (Pipeline.demand serial pipeline_work)
+            (Instrument.demand serial pipeline_work)
         in
         (result, stages))
   in
@@ -194,12 +191,12 @@ let run_basic ?(tapes = 1) cfg =
         let stages =
           if i = 0 then snap_create @ stages @ snap_delete else stages
         in
-        { Pipeline.stream_label = Printf.sprintf "ldump%d" i; stages })
+        { Instrument.stream_label = Printf.sprintf "ldump%d" i; stages })
   in
   let logical_backup =
     {
       op_name = "Logical Backup";
-      report = Pipeline.run ~clock:(fresh_clock ()) logical_streams;
+      report = Instrument.run logical_streams;
       payload_bytes =
         Array.fold_left (fun acc (r, _) -> acc + r.Dump.bytes_written) 0 dump_results;
       stream_count = n;
@@ -228,14 +225,14 @@ let run_basic ?(tapes = 1) cfg =
         in
         let stages =
           Instrument.add_demand stages ~stage:"creating files"
-            (Pipeline.demand serial (Float.of_int creates *. cfg.create_latency_s))
+            (Instrument.demand serial (Float.of_int creates *. cfg.create_latency_s))
         in
-        { Pipeline.stream_label = Printf.sprintf "lrest%d" i; stages })
+        { Instrument.stream_label = Printf.sprintf "lrest%d" i; stages })
   in
   let logical_restore =
     {
       op_name = "Logical Restore";
-      report = Pipeline.run ~clock:(fresh_clock ()) restore_streams;
+      report = Instrument.run restore_streams;
       payload_bytes = logical_backup.payload_bytes;
       stream_count = n;
     }
@@ -265,7 +262,7 @@ let run_basic ?(tapes = 1) cfg =
   in
   let physical_streams =
     if n = 1 then
-      [ { Pipeline.stream_label = "idump0";
+      [ { Instrument.stream_label = "idump0";
           stages = isnap_create @ img_stages @ isnap_delete } ]
     else
       List.init n (fun i ->
@@ -277,12 +274,12 @@ let run_basic ?(tapes = 1) cfg =
           let split =
             if i = 0 then isnap_create @ split @ isnap_delete else split
           in
-          { Pipeline.stream_label = Printf.sprintf "idump%d" i; stages = split })
+          { Instrument.stream_label = Printf.sprintf "idump%d" i; stages = split })
   in
   let physical_backup =
     {
       op_name = "Physical Backup";
-      report = Pipeline.run ~clock:(fresh_clock ()) physical_streams;
+      report = Instrument.run physical_streams;
       payload_bytes = img_result.Image_dump.bytes_written;
       stream_count = n;
     }
@@ -297,7 +294,7 @@ let run_basic ?(tapes = 1) cfg =
           (Tapeio.source img_libs.(0)))
   in
   let prest_streams =
-    if n = 1 then [ { Pipeline.stream_label = "irest0"; stages = prest_stages } ]
+    if n = 1 then [ { Instrument.stream_label = "irest0"; stages = prest_stages } ]
     else
       List.init n (fun i ->
           let split = Instrument.scale_stages prest_stages (1.0 /. Float.of_int n) in
@@ -305,12 +302,12 @@ let run_basic ?(tapes = 1) cfg =
             Instrument.retarget split ~from_prefix:"tape:"
               ~to_resource:(Tape.resource (Library.drive img_libs.(i)))
           in
-          { Pipeline.stream_label = Printf.sprintf "irest%d" i; stages = split })
+          { Instrument.stream_label = Printf.sprintf "irest%d" i; stages = split })
   in
   let physical_restore =
     {
       op_name = "Physical Restore";
-      report = Pipeline.run ~clock:(fresh_clock ()) prest_streams;
+      report = Instrument.run prest_streams;
       payload_bytes = img_result.Image_dump.bytes_written;
       stream_count = n;
     }
@@ -364,9 +361,7 @@ let run_concurrent cfg =
   let solo name stages (result : Dump.result) =
     {
       op_name = name;
-      report =
-        Pipeline.run ~clock:(fresh_clock ())
-          [ { Pipeline.stream_label = name; stages } ];
+      report = Instrument.run [ { Instrument.stream_label = name; stages } ];
       payload_bytes = result.Dump.bytes_written;
       stream_count = 1;
     }
@@ -374,41 +369,31 @@ let run_concurrent cfg =
   let home_solo = solo "home dump (solo)" home_stages home_result in
   let rlse_solo = solo "rlse dump (solo)" rlse_stages rlse_result in
   let combined =
-    Pipeline.run ~clock:(fresh_clock ())
+    Instrument.run
       [
-        { Pipeline.stream_label = "home"; stages = home_stages };
-        { Pipeline.stream_label = "rlse"; stages = rlse_stages };
+        { Instrument.stream_label = "home"; stages = home_stages };
+        { Instrument.stream_label = "rlse"; stages = rlse_stages };
       ]
-  in
-  let finish_of prefix =
-    List.fold_left
-      (fun acc (s : Pipeline.stage_summary) ->
-        if String.length s.Pipeline.stage_label >= String.length prefix
-           && String.equal (String.sub s.Pipeline.stage_label 0 (String.length prefix)) prefix
-        then Float.max acc s.Pipeline.finish
-        else acc)
-      0.0 combined.Pipeline.stages
   in
   {
     home_solo;
     rlse_solo;
     combined;
-    home_combined_elapsed = finish_of "home";
-    rlse_combined_elapsed = finish_of "rlse";
+    home_combined_elapsed = List.assoc "home" combined.Instrument.stream_finish;
+    rlse_combined_elapsed = List.assoc "rlse" combined.Instrument.stream_finish;
   }
 
 (* ------------------------------------------------------------------ *)
 
-let stage_cpu s = Pipeline.stage_utilization s "cpu"
+let stage_cpu s = Instrument.stage_utilization s "cpu"
 
-let stage_rate_prefix (s : Pipeline.stage_summary) prefix =
-  let e = Pipeline.stage_elapsed s in
+let stage_rate_prefix (s : Instrument.stage_summary) prefix =
+  let e = Instrument.stage_elapsed s in
   if e <= 0.0 then 0.0
   else
     List.fold_left
       (fun acc (name, bytes) ->
-        if String.length name >= String.length prefix
-           && String.equal (String.sub name 0 (String.length prefix)) prefix
-        then acc +. (Float.of_int bytes /. 1_000_000.0 /. e)
+        if String.starts_with ~prefix name then
+          acc +. (Float.of_int bytes /. 1_000_000.0 /. e)
         else acc)
-      0.0 s.Pipeline.stage_bytes
+      0.0 s.Instrument.stage_bytes

@@ -2,8 +2,8 @@
 
     Each experiment builds a mature synthetic volume, runs the {e real}
     dump/restore implementations while measuring per-stage resource
-    demands ({!Instrument}), and overlaps the streams with the fluid
-    {!Repro_sim.Pipeline} solver to obtain elapsed times, throughputs and
+    demands, and overlaps the streams on the fluid scheduler
+    ({!Instrument.run}) to obtain elapsed times, throughputs and
     utilizations. Volumes are scaled down from the paper's 188 GB (rates
     and ratios, not absolute sizes, are the reproduction target); device
     and CPU parameters are period-calibrated (DLT-7000 tape, ~10 MB/s
@@ -48,7 +48,7 @@ val quick_config : unit -> config
 
 type operation = {
   op_name : string;
-  report : Repro_sim.Pipeline.report;
+  report : Instrument.report;
   payload_bytes : int;  (** user data moved *)
   stream_count : int;
 }
@@ -75,7 +75,7 @@ val run_basic : ?tapes:int -> config -> basic
 type concurrent = {
   home_solo : operation;
   rlse_solo : operation;
-  combined : Repro_sim.Pipeline.report;
+  combined : Instrument.report;
   home_combined_elapsed : float;
   rlse_combined_elapsed : float;
 }
@@ -86,7 +86,7 @@ val run_concurrent : config -> concurrent
 
 (** {1 Stage helpers for reports} *)
 
-val stage_cpu : Repro_sim.Pipeline.stage_summary -> float
-val stage_rate_prefix : Repro_sim.Pipeline.stage_summary -> string -> float
+val stage_cpu : Instrument.stage_summary -> float
+val stage_rate_prefix : Instrument.stage_summary -> string -> float
 (** MB/s through all resources whose name has the given prefix ("disk:" /
     "tape:"). *)

@@ -1,6 +1,32 @@
 module Resource = Repro_sim.Resource
-module Pipeline = Repro_sim.Pipeline
+module Resource_id = Repro_sim.Resource_id
 module Obs = Repro_obs.Obs
+
+type demand = { resource : Resource.t; work : float; bytes : int }
+
+let demand ?(bytes = 0) resource work =
+  if work < 0.0 then invalid_arg "Instrument.demand: negative work";
+  { resource; work; bytes }
+
+type stage = { label : string; demands : demand list }
+
+let stage label demands = { label; demands }
+
+type stream = { stream_label : string; stages : stage list }
+
+type stage_summary = {
+  stage_label : string;
+  start : float;
+  finish : float;
+  busy : (string * float) list;
+  stage_bytes : (string * int) list;
+}
+
+type report = {
+  elapsed : float;
+  stages : stage_summary list;
+  stream_finish : (string * float) list;
+}
 
 (* Each observed region is one span on the armed obs plane AND one
    pipeline stage; the measured region is identical, so Tables 2-5 and a
@@ -19,55 +45,149 @@ let collect ~resources f =
             (fun (r, busy0, bytes0) ->
               let dbusy = Resource.busy r -. busy0 in
               let dbytes = Resource.bytes r - bytes0 in
-              if dbusy > 0.0 || dbytes > 0 then
-                Some (Pipeline.demand ~bytes:dbytes r dbusy)
+              if dbusy > 0.0 || dbytes > 0 then Some (demand ~bytes:dbytes r dbusy)
               else None)
             before
         in
         Obs.annotate
           (List.map
-             (fun (d : Pipeline.demand) ->
-               ("busy:" ^ Resource.name d.Pipeline.resource, Obs.Float d.Pipeline.work))
+             (fun d -> ("busy:" ^ Resource.name d.resource, Obs.Float d.work))
              demands);
-        stages := Pipeline.stage label demands :: !stages)
+        stages := stage label demands :: !stages)
   in
   let result = f observe in
   (result, List.rev !stages)
 
-let add_demand stages ~stage demand =
+let add_demand stages ~stage:label d =
   List.map
-    (fun (s : Pipeline.stage) ->
-      if String.equal s.Pipeline.label stage then
-        Pipeline.stage s.Pipeline.label (s.Pipeline.demands @ [ demand ])
-      else s)
+    (fun s -> if String.equal s.label label then stage s.label (s.demands @ [ d ]) else s)
     stages
 
 let scale_stages stages factor =
   List.map
-    (fun (s : Pipeline.stage) ->
-      Pipeline.stage s.Pipeline.label
+    (fun s ->
+      stage s.label
         (List.map
-           (fun (d : Pipeline.demand) ->
-             Pipeline.demand
-               ~bytes:(Float.to_int (Float.of_int d.Pipeline.bytes *. factor))
-               d.Pipeline.resource
-               (d.Pipeline.work *. factor))
-           s.Pipeline.demands))
+           (fun d ->
+             demand
+               ~bytes:(Float.to_int (Float.of_int d.bytes *. factor))
+               d.resource (d.work *. factor))
+           s.demands))
     stages
 
 let retarget stages ~from_prefix ~to_resource =
-  let matches r =
-    let name = Resource.name r in
-    String.length name >= String.length from_prefix
-    && String.equal (String.sub name 0 (String.length from_prefix)) from_prefix
-  in
   List.map
-    (fun (s : Pipeline.stage) ->
-      Pipeline.stage s.Pipeline.label
+    (fun s ->
+      stage s.label
         (List.map
-           (fun (d : Pipeline.demand) ->
-             if matches d.Pipeline.resource then
-               Pipeline.demand ~bytes:d.Pipeline.bytes to_resource d.Pipeline.work
+           (fun d ->
+             if String.starts_with ~prefix:from_prefix (Resource.name d.resource) then
+               demand ~bytes:d.bytes to_resource d.work
              else d)
-           s.Pipeline.demands))
+           s.demands))
     stages
+
+(* Per-resource sums of a positive demand amount, sorted by name. *)
+let per_resource amount add zero demands =
+  List.fold_left
+    (fun acc d ->
+      let k = Resource.name d.resource and v = amount d in
+      if v <= zero then acc
+      else
+        (k, Option.fold ~none:v ~some:(add v) (List.assoc_opt k acc))
+        :: List.remove_assoc k acc)
+    [] demands
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+(* A stage with no demand above the scheduler's 1e-9 threshold would be
+   an all-zero vector, which the solver steps by 1e-12 s; at a clock of
+   a few seconds that step can round to no progress at all and never
+   settle. Such a stage takes no time, so it completes here, the instant
+   its stream reaches it. *)
+let instant st = List.for_all (fun d -> d.work <= 1e-9) st.demands
+
+(* Every stream holds one exclusive slot and queues its stages behind it
+   in order, so stage k+1 is admitted the instant stage k completes and
+   concurrent stages share resources at the scheduler's max-min rates.
+   The summaries are rebuilt from the grants: a label's window spans its
+   first admission to its last completion, its busy seconds and bytes
+   are the demand vectors of every stage carrying it. *)
+let run streams =
+  if streams = [] then { elapsed = 0.0; stages = []; stream_finish = [] }
+  else begin
+    let slot i = Resource_id.Key (Printf.sprintf "stream#%d" i) in
+    let queue =
+      Array.of_list
+        (List.concat
+           (List.mapi
+              (fun i (s : stream) -> List.map (fun st -> (i, st)) s.stages)
+              streams))
+    in
+    let all = List.init (Array.length queue) Fun.id in
+    let timed = List.filter (fun j -> not (instant (snd queue.(j)))) all in
+    let tasks =
+      List.map
+        (fun j ->
+          let i, st = queue.(j) in
+          Scheduler.task ~label:st.label ~claims:[ Scheduler.Exactly (slot i) ]
+            (fun ~now:_ ~granted:_ ->
+              ( (),
+                List.map
+                  (fun d -> Scheduler.demand_of_resource d.resource d.work)
+                  st.demands )))
+        timed
+    in
+    let outcomes, pool =
+      Scheduler.run_tasks ~slots:(List.mapi (fun i _ -> slot i) streams) tasks
+    in
+    (* Each stage's (start, finish): its grant, or for an instant stage
+       its predecessor's finish. [last] ends as each stream's finish. *)
+    let window = Array.make (Array.length queue) (0.0, 0.0) in
+    List.iteri
+      (fun k j ->
+        match outcomes.(k) with
+        | Scheduler.Completed g -> window.(j) <- (g.g_started, g.g_finished)
+        | Scheduler.Errored _ | Scheduler.Unran -> assert false)
+      timed;
+    let last = Array.make (List.length streams) 0.0 in
+    Array.iteri
+      (fun j (i, st) ->
+        if instant st then window.(j) <- (last.(i), last.(i));
+        last.(i) <- snd window.(j))
+      queue;
+    (* Start order, ties in queue order. *)
+    let started =
+      List.stable_sort (fun a b -> Float.compare (fst window.(a)) (fst window.(b))) all
+    in
+    let labels =
+      List.fold_left
+        (fun acc j ->
+          let l = (snd queue.(j)).label in
+          if List.mem l acc then acc else l :: acc)
+        [] started
+      |> List.rev
+    in
+    let summary label =
+      let mine = List.filter (fun j -> String.equal (snd queue.(j)).label label) started in
+      let demands = List.concat_map (fun j -> (snd queue.(j)).demands) mine in
+      {
+        stage_label = label;
+        start = fst window.(List.hd mine);
+        finish = List.fold_left (fun acc j -> Float.max acc (snd window.(j))) 0.0 mine;
+        busy = per_resource (fun d -> d.work) ( +. ) 0.0 demands;
+        stage_bytes = per_resource (fun d -> d.bytes) ( + ) 0 demands;
+      }
+    in
+    {
+      elapsed = pool.Scheduler.p_elapsed;
+      stages = List.map summary labels;
+      stream_finish = List.mapi (fun i (s : stream) -> (s.stream_label, last.(i))) streams;
+    }
+  end
+
+let stage_elapsed s = Float.max 0.0 (s.finish -. s.start)
+
+let stage_utilization s resource =
+  let elapsed = stage_elapsed s in
+  if elapsed <= 0.0 then 0.0
+  else match List.assoc_opt resource s.busy with Some b -> b /. elapsed | None -> 0.0

@@ -1,4 +1,3 @@
-module Pipeline = Repro_sim.Pipeline
 module Blockmap = Repro_wafl.Blockmap
 module Analysis = Repro_obs.Analysis
 
@@ -111,8 +110,8 @@ let paper_table3 =
 
 let find_stage (op : Experiment.operation) label =
   List.find_opt
-    (fun (s : Pipeline.stage_summary) -> String.equal s.Pipeline.stage_label label)
-    op.Experiment.report.Pipeline.stages
+    (fun (s : Instrument.stage_summary) -> String.equal s.Instrument.stage_label label)
+    op.Experiment.report.Instrument.stages
 
 let stage_rows ppf (op : Experiment.operation) rows =
   Format.fprintf ppf "%s@." op.Experiment.op_name;
@@ -121,7 +120,7 @@ let stage_rows ppf (op : Experiment.operation) rows =
       match find_stage op our_label with
       | Some s ->
         Format.fprintf ppf "  %-32s | %10s %7s | %10s %7s@." paper_name
-          (dur (Pipeline.stage_elapsed s))
+          (dur (Instrument.stage_elapsed s))
           (pct (Experiment.stage_cpu s))
           (dur paper_s) (pct paper_cpu)
       | None ->
@@ -214,7 +213,7 @@ let table45 ppf (b : Experiment.basic) =
             | Some s ->
               Format.fprintf ppf "  %-32s | %10s %6s %9.1f %9.1f | %10s %6s@."
                 paper_name
-                (dur (Pipeline.stage_elapsed s))
+                (dur (Instrument.stage_elapsed s))
                 (pct (Experiment.stage_cpu s))
                 (Experiment.stage_rate_prefix s "disk:")
                 (Experiment.stage_rate_prefix s "tape:")

@@ -1,5 +1,4 @@
 module Sim = Repro_sim.Engine
-module Pipeline = Repro_sim.Pipeline
 module Resource_id = Repro_sim.Resource_id
 
 type demand = { key : string; work : float }
@@ -37,6 +36,82 @@ type 'a task_outcome =
 type pool_stats = { p_elapsed : float; p_slots : (slot * float * int) list }
 
 let eps = 1e-9
+
+(* Self-profiling: every solver call counts as one fluid-interval
+   recomputation; host wall clock only. *)
+let p_solver = Repro_prof.Prof.probe "sim.solver"
+let c_recomputes = Repro_prof.Prof.counter "sim.interval_recomputes"
+
+(* Max-min fair rates by progressive filling over string-keyed demand
+   vectors. Resources are scanned in sorted key order so the bottleneck
+   choice — and thus the rate vector — is deterministic regardless of
+   construction order. *)
+let fair_share_inner demands =
+  let n = Array.length demands in
+  let rates = Array.make n 0.0 in
+  let keys =
+    Array.fold_left
+      (fun acc ds ->
+        List.fold_left (fun acc (k, w) -> if w > eps then k :: acc else acc) acc ds)
+      [] demands
+    |> List.sort_uniq String.compare
+  in
+  let weight i key =
+    List.fold_left
+      (fun acc (k, w) -> if String.equal k key then acc +. w else acc)
+      0.0 demands.(i)
+  in
+  let residual = Hashtbl.create 16 in
+  List.iter (fun k -> Hashtbl.replace residual k 1.0) keys;
+  let unfrozen = ref (List.init n Fun.id) in
+  let level = ref 0.0 in
+  let continue = ref true in
+  while !continue && !unfrozen <> [] do
+    let best = ref None in
+    List.iter
+      (fun key ->
+        let total_w = List.fold_left (fun acc i -> acc +. weight i key) 0.0 !unfrozen in
+        if total_w > eps then begin
+          let delta = (Hashtbl.find residual key -. (!level *. total_w)) /. total_w in
+          match !best with
+          | Some (_, d) when d <= delta -> ()
+          | _ -> best := Some (key, delta)
+        end)
+      keys;
+    match !best with
+    | None ->
+      (* Remaining vectors are all-zero: unconstrained, effectively instant. *)
+      List.iter (fun i -> rates.(i) <- 1e12) !unfrozen;
+      continue := false
+    | Some (bottleneck, delta) ->
+      let new_level = !level +. Float.max 0.0 delta in
+      let frozen_now, still =
+        List.partition (fun i -> weight i bottleneck > eps) !unfrozen
+      in
+      List.iter
+        (fun i ->
+          rates.(i) <- new_level;
+          List.iter
+            (fun (k, w) ->
+              if w > eps then
+                Hashtbl.replace residual k (Hashtbl.find residual k -. (new_level *. w)))
+            demands.(i))
+        frozen_now;
+      level := new_level;
+      unfrozen := still;
+      if frozen_now = [] then begin
+        List.iter (fun i -> rates.(i) <- Float.max new_level eps) !unfrozen;
+        continue := false
+      end
+  done;
+  rates
+
+let fair_share demands =
+  let tok = Repro_prof.Prof.enter p_solver in
+  let rates = fair_share_inner demands in
+  Repro_prof.Prof.leave tok;
+  Repro_prof.Prof.bump c_recomputes;
+  rates
 
 (* Self-profiling: each fair-share interval recomputation is timed on
    the host wall clock (the solver itself shows up as a child frame). *)
@@ -252,7 +327,7 @@ let run_tasks ?(fatal = fun _ -> false) ?max_active ?on_complete ?on_interval
     | flights ->
       let tok = Repro_prof.Prof.enter p_interval in
       let r =
-        Pipeline.fair_share
+        fair_share
           (Array.of_list (List.map (fun f -> f.f_demands) flights))
       in
       let _, dt =

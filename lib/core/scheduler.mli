@@ -6,9 +6,9 @@
     time — so per-drive tape content is byte-identical to running the
     same jobs serially — while its {e duration} is simulated from a
     demand vector shared with all in-flight jobs under max-min fairness
-    ({!Repro_sim.Pipeline.fair_share}). That split is what makes the
-    differential "concurrency changed timing, not content" property hold
-    by construction, and what reproduces the paper's Table 4/5
+    ({!fair_share}). That split is what makes the differential
+    "concurrency changed timing, not content" property hold by
+    construction, and what reproduces the paper's Table 4/5
     asymmetry: the parts of a logical dump all contend for the source
     disks, the parts of an image dump do not.
 
@@ -22,6 +22,9 @@
     - {!run} is the original drive pool, kept as a thin instantiation of
       {!run_tasks} over [Drive] slots; all its differential and
       byte-identity properties are preserved unchanged.
+
+    The paper-table streams ({!Instrument.run}) are a third instance:
+    one exclusive slot per stream, one task per stage.
 
     The scheduler runs on its own {!Repro_sim.Engine} instance and never
     touches the caller's clock; elapsed simulated time is reported in
@@ -41,6 +44,12 @@ val demand : Resource_id.t -> float -> demand
 val demand_of_resource : Repro_sim.Resource.t -> float -> demand
 (** A demand on a measured resource, keyed by its established name
     (already in {!Resource_id} key format). *)
+
+val fair_share : (string * float) list array -> float array
+(** The solver behind {!run_tasks}: max-min fair progress rates (task
+    fractions per second) by progressive filling over [(key, work)]
+    demand vectors on unit-capacity resources, scanned in sorted key
+    order. All-zero vectors get a very large finite rate. *)
 
 (** {1 The generalized multi-resource scheduler} *)
 

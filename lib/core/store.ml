@@ -10,10 +10,7 @@ let save ~path engine =
   Serde.write_fixed w magic;
   Persist.write w (Fs.volume (Engine.fs engine));
   Engine.save w engine;
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Serde.contents w))
+  Repro_util.Atomic_file.write path (fun oc -> output_string oc (Serde.contents w))
 
 let load ?cpu ?costs ~path () =
   let ic = open_in_bin path in

@@ -6,7 +6,9 @@
     invocations like any other stateful system. *)
 
 val save : path:string -> Engine.t -> unit
-(** Takes a consistency point first, then writes everything. *)
+(** Takes a consistency point first, then writes everything, replacing
+    [path] atomically ({!Repro_util.Atomic_file}): a crash mid-save
+    leaves the previous store intact. *)
 
 val load :
   ?cpu:Repro_sim.Resource.t -> ?costs:Repro_sim.Cost.t -> path:string -> unit -> Engine.t

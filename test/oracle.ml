@@ -4,9 +4,10 @@
    an algorithm the library now runs in optimized form — the generic
    comparator heap the event engine used to dispatch on, the bytewise
    CRC-32 loop, the writer-per-frame wire encode, the Buffer record/MTU
-   chunker, and the in-order span-attribute append. They live here, not
-   in lib/, so the library keeps exactly one path per module; the
-   properties in test_util, test_sim, test_tape, test_net and test_obs
+   chunker, the in-order span-attribute append, and the clock-stepped
+   fluid loop the paper tables ran on. They live here, not in lib/, so
+   the library keeps exactly one path per module; the properties in
+   test_util, test_sim, test_tape, test_net and test_obs
    assert the library computes the same function as its oracle. Like
    differential.ml, this module is linked into every test executable and
    is not itself a test. *)
@@ -269,4 +270,230 @@ module Spans = struct
     end
 
   let ends t = List.rev t.ends
+end
+
+(* ---------------------------- stream runner -------------------------- *)
+
+(* The clock-stepped fluid loop the paper tables ran on before they moved
+   onto the scheduler core: its own progressive-filling solver over
+   [Resource.t] demands (resources met in hash order), stages completing
+   when their remaining fraction reaches zero, zero-demand stages
+   skipped in zero time, and every interval's service charged to the
+   resources as it elapses. Same stream vocabulary as
+   {!Repro_backup.Instrument}; the report keeps the original shape. *)
+module Pipeline = struct
+  open Repro_backup.Instrument
+  module Resource = Repro_sim.Resource
+
+  type report = { elapsed : float; stages : stage_summary list }
+
+  type task = {
+    mutable stage_index : int;
+    mutable remaining : float;
+    stream : stream;
+    mutable rate : float;
+  }
+
+  type stage_acc = {
+    acc_label : string;
+    mutable acc_start : float;
+    mutable acc_finish : float;
+    acc_busy : (string, float ref) Hashtbl.t;
+    acc_bytes : (string, int ref) Hashtbl.t;
+    acc_order : int;
+  }
+
+  let eps = 1e-9
+  let current_stage task = List.nth task.stream.stages task.stage_index
+  let task_done task = task.stage_index >= List.length task.stream.stages
+
+  let solve_rates tasks =
+    let resources = Hashtbl.create 16 in
+    let resource_key r = Resource.name r in
+    List.iter
+      (fun t ->
+        List.iter
+          (fun d ->
+            if d.work > 0.0 then
+              if not (Hashtbl.mem resources (resource_key d.resource)) then
+                Hashtbl.add resources (resource_key d.resource) ())
+          (current_stage t).demands)
+      tasks;
+    let weight t key =
+      List.fold_left
+        (fun acc d ->
+          if String.equal (resource_key d.resource) key then acc +. d.work else acc)
+        0.0 (current_stage t).demands
+    in
+    let unfrozen = ref (List.filter (fun t -> not (task_done t)) tasks) in
+    List.iter (fun t -> t.rate <- 0.0) !unfrozen;
+    let residual = Hashtbl.create 16 in
+    Hashtbl.iter (fun key () -> Hashtbl.replace residual key 1.0) resources;
+    let level = ref 0.0 in
+    let continue = ref true in
+    while !continue && !unfrozen <> [] do
+      let best = ref None in
+      Hashtbl.iter
+        (fun key residual_cap ->
+          let total_w =
+            List.fold_left (fun acc t -> acc +. weight t key) 0.0 !unfrozen
+          in
+          if total_w > eps then begin
+            let delta = (residual_cap -. (!level *. total_w)) /. total_w in
+            match !best with
+            | Some (_, d) when d <= delta -> ()
+            | _ -> best := Some (key, delta)
+          end)
+        residual;
+      match !best with
+      | None ->
+        List.iter (fun t -> t.rate <- 1e12) !unfrozen;
+        continue := false
+      | Some (bottleneck, delta) ->
+        let new_level = !level +. Float.max 0.0 delta in
+        let frozen_now, still =
+          List.partition (fun t -> weight t bottleneck > eps) !unfrozen
+        in
+        List.iter
+          (fun t ->
+            t.rate <- new_level;
+            List.iter
+              (fun d ->
+                if d.work > 0.0 then begin
+                  let key = resource_key d.resource in
+                  let cap = Hashtbl.find residual key in
+                  Hashtbl.replace residual key (cap -. (new_level *. d.work))
+                end)
+              (current_stage t).demands)
+          frozen_now;
+        level := new_level;
+        unfrozen := still;
+        if frozen_now = [] then begin
+          List.iter (fun t -> t.rate <- Float.max new_level eps) !unfrozen;
+          continue := false
+        end
+    done
+
+  let run streams =
+    let clock = Clock.create () in
+    let start_time = Clock.now clock in
+    let tasks =
+      List.map
+        (fun s -> { stage_index = 0; remaining = 1.0; stream = s; rate = 0.0 })
+        streams
+    in
+    let accs : (string, stage_acc) Hashtbl.t = Hashtbl.create 16 in
+    let order = ref 0 in
+    let acc_for label =
+      match Hashtbl.find_opt accs label with
+      | Some a -> a
+      | None ->
+        let a =
+          {
+            acc_label = label;
+            acc_start = Clock.now clock;
+            acc_finish = Clock.now clock;
+            acc_busy = Hashtbl.create 8;
+            acc_bytes = Hashtbl.create 8;
+            acc_order = !order;
+          }
+        in
+        incr order;
+        Hashtbl.add accs label a;
+        a
+    in
+    let bump tbl key v zero add =
+      match Hashtbl.find_opt tbl key with
+      | Some r -> r := add !r v
+      | None -> Hashtbl.add tbl key (ref (add zero v))
+    in
+    let enter_stage task =
+      if not (task_done task) then begin
+        let a = acc_for (current_stage task).label in
+        if Clock.now clock < a.acc_start then a.acc_start <- Clock.now clock
+      end
+    in
+    List.iter enter_stage tasks;
+    let rec skip_instant task =
+      if not (task_done task) then begin
+        let st = current_stage task in
+        let total = List.fold_left (fun acc d -> acc +. d.work) 0.0 st.demands in
+        if total <= eps then begin
+          let a = acc_for st.label in
+          a.acc_finish <- Float.max a.acc_finish (Clock.now clock);
+          List.iter
+            (fun d ->
+              if d.bytes > 0 then
+                bump a.acc_bytes (Resource.name d.resource) d.bytes 0 ( + ))
+            st.demands;
+          task.stage_index <- task.stage_index + 1;
+          task.remaining <- 1.0;
+          enter_stage task;
+          skip_instant task
+        end
+      end
+    in
+    List.iter skip_instant tasks;
+    let active () = List.filter (fun t -> not (task_done t)) tasks in
+    let rec loop () =
+      match active () with
+      | [] -> ()
+      | running ->
+        solve_rates running;
+        let dt =
+          List.fold_left
+            (fun acc t -> Float.min acc (t.remaining /. Float.max t.rate eps))
+            infinity running
+        in
+        let dt = Float.max dt 0.0 in
+        Clock.advance clock dt;
+        List.iter
+          (fun t ->
+            let st = current_stage t in
+            let a = acc_for st.label in
+            let progressed = Float.min t.remaining (t.rate *. dt) in
+            List.iter
+              (fun d ->
+                if d.work > 0.0 then begin
+                  let secs = progressed *. d.work in
+                  Resource.charge d.resource secs;
+                  bump a.acc_busy (Resource.name d.resource) secs 0.0 ( +. )
+                end)
+              st.demands;
+            t.remaining <- t.remaining -. progressed;
+            if t.remaining <= eps then begin
+              a.acc_finish <- Float.max a.acc_finish (Clock.now clock);
+              List.iter
+                (fun d ->
+                  if d.bytes > 0 then begin
+                    Resource.charge d.resource ~bytes:d.bytes 0.0;
+                    bump a.acc_bytes (Resource.name d.resource) d.bytes 0 ( + )
+                  end)
+                st.demands;
+              t.stage_index <- t.stage_index + 1;
+              t.remaining <- 1.0;
+              enter_stage t;
+              skip_instant t
+            end)
+          running;
+        loop ()
+    in
+    loop ();
+    let stages =
+      Hashtbl.fold (fun _ a acc -> a :: acc) accs []
+      |> List.sort (fun a b -> compare a.acc_order b.acc_order)
+      |> List.map (fun a ->
+             {
+               stage_label = a.acc_label;
+               start = a.acc_start;
+               finish = a.acc_finish;
+               busy =
+                 Hashtbl.fold (fun k v acc -> (k, !v) :: acc) a.acc_busy []
+                 |> List.sort (fun (a, _) (b, _) -> String.compare a b);
+               stage_bytes =
+                 Hashtbl.fold (fun k v acc -> (k, !v) :: acc) a.acc_bytes []
+                 |> List.sort (fun (a, _) (b, _) -> String.compare a b);
+             })
+    in
+    { elapsed = Clock.now clock -. start_time; stages }
 end

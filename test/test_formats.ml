@@ -211,7 +211,7 @@ let prop_fsinfo_corruption =
 
 (* ------------------------- pipeline conservation ---------------------- *)
 
-module Pipeline = Repro_sim.Pipeline
+module Instrument = Repro_backup.Instrument
 module Resource = Repro_sim.Resource
 
 let prop_pipeline_conservation =
@@ -227,11 +227,11 @@ let prop_pipeline_conservation =
         List.mapi
           (fun si stages ->
             {
-              Pipeline.stream_label = Printf.sprintf "s%d" si;
+              Instrument.stream_label = Printf.sprintf "s%d" si;
               stages =
                 List.mapi
                   (fun gi demands ->
-                    Pipeline.stage
+                    Instrument.stage
                       (Printf.sprintf "g%d" gi)
                       (List.mapi
                          (fun di w ->
@@ -239,18 +239,25 @@ let prop_pipeline_conservation =
                            let work = Float.of_int w /. 10.0 in
                            total_work.((si + gi + di) mod 3) <-
                              total_work.((si + gi + di) mod 3) +. work;
-                           Pipeline.demand r work)
+                           Instrument.demand r work)
                          demands))
                   stages;
             })
           streams_spec
       in
-      let report = Pipeline.run streams in
+      let report = Instrument.run streams in
       let eps = 1e-6 in
-      (* every unit of demanded work was delivered *)
+      (* every unit of demanded work was delivered: the per-stage busy
+         seconds of each resource sum to its total demand *)
+      let delivered name =
+        List.fold_left
+          (fun acc (s : Instrument.stage_summary) ->
+            acc +. Option.value (List.assoc_opt name s.Instrument.busy) ~default:0.0)
+          0.0 report.Instrument.stages
+      in
       let conserved =
         Array.for_all2
-          (fun r w -> Float.abs (Resource.busy r -. w) < eps +. (w *. 1e-9))
+          (fun r w -> Float.abs (delivered (Resource.name r) -. w) < eps +. (w *. 1e-9))
           resources total_work
       in
       (* elapsed can never beat the busiest resource, nor the longest
@@ -258,7 +265,7 @@ let prop_pipeline_conservation =
       let lower_bound =
         Array.fold_left Float.max 0.0 total_work
       in
-      conserved && report.Pipeline.elapsed +. eps >= lower_bound)
+      conserved && report.Instrument.elapsed +. eps >= lower_bound)
 
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 

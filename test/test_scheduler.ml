@@ -9,7 +9,6 @@ module Strategy = Repro_backup.Strategy
 module Catalog = Repro_backup.Catalog
 module Engine = Repro_backup.Engine
 module Scheduler = Repro_backup.Scheduler
-module Pipeline = Repro_sim.Pipeline
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -19,18 +18,18 @@ let checkf = Alcotest.(check (float 1e-6))
 
 let test_fair_share () =
   (* private resources: both run at full rate *)
-  let r = Pipeline.fair_share [| [ ("a", 2.0) ]; [ ("b", 1.0) ] |] in
+  let r = Scheduler.fair_share [| [ ("a", 2.0) ]; [ ("b", 1.0) ] |] in
   checkf "private task 0" 0.5 r.(0);
   checkf "private task 1" 1.0 r.(1);
   (* a shared bottleneck splits evenly *)
-  let r = Pipeline.fair_share [| [ ("d", 1.0) ]; [ ("d", 1.0) ] |] in
+  let r = Scheduler.fair_share [| [ ("d", 1.0) ]; [ ("d", 1.0) ] |] in
   checkf "shared 0" 0.5 r.(0);
   checkf "shared 1" 0.5 r.(1);
   (* freed capacity flows to the remaining user of the second resource *)
-  let r = Pipeline.fair_share [| [ ("d", 1.0) ]; [ ("d", 1.0); ("t", 0.25) ] |] in
+  let r = Scheduler.fair_share [| [ ("d", 1.0) ]; [ ("d", 1.0); ("t", 0.25) ] |] in
   checkf "equal on the bottleneck" r.(0) r.(1);
   (* zero-demand vectors are effectively instant *)
-  let r = Pipeline.fair_share [| []; [ ("d", 1.0) ] |] in
+  let r = Scheduler.fair_share [| []; [ ("d", 1.0) ] |] in
   checkb "instant" true (r.(0) > 1e9)
 
 (* ------------------------ scheduler semantics ------------------------ *)

@@ -1,12 +1,12 @@
 (* Tests for the simulation substrate: clock, DES engine, resources, and
-   the fluid pipeline solver that produces the paper's table numbers. *)
+   the fluid stream runner that produces the paper's table numbers. *)
 
 module Clock = Repro_sim.Clock
 module Engine = Repro_sim.Engine
 module Eventq = Repro_sim.Eventq
 module Heap = Oracle.Heap
 module Resource = Repro_sim.Resource
-module Pipeline = Repro_sim.Pipeline
+module Instrument = Repro_backup.Instrument
 module Stats = Repro_sim.Stats
 module Cost = Repro_sim.Cost
 
@@ -213,32 +213,32 @@ let test_stats () =
   checkf "min" 1.0 (Stats.min s);
   checkf "max" 4.0 (Stats.max s)
 
-(* --------------------------- pipeline solver -------------------------- *)
+(* ---------------------------- stream runner --------------------------- *)
 
 (* A lone stage's elapsed time is the max of its demands (full overlap). *)
 let test_pipeline_single_stage_max () =
   let disk = Resource.create "disk" and cpu = Resource.create "cpu" in
   let stage =
-    Pipeline.stage "work" [ Pipeline.demand disk 2.0; Pipeline.demand cpu 0.5 ]
+    Instrument.stage "work" [ Instrument.demand disk 2.0; Instrument.demand cpu 0.5 ]
   in
-  let r = Pipeline.run [ { Pipeline.stream_label = "s"; stages = [ stage ] } ] in
-  checkf "elapsed = max demand" 2.0 r.Pipeline.elapsed;
-  let s = List.hd r.Pipeline.stages in
-  checkf "disk saturated" 1.0 (Pipeline.stage_utilization s "disk");
-  checkf "cpu at 25%" 0.25 (Pipeline.stage_utilization s "cpu")
+  let r = Instrument.run [ { Instrument.stream_label = "s"; stages = [ stage ] } ] in
+  checkf "elapsed = max demand" 2.0 r.Instrument.elapsed;
+  let s = List.hd r.Instrument.stages in
+  checkf "disk saturated" 1.0 (Instrument.stage_utilization s "disk");
+  checkf "cpu at 25%" 0.25 (Instrument.stage_utilization s "cpu")
 
 (* Sequential stages add. *)
 let test_pipeline_stages_sequential () =
   let cpu = Resource.create "cpu" in
   let stages =
     [
-      Pipeline.stage "a" [ Pipeline.demand cpu 1.0 ];
-      Pipeline.stage "b" [ Pipeline.demand cpu 2.0 ];
+      Instrument.stage "a" [ Instrument.demand cpu 1.0 ];
+      Instrument.stage "b" [ Instrument.demand cpu 2.0 ];
     ]
   in
-  let r = Pipeline.run [ { Pipeline.stream_label = "s"; stages } ] in
-  checkf "sum" 3.0 r.Pipeline.elapsed;
-  checki "two stage summaries" 2 (List.length r.Pipeline.stages)
+  let r = Instrument.run [ { Instrument.stream_label = "s"; stages } ] in
+  checkf "sum" 3.0 r.Instrument.elapsed;
+  checki "two stage summaries" 2 (List.length r.Instrument.stages)
 
 (* Two streams sharing one resource take twice as long; with private
    resources they run fully in parallel. *)
@@ -246,21 +246,21 @@ let test_pipeline_sharing () =
   let shared = Resource.create "shared" in
   let stream i =
     {
-      Pipeline.stream_label = Printf.sprintf "s%d" i;
-      stages = [ Pipeline.stage "w" [ Pipeline.demand shared 1.0 ] ];
+      Instrument.stream_label = Printf.sprintf "s%d" i;
+      stages = [ Instrument.stage "w" [ Instrument.demand shared 1.0 ] ];
     }
   in
-  let r = Pipeline.run [ stream 0; stream 1 ] in
-  checkf "contended: serialized" 2.0 r.Pipeline.elapsed;
+  let r = Instrument.run [ stream 0; stream 1 ] in
+  checkf "contended: serialized" 2.0 r.Instrument.elapsed;
   let a = Resource.create "a" and b = Resource.create "b" in
   let independent name res =
     {
-      Pipeline.stream_label = name;
-      stages = [ Pipeline.stage "w" [ Pipeline.demand res 1.0 ] ];
+      Instrument.stream_label = name;
+      stages = [ Instrument.stage "w" [ Instrument.demand res 1.0 ] ];
     }
   in
-  let r2 = Pipeline.run [ independent "x" a; independent "y" b ] in
-  checkf "independent: parallel" 1.0 r2.Pipeline.elapsed
+  let r2 = Instrument.run [ independent "x" a; independent "y" b ] in
+  checkf "independent: parallel" 1.0 r2.Instrument.elapsed
 
 (* The bottleneck shifts as streams are added: the paper's core scaling
    phenomenon. One tape (0.5s/unit) against a disk that costs 0.2s/unit
@@ -270,18 +270,21 @@ let test_pipeline_bottleneck_shift () =
   let make_stream i =
     let tape = Resource.create (Printf.sprintf "tape%d" i) in
     {
-      Pipeline.stream_label = Printf.sprintf "s%d" i;
+      Instrument.stream_label = Printf.sprintf "s%d" i;
       stages =
-        [ Pipeline.stage "dump" [ Pipeline.demand disk 0.2; Pipeline.demand tape 0.5 ] ];
+        [
+          Instrument.stage "dump"
+            [ Instrument.demand disk 0.2; Instrument.demand tape 0.5 ];
+        ];
     }
   in
-  let one = Pipeline.run [ make_stream 0 ] in
-  checkf "1 stream: tape-bound" 0.5 one.Pipeline.elapsed;
-  let four = Pipeline.run (List.init 4 make_stream) in
-  checkf "4 streams: disk-bound" 0.8 four.Pipeline.elapsed;
+  let one = Instrument.run [ make_stream 0 ] in
+  checkf "1 stream: tape-bound" 0.5 one.Instrument.elapsed;
+  let four = Instrument.run (List.init 4 make_stream) in
+  checkf "4 streams: disk-bound" 0.8 four.Instrument.elapsed;
   (* per-stream throughput degraded from 2/s to 1.25/s: saturation *)
-  checkb "disk saturated at 4" true
-    (Resource.utilization disk ~elapsed:four.Pipeline.elapsed > 0.0)
+  checkf "disk saturated at 4" 1.0
+    (Instrument.stage_utilization (List.hd four.Instrument.stages) "disk")
 
 (* Max-min fairness: a light stream is not starved by a heavy one. *)
 let test_pipeline_max_min () =
@@ -289,56 +292,113 @@ let test_pipeline_max_min () =
   let light = Resource.create "light-private" in
   let heavy =
     {
-      Pipeline.stream_label = "heavy";
-      stages = [ Pipeline.stage "w" [ Pipeline.demand shared 3.0 ] ];
+      Instrument.stream_label = "heavy";
+      stages = [ Instrument.stage "w" [ Instrument.demand shared 3.0 ] ];
     }
   in
   let light_stream =
     {
-      Pipeline.stream_label = "light";
+      Instrument.stream_label = "light";
       stages =
         [
-          Pipeline.stage "w"
-            [ Pipeline.demand shared 0.5; Pipeline.demand light 1.0 ];
+          Instrument.stage "w"
+            [ Instrument.demand shared 0.5; Instrument.demand light 1.0 ];
         ];
     }
   in
-  let r = Pipeline.run [ heavy; light_stream ] in
+  let r = Instrument.run [ heavy; light_stream ] in
   (* The light stream is limited by its private resource (1s alone); the
      heavy stream uses the leftover shared capacity. Total shared work is
      3.5s on a unit-capacity resource, so elapsed is at least 3.5s and the
      light stream must have finished well before the end. *)
-  checkb "elapsed >= total shared work" true (r.Pipeline.elapsed >= 3.5 -. 1e-6);
-  checkb "elapsed < serialized upper bound" true (r.Pipeline.elapsed < 4.5)
+  checkb "elapsed >= total shared work" true (r.Instrument.elapsed >= 3.5 -. 1e-6);
+  checkb "elapsed < serialized upper bound" true (r.Instrument.elapsed < 4.5)
 
 (* Zero-demand stages complete instantly and don't wedge the solver. *)
 let test_pipeline_empty_stage () =
   let cpu = Resource.create "cpu" in
   let stages =
     [
-      Pipeline.stage "noop" [];
-      Pipeline.stage "work" [ Pipeline.demand cpu 1.0 ];
-      Pipeline.stage "noop2" [];
+      Instrument.stage "noop" [];
+      Instrument.stage "work" [ Instrument.demand cpu 1.0 ];
+      Instrument.stage "noop2" [];
     ]
   in
-  let r = Pipeline.run [ { Pipeline.stream_label = "s"; stages } ] in
-  checkf "only real work counts" 1.0 r.Pipeline.elapsed;
-  checki "all stages reported" 3 (List.length r.Pipeline.stages)
+  let r = Instrument.run [ { Instrument.stream_label = "s"; stages } ] in
+  checkf "only real work counts" 1.0 r.Instrument.elapsed;
+  checki "all stages reported" 3 (List.length r.Instrument.stages)
 
 (* Parallel same-label stages aggregate into one summary row. *)
 let test_pipeline_label_aggregation () =
   let disk = Resource.create "disk" in
   let stream i =
     {
-      Pipeline.stream_label = Printf.sprintf "s%d" i;
-      stages = [ Pipeline.stage "dumping files" [ Pipeline.demand disk 1.0 ] ];
+      Instrument.stream_label = Printf.sprintf "s%d" i;
+      stages = [ Instrument.stage "dumping files" [ Instrument.demand disk 1.0 ] ];
     }
   in
-  let r = Pipeline.run [ stream 0; stream 1 ] in
-  checki "one aggregated row" 1 (List.length r.Pipeline.stages);
-  let s = List.hd r.Pipeline.stages in
-  checkf "window covers both" 2.0 (Pipeline.stage_elapsed s);
-  checkf "disk fully busy across window" 1.0 (Pipeline.stage_utilization s "disk")
+  let r = Instrument.run [ stream 0; stream 1 ] in
+  checki "one aggregated row" 1 (List.length r.Instrument.stages);
+  let s = List.hd r.Instrument.stages in
+  checkf "window covers both" 2.0 (Instrument.stage_elapsed s);
+  checkf "disk fully busy across window" 1.0 (Instrument.stage_utilization s "disk")
+
+(* The runner on the scheduler core computes the same timing as the
+   clock-stepped loop it replaced (Oracle.Pipeline): elapsed and every
+   label's window and busy seconds agree within 1e-9, relative or
+   absolute. Streams draw labels from a small shared pool, and stages may
+   have no demand at all. *)
+let prop_runner_matches_oracle =
+  let open QCheck2.Gen in
+  let demand_gen = pair (int_range 0 4) (int_range 0 30) in
+  let stage_gen = pair (int_range 0 3) (list_size (int_range 0 3) demand_gen) in
+  QCheck2.Test.make ~count:300 ~name:"runner = clock-stepped oracle"
+    (list_size (int_range 1 4) (list_size (int_range 1 4) stage_gen))
+    (fun spec ->
+      let shared = Array.init 3 (fun i -> Resource.create (Printf.sprintf "r%d" i)) in
+      let streams =
+        List.mapi
+          (fun si stages ->
+            let private_ = Resource.create (Printf.sprintf "tape:%d" si) in
+            {
+              Instrument.stream_label = Printf.sprintf "s%d" si;
+              stages =
+                List.map
+                  (fun (label, demands) ->
+                    Instrument.stage
+                      (Printf.sprintf "g%d" label)
+                      (List.map
+                         (fun (r, w) ->
+                           Instrument.demand ~bytes:(w * 1000)
+                             (if r < 3 then shared.(r) else private_)
+                             (Float.of_int w /. 10.0))
+                         demands))
+                  stages;
+            })
+          spec
+      in
+      let close a b =
+        let d = Float.abs (a -. b) in
+        d <= 1e-9 || d <= 1e-9 *. Float.max (Float.abs a) (Float.abs b)
+      in
+      let got = Instrument.run streams and want = Oracle.Pipeline.run streams in
+      let row_matches (w : Instrument.stage_summary) =
+        match
+          List.find_opt
+            (fun (g : Instrument.stage_summary) -> g.stage_label = w.stage_label)
+            got.Instrument.stages
+        with
+        | None -> false
+        | Some g ->
+          let keys = List.sort_uniq compare (List.map fst (g.busy @ w.busy)) in
+          let busy l k = Option.value (List.assoc_opt k l) ~default:0.0 in
+          close g.start w.start && close g.finish w.finish
+          && List.for_all (fun k -> close (busy g.busy k) (busy w.busy k)) keys
+          && g.stage_bytes = w.stage_bytes
+      in
+      close got.Instrument.elapsed want.Oracle.Pipeline.elapsed
+      && List.length got.Instrument.stages = List.length want.Oracle.Pipeline.stages
+      && List.for_all row_matches want.Oracle.Pipeline.stages)
 
 let test_cost_scale () =
   let c = Cost.scale Cost.f630 2.0 in
@@ -380,5 +440,6 @@ let () =
           Alcotest.test_case "max-min fairness" `Quick test_pipeline_max_min;
           Alcotest.test_case "empty stages" `Quick test_pipeline_empty_stage;
           Alcotest.test_case "label aggregation" `Quick test_pipeline_label_aggregation;
+          QCheck_alcotest.to_alcotest ~long:false prop_runner_matches_oracle;
         ] );
     ]

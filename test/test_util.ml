@@ -8,6 +8,7 @@ module Prng = Repro_util.Prng
 module Heap = Oracle.Heap
 module Stage = Repro_util.Stage
 module Units = Repro_util.Units
+module Atomic_file = Repro_util.Atomic_file
 
 module Lru = Repro_util.Lru.Make (struct
   type t = int
@@ -378,6 +379,45 @@ let test_units () =
   Alcotest.(check (float 0.01)) "gb/h" 3.6 (Units.gb_per_hour ~bytes:1_000_000 ~seconds:1.0);
   checki "mib" (1024 * 1024) Units.mib
 
+(* ---------------------------- atomic file ---------------------------- *)
+
+let read_all path = In_channel.with_open_bin path In_channel.input_all
+
+(* A fresh directory holding only [path]'s eventual file and temps. *)
+let with_dir f =
+  let dir = Filename.temp_dir "atomic" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let save path s = Atomic_file.write path (fun oc -> output_string oc s)
+
+let test_atomic_replaces () =
+  with_dir (fun dir ->
+      let path = Filename.concat dir "store.bin" in
+      save path "first save, the longer one";
+      save path "second";
+      Alcotest.(check string) "second save wins" "second" (read_all path);
+      Alcotest.(check (array string))
+        "no temp file left" [| "store.bin" |] (Sys.readdir dir))
+
+let test_atomic_failed_write () =
+  with_dir (fun dir ->
+      let path = Filename.concat dir "store.bin" in
+      save path "previous bytes";
+      (match
+         Atomic_file.write path (fun oc ->
+             output_string oc "half a new";
+             failwith "disk full")
+       with
+      | () -> Alcotest.fail "a failing write must raise"
+      | exception Failure _ -> ());
+      Alcotest.(check string) "previous bytes intact" "previous bytes" (read_all path);
+      Alcotest.(check (array string))
+        "temp file removed" [| "store.bin" |] (Sys.readdir dir))
+
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let () =
@@ -429,4 +469,11 @@ let () =
           Alcotest.test_case "replace" `Quick test_lru_replace;
         ] );
       ("units", [ Alcotest.test_case "conversions" `Quick test_units ]);
+      ( "atomic file",
+        [
+          Alcotest.test_case "second save replaces, no temp left" `Quick
+            test_atomic_replaces;
+          Alcotest.test_case "failed save keeps previous bytes" `Quick
+            test_atomic_failed_write;
+        ] );
     ]
