@@ -453,11 +453,10 @@ let run_microbenchmarks () =
 (* ------------------------------------------------------------------ *)
 (* Part 4: fault-plane overhead                                        *)
 
-(* The claim in docs/FAULTS.md: an armed-but-idle fault plane plus the
-   engine's retry wrappers cost under 1% on the Table 2 dump pass. The
-   hooks are a load-and-branch when nothing is planned for the device,
-   so the overhead should be lost in the noise; measure it rather than
-   assert it. Minimum-of-N is used on both sides to shave scheduler
+(* docs/FAULTS.md: an armed-but-idle fault plane plus the engine's retry
+   wrappers, against a 1% budget on the Table 2 dump pass. An armed hook
+   pays one domain-local lookup and a hashtable miss when nothing is
+   planned for the device; measure the overhead rather than assert it. Minimum-of-N is used on both sides to shave scheduler
    noise off a difference this small. *)
 let run_faults () =
   say "============================================================";

@@ -35,7 +35,7 @@ open Cmdliner
 let say fmt = Format.printf (fmt ^^ "@.")
 
 let with_store path f =
-  let engine = Store.load ~path () in
+  let engine = Store.load ~path in
   let save_back = f engine in
   if save_back then Store.save ~path engine;
   0
@@ -115,6 +115,8 @@ let summary = Usage.summary
 
 (* --------------------------- observability --------------------------- *)
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
 let write_file path contents =
   Repro_util.Atomic_file.write path (fun oc -> output_string oc contents)
 
@@ -144,13 +146,11 @@ let metrics_out_arg =
    drill dying mid-backup) still leaves its trace behind. *)
 let run_with_obs ?trace_out ?metrics_out f =
   let o = Obs.create () in
-  Obs.arm o;
   Fun.protect
     ~finally:(fun () ->
-      Obs.disarm ();
       Option.iter (fun p -> write_file p (Obs.chrome_trace o)) trace_out;
       Option.iter (fun p -> write_file p (Obs.metrics_jsonl o)) metrics_out)
-    (fun () -> f o)
+    (fun () -> Obs.with_armed o (fun () -> f o))
 
 (* Arm a plane only when some export was requested: the common path pays
    nothing. *)
@@ -185,9 +185,7 @@ let with_prof profile_out f =
   | Some path ->
     let p = Prof.create () in
     Fun.protect
-      ~finally:(fun () ->
-        Prof.disarm p;
-        write_file path (Prof.jsonl p))
+      ~finally:(fun () -> write_file path (Prof.jsonl p))
       (fun () -> Prof.with_armed p f)
 
 (* ------------------------------- args -------------------------------- *)
@@ -864,7 +862,7 @@ let cmd_restore =
 let cmd_disaster =
   let run store label output =
     handle (fun () ->
-        let engine = Store.load ~path:store () in
+        let engine = Store.load ~path:store in
         let src_vol = Fs.volume (Engine.fs engine) in
         let replacement = Volume.create ~label:"replacement" (Volume.geometry_of src_vol) in
         let results =
@@ -1160,7 +1158,7 @@ let cmd_ln =
 let cmd_browse =
   let run store label target =
     handle (fun () ->
-        let engine = Store.load ~path:store () in
+        let engine = Store.load ~path:store in
         let fs = Engine.fs engine in
         let toc =
           match
@@ -1269,8 +1267,6 @@ let cmd_browse =
     Term.(const run $ store_arg $ label $ target)
 
 (* ---------------------------- replication ----------------------------- *)
-
-let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* The replication topology lives in its own RPL1 file next to the store:
    the store holds the primary volume, the repl file holds the replica
@@ -1424,12 +1420,6 @@ let cmd_mirror =
     Term.(const run $ store_arg $ action $ node_name $ repl_file $ upstream $ interval)
 
 (* ------------------------------- fleet ------------------------------- *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
 
 (* Pretty-print the SLO attainment block of a saved night report. *)
 let print_attainment s =
@@ -1720,9 +1710,47 @@ let cmd_alerts =
 
 (* ------------------------------ profile ------------------------------ *)
 
-(* Set by [run] once the command group exists, so [profile] can
-   re-evaluate the full CLI recursively on the wrapped argv. *)
-let eval_argv : (string array -> int) ref = ref (fun _ -> 2)
+(* Every command [profile] can wrap: all but itself. *)
+let profiled_commands =
+  [
+    cmd_init;
+    cmd_ls;
+    cmd_cat;
+    cmd_info;
+    cmd_fsck;
+    cmd_mkdir;
+    cmd_put;
+    cmd_rm;
+    cmd_age;
+    cmd_snap;
+    cmd_quota;
+    cmd_ln;
+    cmd_serve;
+    cmd_backup;
+    cmd_catalog;
+    cmd_restore;
+    cmd_browse;
+    cmd_disaster;
+    cmd_verify;
+    cmd_fault;
+    cmd_trace;
+    cmd_metrics;
+    cmd_analyze;
+    cmd_alerts;
+    cmd_mirror;
+    cmd_fleet;
+  ]
+
+let group commands =
+  let doc = "operate a simulated WAFL-style filer with logical and physical backup" in
+  let man =
+    [
+      `S Cmdliner.Manpage.s_description;
+      `P "Commands (generated from the usage registry):";
+      `Pre (Usage.table ());
+    ]
+  in
+  Cmd.group (Cmd.info "backupctl" ~doc ~man) commands
 
 let cmd_profile =
   let run out flame args =
@@ -1736,7 +1764,6 @@ let cmd_profile =
           let code =
             Fun.protect
               ~finally:(fun () ->
-                Prof.disarm p;
                 (* The summary goes to stderr so the wrapped command's
                    stdout stays clean for its own consumers. *)
                 Prof.pp_summary Format.err_formatter p;
@@ -1744,7 +1771,9 @@ let cmd_profile =
                 Option.iter (fun path -> write_file path (Prof.folded p)) flame)
               (fun () ->
                 Prof.with_armed p (fun () ->
-                    !eval_argv (Array.of_list ("backupctl" :: args))))
+                    Cmd.eval'
+                      ~argv:(Array.of_list ("backupctl" :: args))
+                      (group profiled_commands)))
           in
           code)
   in
@@ -1780,36 +1809,7 @@ let cmd_profile =
 
 (* -------------------------------- main -------------------------------- *)
 
-let commands =
-  [
-    cmd_init;
-    cmd_ls;
-    cmd_cat;
-    cmd_info;
-    cmd_fsck;
-    cmd_mkdir;
-    cmd_put;
-    cmd_rm;
-    cmd_age;
-    cmd_snap;
-    cmd_quota;
-    cmd_ln;
-    cmd_serve;
-    cmd_backup;
-    cmd_catalog;
-    cmd_restore;
-    cmd_browse;
-    cmd_disaster;
-    cmd_verify;
-    cmd_fault;
-    cmd_trace;
-    cmd_metrics;
-    cmd_analyze;
-    cmd_alerts;
-    cmd_mirror;
-    cmd_fleet;
-    cmd_profile;
-  ]
+let commands = profiled_commands @ [ cmd_profile ]
 
 let run () =
   (* Every command must have a summary and every summary a command; a
@@ -1818,15 +1818,4 @@ let run () =
   assert (
     List.sort compare names
     = List.sort compare (List.map fst (Usage.commands ())));
-  let doc = "operate a simulated WAFL-style filer with logical and physical backup" in
-  let man =
-    [
-      `S Cmdliner.Manpage.s_description;
-      `P "Commands (generated from the usage registry):";
-      `Pre (Usage.table ());
-    ]
-  in
-  let info = Cmd.info "backupctl" ~doc ~man in
-  let group = Cmd.group info commands in
-  eval_argv := (fun argv -> Cmd.eval' ~argv group);
-  Cmd.eval' group
+  Cmd.eval' (group commands)

@@ -5,7 +5,8 @@
     list is then {e generated} from this registry ({!table}), so a command
     or flag added to the tool cannot be forgotten in the summary — the
     golden help test (test/test_cli.ml) pins the rendered table and fails
-    on any unreviewed drift. *)
+    on any unreviewed drift. Registration happens while the CLI module
+    initialises; afterwards the registry is only read. *)
 
 val command : string -> string -> string
 (** [command name doc] registers a subcommand; returns [name] for use in

@@ -1,5 +1,4 @@
 module Resource = Repro_sim.Resource
-module Cost = Repro_sim.Cost
 module Clock = Repro_sim.Clock
 module Fs = Repro_wafl.Fs
 module Fsinfo = Repro_wafl.Fsinfo
@@ -32,7 +31,7 @@ type io_model = {
    ~2.75 drives' worth of bandwidth from the array before the disks
    saturate, while an image dump's sequential reads comfortably feed four
    drives. *)
-let default_io_model =
+let io_model =
   {
     logical_read_bytes_s = 23.4e6;
     image_read_bytes_s = 100e6;
@@ -53,18 +52,13 @@ type t = {
   mutable sessions : (string * Session.t) list; (* connected lazily *)
   dd : Dumpdates.t;
   cat : Catalog.t;
-  cpu : Resource.t option;
-  costs : Cost.t;
   clock : Clock.t option;
-  retry : Retry.policy;
-  model : io_model;
   mutable streams : int array; (* streams written per drive *)
   mutable snap_seq : int;
   mutable stats : Scheduler.stats option;
 }
 
-let create ?cpu ?(costs = Cost.f630) ?clock ?(retry = Retry.default)
-    ?(model = default_io_model) ~fs ~libraries () =
+let create ?clock ~fs ~libraries () =
   if libraries = [] then invalid_arg "Engine.create: no tape libraries";
   {
     e_fs = fs;
@@ -75,11 +69,7 @@ let create ?cpu ?(costs = Cost.f630) ?clock ?(retry = Retry.default)
     sessions = [];
     dd = Dumpdates.create ();
     cat = Catalog.create ();
-    cpu;
-    costs;
     clock;
-    retry;
-    model;
     streams = Array.make (List.length libraries) 0;
     snap_seq = 0;
     stats = None;
@@ -176,7 +166,7 @@ let media_of lib before =
   List.filter (fun m -> not (List.mem m before)) all
 
 (* Busy-time deltas on [resources] across [f]: the measured half of a
-   part's demand vector (tape transfer, CPU). The execution itself is
+   part's demand vector (tape transfer, link). The execution itself is
    atomic on simulated time, so the deltas are attributable to this part
    alone. The source/target disks are deliberately NOT measured: the
    per-block service model over-serializes what is really an array behind
@@ -194,9 +184,8 @@ let with_measured resources f =
   (v, ds)
 
 let part_resources t ~drive =
-  (match t.cpu with Some c -> [ c ] | None -> [])
-  @ [ Tape.resource (Library.drive (lib_of t drive)) ]
-  @ (match link_to t ~host:(drive_host t drive) with
+  Tape.resource (Library.drive (lib_of t drive))
+  :: (match link_to t ~host:(drive_host t drive) with
     | Some link -> [ Link.resource link ]
     | None -> [])
 
@@ -364,8 +353,7 @@ let do_backup t ~strategy ~level ~subtree ?exclude ~drives:requested ~label
           let lib = lib_of t drive in
           let ((bytes, degraded), shipment), measured =
             with_measured (part_resources t ~drive) (fun () ->
-                Retry.run ~policy:t.retry
-                  ~charge:(charge_backoff t)
+                Retry.run ~charge:(charge_backoff t)
                   ~cleanup:(fun _ -> seal_dangling t ~drive)
                   ~label:(Printf.sprintf "%s part %d/%d" label (p + 1) parts)
                   (fun () ->
@@ -385,19 +373,16 @@ let do_backup t ~strategy ~level ~subtree ?exclude ~drives:requested ~label
                         in
                         let r =
                           Dump.run ~level ~dumpdates:t.dd ~record:false ?exclude
-                            ?cpu:t.cpu ~costs:t.costs ~part:(p, parts) ~view
-                            ~subtree ~label ~date ~sink ()
+                            ~part:(p, parts) ~view ~subtree ~label ~date ~sink ()
                         in
                         (r.Dump.bytes_written, r.Dump.files_skipped)
                       | Strategy.Physical ->
                         let r =
                           if ck.Catalog.ck_base_snapshot = "" then
-                            Image_dump.full ?cpu:t.cpu ~costs:t.costs
-                              ~part:(p, parts) ~fs:t.e_fs
+                            Image_dump.full ~part:(p, parts) ~fs:t.e_fs
                               ~snapshot:ck.Catalog.ck_snapshot ~sink ()
                           else
-                            Image_dump.incremental ?cpu:t.cpu ~costs:t.costs
-                              ~part:(p, parts) ~fs:t.e_fs
+                            Image_dump.incremental ~part:(p, parts) ~fs:t.e_fs
                               ~base:ck.Catalog.ck_base_snapshot
                               ~snapshot:ck.Catalog.ck_snapshot ~sink ()
                         in
@@ -413,8 +398,8 @@ let do_backup t ~strategy ~level ~subtree ?exclude ~drives:requested ~label
              a modeled demand on the shared source disks. *)
           let rate =
             match strategy with
-            | Strategy.Logical -> t.model.logical_read_bytes_s
-            | Strategy.Physical -> t.model.image_read_bytes_s
+            | Strategy.Logical -> io_model.logical_read_bytes_s
+            | Strategy.Physical -> io_model.image_read_bytes_s
           in
           let modeled =
             Scheduler.demand_of_resource disk (Float.of_int bytes /. rate)
@@ -733,9 +718,9 @@ let apply_entry t session ?select ~disk ~concurrency (e : Catalog.entry) =
     in
     let modeled =
       Scheduler.demand_of_resource disk
-        ((Float.of_int r.Restore.bytes_restored /. t.model.logical_write_bytes_s)
+        ((Float.of_int r.Restore.bytes_restored /. io_model.logical_write_bytes_s)
         +. Float.of_int r.Restore.files_restored
-           *. t.model.restore_create_latency_s)
+           *. io_model.restore_create_latency_s)
     in
     let demands =
       net_demand ~host:(drive_host t drive) ~part:stream shipment
@@ -759,7 +744,7 @@ let restore_logical t ~label ~fs ~target ?select ?(concurrency = 1) () =
   match Catalog.restore_chain t.cat ~label ~strategy:Strategy.Logical with
   | [] -> raise (Fs.Error (Printf.sprintf "no logical backups of %S" label))
   | chain -> (
-    let session = Restore.session ?cpu:t.cpu ~costs:t.costs ~fs ~target () in
+    let session = Restore.session ~fs ~target () in
     let disk = Volume.resource (Fs.volume fs) in
     let out =
       match select with
@@ -792,11 +777,11 @@ let restore_physical t ~label ~volume ?(concurrency = 1) () =
           let (r, shipment), measured =
             with_measured (part_resources t ~drive) (fun () ->
                 let sh, src = source_on t ~drive stream in
-                (Image_restore.apply ?cpu:t.cpu ~costs:t.costs ~volume src, sh))
+                (Image_restore.apply ~volume src, sh))
           in
           let modeled =
             Scheduler.demand_of_resource disk
-              (Float.of_int r.Image_restore.bytes_read /. t.model.image_write_bytes_s)
+              (Float.of_int r.Image_restore.bytes_read /. io_model.image_write_bytes_s)
           in
           let demands =
             net_demand ~host:(drive_host t drive) ~part:stream shipment
@@ -895,8 +880,7 @@ let save w t =
   write_string w (Catalog.encode t.cat);
   write_u32 w t.snap_seq
 
-let load ?cpu ?(costs = Cost.f630) ?clock ?(retry = Retry.default)
-    ?(model = default_io_model) r ~fs =
+let load ?clock r ~fs =
   let open Repro_util.Serde in
   let mk ~atts ~links ~streams ~dd ~cat ~snap_seq =
     {
@@ -906,11 +890,7 @@ let load ?cpu ?(costs = Cost.f630) ?clock ?(retry = Retry.default)
       sessions = [];
       dd;
       cat;
-      cpu;
-      costs;
       clock;
-      retry;
-      model;
       streams;
       snap_seq;
       stats = None;

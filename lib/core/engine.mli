@@ -45,28 +45,24 @@ type io_model = {
 }
 (** The modeled half of a part's demand vector: what the shared source (or
     target) disks can deliver to each access pattern. The measured half —
-    tape transfer, real disk service, CPU — comes from {!Repro_sim.Resource}
+    tape transfer and link time — comes from {!Repro_sim.Resource}
     busy deltas. *)
 
-val default_io_model : io_model
+val io_model : io_model
 (** Tuned to the paper's Table 4/5 shape over ~8.5 MB/s DLT7000-class
     drives: logical saturates near 2.75 drives' bandwidth, image feeds four
     drives comfortably. *)
 
 val create :
-  ?cpu:Repro_sim.Resource.t ->
-  ?costs:Repro_sim.Cost.t ->
   ?clock:Repro_sim.Clock.t ->
-  ?retry:Repro_fault.Retry.policy ->
-  ?model:io_model ->
   fs:Repro_wafl.Fs.t ->
   libraries:Repro_tape.Library.t list ->
   unit ->
   t
 (** [clock] receives the retry backoff delays ({!Repro_fault.Retry.run});
-    without one, backoff costs no simulated time. [retry] defaults to
-    {!Repro_fault.Retry.default}; [model] to {!default_io_model}. The
-    [libraries] are locally attached; see {!attach_remote} for drives on a
+    without one, backoff costs no simulated time. Retries follow
+    {!Repro_fault.Retry.default}, and the modeled disk demand follows
+    {!io_model}. The [libraries] are locally attached; see {!attach_remote} for drives on a
     tape server. *)
 
 val fs : t -> Repro_wafl.Fs.t
@@ -303,11 +299,7 @@ val verify_logical :
 val save : Repro_util.Serde.writer -> t -> unit
 
 val load :
-  ?cpu:Repro_sim.Resource.t ->
-  ?costs:Repro_sim.Cost.t ->
   ?clock:Repro_sim.Clock.t ->
-  ?retry:Repro_fault.Retry.policy ->
-  ?model:io_model ->
   Repro_util.Serde.reader ->
   fs:Repro_wafl.Fs.t ->
   t

@@ -99,13 +99,6 @@ let per_resource amount add zero demands =
     [] demands
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-(* A stage with no demand above the scheduler's 1e-9 threshold would be
-   an all-zero vector, which the solver steps by 1e-12 s; at a clock of
-   a few seconds that step can round to no progress at all and never
-   settle. Such a stage takes no time, so it completes here, the instant
-   its stream reaches it. *)
-let instant st = List.for_all (fun d -> d.work <= 1e-9) st.demands
-
 (* Every stream holds one exclusive slot and queues its stages behind it
    in order, so stage k+1 is admitted the instant stage k completes and
    concurrent stages share resources at the scheduler's max-min rates.
@@ -123,38 +116,32 @@ let run streams =
               (fun i (s : stream) -> List.map (fun st -> (i, st)) s.stages)
               streams))
     in
-    let all = List.init (Array.length queue) Fun.id in
-    let timed = List.filter (fun j -> not (instant (snd queue.(j)))) all in
     let tasks =
       List.map
-        (fun j ->
-          let i, st = queue.(j) in
+        (fun (i, st) ->
           Scheduler.task ~label:st.label ~claims:[ Scheduler.Exactly (slot i) ]
             (fun ~now:_ ~granted:_ ->
               ( (),
                 List.map
                   (fun d -> Scheduler.demand_of_resource d.resource d.work)
                   st.demands )))
-        timed
+        (Array.to_list queue)
     in
     let outcomes, pool =
       Scheduler.run_tasks ~slots:(List.mapi (fun i _ -> slot i) streams) tasks
     in
-    (* Each stage's (start, finish): its grant, or for an instant stage
-       its predecessor's finish. [last] ends as each stream's finish. *)
-    let window = Array.make (Array.length queue) (0.0, 0.0) in
-    List.iteri
-      (fun k j ->
-        match outcomes.(k) with
-        | Scheduler.Completed g -> window.(j) <- (g.g_started, g.g_finished)
-        | Scheduler.Errored _ | Scheduler.Unran -> assert false)
-      timed;
+    (* Each stage's (start, finish) is its grant; [last] ends as each
+       stream's finish. *)
+    let window =
+      Array.map
+        (function
+          | Scheduler.Completed g -> (g.g_started, g.g_finished)
+          | Scheduler.Errored _ | Scheduler.Unran -> assert false)
+        outcomes
+    in
     let last = Array.make (List.length streams) 0.0 in
-    Array.iteri
-      (fun j (i, st) ->
-        if instant st then window.(j) <- (last.(i), last.(i));
-        last.(i) <- snd window.(j))
-      queue;
+    Array.iteri (fun j (i, _) -> last.(i) <- snd window.(j)) queue;
+    let all = List.init (Array.length queue) Fun.id in
     (* Start order, ties in queue order. *)
     let started =
       List.stable_sort (fun a b -> Float.compare (fst window.(a)) (fst window.(b))) all

@@ -200,6 +200,21 @@ let run_tasks ?(fatal = fun _ -> false) ?max_active ?on_complete ?on_interval
       claims
   in
   let release s = if not (is_dead s) then free := !free @ [ s ] in
+  (* Finish a flight at [now]: record its grant, charge its slots' busy
+     time, release them, and report it. *)
+  let complete now f =
+    let g =
+      { g_value = f.f_value; g_slots = f.f_slots; g_started = f.f_started; g_finished = now }
+    in
+    outcomes.(f.f_task) <- Completed g;
+    List.iter
+      (fun s ->
+        let b = Hashtbl.find busy (Resource_id.to_key s) in
+        b := !b +. (now -. f.f_started);
+        release s)
+      f.f_slots;
+    match on_complete with Some h -> h f.f_task g | None -> ()
+  in
   (* Admit as many ready waiting tasks as free slots and [max_active]
      allow, scanning the queue in order. *)
   let rec admit () =
@@ -234,18 +249,19 @@ let run_tasks ?(fatal = fun _ -> false) ?max_active ?on_complete ?on_interval
               (fun d -> if d.work > eps then Some (d.key, d.work) else None)
               demands
           in
-          active :=
-            !active
-            @ [
-                {
-                  f_task = j;
-                  f_slots = granted;
-                  f_started = started;
-                  f_value = value;
-                  f_demands = demands;
-                  f_remaining = 1.0;
-                };
-              ]
+          let f =
+            {
+              f_task = j;
+              f_slots = granted;
+              f_started = started;
+              f_value = value;
+              f_demands = demands;
+              f_remaining = 1.0;
+            }
+          in
+          (* A task with no demand takes no time: it completes the
+             instant it is admitted. *)
+          if demands = [] then complete started f else active := !active @ [ f ]
         | exception error ->
           outcomes.(j) <- Errored { error; slots = granted; at = started };
           if fatal error then List.iter kill granted
@@ -301,25 +317,7 @@ let run_tasks ?(fatal = fun _ -> false) ?max_active ?on_complete ?on_interval
       List.partition (fun f -> f.f_remaining <= eps) !active
     in
     active := still;
-    List.iter
-      (fun f ->
-        let g =
-          {
-            g_value = f.f_value;
-            g_slots = f.f_slots;
-            g_started = f.f_started;
-            g_finished = now;
-          }
-        in
-        outcomes.(f.f_task) <- Completed g;
-        List.iter
-          (fun s ->
-            let b = Hashtbl.find busy (Resource_id.to_key s) in
-            b := !b +. (now -. f.f_started);
-            release s)
-          f.f_slots;
-        match on_complete with Some h -> h f.f_task g | None -> ())
-      finished
+    List.iter (complete now) finished
   in
   let rec arm () =
     match !active with

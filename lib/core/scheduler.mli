@@ -118,6 +118,9 @@ val run_tasks :
     takes the next compatible free slot ahead of everything behind it in
     the queue. A task whose ready time has not arrived is skipped, not
     removed. [max_active] caps in-flight tasks (default: pool size).
+    A task whose demand vector is empty (every work at or below 1e-9)
+    takes no time: it completes at its admission, releasing its slots at
+    once.
 
     [on_complete i g] fires at [g.g_finished] in simulated-time order.
     [on_interval ~t0 ~t1 utils] fires once per inter-event interval with

@@ -12,7 +12,7 @@ let save ~path engine =
   Engine.save w engine;
   Repro_util.Atomic_file.write path (fun oc -> output_string oc (Serde.contents w))
 
-let load ?cpu ?costs ~path () =
+let load ~path =
   let ic = open_in_bin path in
   let data =
     Fun.protect
@@ -21,16 +21,5 @@ let load ?cpu ?costs ~path () =
   in
   let r = Serde.reader data in
   Serde.expect_magic r magic;
-  let vol = Persist.read r in
-  let config =
-    match (cpu, costs) with
-    | None, None -> Fs.default_config ()
-    | _ ->
-      {
-        (Fs.default_config ()) with
-        Fs.cpu;
-        costs = (match costs with Some c -> c | None -> Repro_sim.Cost.f630);
-      }
-  in
-  let fs = Fs.mount ~config vol in
-  Engine.load ?cpu ?costs r ~fs
+  let fs = Fs.mount (Persist.read r) in
+  Engine.load r ~fs

@@ -10,7 +10,6 @@ val save : path:string -> Engine.t -> unit
     [path] atomically ({!Repro_util.Atomic_file}): a crash mid-save
     leaves the previous store intact. *)
 
-val load :
-  ?cpu:Repro_sim.Resource.t -> ?costs:Repro_sim.Cost.t -> path:string -> unit -> Engine.t
+val load : path:string -> Engine.t
 (** Raises [Sys_error] on I/O problems, [Serde.Corrupt] or
     [Repro_wafl.Fs.Error] on a damaged store. *)

@@ -57,16 +57,17 @@ let seal w =
   Bytes.set_int32_le b (header_size - 4) (Int32.of_int crc);
   Bytes.to_string b
 
-(* One warm writer for all headers (encode completes before returning,
-   so sharing is safe) and one shared zeroed block map for the
+(* One warm writer per domain for all its headers (encode completes
+   before returning) and one zeroed block map per domain for the
    canonicalized inode image — both were fresh allocations per emitted
    header. *)
-let encode_pool = Serde.writer ~initial_size:header_size ()
-let zero_direct = Array.make Repro_wafl.Layout.ndirect 0
+let encode_pool =
+  Domain.DLS.new_key (fun () ->
+      (Serde.writer ~initial_size:header_size (), Array.make Repro_wafl.Layout.ndirect 0))
 
 let encode h =
   let open Serde in
-  let w = encode_pool in
+  let w, zero_direct = Domain.DLS.get encode_pool in
   clear w;
   write_fixed w header_magic;
   (match h with

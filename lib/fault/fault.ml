@@ -1,3 +1,4 @@
+module Ambient = Repro_util.Ambient
 module Prng = Repro_util.Prng
 module Obs = Repro_obs.Obs
 
@@ -155,15 +156,8 @@ let specs p = p.p_specs
 (* ------------------------------------------------------------------ *)
 (* Arming                                                              *)
 
-let current : plane option ref = ref None
-let arm p = current := Some p
-let disarm () = current := None
-let armed () = !current
-
-let with_armed p f =
-  let prev = !current in
-  current := Some p;
-  Fun.protect ~finally:(fun () -> current := prev) f
+let current : plane Ambient.t = Ambient.make ()
+let with_armed p f = Ambient.with_ current p f
 
 (* ------------------------------------------------------------------ *)
 (* Journal                                                             *)
@@ -230,10 +224,11 @@ exception Partitioned of string
 (* Hooks                                                               *)
 
 (* Hooks run on every device I/O: the disarmed path must be one branch,
-   and the armed-but-idle path one hashtable miss. *)
+   and the armed-but-idle path one domain-local lookup and one hashtable
+   miss. *)
 
 let on_disk_read ~device ~addr =
-  match !current with
+  match Ambient.get current with
   | None -> ()
   | Some p -> (
     match Hashtbl.find_opt p.by_device device with
@@ -257,7 +252,7 @@ let on_disk_read ~device ~addr =
       end)
 
 let on_disk_write ~device ~addr =
-  match !current with
+  match Ambient.get current with
   | None -> ()
   | Some p -> (
     match Hashtbl.find_opt p.by_device device with
@@ -291,7 +286,7 @@ let tape_death_tick p s ~device ~record:r =
   end
 
 let on_tape_read ~device ~record:r =
-  match !current with
+  match Ambient.get current with
   | None -> ()
   | Some p -> (
     match Hashtbl.find_opt p.by_device device with
@@ -309,7 +304,7 @@ let on_tape_read ~device ~record:r =
       end)
 
 let on_tape_write ~device ~record:r =
-  match !current with
+  match Ambient.get current with
   | None -> ()
   | Some p -> (
     match Hashtbl.find_opt p.by_device device with
@@ -323,7 +318,7 @@ let on_tape_write ~device ~record:r =
       end)
 
 let on_nvram_log ~device =
-  match !current with
+  match Ambient.get current with
   | None -> `Ok
   | Some p -> (
     match Hashtbl.find_opt p.by_device device with
@@ -341,7 +336,7 @@ let on_nvram_log ~device =
       else `Ok)
 
 let on_fsinfo_write ~device ~primary =
-  match !current with
+  match Ambient.get current with
   | None -> `Ok
   | Some p -> (
     match Hashtbl.find_opt p.by_device device with
@@ -356,7 +351,7 @@ let on_fsinfo_write ~device ~primary =
       else `Ok)
 
 let on_link_send ~device ~frame =
-  match !current with
+  match Ambient.get current with
   | None -> `Ok
   | Some p -> (
     match Hashtbl.find_opt p.by_device device with
@@ -411,14 +406,14 @@ let partitioned p ~device =
 (* Response notes                                                      *)
 
 let note_repair ~device ~addr =
-  match !current with
+  match Ambient.get current with
   | None -> ()
   | Some p ->
     Obs.count "fault.repairs" 1;
     record p ~kind:"repair" ~device ~addr ~detail:"reconstructed from parity"
 
 let note_retry ~device ~what ~attempt ~delay_s =
-  match !current with
+  match Ambient.get current with
   | None -> -1
   | Some p ->
     Obs.count "fault.retries" 1;
@@ -427,14 +422,14 @@ let note_retry ~device ~what ~attempt ~delay_s =
       ~injected:false
 
 let note_skip ~device ~addr ~what =
-  match !current with
+  match Ambient.get current with
   | None -> ()
   | Some p ->
     Obs.count "fault.skips" 1;
     record p ~kind:"skip" ~device ~addr ~detail:what
 
 let note_retransmit ~device ~frame =
-  match !current with
+  match Ambient.get current with
   | None -> -1
   | Some p ->
     Obs.count "fault.retransmits" 1;

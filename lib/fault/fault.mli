@@ -3,13 +3,15 @@
     A fault {e plan} is a declarative list of {!spec}s — latent sector
     errors, transient read timeouts, tape soft/hard errors, drive death,
     NVRAM loss, torn fsinfo writes, packet loss, link flaps and
-    partitions — compiled into a {!plane} and {!arm}ed against hook
-    points threaded through the device layers ({!Disk}, {!Raid},
-    {!Tape}, {!Tapeio}, {!Nvram}, the fsinfo write path, and the
+    partitions — compiled into a {!plane} and armed ({!with_armed})
+    against hook points threaded through the device layers ({!Disk},
+    {!Raid}, {!Tape}, {!Tapeio}, {!Nvram}, the fsinfo write path, and the
     network links of {!Repro_net}).
-    Devices call the [on_*] hooks on every I/O; when no plane is armed a
-    hook is a single load-and-branch, so the plane costs nothing on the
-    hot path (see the [faults] bench target).
+    Devices call the [on_*] hooks on every I/O and consult the plane
+    armed on their own domain ({!Repro_util.Ambient}), so a drill on one
+    domain never touches another domain's devices. When no plane is
+    armed on any domain a hook is a single load-and-branch, so the plane
+    costs nothing on the hot path (see the [faults] bench target).
 
     Every injected event — and every repair, retry, and degradation the
     system performs in response — is appended to the plane's {e journal},
@@ -94,16 +96,13 @@ val specs : plane -> spec list
 
 (** {1 Arming}
 
-    One plane at a time is globally armed; hooks consult it. [arm]
-    replaces any previously armed plane. *)
-
-val arm : plane -> unit
-val disarm : unit -> unit
-val armed : unit -> plane option
+    At most one plane is armed per domain; hooks consult the plane armed
+    on the domain they run on. *)
 
 val with_armed : plane -> (unit -> 'a) -> 'a
-(** Run a thunk with the plane armed, restoring the previous armed state
-    afterwards (also on exception). *)
+(** Run a thunk with the plane armed on the calling domain, restoring
+    that domain's previously armed plane afterwards (also on
+    exception). *)
 
 (** {1 Failures raised by hooks} *)
 

@@ -750,7 +750,6 @@ let run ?storm ?resume ?(keep_tapes = false) ?(rules = []) p =
       spec.Spec.s_hosts;
     fun name -> Hashtbl.find tbl name
   in
-  let model = Engine.default_io_model in
   let done_count = ref 0 in
   let victims =
     match storm with
@@ -794,7 +793,7 @@ let run ?storm ?resume ?(keep_tapes = false) ?(rules = []) p =
                 Scheduler.demand (Resource_id.Link host)
                   (fpayload /. goodput_of host);
                 Scheduler.demand (Resource_id.Disk v.Spec.v_filer)
-                  (fpayload /. model.Engine.logical_read_bytes_s);
+                  (fpayload /. Engine.io_model.logical_read_bytes_s);
               ]
               @
               match budget_of v.Spec.v_tenant with

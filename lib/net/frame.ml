@@ -21,20 +21,21 @@ let crc_of ~seq payload =
   let c = Crc32.update_byte c ((seq lsr 24) land 0xff) in
   Crc32.finish (Crc32.update_string c payload)
 
-(* One warm buffer for all encodes (a frame image is built and copied
-   out before the next encode can begin, so sharing is safe): the
+(* One warm buffer per domain for all its encodes (a frame image is
+   built and copied out before the domain's next encode can begin): the
    per-frame writer allocation goes away, only the final contents copy
    remains. *)
-let encode_pool = Serde.writer ~initial_size:4096 ()
+let encode_pool = Domain.DLS.new_key (fun () -> Serde.writer ~initial_size:4096 ())
 
 let encode ~seq payload =
   let tok = Repro_prof.Prof.enter p_frame in
-  Serde.clear encode_pool;
-  Serde.write_fixed encode_pool magic;
-  Serde.write_u32 encode_pool seq;
-  Serde.write_u32 encode_pool (crc_of ~seq payload);
-  Serde.write_string encode_pool payload;
-  let s = Serde.contents encode_pool in
+  let w = Domain.DLS.get encode_pool in
+  Serde.clear w;
+  Serde.write_fixed w magic;
+  Serde.write_u32 w seq;
+  Serde.write_u32 w (crc_of ~seq payload);
+  Serde.write_string w payload;
+  let s = Serde.contents w in
   Repro_prof.Prof.leave tok;
   Repro_prof.Prof.bump c_frames;
   s

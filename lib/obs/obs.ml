@@ -1,3 +1,4 @@
+module Ambient = Repro_util.Ambient
 module Clock = Repro_sim.Clock
 
 type value = Int of int | Float of float | Str of string | Bool of bool
@@ -39,6 +40,7 @@ type t = {
   mutable unbalanced_ends : int;
   metrics : (string, metric) Hashtbl.t;
   ser_tbl : (string, ser) Hashtbl.t;
+  io_names : (string, string * string * string) Hashtbl.t;
 }
 
 let create ?clock ?(enabled = true) () =
@@ -53,6 +55,7 @@ let create ?clock ?(enabled = true) () =
     unbalanced_ends = 0;
     metrics = Hashtbl.create 64;
     ser_tbl = Hashtbl.create 16;
+    io_names = Hashtbl.create 16;
   }
 
 (* Natural (numeric-aware) string order: digit runs compare as numbers,
@@ -93,21 +96,15 @@ let enable t b = t.on <- b
 (* ------------------------------------------------------------------ *)
 (* Arming                                                              *)
 
-let current : t option ref = ref None
-let arm t = current := Some t
-let disarm () = current := None
-let armed () = !current
-
-let with_armed t f =
-  let prev = !current in
-  current := Some t;
-  Fun.protect ~finally:(fun () -> current := prev) f
+let current : t Ambient.t = Ambient.make ()
+let armed () = Ambient.get current
+let with_armed t f = Ambient.with_ current t f
 
 (* The hot-path check: every instrumentation point below starts with
-   [active ()]; the disarmed (or armed-but-disabled) cost is this load
+   [active ()]; with nothing armed on any domain the cost is one load
    and branch, nothing more. *)
 let active () =
-  match !current with
+  match Ambient.get current with
   | Some t when t.on -> Some t
   | Some _ | None -> None
 
@@ -282,17 +279,15 @@ let advance secs =
   | None -> ()
   | Some t -> t.io_us <- t.io_us +. (secs *. 1e6)
 
-(* The derived metric names for an op are interned: [io] runs once per
-   simulated device operation, and without this each call allocates the
-   same three strings again. *)
-let io_names : (string, string * string * string) Hashtbl.t = Hashtbl.create 16
-
-let io_name_triple op =
-  match Hashtbl.find_opt io_names op with
+(* The derived metric names for an op are interned in the plane: [io]
+   runs once per simulated device operation, and without this each call
+   allocates the same three strings again. *)
+let io_name_triple t op =
+  match Hashtbl.find_opt t.io_names op with
   | Some names -> names
   | None ->
     let names = (op ^ ".ops", op ^ ".bytes", op ^ ".latency_us") in
-    Hashtbl.add io_names op names;
+    Hashtbl.add t.io_names op names;
     names
 
 let io ~op ~device ?(addr = -1) ~bytes dur_s =
@@ -307,7 +302,7 @@ let io ~op ~device ?(addr = -1) ~bytes dur_s =
     in
     push t { ph = X; ev_name = op; span; parent = 0; ts = now_us t; dur; attrs };
     t.io_us <- t.io_us +. (dur_s *. 1e6);
-    let ops_name, bytes_name, lat_name = io_name_triple op in
+    let ops_name, bytes_name, lat_name = io_name_triple t op in
     counter_on t ops_name 1;
     counter_on t bytes_name bytes;
     hist_on t lat_name dur

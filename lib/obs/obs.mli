@@ -1,11 +1,14 @@
 (** Deterministic tracing and metrics.
 
     The observability {e plane} is the measurement twin of the fault
-    plane ({!Repro_fault.Fault}): one plane at a time is globally armed,
-    instrumentation points all over the stack consult it, and when no
-    plane is armed (or the armed plane was created with [~enabled:false])
-    every hook is a single load-and-branch — the [bench obs] target
-    holds that cost under 1% on the Table 2 dump pass.
+    plane ({!Repro_fault.Fault}): {!with_armed} arms a plane for the
+    calling domain only ({!Repro_util.Ambient}), instrumentation points
+    all over the stack consult the plane armed on their own domain, and
+    two simulations on two domains never record into each other's plane.
+    When no plane is armed on any domain, every hook is a single
+    load-and-branch; an armed plane created with [~enabled:false] costs
+    one domain-local lookup more — the [bench obs] target holds that
+    cost under 1% on the Table 2 dump pass.
 
     Everything recorded is a pure function of the workload: timestamps
     come from a {e virtual clock} — the attached simulated clock
@@ -49,18 +52,19 @@ val enable : t -> bool -> unit
 
 (** {1 Arming}
 
-    One plane is globally armed at a time; hooks consult it. *)
-
-val arm : t -> unit
-val disarm : unit -> unit
-val armed : unit -> t option
+    At most one plane is armed per domain; hooks consult the plane armed
+    on the domain they run on. *)
 
 val with_armed : t -> (unit -> 'a) -> 'a
-(** Run a thunk with the plane armed, restoring the previously armed
-    plane afterwards (also on exception). *)
+(** Run a thunk with the plane armed on the calling domain, restoring
+    that domain's previously armed plane afterwards (also on
+    exception). *)
+
+val armed : unit -> t option
+(** The plane armed on the calling domain, if any. *)
 
 val enabled : unit -> bool
-(** [true] iff a plane is armed and recording. *)
+(** [true] iff a plane is armed on the calling domain and recording. *)
 
 (** {1 Spans}
 

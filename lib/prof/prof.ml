@@ -1,14 +1,18 @@
 (* Host-side self-profiler. See prof.mli for the contract; the two
-   load-bearing constraints are (1) the disarmed path is one ref read
-   and a compare, and (2) nothing here may read or write simulation
-   state — only Unix.gettimeofday, Gc counters, and the profile's own
-   arrays, which is what makes arming provably zero-feedback. *)
+   load-bearing constraints are (1) with nothing armed on any domain a
+   hook is one load and a compare, and (2) nothing here may read or
+   write simulation state — only Unix.gettimeofday, Gc counters, and
+   the profile's own arrays, which is what makes arming provably
+   zero-feedback. *)
+
+module Ambient = Repro_util.Ambient
 
 type probe = int
 type counter = int
 
-(* Probes and counters are interned globally (not per-profile) so sites
-   can intern at module-init time, before any profile exists. *)
+(* Probes and counters are interned process-wide (not per-profile) so
+   sites can intern at module-init time, before any profile exists; that
+   is the only time these tables are written, so domains share them. *)
 
 let intern tbl names name =
   match Hashtbl.find_opt tbl name with
@@ -76,7 +80,7 @@ type t = {
   mutable st_child_b : float array;
   mutable counters : int array; (* indexed by counter id *)
   mutable peaks : int array;
-  (* Gc deltas: snapshot at arm, accumulate at disarm. *)
+  (* Gc deltas: snapshot when a window opens, accumulate when it closes. *)
   mutable gc_at_arm : Gc.stat;
   mutable g_minor_words : float;
   mutable g_promoted_words : float;
@@ -110,8 +114,8 @@ let create () =
     g_compactions = 0;
   }
 
-let current : t option ref = ref None
-let enabled () = !current <> None
+let current : t Ambient.t = Ambient.make ()
+let enabled () = Ambient.get current <> None
 let now () = Unix.gettimeofday ()
 
 let grow_stack t =
@@ -161,7 +165,7 @@ let child_for parent p =
   find parent.n_children
 
 let enter p =
-  match !current with
+  match Ambient.get current with
   | None -> 0
   | Some t ->
     let d = t.depth in
@@ -204,7 +208,7 @@ let pop t =
 
 let leave tok =
   if tok > 0 then
-    match !current with
+    match Ambient.get current with
     | None -> ()
     | Some t ->
       (* Pop to the token's depth: frames opened above it (a raise
@@ -225,7 +229,7 @@ let with_probe p f =
     raise e
 
 let add c n =
-  match !current with
+  match Ambient.get current with
   | None -> ()
   | Some t ->
     if c >= Array.length t.counters then begin
@@ -238,7 +242,7 @@ let add c n =
 let bump c = add c 1
 
 let peak c v =
-  match !current with
+  match Ambient.get current with
   | None -> ()
   | Some t ->
     if c >= Array.length t.peaks then begin
@@ -248,7 +252,13 @@ let peak c v =
     end;
     if v > t.peaks.(c) then t.peaks.(c) <- v
 
-let accumulate_window t =
+(* Closing an armed window accumulates its wall time and Gc deltas into
+   [t] and closes frames left open (shouldn't happen with the token
+   discipline, but a raise straight out of an armed region can). *)
+let close_window t =
+  while t.depth > 0 do
+    pop t
+  done;
   let g1 = Gc.quick_stat () in
   let g0 = t.gc_at_arm in
   t.wall_s <- t.wall_s +. (now () -. t.armed_at);
@@ -259,42 +269,14 @@ let accumulate_window t =
     t.g_minor_collections + g1.Gc.minor_collections - g0.Gc.minor_collections;
   t.g_major_collections <-
     t.g_major_collections + g1.Gc.major_collections - g0.Gc.major_collections;
-  t.g_compactions <- t.g_compactions + g1.Gc.compactions - g0.Gc.compactions
-
-let disarm t =
-  if t.on then begin
-    (* Close frames left open (shouldn't happen with the token
-       discipline, but a raise straight out of an armed region can). *)
-    while t.depth > 0 do
-      pop t
-    done;
-    accumulate_window t;
-    t.on <- false;
-    (match !current with
-    | Some cur when cur == t -> current := None
-    | _ -> ())
-  end
-
-let arm t =
-  (match !current with
-  | Some other when other != t -> disarm other
-  | _ -> ());
-  if not t.on then begin
-    t.on <- true;
-    t.gc_at_arm <- Gc.quick_stat ();
-    t.armed_at <- now ();
-    current := Some t
-  end
+  t.g_compactions <- t.g_compactions + g1.Gc.compactions - g0.Gc.compactions;
+  t.on <- false
 
 let with_armed t f =
-  arm t;
-  match f () with
-  | v ->
-    disarm t;
-    v
-  | exception e ->
-    disarm t;
-    raise e
+  t.on <- true;
+  t.gc_at_arm <- Gc.quick_stat ();
+  t.armed_at <- now ();
+  Fun.protect ~finally:(fun () -> close_window t) (fun () -> Ambient.with_ current t f)
 
 (* ------------------------------ reports ------------------------------ *)
 

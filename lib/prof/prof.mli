@@ -15,10 +15,12 @@
     seed with profiling on or off yields byte-identical traces and
     tapes (pinned by a qcheck property in [test/test_prof.ml]).
 
-    Like the fault and obs planes, at most one profile is armed at a
-    time and every hook starts with a single load-and-branch when
-    disarmed, so instrumented hot paths pay one [ref] read + compare
-    when profiling is off (<1% wall overhead, gated in [bench speed]). *)
+    Like the fault and obs planes, at most one profile is armed per
+    domain ({!Repro_util.Ambient}): probes hit on another domain never
+    land in it. While no plane is armed on any domain, every hook is a
+    single load-and-branch, so instrumented hot paths pay one load +
+    compare when profiling is off (<1% wall overhead, gated in
+    [bench speed]). *)
 
 type t
 (** An aggregating profile: a call tree over probes plus flat
@@ -27,7 +29,10 @@ type t
 type probe
 (** An interned probe identifier. Sites create probes once at module
     initialization ([let p_dispatch = Prof.probe "sim.dispatch"]) so the
-    hot path pays no string hashing. *)
+    hot path pays no string hashing. The intern tables are the plane's
+    one process-wide mutable state: sites write them at module
+    initialisation, before any domain is spawned, and only read them
+    afterwards. *)
 
 type counter
 (** An interned counter/peak-gauge identifier, interned like probes. *)
@@ -45,19 +50,20 @@ val counter : string -> counter
 (** {1 Lifecycle} *)
 
 val create : unit -> t
-val arm : t -> unit
-
-val disarm : t -> unit
-(** Stops the clock: accumulates armed wall time and Gc deltas into
-    [t], force-closes any probe frames left open, and deactivates the
-    global hook. Arm/disarm may be repeated; totals accumulate. *)
 
 val with_armed : t -> (unit -> 'a) -> 'a
-(** [with_armed t f] arms [t], runs [f], and disarms even on raise. *)
+(** [with_armed t f] arms [t] on the calling domain and runs [f] in an
+    armed window. When [f] returns or raises, the window closes: armed
+    wall time and Gc deltas accumulate into [t], probe frames left open
+    are force-closed, and the domain's previously armed profile (if any)
+    is restored. Windows may be repeated; totals accumulate. A profile
+    has one window open at a time: do not arm it again inside its own
+    window or on a second domain. *)
 
 val enabled : unit -> bool
-(** True while some profile is armed. Sites can use this to skip
-    building probe arguments, though [enter]/[add] already no-op. *)
+(** True while some profile is armed on the calling domain. Sites can
+    use this to skip building probe arguments, though [enter]/[add]
+    already no-op. *)
 
 (** {1 Probe sites}
 

@@ -301,7 +301,7 @@ let test_store_roundtrip () =
       Repro_backup.Store.save ~path eng;
       (* reload into a fresh engine: file system, catalog and tapes all
          come back *)
-      let eng2 = Repro_backup.Store.load ~path () in
+      let eng2 = Repro_backup.Store.load ~path in
       let fs2 = Engine.fs eng2 in
       checks "file content back" "across processes"
         (Fs.read fs2 "/data/persisted.txt" ~offset:0 ~len:16);

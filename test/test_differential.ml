@@ -9,6 +9,7 @@
 module D = Differential
 module Strategy = Repro_backup.Strategy
 module Fleet = Repro_fleet.Fleet
+module Fault = Repro_fault.Fault
 
 let seeds = [ 1; 42; 1999 ]
 
@@ -108,20 +109,63 @@ let test_goldens () =
             name (D.first_diff want got) (String.length want) (String.length got))
       golden_files
 
+let regenerating () = Sys.getenv_opt "DIFF_FIXTURES_DIR" <> None
+
+let check_digests key a =
+  let prefix = key ^ " " in
+  let want =
+    List.filter
+      (String.starts_with ~prefix)
+      (String.split_on_char '\n'
+         (read_file (Filename.concat (fixtures_dir ()) digests_file)))
+  in
+  if want = [] then Alcotest.failf "%s: no digests in %s" key digests_file;
+  Alcotest.(check (list string)) (key ^ " stream digests") want (D.digest_lines key a)
+
 (* A case must reproduce its fixture lines exactly. While fixtures are
    being regenerated the goldens test rewrites the file instead. *)
-let test_digests key run () =
-  if Sys.getenv_opt "DIFF_FIXTURES_DIR" = None then begin
-    let prefix = key ^ " " in
-    let want =
-      List.filter
-        (String.starts_with ~prefix)
-        (String.split_on_char '\n'
-           (read_file (Filename.concat (fixtures_dir ()) digests_file)))
-    in
-    if want = [] then Alcotest.failf "%s: no digests in %s" key digests_file;
-    Alcotest.(check (list string)) (key ^ " stream digests") want
-      (D.digest_lines key (run ()))
+let test_digests key run () = if not (regenerating ()) then check_digests key (run ())
+
+(* --------------------------- two domains ----------------------------- *)
+
+(* Two simulations in one process, one per domain, must not see each
+   other's planes: each reproduces exactly what it produces alone. Case
+   [a] runs on a spawned domain while case [b] runs on this one. *)
+let test_pair (_, _, key_a, run_a) (_, _, key_b, run_b) () =
+  if not (regenerating ()) then begin
+    let other = Domain.spawn run_a in
+    let b = run_b () in
+    let a = Domain.join other in
+    check_digests key_a a;
+    check_digests key_b b
+  end
+
+let pairs =
+  let arr = Array.of_list cases in
+  let half = Array.length arr / 2 in
+  List.init half (fun i -> (arr.(i), arr.(i + half)))
+
+(* A fault drill — soft write errors on drive S0, absorbed by the
+   engine's retry — armed on a spawned domain beside a clean run that
+   also writes through a drive labelled S0. *)
+let drill () =
+  let plane =
+    Fault.plan [ Fault.Tape_soft_errors { device = "S0"; op = `Write; failures = 2 } ]
+  in
+  let a = Fault.with_armed plane (fun () -> D.run ~seed:42 ~strategy:Strategy.Logical ()) in
+  Alcotest.(check int) "the drill injected its faults" 2 (Fault.injected plane);
+  (D.digest_lines "drill" a, Fault.journal_lines plane)
+
+let test_drill_beside_clean () =
+  if not (regenerating ()) then begin
+    let alone = drill () in
+    let other = Domain.spawn drill in
+    let clean = D.run ~seed:1 ~strategy:Strategy.Physical () in
+    let beside = Domain.join other in
+    check_digests "local-physical-s1" clean;
+    let digests, journal = beside and digests0, journal0 = alone in
+    Alcotest.(check (list string)) "drill journal" journal0 journal;
+    Alcotest.(check (list string)) "drill digests" digests0 digests
   end
 
 (* --------------------- fleet granularity ---------------------------- *)
@@ -187,4 +231,15 @@ let () =
             QCheck_alcotest.to_alcotest ~long:false
               prop_fleet_storm_restart_identical;
           ] );
+        ( "two domains",
+          List.map
+            (fun (((_, _, key_a, _) as a), ((_, _, key_b, _) as b)) ->
+              Alcotest.test_case
+                (Printf.sprintf "%s beside %s" key_a key_b)
+                `Quick (test_pair a b))
+            pairs
+          @ [
+              Alcotest.test_case "fault drill beside a clean run" `Quick
+                test_drill_beside_clean;
+            ] );
       ])

@@ -128,6 +128,29 @@ let test_exporters () =
   Format.pp_print_flush fmt ();
   checkb "summary mentions probe" true (contains (Buffer.contents buf) "t.exp_parent")
 
+(* ---------------------------- per domain ----------------------------- *)
+
+(* A profile is armed for its own domain only: probes hit on another
+   domain while it is armed do not land in it. *)
+let test_other_domain_not_recorded () =
+  let mine = Prof.probe "t.dom_mine" in
+  let theirs = Prof.probe "t.dom_theirs" in
+  let c = Prof.counter "t.dom_count" in
+  let t = Prof.create () in
+  Prof.with_armed t (fun () ->
+      Prof.with_probe mine (fun () -> Prof.bump c);
+      Domain.join
+        (Domain.spawn (fun () ->
+             checkb "not armed on the spawned domain" false (Prof.enabled ());
+             for _ = 1 to 100 do
+               Prof.with_probe theirs (fun () -> Prof.bump c)
+             done)));
+  let s = Prof.summary t in
+  checkb "own probe recorded" true (row s "t.dom_mine" <> None);
+  checkb "other domain's probe absent" true (row s "t.dom_theirs" = None);
+  checkb "counter counts own bumps only" true
+    (List.assoc_opt "t.dom_count" s.Prof.s_counters = Some 1)
+
 (* --------------------------- zero feedback --------------------------- *)
 
 (* The scenario and byte capture live in the shared differential
@@ -151,6 +174,7 @@ let () =
           ("aggregation", `Quick, test_aggregation);
           ("recursion and unwind", `Quick, test_recursion_and_unwind);
           ("exporters", `Quick, test_exporters);
+          ("other domains not recorded", `Quick, test_other_domain_not_recorded);
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest ~long:false prop_profiling_is_zero_feedback ] );

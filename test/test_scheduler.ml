@@ -197,6 +197,32 @@ let prop_scaling_shape =
         (physical > logical +. 0.5);
       true)
 
+(* A task with no demand completes at its admission. One slot runs a
+   task of demand [w] on one key, then an empty-demand task: the pool
+   must finish at exactly [w]. (An empty vector once ran through the
+   solver at rate 1e12; for some [w] the 1e-12 s step rounded to no
+   progress and the run never settled.) *)
+let test_empty_demand_completes_at_admission () =
+  List.iter
+    (fun w ->
+      let slot = Repro_sim.Resource_id.Drive 0 in
+      let task label demands =
+        Scheduler.task ~label ~claims:[ Scheduler.Exactly slot ]
+          (fun ~now:_ ~granted:_ -> (label, demands))
+      in
+      let outs, ps =
+        Scheduler.run_tasks ~slots:[ slot ]
+          [ task "work" [ demand "disk" w ]; task "empty" [] ]
+      in
+      if not (Float.equal ps.Scheduler.p_elapsed w) then
+        Alcotest.failf "w = %g: elapsed %h, want %h" w ps.Scheduler.p_elapsed w;
+      match outs.(1) with
+      | Scheduler.Completed g ->
+        checkb "empty task starts and finishes at w" true
+          (Float.equal g.Scheduler.g_started w && Float.equal g.Scheduler.g_finished w)
+      | _ -> Alcotest.fail "empty-demand task must complete")
+    [ 0.001; 0.5; 1.0; 3.0; 100.0 ]
+
 let () =
   Alcotest.run "scheduler"
     [
@@ -207,6 +233,8 @@ let () =
           Alcotest.test_case "analytic timing" `Quick test_scheduler_timing;
           Alcotest.test_case "order and pinning" `Quick test_scheduler_order_and_pinning;
           Alcotest.test_case "fault semantics" `Quick test_scheduler_fault_semantics;
+          Alcotest.test_case "empty demand completes at admission" `Quick
+            test_empty_demand_completes_at_admission;
         ] );
       ( "properties",
         [

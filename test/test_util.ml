@@ -9,6 +9,7 @@ module Heap = Oracle.Heap
 module Stage = Repro_util.Stage
 module Units = Repro_util.Units
 module Atomic_file = Repro_util.Atomic_file
+module Ambient = Repro_util.Ambient
 
 module Lru = Repro_util.Lru.Make (struct
   type t = int
@@ -418,6 +419,39 @@ let test_atomic_failed_write () =
       Alcotest.(check (array string))
         "temp file removed" [| "store.bin" |] (Sys.readdir dir))
 
+(* ------------------------------ ambient ------------------------------ *)
+
+let test_ambient_nesting () =
+  let slot : string Ambient.t = Ambient.make () in
+  let got () = Option.value ~default:"-" (Ambient.get slot) in
+  checks "empty" "-" (got ());
+  Ambient.with_ slot "outer" (fun () ->
+      checks "armed" "outer" (got ());
+      Ambient.with_ slot "inner" (fun () -> checks "nested" "inner" (got ()));
+      checks "inner restored" "outer" (got ());
+      (match Ambient.with_ slot "raising" (fun () -> failwith "boom") with
+      | () -> Alcotest.fail "must raise"
+      | exception Failure _ -> ());
+      checks "restored after raise" "outer" (got ()));
+  checks "empty again" "-" (got ())
+
+let test_ambient_per_domain () =
+  let slot : string Ambient.t = Ambient.make () in
+  Ambient.with_ slot "parent" (fun () ->
+      let child =
+        Domain.join
+          (Domain.spawn (fun () ->
+               let before = Ambient.get slot in
+               let inside = Ambient.with_ slot "child" (fun () -> Ambient.get slot) in
+               (before, inside)))
+      in
+      Alcotest.(check (pair (option string) (option string)))
+        "a spawned domain starts empty and arms its own value" (None, Some "child")
+        child;
+      Alcotest.(check (option string))
+        "the child's arming left the parent's slot alone" (Some "parent")
+        (Ambient.get slot))
+
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let () =
@@ -475,5 +509,11 @@ let () =
             test_atomic_replaces;
           Alcotest.test_case "failed save keeps previous bytes" `Quick
             test_atomic_failed_write;
+        ] );
+      ( "ambient",
+        [
+          Alcotest.test_case "nesting restores, also after a raise" `Quick
+            test_ambient_nesting;
+          Alcotest.test_case "slots are per domain" `Quick test_ambient_per_domain;
         ] );
     ]
