@@ -454,10 +454,10 @@ let run_microbenchmarks () =
 (* Part 4: fault-plane overhead                                        *)
 
 (* docs/FAULTS.md: an armed-but-idle fault plane plus the engine's retry
-   wrappers, against a 1% budget on the Table 2 dump pass. An armed hook
-   pays one domain-local lookup and a hashtable miss when nothing is
-   planned for the device; measure the overhead rather than assert it. Minimum-of-N is used on both sides to shave scheduler
-   noise off a difference this small. *)
+   wrappers on the Table 2 dump pass. An armed hook pays one domain-local
+   lookup and a hashtable miss when nothing is planned for the device, so
+   this part reports the overhead and gates nothing. Minimum-of-N is used
+   on both sides to shave scheduler noise off a difference this small. *)
 let run_faults () =
   say "============================================================";
   say " Part 4: fault-plane overhead (Table 2 dump pass)";
@@ -499,7 +499,7 @@ let run_faults () =
   let overhead = (armed -. bare) /. bare *. 100.0 in
   say "  disarmed dump pass:          %8.3f ms (best of %d)" (bare *. 1e3) iters;
   say "  armed idle plane + Retry.run:%8.3f ms (best of %d)" (armed *. 1e3) iters;
-  say "  wall-clock overhead:         %8.2f %%  (budget: < 1%%)" overhead;
+  say "  wall-clock overhead:         %8.2f %%  (reported, not gated)" overhead;
   say "  simulated tape seconds:      %.6f vs %.6f (%s)" bare_sim !armed_sim
     (if Float.equal bare_sim !armed_sim then "identical — plane is neutral"
      else "DIFFER: idle plane perturbed the model!");
@@ -639,7 +639,7 @@ let run_scaling () =
     | Strategy.Physical ->
       ignore (backup eng ~strategy ~label:"vol" ~parts ~drives ()));
     match Engine.last_stats eng with
-    | Some st -> st.Scheduler.elapsed
+    | Some st -> st.Scheduler.p_elapsed
     | None -> 0.0
   in
   let sweep name strategy ~paper ~tol =
@@ -723,7 +723,7 @@ let run_net () =
     ignore
       (Engine.backup_job eng
          (Engine.Job.make ~strategy ~subtree:"/data" ~parts:2 ~drives ()));
-    match Engine.last_stats eng with Some st -> st.Scheduler.elapsed | None -> 0.0
+    match Engine.last_stats eng with Some st -> st.Scheduler.p_elapsed | None -> 0.0
   in
   let gate_a name strategy =
     let local = elapsed strategy ~remote:false in

@@ -7,8 +7,7 @@
    Physical dump just deals blocks to more drives and rides sequential
    disk bandwidth.
 
-   Part two runs the same sweep through the engine's own drive-pool
-   scheduler (docs/SCALING.md): Engine.backup_job with a ~drives pool schedules the
+   Part two runs the same sweep through the engine's own scheduler (docs/SCALING.md): Engine.backup_job with a ~drives pool schedules the
    parts concurrently over the stackers, and Engine.last_stats reports
    the makespan and how busy each drive was.
 
@@ -82,11 +81,14 @@ let () =
       let util =
         String.concat " "
           (List.map
-             (fun (d, busy, _) ->
-               Printf.sprintf "d%d:%2.0f%%" d (100.0 *. busy /. st.Scheduler.elapsed))
-             st.Scheduler.per_drive)
+             (fun (slot, busy, _) ->
+               match slot with
+               | Scheduler.Resource_id.Drive d ->
+                 Printf.sprintf "d%d:%2.0f%%" d (100.0 *. busy /. st.Scheduler.p_elapsed)
+               | _ -> assert false)
+             st.Scheduler.p_slots)
       in
-      (st.Scheduler.elapsed, util)
+      (st.Scheduler.p_elapsed, util)
     | None -> (0.0, "")
   in
   List.iter

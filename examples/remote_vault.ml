@@ -88,12 +88,8 @@ let () =
   (* Three-way restore: the vault streams the dump back over the link
      and the engine applies it locally. *)
   let results =
-    match
-      Engine.restore engine ~strategy:Strategy.Logical ~label:"/data"
-        ~target:"/data" ()
-    with
-    | `Logical rs -> rs
-    | `Physical _ -> assert false
+    Engine.restore_logical engine ~label:"/data" ~fs:(Engine.fs engine)
+      ~target:"/data" ()
   in
   List.iter
     (fun (r : Repro_dump.Restore.apply_result) ->

@@ -14,8 +14,6 @@ type t = {
   mutable head : int; (* next contiguous block position; -1 = unknown *)
   mutable busy : float;
   mutable bytes : int;
-  mutable reads : int;
-  mutable writes : int;
   mutable seeks : int;
 }
 
@@ -31,13 +29,8 @@ let create ?resource ?(service_scale = 1.0) ~label params =
     head = -1;
     busy = 0.0;
     bytes = 0;
-    reads = 0;
-    writes = 0;
     seeks = 0;
   }
-
-let label t = t.label
-let capacity t = t.params.blocks
 
 let check_access t dbn =
   if t.is_failed then raise (Disk_failed t.label);
@@ -85,7 +78,6 @@ let hook t f =
 let read t dbn =
   check_access t dbn;
   hook t (fun () -> Repro_fault.Fault.on_disk_read ~device:t.label ~addr:dbn);
-  t.reads <- t.reads + 1;
   charge t ~op:"disk.read" dbn Block.size;
   match t.data.(dbn) with Some b -> Bytes.copy b | None -> Block.zero ()
 
@@ -93,7 +85,6 @@ let write t dbn b =
   Block.check b;
   check_access t dbn;
   hook t (fun () -> Repro_fault.Fault.on_disk_write ~device:t.label ~addr:dbn);
-  t.writes <- t.writes + 1;
   charge t ~op:"disk.write" dbn Block.size;
   t.data.(dbn) <- Some (Bytes.copy b)
 
@@ -107,13 +98,9 @@ let revive t =
 
 let busy_seconds t = t.busy
 let bytes_moved t = t.bytes
-let reads t = t.reads
-let writes t = t.writes
 let seeks t = t.seeks
 
 let reset_stats t =
   t.busy <- 0.0;
   t.bytes <- 0;
-  t.reads <- 0;
-  t.writes <- 0;
   t.seeks <- 0

@@ -28,9 +28,6 @@ type t
 val create :
   ?resource:Repro_sim.Resource.t -> ?service_scale:float -> label:string -> params -> t
 
-val label : t -> string
-val capacity : t -> int
-
 val read : t -> int -> bytes
 (** [read d dbn] returns a fresh copy of block [dbn] (all zeros if never
     written). Raises [Disk_failed] if the disk has {!fail}ed — a device
@@ -63,7 +60,5 @@ val revive : t -> unit
 
 val busy_seconds : t -> float
 val bytes_moved : t -> int
-val reads : t -> int
-val writes : t -> int
 val seeks : t -> int
 val reset_stats : t -> unit

@@ -20,7 +20,6 @@ let create ?resource ?(service_scale = 1.0) ~label ~ndisks ~blocks_per_disk para
   in
   { label; disks; blocks_per_disk; media_repairs = 0 }
 
-let label t = t.label
 let ndisks t = Array.length t.disks
 let data_disks t = ndisks t - 1
 let data_blocks t = data_disks t * t.blocks_per_disk

@@ -25,7 +25,6 @@ val create :
 (** [ndisks] includes the parity disk; at least 3. [Disk.params.blocks] is
     overridden by [blocks_per_disk]. *)
 
-val label : t -> string
 val data_blocks : t -> int
 val ndisks : t -> int
 val data_disks : t -> int
@@ -53,7 +52,6 @@ val write_stripe : t -> int -> bytes array -> unit
 (** [write_stripe t stripe data] writes all [n-1] data blocks of a stripe
     and its parity in [n] disk I/Os. [Array.length data] must be [n-1]. *)
 
-val stripes : t -> int
 val stripe_of_gbn : t -> int -> int * int
 (** [(stripe, data_disk_index)]. *)
 

@@ -43,7 +43,6 @@ let create ~label g =
 let geometry_of t = t.geom
 let label t = t.label
 let size_blocks t = Array.length t.rgroups * t.group_data
-let size_bytes t = size_blocks t * Block.size
 let resource t = t.resource
 let raid_groups t = t.rgroups
 

@@ -33,7 +33,6 @@ val label : t -> string
 val size_blocks : t -> int
 (** Number of data blocks (vbns). *)
 
-val size_bytes : t -> int
 val resource : t -> Repro_sim.Resource.t
 val raid_groups : t -> Raid.t array
 

@@ -816,12 +816,8 @@ let cmd_restore =
             let select = match select with [] -> None | l -> Some l in
             with_obs trace_out metrics_out (fun _obs ->
                 let results =
-                  match
-                    Engine.restore engine ~strategy:Strategy.Logical ~label ~fs
-                      ~target ?select ~concurrency:drives ()
-                  with
-                  | `Logical rs -> rs
-                  | `Physical _ -> assert false
+                  Engine.restore_logical engine ~label ~fs ~target ?select
+                    ~concurrency:drives ()
                 in
                 List.iteri
                   (fun i (r : Restore.apply_result) ->
@@ -866,12 +862,7 @@ let cmd_disaster =
         let src_vol = Fs.volume (Engine.fs engine) in
         let replacement = Volume.create ~label:"replacement" (Volume.geometry_of src_vol) in
         let results =
-          match
-            Engine.restore engine ~strategy:Strategy.Physical ~label
-              ~volume:replacement ()
-          with
-          | `Physical rs -> rs
-          | `Logical _ -> assert false
+          Engine.restore_physical engine ~label ~volume:replacement ()
         in
         say "applied %d image stream(s)" (List.length results);
         let fs = Fs.mount replacement in

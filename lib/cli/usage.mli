@@ -25,10 +25,6 @@ val commands : unit -> (string * string) list
 val summary : string -> string
 (** The registered doc line for a command. Raises [Not_found]. *)
 
-val flags_of : string -> string list
-(** The rendered option names of a command ("--long" / "-s"), in
-    registration order. *)
-
 val all_flags : unit -> string list
 (** Every distinct rendered option name, in first-registration order. *)
 

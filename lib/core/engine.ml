@@ -17,6 +17,7 @@ module Obs = Repro_obs.Obs
 module Analysis = Repro_obs.Analysis
 module Link = Repro_net.Link
 module Session = Repro_net.Session
+module Mover = Repro_net.Mover
 
 type io_model = {
   logical_read_bytes_s : float;
@@ -55,7 +56,7 @@ type t = {
   clock : Clock.t option;
   mutable streams : int array; (* streams written per drive *)
   mutable snap_seq : int;
-  mutable stats : Scheduler.stats option;
+  mutable stats : Scheduler.pool_stats option;
 }
 
 let create ?clock ~fs ~libraries () =
@@ -84,7 +85,6 @@ let remount t =
   t.e_fs <- Fs.mount ~config:(Fs.config_of t.e_fs) (Fs.volume t.e_fs)
 
 let catalog t = t.cat
-let dumpdates t = t.dd
 let last_stats t = t.stats
 let drive_count t = Array.length t.atts
 let lib_of t drive = t.atts.(drive).att_lib
@@ -125,35 +125,25 @@ let session_for t host =
     t.sessions <- t.sessions @ [ (host, s) ];
     s
 
-(* The wall time a part's shipment spent on the wire, as a demand on a
-   key unique to this part: window/latency stalls are real elapsed time
-   even when the link's measured busy-seconds are low. *)
-let net_demand ~host ~part shipment =
-  match Option.bind shipment Mover.xfer with
-  | None -> []
-  | Some x ->
-    [
-      Scheduler.demand
-        (Scheduler.Resource_id.Net { host; part })
-        x.Session.xf_elapsed_s;
-    ]
-
-let note_stats t s =
+(* Sum a schedule into the operation's stats: a restore chain runs one
+   schedule per entry, and its makespans and per-drive busy times add. *)
+let note_stats t (s : Scheduler.pool_stats) =
   let merged =
     match t.stats with
     | None -> s
     | Some prev ->
-      let per_drive =
+      let same d (d', _, _) = Scheduler.Resource_id.equal d' d in
+      let p_slots =
         List.fold_left
           (fun acc (d, b, n) ->
-            match List.partition (fun (d', _, _) -> d' = d) acc with
+            match List.partition (same d) acc with
             | [ (_, b0, n0) ], rest -> rest @ [ (d, b0 +. b, n0 + n) ]
             | _ -> acc @ [ (d, b, n) ])
-          prev.Scheduler.per_drive s.Scheduler.per_drive
+          prev.Scheduler.p_slots s.Scheduler.p_slots
       in
       {
-        Scheduler.elapsed = prev.Scheduler.elapsed +. s.Scheduler.elapsed;
-        per_drive;
+        Scheduler.p_elapsed = prev.Scheduler.p_elapsed +. s.Scheduler.p_elapsed;
+        p_slots;
       }
   in
   t.stats <- Some merged
@@ -165,29 +155,103 @@ let media_of lib before =
   let all = List.map Tape.media_label (Library.used_media lib) in
   List.filter (fun m -> not (List.mem m before)) all
 
-(* Busy-time deltas on [resources] across [f]: the measured half of a
-   part's demand vector (tape transfer, link). The execution itself is
-   atomic on simulated time, so the deltas are attributable to this part
-   alone. The source/target disks are deliberately NOT measured: the
-   per-block service model over-serializes what is really an array behind
-   a buffer cache, so disk contention enters the vector only through the
-   modeled [io_model] demand on the shared volume key. *)
-let with_measured resources f =
+(* Run one part's real work [f] on [drive] and build its demand vector.
+   [f] returns the part's result and, for a remote drive, its shipment.
+   The vector is, in order: the wall time the shipment spent on the wire,
+   as a demand on a key unique to this part (window/latency stalls are
+   real elapsed time even when the link's measured busy-seconds are low);
+   the modeled [work v] seconds on the shared [disk]; and busy-time
+   deltas on the drive's tape and link across [f]. The execution is
+   atomic on simulated time, so those deltas are this part's alone. The
+   disks are deliberately NOT measured: the per-block service model
+   over-serializes what is really an array behind a buffer cache, so
+   disk contention enters only through the [io_model] demand. The part's
+   span closes annotated with the vector: the critical-path analysis
+   charges each step's gating intervals from it. *)
+let part_demands t ~drive ~part ~disk ~work f =
+  let resources =
+    Tape.resource (Library.drive (lib_of t drive))
+    :: (match link_to t ~host:(drive_host t drive) with
+      | Some link -> [ Link.resource link ]
+      | None -> [])
+  in
   let before = List.map (fun r -> (r, Resource.busy r)) resources in
-  let v = f () in
-  let ds =
+  let v, shipment = f () in
+  let measured =
     List.map
       (fun (r, b) ->
         Scheduler.demand_of_resource r (Float.max 0.0 (Resource.busy r -. b)))
       before
   in
-  (v, ds)
+  let wire =
+    match Option.bind shipment Mover.xfer with
+    | None -> []
+    | Some x ->
+      [
+        Scheduler.demand
+          (Scheduler.Resource_id.Net { host = drive_host t drive; part })
+          x.Session.xf_elapsed_s;
+      ]
+  in
+  let demands = wire @ (Scheduler.demand_of_resource disk (work v) :: measured) in
+  if Obs.enabled () then
+    Obs.annotate
+      (List.map
+         (fun (d : Scheduler.demand) ->
+           ("demand:" ^ d.Scheduler.key, Obs.Float d.Scheduler.work))
+         demands);
+  (v, demands)
 
-let part_resources t ~drive =
-  Tape.resource (Library.drive (lib_of t drive))
-  :: (match link_to t ~host:(drive_host t drive) with
-    | Some link -> [ Link.resource link ]
-    | None -> [])
+let drive_slot d = Scheduler.Resource_id.Drive d
+
+let slot_drive = function
+  | Scheduler.Resource_id.Drive d -> d
+  | _ -> assert false
+
+(* Schedule an operation's parts on the drive slots. Each part is
+   [(part, claim, run)]: [run ~drive] does the part's real work on the
+   granted drive and returns its result and demand vector. A completion
+   fires [on_done] and an [instant] event. Those instants and the
+   [<phase>.util.*] timelines continue where the operation's earlier
+   schedules (a restore chain's previous entries) left off: the offset is
+   the stats so far, 0 for a backup, whose stats [with_backup_span]
+   resets. *)
+let run_parts t ~phase ~instant ?fatal ?max_active ?(on_done = ignore) ~drives
+    parts =
+  let offset = match t.stats with Some s -> s.Scheduler.p_elapsed | None -> 0.0 in
+  let sampler =
+    if Obs.enabled () then Some (Analysis.sampler ~prefix:phase ~t0:offset ())
+    else None
+  in
+  let part_of = Array.of_list (List.map (fun (p, _, _) -> p) parts) in
+  let tasks =
+    List.map
+      (fun (p, claim, run) ->
+        Scheduler.task
+          ~label:(Printf.sprintf "%s part %d" phase (p + 1))
+          ~claims:[ claim ]
+          (fun ~now:_ ~granted -> run ~drive:(slot_drive (List.hd granted))))
+      parts
+  in
+  let on_complete i (g : _ Scheduler.grant) =
+    on_done g.Scheduler.g_value;
+    Obs.instant instant
+      ~attrs:
+        [
+          ("part", Obs.Int (part_of.(i) + 1));
+          ("drive", Obs.Int (slot_drive (List.hd g.Scheduler.g_slots)));
+          ("sim_start_s", Obs.Float (offset +. g.Scheduler.g_started));
+          ("sim_finish_s", Obs.Float (offset +. g.Scheduler.g_finished));
+        ]
+  in
+  let outcomes, stats =
+    Scheduler.run_tasks ?fatal ?max_active ~on_complete
+      ?on_interval:(Option.map Analysis.sampler_segment sampler)
+      ~slots:(List.map drive_slot drives) tasks
+  in
+  Option.iter Analysis.sampler_flush sampler;
+  note_stats t stats;
+  (outcomes, stats)
 
 let snapshot_exists t name =
   List.exists
@@ -270,37 +334,94 @@ let fresh_checkpoint t ~strategy ~level ~subtree ~drives ~label ~parts =
     ck_done = [];
   }
 
+module Job = struct
+  type error =
+    | Empty_subtree
+    | Relative_subtree of string
+    | Bad_level of int
+    | Bad_parts of int
+    | Empty_pool
+    | Duplicate_drive of int
+    | Unknown_drive of int
+
+  exception Invalid of error
+
+  let error_message = function
+    | Empty_subtree -> "job subtree must not be empty"
+    | Relative_subtree s -> Printf.sprintf "job subtree %S is not absolute" s
+    | Bad_level l -> Printf.sprintf "dump level %d out of range (0-9)" l
+    | Bad_parts p -> Printf.sprintf "parts must be >= 1 (got %d)" p
+    | Empty_pool -> "empty drive pool"
+    | Duplicate_drive d -> Printf.sprintf "drive %d appears twice in the pool" d
+    | Unknown_drive d -> Printf.sprintf "no drive %d attached" d
+
+  type t = {
+    strategy : Strategy.t;
+    level : int;
+    subtree : string;
+    exclude : Filter.t option;
+    label : string option;
+    parts : int;
+    drives : int list option;
+    resume : bool;
+  }
+
+  let make ~strategy ?(level = 0) ?(subtree = "/") ?exclude ?label ?(parts = 1)
+      ?drives ?(resume = false) () =
+    if subtree = "" then raise (Invalid Empty_subtree);
+    if subtree.[0] <> '/' then raise (Invalid (Relative_subtree subtree));
+    if level < 0 || level > 9 then raise (Invalid (Bad_level level));
+    if parts < 1 then raise (Invalid (Bad_parts parts));
+    (match drives with
+    | Some [] -> raise (Invalid Empty_pool)
+    | Some pool ->
+      let seen = Hashtbl.create 8 in
+      List.iter
+        (fun d ->
+          if Hashtbl.mem seen d then raise (Invalid (Duplicate_drive d));
+          Hashtbl.add seen d ())
+        pool
+    | None -> ());
+    { strategy; level; subtree; exclude; label; parts; drives; resume }
+
+  let label job = match job.label with Some l -> l | None -> job.subtree
+end
+
 let do_backup t ~strategy ~level ~subtree ?exclude ~drives:requested ~label
     ~parts ~resume () =
+  (* The drive pool: an explicit request wins; a resume otherwise reuses
+     the pool the job was launched with. It is checked before anything
+     touches the file system or the catalog. *)
+  let pool_of (ck : Catalog.checkpoint) =
+    match (requested, ck.Catalog.ck_drives) with
+    | Some l, _ -> l
+    | None, [] -> [ ck.Catalog.ck_drive ]
+    | None, l -> l
+  in
+  let check_pool =
+    List.iter (fun d ->
+        if d < 0 || d >= drive_count t then raise (Job.Invalid (Job.Unknown_drive d)))
+  in
   let ck =
     if resume then (
       match Catalog.find_checkpoint t.cat ~strategy ~label with
-      | Some ck -> ck
+      | Some ck ->
+        check_pool (pool_of ck);
+        ck
       | None ->
         raise (Fs.Error (Printf.sprintf "no interrupted backup of %S to resume" label)))
-    else
-      fresh_checkpoint t ~strategy ~level ~subtree
-        ~drives:(match requested with Some l -> l | None -> [ 0 ])
-        ~label ~parts
+    else begin
+      let drives = Option.value requested ~default:[ 0 ] in
+      check_pool drives;
+      fresh_checkpoint t ~strategy ~level ~subtree ~drives ~label ~parts
+    end
   in
   Catalog.set_checkpoint t.cat ck;
   let level = ck.Catalog.ck_level in
   let subtree = ck.Catalog.ck_subtree in
   let parts = ck.Catalog.ck_parts in
   let date = ck.Catalog.ck_date in
-  (* The drive pool: an explicit request wins; a resume otherwise reuses
-     the pool the job was launched with. *)
-  let drives =
-    match requested with
-    | Some l -> l
-    | None -> (
-      match ck.Catalog.ck_drives with [] -> [ ck.Catalog.ck_drive ] | l -> l)
-  in
-  List.iter
-    (fun d ->
-      if d < 0 || d >= drive_count t then
-        invalid_arg (Printf.sprintf "Engine.backup_job: no drive %d" d))
-    drives;
+  let drives = pool_of ck in
   Obs.annotate
     [
       ("level", Obs.Int level);
@@ -334,134 +455,105 @@ let do_backup t ~strategy ~level ~subtree ?exclude ~drives:requested ~label
     List.exists (fun (d : Catalog.part_done) -> d.Catalog.part = p) !done_parts
   in
   let disk = Volume.resource (Fs.volume t.e_fs) in
-  let part_job p =
-    {
-      Scheduler.label = Printf.sprintf "part %d/%d" (p + 1) parts;
-      pin = None;
-      execute =
-        (fun ~drive ->
-          let host = drive_host t drive in
-          Obs.with_span "part"
-            ~attrs:
-              [
-                ("part", Obs.Int (p + 1));
-                ("parts", Obs.Int parts);
-                ("drive", Obs.Int drive);
-                ("host", Obs.Str host);
-              ]
-          @@ fun () ->
-          let lib = lib_of t drive in
-          let ((bytes, degraded), shipment), measured =
-            with_measured (part_resources t ~drive) (fun () ->
-                Retry.run ~charge:(charge_backoff t)
-                  ~cleanup:(fun _ -> seal_dangling t ~drive)
-                  ~label:(Printf.sprintf "%s part %d/%d" label (p + 1) parts)
-                  (fun () ->
-                    let shipment, sink =
-                      if host = "" then (None, Tapeio.sink lib)
-                      else
-                        let sh, sink =
-                          Mover.remote_sink ~session:(session_for t host) lib
-                        in
-                        (Some sh, sink)
-                    in
-                    let counts =
-                      match strategy with
-                      | Strategy.Logical ->
-                        let view =
-                          Fs.snapshot_view t.e_fs ck.Catalog.ck_snapshot
-                        in
-                        let r =
-                          Dump.run ~level ~dumpdates:t.dd ~record:false ?exclude
-                            ~part:(p, parts) ~view ~subtree ~label ~date ~sink ()
-                        in
-                        (r.Dump.bytes_written, r.Dump.files_skipped)
-                      | Strategy.Physical ->
-                        let r =
-                          if ck.Catalog.ck_base_snapshot = "" then
-                            Image_dump.full ~part:(p, parts) ~fs:t.e_fs
-                              ~snapshot:ck.Catalog.ck_snapshot ~sink ()
-                          else
-                            Image_dump.incremental ~part:(p, parts) ~fs:t.e_fs
-                              ~base:ck.Catalog.ck_base_snapshot
-                              ~snapshot:ck.Catalog.ck_snapshot ~sink ()
-                        in
-                        (r.Image_dump.bytes_written, 0)
-                    in
-                    (counts, shipment)))
-          in
-          let stream = t.streams.(drive) in
-          t.streams.(drive) <- stream + 1;
-          (* The read path is mostly absorbed by the buffer cache, so the
-             contention the paper measures — inode-order logical reads
-             saturating the array, sequential image reads not — enters as
-             a modeled demand on the shared source disks. *)
-          let rate =
-            match strategy with
-            | Strategy.Logical -> io_model.logical_read_bytes_s
-            | Strategy.Physical -> io_model.image_read_bytes_s
-          in
-          let modeled =
-            Scheduler.demand_of_resource disk (Float.of_int bytes /. rate)
-          in
-          let demands = net_demand ~host ~part:p shipment @ (modeled :: measured) in
-          (* Close the part's span with its demand vector: the critical-path
-             analysis charges each step's gating intervals from these. *)
-          if Obs.enabled () then
-            Obs.annotate
-              (List.map
-                 (fun (d : Scheduler.demand) ->
-                   ("demand:" ^ d.Scheduler.key, Obs.Float d.Scheduler.work))
-                 demands);
-          ({ Catalog.part = p; stream; drive; bytes; degraded }, demands));
-    }
+  let dump_part p ~drive =
+    let host = drive_host t drive in
+    Obs.with_span "part"
+      ~attrs:
+        [
+          ("part", Obs.Int (p + 1));
+          ("parts", Obs.Int parts);
+          ("drive", Obs.Int drive);
+          ("host", Obs.Str host);
+        ]
+    @@ fun () ->
+    let lib = lib_of t drive in
+    (* The read path is mostly absorbed by the buffer cache, so the
+       contention the paper measures — inode-order logical reads
+       saturating the array, sequential image reads not — enters as a
+       modeled demand on the shared source disks. *)
+    let rate =
+      match strategy with
+      | Strategy.Logical -> io_model.logical_read_bytes_s
+      | Strategy.Physical -> io_model.image_read_bytes_s
+    in
+    let (bytes, degraded), demands =
+      part_demands t ~drive ~part:p ~disk
+        ~work:(fun (bytes, _) -> Float.of_int bytes /. rate)
+        (fun () ->
+          Retry.run ~charge:(charge_backoff t)
+            ~cleanup:(fun _ -> seal_dangling t ~drive)
+            ~label:(Printf.sprintf "%s part %d/%d" label (p + 1) parts)
+            (fun () ->
+              let shipment, sink =
+                if host = "" then (None, Tapeio.sink lib)
+                else
+                  let sh, sink =
+                    Mover.ship_to ~label:"mover.sink" ~session:(session_for t host)
+                      (Tapeio.library_backend lib)
+                  in
+                  (Some sh, sink)
+              in
+              let counts =
+                match strategy with
+                | Strategy.Logical ->
+                  let view = Fs.snapshot_view t.e_fs ck.Catalog.ck_snapshot in
+                  let r =
+                    Dump.run ~level ~dumpdates:t.dd ~record:false ?exclude
+                      ~part:(p, parts) ~view ~subtree ~label ~date ~sink ()
+                  in
+                  (r.Dump.bytes_written, r.Dump.files_skipped)
+                | Strategy.Physical ->
+                  let r =
+                    if ck.Catalog.ck_base_snapshot = "" then
+                      Image_dump.full ~part:(p, parts) ~fs:t.e_fs
+                        ~snapshot:ck.Catalog.ck_snapshot ~sink ()
+                    else
+                      Image_dump.incremental ~part:(p, parts) ~fs:t.e_fs
+                        ~base:ck.Catalog.ck_base_snapshot
+                        ~snapshot:ck.Catalog.ck_snapshot ~sink ()
+                  in
+                  (r.Image_dump.bytes_written, 0)
+              in
+              (counts, shipment)))
+    in
+    let stream = t.streams.(drive) in
+    t.streams.(drive) <- stream + 1;
+    ({ Catalog.part = p; stream; drive; bytes; degraded }, demands)
   in
-  let pending = List.filter (fun p -> not (is_done p)) (List.init parts Fun.id) in
-  let on_complete _ (c : Catalog.part_done Scheduler.completion) =
+  let on_done (d : Catalog.part_done) =
     done_parts :=
       List.sort
         (fun (a : Catalog.part_done) b -> compare a.Catalog.part b.Catalog.part)
-        (c.Scheduler.value :: !done_parts);
+        (d :: !done_parts);
     merge_media ();
-    save_checkpoint ();
-    Obs.instant "scheduler.part_done"
-      ~attrs:
-        [
-          ("part", Obs.Int (c.Scheduler.value.Catalog.part + 1));
-          ("drive", Obs.Int c.Scheduler.drive);
-          ("sim_start_s", Obs.Float c.Scheduler.started);
-          ("sim_finish_s", Obs.Float c.Scheduler.finished);
-        ]
+    save_checkpoint ()
   in
-  let sampler =
-    if Obs.enabled () then Some (Analysis.sampler ~prefix:"backup" ()) else None
-  in
+  let pool = Scheduler.One_of (List.map drive_slot drives) in
   let outcomes, stats =
-    Scheduler.run
+    run_parts t ~phase:"backup" ~instant:"scheduler.part_done"
       ~fatal:(function
         | Repro_fault.Fault.Drive_dead _ | Repro_fault.Fault.Partitioned _ ->
           true
         | _ -> false)
-      ~on_complete
-      ?on_interval:(Option.map (fun s -> Analysis.sampler_segment s) sampler)
-      ~drives
-      (List.map part_job pending)
+      ~on_done ~drives
+      (List.filter_map
+         (fun p -> if is_done p then None else Some (p, pool, dump_part p))
+         (List.init parts Fun.id))
   in
-  Option.iter Analysis.sampler_flush sampler;
-  note_stats t stats;
   List.iter
-    (fun (d, busy, _) ->
+    (fun (slot, busy, _) ->
+      let d = slot_drive slot in
       Obs.set_gauge (Printf.sprintf "scheduler.drive%d.busy_s" d) busy;
       Obs.set_gauge
         (Printf.sprintf "scheduler.drive%d.utilization" d)
-        (if stats.Scheduler.elapsed > 0.0 then busy /. stats.Scheduler.elapsed
+        (if stats.Scheduler.p_elapsed > 0.0 then busy /. stats.Scheduler.p_elapsed
          else 0.0))
-    stats.Scheduler.per_drive;
-  Obs.annotate [ ("sim_elapsed_s", Obs.Float stats.Scheduler.elapsed) ];
+    stats.Scheduler.p_slots;
+  Obs.annotate [ ("sim_elapsed_s", Obs.Float stats.Scheduler.p_elapsed) ];
   (match
      Array.to_list outcomes
      |> List.filter_map (function
-          | Scheduler.Failed { error; _ } -> Some error
+          | Scheduler.Errored { error; _ } -> Some error
           | _ -> None)
    with
   | [] -> ()
@@ -522,57 +614,6 @@ let do_backup t ~strategy ~level ~subtree ?exclude ~drives:requested ~label
       degraded;
     }
 
-module Job = struct
-  type error =
-    | Empty_subtree
-    | Relative_subtree of string
-    | Bad_level of int
-    | Bad_parts of int
-    | Empty_pool
-    | Duplicate_drive of int
-
-  exception Invalid of error
-
-  let error_message = function
-    | Empty_subtree -> "job subtree must not be empty"
-    | Relative_subtree s -> Printf.sprintf "job subtree %S is not absolute" s
-    | Bad_level l -> Printf.sprintf "dump level %d out of range (0-9)" l
-    | Bad_parts p -> Printf.sprintf "parts must be >= 1 (got %d)" p
-    | Empty_pool -> "empty drive pool"
-    | Duplicate_drive d -> Printf.sprintf "drive %d appears twice in the pool" d
-
-  type t = {
-    strategy : Strategy.t;
-    level : int;
-    subtree : string;
-    exclude : Filter.t option;
-    label : string option;
-    parts : int;
-    drives : int list option;
-    resume : bool;
-  }
-
-  let make ~strategy ?(level = 0) ?(subtree = "/") ?exclude ?label ?(parts = 1)
-      ?drives ?(resume = false) () =
-    if subtree = "" then raise (Invalid Empty_subtree);
-    if subtree.[0] <> '/' then raise (Invalid (Relative_subtree subtree));
-    if level < 0 || level > 9 then raise (Invalid (Bad_level level));
-    if parts < 1 then raise (Invalid (Bad_parts parts));
-    (match drives with
-    | Some [] -> raise (Invalid Empty_pool)
-    | Some pool ->
-      let seen = Hashtbl.create 8 in
-      List.iter
-        (fun d ->
-          if Hashtbl.mem seen d then raise (Invalid (Duplicate_drive d));
-          Hashtbl.add seen d ())
-        pool
-    | None -> ());
-    { strategy; level; subtree; exclude; label; parts; drives; resume }
-
-  let label job = match job.label with Some l -> l | None -> job.subtree
-end
-
 let with_backup_span t ~strategy ~label ~resume k =
   t.stats <- None;
   Obs.with_span "engine.backup"
@@ -632,59 +673,57 @@ let over_streams t (e : Catalog.entry) ~f ~merge ~zero =
       merge acc (f src))
     zero (part_locations e)
 
-(* Replay one entry's part streams through the drive scheduler: each part
-   pinned to the drive that wrote it, [concurrency] capping in-flight
-   parts (1 = the classic serial restore, in part order — parts are
-   independent, so any completion order yields the same tree). Entries of
-   a chain are applied one after another: an incremental must not overtake
-   its base. *)
-let scheduled_parts t ~concurrency (e : Catalog.entry) ~execute =
+(* Replay one chain entry's part streams, each pinned to the drive that
+   wrote it, [concurrency] capping in-flight parts (1 = the classic serial
+   restore, in part order — parts are independent, so any completion
+   order yields the same tree). [apply src] replays one stream onto the
+   target; [work r] is its modeled seconds on the target [disk]. *)
+let restore_entry t ~concurrency ~disk ~apply ~work (e : Catalog.entry) =
   let locs = part_locations e in
-  let drives = List.sort_uniq compare (List.map snd locs) in
-  let jobs =
-    List.mapi
-      (fun i (stream, drive) ->
-        {
-          Scheduler.label =
-            Printf.sprintf "restore part %d/%d" (i + 1) (List.length locs);
-          pin = Some drive;
-          execute = (fun ~drive -> execute ~stream ~drive);
-        })
-      locs
+  let replay stream ~drive =
+    Obs.with_span "restore part"
+      ~attrs:[ ("stream", Obs.Int stream); ("drive", Obs.Int drive) ]
+    @@ fun () ->
+    part_demands t ~drive ~part:stream ~disk ~work (fun () ->
+        let sh, src = source_on t ~drive stream in
+        (apply src, sh))
   in
-  (* Later chain entries continue the restore timeline where the previous
-     schedule left off, so the recorded series and instants don't overlap. *)
-  let offset = match t.stats with Some s -> s.Scheduler.elapsed | None -> 0.0 in
-  let sampler =
-    if Obs.enabled () then
-      Some (Analysis.sampler ~prefix:"restore" ~t0:offset ())
-    else None
+  let outcomes, _ =
+    run_parts t ~phase:"restore" ~instant:"scheduler.restore_part_done"
+      ~max_active:concurrency
+      ~drives:(List.sort_uniq compare (List.map snd locs))
+      (List.mapi
+         (fun i (stream, drive) ->
+           (i, Scheduler.Exactly (drive_slot drive), replay stream))
+         locs)
   in
-  let on_complete i (c : _ Scheduler.completion) =
-    Obs.instant "scheduler.restore_part_done"
-      ~attrs:
-        [
-          ("part", Obs.Int (i + 1));
-          ("drive", Obs.Int c.Scheduler.drive);
-          ("sim_start_s", Obs.Float (offset +. c.Scheduler.started));
-          ("sim_finish_s", Obs.Float (offset +. c.Scheduler.finished));
-        ]
-  in
-  let outcomes, stats =
-    Scheduler.run ~max_active:concurrency ~on_complete
-      ?on_interval:(Option.map (fun s -> Analysis.sampler_segment s) sampler)
-      ~drives jobs
-  in
-  Option.iter Analysis.sampler_flush sampler;
-  note_stats t stats;
   Array.iter
-    (function Scheduler.Failed { error; _ } -> raise error | _ -> ())
+    (function Scheduler.Errored { error; _ } -> raise error | _ -> ())
     outcomes;
   Array.to_list outcomes
   |> List.map (function
-       | Scheduler.Done c -> c.Scheduler.value
-       | Scheduler.Failed _ | Scheduler.Skipped ->
+       | Scheduler.Completed g -> g.Scheduler.g_value
+       | Scheduler.Errored _ | Scheduler.Unran ->
          raise (Fs.Error "restore part did not run"))
+
+(* What both restores share: the span, the chain for [label] (an error
+   when there is none), [k] over it — entries apply strictly in order, an
+   incremental must not overtake its base — and the chain's summed
+   makespan on the span. *)
+let restore_chain t ~strategy ~label k =
+  let name = Strategy.to_string strategy in
+  Obs.with_span "engine.restore"
+    ~attrs:[ ("strategy", Obs.Str name); ("label", Obs.Str label) ]
+  @@ fun () ->
+  t.stats <- None;
+  match Catalog.restore_chain t.cat ~label ~strategy with
+  | [] -> raise (Fs.Error (Printf.sprintf "no %s backups of %S" name label))
+  | chain ->
+    let out = k chain in
+    Option.iter
+      (fun s -> Obs.annotate [ ("sim_elapsed_s", Obs.Float s.Scheduler.p_elapsed) ])
+      t.stats;
+    out
 
 let sum_apply =
   List.fold_left
@@ -706,133 +745,40 @@ let sum_apply =
       corrupt_headers_skipped = 0;
     }
 
-let apply_entry t session ?select ~disk ~concurrency (e : Catalog.entry) =
-  let execute ~stream ~drive =
-    Obs.with_span "restore part"
-      ~attrs:[ ("stream", Obs.Int stream); ("drive", Obs.Int drive) ]
-    @@ fun () ->
-    let (r, shipment), measured =
-      with_measured (part_resources t ~drive) (fun () ->
-          let sh, src = source_on t ~drive stream in
-          (Restore.apply ?select session src, sh))
-    in
-    let modeled =
-      Scheduler.demand_of_resource disk
-        ((Float.of_int r.Restore.bytes_restored /. io_model.logical_write_bytes_s)
-        +. Float.of_int r.Restore.files_restored
-           *. io_model.restore_create_latency_s)
-    in
-    let demands =
-      net_demand ~host:(drive_host t drive) ~part:stream shipment
-      @ (modeled :: measured)
-    in
-    if Obs.enabled () then
-      Obs.annotate
-        (List.map
-           (fun (d : Scheduler.demand) ->
-             ("demand:" ^ d.Scheduler.key, Obs.Float d.Scheduler.work))
-           demands);
-    (r, demands)
-  in
-  sum_apply (scheduled_parts t ~concurrency e ~execute)
-
 let restore_logical t ~label ~fs ~target ?select ?(concurrency = 1) () =
-  Obs.with_span "engine.restore"
-    ~attrs:[ ("strategy", Obs.Str "logical"); ("label", Obs.Str label) ]
-  @@ fun () ->
-  t.stats <- None;
-  match Catalog.restore_chain t.cat ~label ~strategy:Strategy.Logical with
-  | [] -> raise (Fs.Error (Printf.sprintf "no logical backups of %S" label))
-  | chain -> (
-    let session = Restore.session ~fs ~target () in
-    let disk = Volume.resource (Fs.volume fs) in
-    let out =
-      match select with
-      | Some _ ->
-        (* Selective extraction reads only the newest full dump. *)
-        let full = List.hd chain in
-        [ apply_entry t session ?select ~disk ~concurrency full ]
-      | None -> List.map (fun e -> apply_entry t session ~disk ~concurrency e) chain
-    in
-    (match t.stats with
-    | Some s -> Obs.annotate [ ("sim_elapsed_s", Obs.Float s.Scheduler.elapsed) ]
-    | None -> ());
-    out)
+  restore_chain t ~strategy:Strategy.Logical ~label @@ fun chain ->
+  let session = Restore.session ~fs ~target () in
+  let apply = Restore.apply ?select session in
+  let work (r : Restore.apply_result) =
+    (Float.of_int r.Restore.bytes_restored /. io_model.logical_write_bytes_s)
+    +. (Float.of_int r.Restore.files_restored *. io_model.restore_create_latency_s)
+  in
+  let disk = Volume.resource (Fs.volume fs) in
+  (* Selective extraction reads only the newest full dump. *)
+  let chain = if select = None then chain else [ List.hd chain ] in
+  List.map
+    (fun e -> sum_apply (restore_entry t ~concurrency ~disk ~apply ~work e))
+    chain
 
 let restore_physical t ~label ~volume ?(concurrency = 1) () =
-  Obs.with_span "engine.restore"
-    ~attrs:[ ("strategy", Obs.Str "physical"); ("label", Obs.Str label) ]
-  @@ fun () ->
-  t.stats <- None;
-  match Catalog.restore_chain t.cat ~label ~strategy:Strategy.Physical with
-  | [] -> raise (Fs.Error (Printf.sprintf "no physical backups of %S" label))
-  | chain ->
-    let disk = Volume.resource volume in
-    List.map
-      (fun e ->
-        let execute ~stream ~drive =
-          Obs.with_span "restore part"
-            ~attrs:[ ("stream", Obs.Int stream); ("drive", Obs.Int drive) ]
-          @@ fun () ->
-          let (r, shipment), measured =
-            with_measured (part_resources t ~drive) (fun () ->
-                let sh, src = source_on t ~drive stream in
-                (Image_restore.apply ~volume src, sh))
-          in
-          let modeled =
-            Scheduler.demand_of_resource disk
-              (Float.of_int r.Image_restore.bytes_read /. io_model.image_write_bytes_s)
-          in
-          let demands =
-            net_demand ~host:(drive_host t drive) ~part:stream shipment
-            @ (modeled :: measured)
-          in
-          if Obs.enabled () then
-            Obs.annotate
-              (List.map
-                 (fun (d : Scheduler.demand) ->
-                   ("demand:" ^ d.Scheduler.key, Obs.Float d.Scheduler.work))
-                 demands);
-          (r, demands)
-        in
-        match scheduled_parts t ~concurrency e ~execute with
-        | [] -> assert false
-        | first :: _ as rs ->
-          {
-            first with
-            Image_restore.blocks_restored =
-              List.fold_left (fun a r -> a + r.Image_restore.blocks_restored) 0 rs;
-            bytes_read =
-              List.fold_left (fun a r -> a + r.Image_restore.bytes_read) 0 rs;
-          })
-      chain
-    |> fun out ->
-    (match t.stats with
-    | Some s -> Obs.annotate [ ("sim_elapsed_s", Obs.Float s.Scheduler.elapsed) ]
-    | None -> ());
-    out
-
-let restore t ~strategy ~label ?fs ?target ?select ?volume ?(concurrency = 1) ()
-    =
-  match strategy with
-  | Strategy.Logical ->
-    let fs = match fs with Some f -> f | None -> t.e_fs in
-    let target =
-      match target with
-      | Some x -> x
-      | None -> invalid_arg "Engine.restore: a logical restore needs ~target"
-    in
-    `Logical (restore_logical t ~label ~fs ~target ?select ~concurrency ())
-  | Strategy.Physical ->
-    (match select with
-    | Some _ -> invalid_arg "Engine.restore: ~select applies to logical only"
-    | None -> ());
-    let volume =
-      match volume with
-      | Some v -> v
-      | None -> invalid_arg "Engine.restore: a physical restore needs ~volume"
-    in
-    `Physical (restore_physical t ~label ~volume ~concurrency ())
+  restore_chain t ~strategy:Strategy.Physical ~label @@ fun chain ->
+  let apply = Image_restore.apply ~volume in
+  let work (r : Image_restore.result) =
+    Float.of_int r.Image_restore.bytes_read /. io_model.image_write_bytes_s
+  in
+  let disk = Volume.resource volume in
+  List.map
+    (fun e ->
+      match restore_entry t ~concurrency ~disk ~apply ~work e with
+      | [] -> assert false
+      | first :: _ as rs ->
+        {
+          first with
+          Image_restore.blocks_restored =
+            List.fold_left (fun a r -> a + r.Image_restore.blocks_restored) 0 rs;
+          bytes_read = List.fold_left (fun a r -> a + r.Image_restore.bytes_read) 0 rs;
+        })
+    chain
 
 let table_of_contents t (e : Catalog.entry) =
   (* Every part carries all directories; dedupe by inode across parts. *)

@@ -75,7 +75,6 @@ val remount : t -> unit
     would overwrite the restored image with stale in-memory state. *)
 
 val catalog : t -> Catalog.t
-val dumpdates : t -> Repro_dump.Dumpdates.t
 
 (** {1 Remote tape servers}
 
@@ -83,9 +82,9 @@ val dumpdates : t -> Repro_dump.Dumpdates.t
     server reached over a simulated {!Repro_net.Link} rather than cabled
     to the backup host. A remote drive is just another pool slot — parts
     scheduled onto it are shipped record-by-record by the
-    {!Mover} through a flow-controlled {!Repro_net.Session}, and restores
-    ship the stream back. Byte content on the remote cartridges is
-    identical to a local backup's. *)
+    {!Repro_net.Mover} through a flow-controlled {!Repro_net.Session},
+    and restores ship the stream back. Byte content on the remote
+    cartridges is identical to a local backup's. *)
 
 val attach_remote :
   t ->
@@ -114,10 +113,12 @@ val hosts : t -> string list
 val link_to : t -> host:string -> Repro_net.Link.t option
 val remote_drives : t -> host:string -> int list
 
-val last_stats : t -> Scheduler.stats option
-(** Drive-pool schedule of the most recent backup or restore: simulated
-    makespan and per-drive busy seconds / job counts (summed over a restore
-    chain's entries). [None] before any scheduled operation. *)
+val last_stats : t -> Scheduler.pool_stats option
+(** The schedule of the most recent backup or restore: its simulated
+    makespan ([p_elapsed]) and, per [Resource_id.Drive] slot of the pool,
+    busy seconds and part count ([p_slots]). A restore chain's entries are
+    scheduled one after another, so their makespans and per-drive figures
+    are summed. [None] before any scheduled operation. *)
 
 (** {1 Backup}
 
@@ -132,12 +133,14 @@ module Job : sig
     | Bad_parts of int  (** at least one part stream *)
     | Empty_pool
     | Duplicate_drive of int
+    | Unknown_drive of int  (** not a drive index of this engine *)
 
   exception Invalid of error
   (** A malformed job description, rejected by {!make} before anything
       touches the engine — a bad level or an empty subtree fails here
       with a typed error instead of surfacing downstream as a dump or
-      scheduler failure. *)
+      scheduler failure. {!backup_job} raises [Unknown_drive] the same
+      way, before it takes a snapshot or stores a checkpoint. *)
 
   val error_message : error -> string
 
@@ -200,8 +203,10 @@ val backup_job : t -> Job.t -> Catalog.entry
     hard-partitions) loses only its in-flight part — the rest of the queue
     drains on the surviving drives, every completed part is checkpointed
     with the drive it landed on, and the fault then propagates;
-    [~resume:true] re-dumps exactly the unfinished parts. Raises
-    [Invalid_argument] on an empty, duplicated or out-of-range pool.
+    [~resume:true] re-dumps exactly the unfinished parts. A pool naming
+    a drive the engine does not have — requested, or stored in the
+    resumed checkpoint — raises [Job.Invalid (Unknown_drive d)] before
+    any snapshot, checkpoint or tape is touched.
 
     Transient faults never surface here: each part attempt retries under
     the engine's {!Repro_fault.Retry.policy}, sealing the partial stream
@@ -212,37 +217,6 @@ val backup_job : t -> Job.t -> Catalog.entry
 
 (** {1 Restore} *)
 
-val restore :
-  t ->
-  strategy:Strategy.t ->
-  label:string ->
-  ?fs:Repro_wafl.Fs.t ->
-  ?target:string ->
-  ?select:string list ->
-  ?volume:Repro_block.Volume.t ->
-  ?concurrency:int ->
-  unit ->
-  [ `Logical of Repro_dump.Restore.apply_result list
-  | `Physical of Repro_image.Image_restore.result list ]
-(** Replay the restore chain for [label] under either strategy, one
-    result per chain entry.
-
-    Logical needs [~target] (the directory restored into) and optionally
-    [~fs] (defaults to the engine's file system — pass a scratch one to
-    restore elsewhere); [~select] extracts specific paths from the newest
-    applicable full dump only. Physical needs [~volume], the (new) volume
-    the image chain is replayed onto; mount it afterwards with
-    [Repro_wafl.Fs.mount]. Passing [~select] with the physical strategy,
-    or omitting a required argument, raises [Invalid_argument].
-
-    Each result sums over its entry's part streams; [concurrency]
-    (default 1 — strict part order) lets up to that many parts replay at
-    once, each on the drive that wrote it, with entries of the chain still
-    applied strictly in order. Streams on a remote drive are shipped back
-    over the tape server's session before applying (the three-way restore
-    path). Raises [Repro_wafl.Fs.Error] when no backup of [label] exists
-    under [strategy]. *)
-
 val restore_logical :
   t ->
   label:string ->
@@ -252,12 +226,20 @@ val restore_logical :
   ?concurrency:int ->
   unit ->
   Repro_dump.Restore.apply_result list
-(** [restore ~strategy:Logical] without the variant wrapping: apply the
-    full-plus-incrementals chain for [label] into [target]. [select]
-    extracts specific paths from the newest applicable full dump only
-    (stupidity recovery does not need the whole chain when the file is on
-    the level-0 tape; for files created later, restore the chain without
-    [select]). *)
+(** Apply the full-plus-incrementals logical chain for [label] into
+    [target] on [fs] (the engine's own file system or a scratch one), one
+    result per chain entry. [select] extracts specific paths from the
+    newest applicable full dump only (stupidity recovery does not need
+    the whole chain when the file is on the level-0 tape; for files
+    created later, restore the chain without [select]).
+
+    Each result sums over its entry's part streams; [concurrency]
+    (default 1 — strict part order) lets up to that many parts replay at
+    once, each on the drive that wrote it, with entries of the chain
+    still applied strictly in order. Streams on a remote drive are
+    shipped back over the tape server's session before applying (the
+    three-way restore path). Raises [Repro_wafl.Fs.Error] when no
+    logical backup of [label] exists. *)
 
 val restore_physical :
   t ->
@@ -266,9 +248,11 @@ val restore_physical :
   ?concurrency:int ->
   unit ->
   Repro_image.Image_restore.result list
-(** [restore ~strategy:Physical] without the variant wrapping: disaster
-    recovery, replaying the image chain onto a (new) volume. Mount it
-    afterwards with [Repro_wafl.Fs.mount]. *)
+(** Disaster recovery: replay the image chain for [label] onto a (new)
+    [volume], one result per chain entry; mount it afterwards with
+    [Repro_wafl.Fs.mount]. [concurrency] and remote streams behave as in
+    {!restore_logical}. Raises [Repro_wafl.Fs.Error] when no physical
+    backup of [label] exists. *)
 
 val verify_physical : t -> label:string -> (int, string list) result
 (** Checksum-verify every stream of the physical chain. *)

@@ -147,7 +147,7 @@ let run_tasks ?(fatal = fun _ -> false) ?max_active ?on_complete ?on_interval
   let max_active =
     match max_active with
     | Some k when k >= 1 -> k
-    | Some _ -> invalid_arg "Scheduler.run: max_active must be positive"
+    | Some _ -> invalid_arg "Scheduler.run_tasks: max_active must be positive"
     | None -> List.length slots
   in
   let tasks = Array.of_list tasks in
@@ -382,90 +382,3 @@ let run_tasks ?(fatal = fun _ -> false) ?max_active ?on_complete ?on_interval
       slots
   in
   (outcomes, { p_elapsed = Sim.now sim; p_slots })
-
-(* ------------------- the drive pool, as an instance ------------------- *)
-
-type 'a job = {
-  label : string;
-  pin : int option;
-  execute : drive:int -> 'a * demand list;
-}
-
-type 'a completion = { value : 'a; drive : int; started : float; finished : float }
-
-type 'a outcome =
-  | Done of 'a completion
-  | Failed of { error : exn; drive : int; at : float }
-  | Skipped
-
-type stats = { elapsed : float; per_drive : (int * float * int) list }
-
-let drive_of = function
-  | Resource_id.Drive d -> d
-  | s ->
-    invalid_arg
-      (Printf.sprintf "Scheduler.run: non-drive slot %s" (Resource_id.to_key s))
-
-let run ?fatal ?max_active ?on_complete ?on_interval ~drives jobs =
-  if drives = [] then invalid_arg "Scheduler.run: empty drive pool";
-  let seen = Hashtbl.create 8 in
-  List.iter
-    (fun d ->
-      if Hashtbl.mem seen d then
-        invalid_arg "Scheduler.run: duplicate drive in pool";
-      Hashtbl.add seen d ())
-    drives;
-  let slots = List.map (fun d -> Resource_id.Drive d) drives in
-  let tasks =
-    List.map
-      (fun j ->
-        {
-          t_label = j.label;
-          t_ready = 0.0;
-          t_claims =
-            [
-              (match j.pin with
-              | Some d -> Exactly (Resource_id.Drive d)
-              | None -> One_of slots);
-            ];
-          t_run =
-            (fun ~now:_ ~granted ->
-              match granted with
-              | [ s ] -> j.execute ~drive:(drive_of s)
-              | _ -> assert false);
-        })
-      jobs
-  in
-  let on_complete =
-    Option.map
-      (fun h i (g : _ grant) ->
-        h i
-          {
-            value = g.g_value;
-            drive = drive_of (List.hd g.g_slots);
-            started = g.g_started;
-            finished = g.g_finished;
-          })
-      on_complete
-  in
-  let outcomes, ps =
-    run_tasks ?fatal ?max_active ?on_complete ?on_interval ~slots tasks
-  in
-  ( Array.map
-      (function
-        | Completed g ->
-          Done
-            {
-              value = g.g_value;
-              drive = drive_of (List.hd g.g_slots);
-              started = g.g_started;
-              finished = g.g_finished;
-            }
-        | Errored { error; slots; at } ->
-          Failed { error; drive = drive_of (List.hd slots); at }
-        | Unran -> Skipped)
-      outcomes,
-    {
-      elapsed = ps.p_elapsed;
-      per_drive = List.map (fun (s, b, n) -> (drive_of s, b, n)) ps.p_slots;
-    } )

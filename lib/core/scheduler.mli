@@ -12,23 +12,20 @@
     asymmetry: the parts of a logical dump all contend for the source
     disks, the parts of an image dump do not.
 
-    Two layers share one core:
-
-    - {!run_tasks} is the generalized fleet scheduler: tasks declare
-      {e typed} resource requirements — claims on exclusive slots
-      ({!Resource_id.t}: a drive slot, any drive of a library) plus a
-      fluid demand vector (link shares, source-disk membership, tenant
-      budgets) — and may carry a ready time (a backup window opening).
-    - {!run} is the original drive pool, kept as a thin instantiation of
-      {!run_tasks} over [Drive] slots; all its differential and
-      byte-identity properties are preserved unchanged.
-
-    The paper-table streams ({!Instrument.run}) are a third instance:
-    one exclusive slot per stream, one task per stage.
+    {!run_tasks} is the one entry point. Tasks declare {e typed}
+    resource requirements — claims on exclusive slots ({!Resource_id.t}:
+    a drive slot, any drive of a library) plus a fluid demand vector
+    (link shares, source-disk membership, tenant budgets) — and may carry
+    a ready time (a backup window opening). Three callers instantiate it:
+    the engine's backup and restore parts ([Drive] slots: [One_of] the
+    pool for a backup part, [Exactly] the drive that wrote it for a
+    restore part), the fleet's volumes, and the paper-table streams
+    ({!Instrument.run}: one exclusive slot per stream, one task per
+    stage).
 
     The scheduler runs on its own {!Repro_sim.Engine} instance and never
     touches the caller's clock; elapsed simulated time is reported in
-    {!stats} / {!pool_stats}. *)
+    {!pool_stats}. *)
 
 module Resource_id = Repro_sim.Resource_id
 (** Typed resource identifiers; see {!Repro_sim.Resource_id}. *)
@@ -134,71 +131,3 @@ val run_tasks :
     The run itself never raises; callers inspect the outcome array.
 
     Raises [Invalid_argument] on an empty or duplicated slot pool. *)
-
-(** {1 The drive pool}
-
-    The original drive-pool interface, an instantiation of
-    {!run_tasks} over [Resource_id.Drive] slots. *)
-
-type 'a job = {
-  label : string;
-  pin : int option;
-      (** [Some d]: only drive [d] may run this job (restores replay the
-          part on the drive that wrote it). [None]: first free drive. *)
-  execute : drive:int -> 'a * demand list;
-      (** Performs the job's real work on [drive] and returns its result
-          plus the demand vector governing its simulated duration.
-          Executed exactly once, at admission. *)
-}
-
-type 'a completion = {
-  value : 'a;
-  drive : int;
-  started : float;  (** simulated admission time *)
-  finished : float;  (** simulated completion time *)
-}
-
-type 'a outcome =
-  | Done of 'a completion
-  | Failed of { error : exn; drive : int; at : float }
-  | Skipped
-      (** Never admitted: a fatal failure elsewhere aborted the run, or the
-          job was pinned to a drive that died. *)
-
-type stats = {
-  elapsed : float;  (** simulated makespan of the whole run *)
-  per_drive : (int * float * int) list;
-      (** per drive: (index, busy seconds summed over its jobs, job count) *)
-}
-
-val run :
-  ?fatal:(exn -> bool) ->
-  ?max_active:int ->
-  ?on_complete:(int -> 'a completion -> unit) ->
-  ?on_interval:(t0:float -> t1:float -> (string * float) list -> unit) ->
-  drives:int list ->
-  'a job list ->
-  'a outcome array * stats
-(** Run [jobs] over the drive pool. The waiting queue is scanned in list
-    order at every admission opportunity (t = 0 and each completion), so
-    with one drive the jobs execute exactly in order — the classic serial
-    engine. [max_active] caps in-flight jobs (default: pool size); each
-    drive holds at most one job at a time.
-
-    [on_complete i c] fires at [c.finished] in simulated-time order — the
-    hook the engine uses for per-part checkpointing.
-
-    [on_interval ~t0 ~t1 utils] fires once per inter-event interval of the
-    schedule with each resource key's utilization over [[t0, t1)] — the
-    service delivered per second at the solved fair-share rates, summed
-    over the in-flight set (at most 1.0 per unit-capacity resource). The
-    hook the engine uses to record utilization timelines
-    ({!Repro_obs.Analysis.sampler}).
-
-    Failure during [execute]: if [fatal e] (default: never) the drive is
-    removed from the pool and the remaining queue drains on the survivors —
-    a dead drive loses only its in-flight job. Any other exception aborts
-    admissions; in-flight jobs still complete, the rest are [Skipped]. The
-    run itself never raises; callers inspect the outcome array.
-
-    Raises [Invalid_argument] on an empty or duplicated drive pool. *)

@@ -13,7 +13,4 @@ val compile : string list -> t
 val excluded : t -> string -> bool
 (** [excluded t path]: [path] is subtree-relative, e.g. ["src/main.o"]. *)
 
-val matches : string -> string -> bool
-(** [matches pattern text] — exposed for tests. *)
-
 val none : t

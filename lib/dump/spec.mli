@@ -22,7 +22,6 @@
 val header_size : int
 (** 1024. *)
 
-val header_magic : string
 val data_block_size : int
 (** 4096. *)
 

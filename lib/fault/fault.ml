@@ -151,8 +151,6 @@ let plan ?(seed = 0) specs =
     specs;
   p
 
-let specs p = p.p_specs
-
 (* ------------------------------------------------------------------ *)
 (* Arming                                                              *)
 
@@ -207,10 +205,6 @@ let line (ev : event) =
     ev.detail
 
 let journal_lines p = List.map line (events p)
-let pp_event ppf ev = Format.pp_print_string ppf (line ev)
-
-let pp_journal ppf p =
-  List.iter (fun ev -> Format.fprintf ppf "%a@." pp_event ev) (events p)
 
 (* ------------------------------------------------------------------ *)
 (* Failures                                                            *)

@@ -92,8 +92,6 @@ val plan : ?seed:int -> spec list -> plane
     countdown — so a typo'd drill fails at plan time, not by silently
     injecting nothing. *)
 
-val specs : plane -> spec list
-
 (** {1 Arming}
 
     At most one plane is armed per domain; hooks consult the plane armed
@@ -207,6 +205,3 @@ val skips : plane -> int
 val journal_lines : plane -> string list
 (** One canonical line per event — equal lists iff equal journals, the
     reproducibility tests' currency. *)
-
-val pp_event : Format.formatter -> event -> unit
-val pp_journal : Format.formatter -> plane -> unit

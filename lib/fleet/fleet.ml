@@ -673,7 +673,7 @@ let exec_volume (v : Spec.volume) =
   in
   let elapsed =
     match Engine.last_stats eng with
-    | Some s -> s.Scheduler.elapsed
+    | Some s -> s.Scheduler.p_elapsed
     | None -> 0.0
   in
   let tape =

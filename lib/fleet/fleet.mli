@@ -167,8 +167,6 @@ module Status : sig
     st_completed : completed list;  (** completion order *)
   }
 
-  val empty : Spec.t -> t
-
   val save : Repro_util.Serde.writer -> t -> unit
   (** Format [FLT1]; see docs/FORMATS.md. *)
 
@@ -210,15 +208,6 @@ type report = {
       (** the night's SLO alert journal, in transition order; [[]] when
           no plane was armed *)
 }
-
-val builtin_rules : Spec.t -> Repro_obs.Slo.rule list
-(** The default SLO rule set a night runs under: one window-miss
-    deadline rule per volume with a [v_deadline_s] (on the
-    [fleet.volume.<name>.done] series), one goodput-floor rule per
-    tenant (goodput below 1% of its budget once it has completions), a
-    drive-storm rule ([fleet.drives_lost] above 0), and [repl.rpo_s] /
-    [repl.rto_s] bounds (1 hour) that only see data when a DR drill
-    shares the plane. *)
 
 val run :
   ?storm:storm ->

@@ -12,8 +12,6 @@
     at least as large (the paper's portability limitation, reproduced
     rather than fixed). *)
 
-val stream_magic : string
-
 type kind = Full | Incremental
 
 type header = {
@@ -27,8 +25,6 @@ type header = {
 }
 
 val encode_header : header -> string
-val decode_header : Repro_util.Serde.reader -> header
-(** Raises [Serde.Corrupt]. *)
 
 val read_header : (int -> string) -> header
 (** [read_header input] where [input n] yields exactly [n] bytes. *)

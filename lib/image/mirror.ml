@@ -35,8 +35,6 @@ let create ?(link_mb_s = 12.5) ~label vol =
   if link_mb_s <= 0.0 then invalid_arg "Mirror.create";
   { label; vol; link_mb_s; last = None; seq = 0 }
 
-let volume t = t.vol
-let last_snapshot t = t.last
 
 (* The replication link, modeled as a streaming device: uncompressed,
    effectively unbounded capacity, one "cartridge" per transfer. *)

@@ -31,9 +31,6 @@ type transfer = {
 val create : ?link_mb_s:float -> label:string -> Repro_block.Volume.t -> t
 (** Default link: 12.5 MB/s (a 100 Mbit pipe). *)
 
-val volume : t -> Repro_block.Volume.t
-val last_snapshot : t -> string option
-
 val initialize : t -> from:Repro_wafl.Fs.t -> snapshot:string -> transfer
 (** Full image transfer of [snapshot]. *)
 

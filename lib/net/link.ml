@@ -35,8 +35,6 @@ type t = {
   p : params;
   res : Resource.t;
   mutable frames_sent : int;
-  mutable payload_bytes_sent : int;
-  mutable frames_lost : int;
   mutable l_retransmits : int;
 }
 
@@ -46,8 +44,6 @@ let create ?(params = default_params) ~label () =
     p = params;
     res = Resource.create (Printf.sprintf "link:%s" label);
     frames_sent = 0;
-    payload_bytes_sent = 0;
-    frames_lost = 0;
     l_retransmits = 0;
   }
 
@@ -55,16 +51,12 @@ let label t = t.l_label
 let params_of t = t.p
 let resource t = t.res
 let frames_sent t = t.frames_sent
-let payload_bytes_sent t = t.payload_bytes_sent
-let frames_lost t = t.frames_lost
 let retransmits t = t.l_retransmits
 let tx_time t ~payload_bytes = Float.of_int (payload_bytes + Frame.overhead) /. t.p.bandwidth_bytes_s
 let rtt t = tx_time t ~payload_bytes:t.p.mtu_bytes +. (2.0 *. t.p.latency_s)
 
-let note_send t ~payload_bytes ~lost =
+let note_send t ~payload_bytes =
   t.frames_sent <- t.frames_sent + 1;
-  t.payload_bytes_sent <- t.payload_bytes_sent + payload_bytes;
-  if lost then t.frames_lost <- t.frames_lost + 1;
   (* Serialization occupies the wire whether or not the frame arrives. *)
   Resource.charge t.res ~bytes:(payload_bytes + Frame.overhead)
     (tx_time t ~payload_bytes)

@@ -51,13 +51,11 @@ val resource : t -> Repro_sim.Resource.t
 (** {1 Counters} (cumulative over the link's lifetime) *)
 
 val frames_sent : t -> int
-val payload_bytes_sent : t -> int
-val frames_lost : t -> int
 val retransmits : t -> int
 
 (** {1 Accounting} (called by {!Session}) *)
 
-val note_send : t -> payload_bytes:int -> lost:bool -> unit
+val note_send : t -> payload_bytes:int -> unit
 val note_retransmit : t -> unit
 
 val tx_time : t -> payload_bytes:int -> float

@@ -46,8 +46,6 @@ type stream = {
   mutable closed : bool;
 }
 
-let host t = t.s_host
-let link t = t.s_link
 let now t = Sim.now t.engine
 
 (* A frame committed to the wire: fault hook (which may drop it or raise
@@ -57,7 +55,7 @@ let send_raw t ~payload_bytes =
   let frame = Link.frames_sent t.s_link in
   let verdict = Fault.on_link_send ~device:(Link.label t.s_link) ~frame in
   let lost = verdict = `Lost in
-  Link.note_send t.s_link ~payload_bytes ~lost;
+  Link.note_send t.s_link ~payload_bytes;
   let start = Float.max (Sim.now t.engine) t.wire_free_at in
   let finish = start +. Link.tx_time t.s_link ~payload_bytes in
   t.wire_free_at <- finish;

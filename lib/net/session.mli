@@ -37,9 +37,6 @@ val connect : host:string -> Link.t -> t
     window and retransmit budget come from the link's
     {!Link.params}. *)
 
-val host : t -> string
-val link : t -> Link.t
-
 val now : t -> float
 (** The session's simulated clock. *)
 

@@ -91,8 +91,6 @@ let nat_compare a b =
   in
   go 0 0
 
-let enable t b = t.on <- b
-
 (* ------------------------------------------------------------------ *)
 (* Arming                                                              *)
 
@@ -273,11 +271,6 @@ let set_gauge name v =
 
 let hist name v =
   match active () with None -> () | Some t -> hist_on t name v
-
-let advance secs =
-  match active () with
-  | None -> ()
-  | Some t -> t.io_us <- t.io_us +. (secs *. 1e6)
 
 (* The derived metric names for an op are interned in the plane: [io]
    runs once per simulated device operation, and without this each call

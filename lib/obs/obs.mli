@@ -48,8 +48,6 @@ val create : ?clock:Repro_sim.Clock.t -> ?enabled:bool -> unit -> t
     exercises the hook branches without recording anything, which is
     what [bench obs] measures. *)
 
-val enable : t -> bool -> unit
-
 (** {1 Arming}
 
     At most one plane is armed per domain; hooks consult the plane armed
@@ -103,11 +101,6 @@ val io : op:string -> device:string -> ?addr:int -> bytes:int -> float -> unit
     complete event of [dur_s] simulated seconds at the virtual now
     (advancing it), plus [op].ops / [op].bytes counters and an
     [op].latency_us histogram observation. *)
-
-val advance : float -> unit
-(** Advance the virtual clock by simulated seconds without recording an
-    event (e.g. retry backoff charged to an engine clock the plane is
-    not attached to). *)
 
 val sample : ?at:float -> string -> float -> unit
 (** [sample name v] appends one point to the named time series at the

@@ -191,8 +191,6 @@ let create ?(rules = []) plane =
   { plane; states = List.map (fun r -> { st_rule = r; st_firing = false }) rules;
     journal = [] }
 
-let add_rule t r = t.states <- t.states @ [ { st_rule = r; st_firing = false } ]
-let rules t = List.map (fun s -> s.st_rule) t.states
 let alerts t = List.rev t.journal
 
 let firing t =

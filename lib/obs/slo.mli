@@ -90,9 +90,6 @@ val create : ?rules:rule list -> Obs.t -> t
     instant, which (with deterministic instants) makes the journal
     deterministic. *)
 
-val add_rule : t -> rule -> unit
-val rules : t -> rule list
-
 val eval : t -> now:float -> unit
 (** Evaluate every rule at simulated time [now], appending firing /
     resolved transitions to the journal. Instants must be fed in

@@ -7,6 +7,7 @@ module Image_dump = Repro_image.Image_dump
 module Image_restore = Repro_image.Image_restore
 module Link = Repro_net.Link
 module Session = Repro_net.Session
+module Mover = Repro_net.Mover
 module Clock = Repro_sim.Clock
 module Obs = Repro_obs.Obs
 module Serde = Repro_util.Serde
@@ -135,14 +136,8 @@ let create ?clock ~primary fs =
 
 let clock t = t.clock
 let primary t = t.root
-let nodes t = List.map (fun n -> n.n_name) t.nodes
 let fs t ~name = fs_of (node t name)
 let volume t ~name = volume_of (node t name)
-
-let link t ~name =
-  match List.find_opt (fun e -> e.e_down = name) t.edges with
-  | Some e -> e.e_link
-  | None -> errorf "replication: %s has no incoming edge" name
 
 let add_replica t ?params ?(interval_s = 0.0) ~upstream ~name () =
   if interval_s < 0.0 then errorf "replication: negative interval for %s" name;
@@ -211,39 +206,6 @@ let lag_s t ~name =
 (* ------------------------------------------------------------------ *)
 (* Shipping one snapshot over one edge                                 *)
 
-(* Wire shape (as lib/core's mover): u32-LE record length + record
-   bytes; the reserved length below is the end-of-stream filemark. *)
-let mark_len = 0xFFFF_FFFF
-
-let len_prefix n =
-  let b = Bytes.create 4 in
-  Bytes.set_int32_le b 0 (Int32.of_int n);
-  Bytes.unsafe_to_string b
-
-let mark_prefix = len_prefix mark_len
-
-type reassembly = { mutable pending : string }
-
-let feed ps ~on_record ~on_mark chunk =
-  let data = if ps.pending = "" then chunk else ps.pending ^ chunk in
-  let n = String.length data in
-  let pos = ref 0 in
-  (try
-     while n - !pos >= 4 do
-       let len = Int32.to_int (String.get_int32_le data !pos) land mark_len in
-       if len = mark_len then begin
-         pos := !pos + 4;
-         on_mark ()
-       end
-       else if n - !pos - 4 >= len then begin
-         on_record (String.sub data (!pos + 4) len);
-         pos := !pos + 4 + len
-       end
-       else raise Exit
-     done
-   with Exit -> ());
-  ps.pending <- String.sub data !pos (n - !pos)
-
 let session_of e =
   match e.e_session with
   | Some s -> s
@@ -307,49 +269,34 @@ let ship t e ~src ~dst ~base ~snapshot =
       let sfs = fs_of src in
       let session = session_of e in
       let recs = Queue.create () in
-      let ps = { pending = "" } in
       let t0 = Session.now session in
-      let wire_done = ref None in
       (* Dump straight into the session; the far side reassembles records
          into [recs]. A fault-plane exception (partition, retransmit
          exhaustion) aborts the stream mid-dump: the queue is discarded
          and the replica stays at its last completed snapshot. *)
-      (try
-         let stream =
-           Session.open_stream
-             ~label:(Printf.sprintf "repl:%s->%s" src.n_name dst.n_name)
-             session
-             ~deliver:
-               (feed ps
-                  ~on_record:(fun r -> Queue.push r recs)
-                  ~on_mark:(fun () -> ()))
-         in
-         let wire =
-           {
-             Tapeio.be_put =
-               (fun r ->
-                 Session.write stream (len_prefix (String.length r));
-                 Session.write stream r);
-             be_mark =
-               (fun () ->
-                 Session.write stream mark_prefix;
-                 wire_done := Some (Session.close_stream stream));
-           }
-         in
-         let sink = Tapeio.sink_to wire in
-         ignore
-           (match base with
-           | None -> Image_dump.full ~fs:sfs ~snapshot ~sink ()
-           | Some b -> Image_dump.incremental ~fs:sfs ~base:b ~snapshot ~sink ());
-         Clock.advance t.clock (Session.now session -. t0)
-       with ex ->
-         Clock.advance t.clock (Session.now session -. t0);
-         Obs.instant "repl.interrupted"
-           ~attrs:
-             [ ("dst", Obs.Str dst.n_name); ("snapshot", Obs.Str snapshot) ];
-         raise ex);
+      let shipment =
+        try
+          let sh, sink =
+            Mover.ship_to
+              ~label:(Printf.sprintf "repl:%s->%s" src.n_name dst.n_name)
+              ~session
+              { Tapeio.be_put = (fun r -> Queue.push r recs); be_mark = ignore }
+          in
+          ignore
+            (match base with
+            | None -> Image_dump.full ~fs:sfs ~snapshot ~sink ()
+            | Some b -> Image_dump.incremental ~fs:sfs ~base:b ~snapshot ~sink ());
+          Clock.advance t.clock (Session.now session -. t0);
+          sh
+        with ex ->
+          Clock.advance t.clock (Session.now session -. t0);
+          Obs.instant "repl.interrupted"
+            ~attrs:
+              [ ("dst", Obs.Str dst.n_name); ("snapshot", Obs.Str snapshot) ];
+          raise ex
+      in
       let x =
-        match !wire_done with
+        match Mover.xfer shipment with
         | Some x -> x
         | None -> errorf "replication: %s stream never closed" dst.n_name
       in

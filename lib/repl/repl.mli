@@ -111,8 +111,6 @@ val add_replica :
 
 val clock : t -> Repro_sim.Clock.t
 val primary : t -> string
-val nodes : t -> string list
-(** In creation order; the primary may move on {!promote}. *)
 
 val fs : t -> name:string -> Fs.t
 (** The node's file system, mounting a replica on demand. Replica
@@ -120,10 +118,6 @@ val fs : t -> name:string -> Fs.t
     convention. *)
 
 val volume : t -> name:string -> Repro_block.Volume.t
-
-val link : t -> name:string -> Repro_net.Link.t
-(** The link carrying [name]'s incoming edge (labelled [name] for fault
-    addressing). Raises {!Error} for the primary, which has none. *)
 
 (** {1 Replicating} *)
 
@@ -155,15 +149,6 @@ val lag_s : t -> name:string -> float
     {e not} yet hold (0 when in-sync; the checkpoint's age when the
     node holds nothing). Also exported as the [repl.lag_s.<name>]
     gauge/series on the obs plane after every transfer. *)
-
-val rpo_estimate_s : t -> float
-(** The recovery point available {e right now}: the minimum {!lag_s}
-    across replicas — what a promotion at this instant would realize as
-    its RPO (0 with no replicas). Exported as the [repl.rpo_est_s]
-    gauge and series after every checkpoint and transfer, so SLO rules
-    ({!Repro_obs.Slo}) can alert on replication falling behind and
-    resolve when a later sync catches up; the realized [repl.rpo_s] /
-    [repl.rto_s] gauges only appear at {!promote}. *)
 
 (** {1 Disaster recovery} *)
 

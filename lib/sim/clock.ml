@@ -10,5 +10,3 @@ let advance t dt =
 let advance_to t when_ =
   if when_ < t.now -. 1e-9 then invalid_arg "Clock.advance_to: backwards";
   if when_ > t.now then t.now <- when_
-
-let reset t = t.now <- 0.0

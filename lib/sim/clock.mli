@@ -16,5 +16,3 @@ val advance : t -> float -> unit
 val advance_to : t -> float -> unit
 (** [advance_to t when_] moves time forward to an absolute instant; moving
     backwards raises [Invalid_argument]. *)
-
-val reset : t -> unit

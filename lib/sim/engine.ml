@@ -8,7 +8,6 @@ let c_events = Repro_prof.Prof.counter "sim.events_dispatched"
 let c_heap_peak = Repro_prof.Prof.counter "sim.heap_depth"
 
 let create () = { clock = Clock.create (); queue = Eventq.create () }
-let clock t = t.clock
 let now t = Clock.now t.clock
 
 let schedule_at t time action =

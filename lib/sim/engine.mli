@@ -7,7 +7,6 @@
 type t
 
 val create : unit -> t
-val clock : t -> Clock.t
 val now : t -> float
 
 val schedule_at : t -> float -> (unit -> unit) -> unit

@@ -19,7 +19,3 @@ let utilization t ~elapsed = if elapsed <= 0.0 then 0.0 else t.busy /. elapsed
 
 let rate_mb_s t ~elapsed =
   if elapsed <= 0.0 then 0.0 else Float.of_int t.bytes /. 1_000_000.0 /. elapsed
-
-let pp ppf t =
-  Format.fprintf ppf "%s: busy %.3fs, %a" t.name t.busy Repro_util.Units.pp_bytes
-    t.bytes

@@ -26,5 +26,3 @@ val utilization : t -> elapsed:float -> float
 
 val rate_mb_s : t -> elapsed:float -> float
 (** Decimal MB/s of payload moved through the resource over [elapsed]. *)
-
-val pp : Format.formatter -> t -> unit

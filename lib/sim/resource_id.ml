@@ -45,5 +45,3 @@ let of_key k =
   else Key k
 
 let equal a b = String.equal (to_key a) (to_key b)
-let compare a b = String.compare (to_key a) (to_key b)
-let pp ppf t = Format.pp_print_string ppf (to_key t)

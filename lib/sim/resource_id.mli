@@ -33,8 +33,3 @@ val of_key : string -> t
     that happen to collide with the rendered formats. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-(** Orders by rendered key — the order demand vectors and series names
-    already sort in. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,40 +1,19 @@
 type t = {
   mutable count : int;
   mutable total : float;
-  mutable sum_sq : float;
   mutable min : float;
   mutable max : float;
 }
 
-let create () = { count = 0; total = 0.0; sum_sq = 0.0; min = infinity; max = neg_infinity }
+let create () = { count = 0; total = 0.0; min = infinity; max = neg_infinity }
 
 let add t x =
   t.count <- t.count + 1;
   t.total <- t.total +. x;
-  t.sum_sq <- t.sum_sq +. (x *. x);
   if x < t.min then t.min <- x;
   if x > t.max then t.max <- x
 
 let count t = t.count
-let total t = t.total
 let mean t = if t.count = 0 then 0.0 else t.total /. Float.of_int t.count
 let min t = if t.count = 0 then 0.0 else t.min
 let max t = if t.count = 0 then 0.0 else t.max
-
-let stddev t =
-  if t.count < 2 then 0.0
-  else
-    let n = Float.of_int t.count in
-    let m = t.total /. n in
-    Float.sqrt (Float.max 0.0 ((t.sum_sq /. n) -. (m *. m)))
-
-let reset t =
-  t.count <- 0;
-  t.total <- 0.0;
-  t.sum_sq <- 0.0;
-  t.min <- infinity;
-  t.max <- neg_infinity
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.4g min=%.4g max=%.4g sd=%.4g" t.count (mean t)
-    (min t) (max t) (stddev t)

@@ -8,10 +8,6 @@ type t
 val create : unit -> t
 val add : t -> float -> unit
 val count : t -> int
-val total : t -> float
 val mean : t -> float
 val min : t -> float
 val max : t -> float
-val stddev : t -> float
-val reset : t -> unit
-val pp : Format.formatter -> t -> unit

@@ -18,7 +18,6 @@ let create ?params ?(slots = 8) ~label () =
   { label; tape = Tape.create ?params ~label (); blanks; written = [||]; read_pos = 0; changes = 0 }
 
 let drive t = t.tape
-let label t = t.label
 
 let swap_in t m =
   (match Tape.loaded t.tape with Some _ -> ignore (Tape.unload t.tape) | None -> ());
@@ -73,7 +72,6 @@ let advance_for_read t =
   end
 
 let change_time_total t = Float.of_int t.changes *. media_change_seconds
-let blanks_remaining t = List.length t.blanks
 
 let save w t =
   let open Repro_util.Serde in

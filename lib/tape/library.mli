@@ -11,7 +11,6 @@ val create : ?params:Tape.params -> ?slots:int -> label:string -> unit -> t
 (** [slots] blank cartridges in the magazine (default 8). *)
 
 val drive : t -> Tape.t
-val label : t -> string
 
 val load_next : t -> bool
 (** Unload the current cartridge (if any) to the "used" stack and load the
@@ -38,14 +37,8 @@ val dangling_stream : t -> bool
     a filemark: an interrupted stream that the engine must seal before
     writing anything new (see {!Repro_backup.Engine}). *)
 
-val media_change_seconds : float
-(** Fixed robot exchange time charged per media change (120 s, typical for
-    DLT stackers). *)
-
 val change_time_total : t -> float
 (** Accumulated robot time (for accounting; media changes overlap nothing). *)
-
-val blanks_remaining : t -> int
 
 val save : Repro_util.Serde.writer -> t -> unit
 (** Persist the stacker: drive parameters, written cartridges, and the

@@ -217,8 +217,6 @@ let skip_filemarks t n =
     t.pos <- t.pos + 1
   done
 
-let position t = t.pos
-
 let corrupt_record m ~index =
   let found = ref (-1) in
   let target = ref None in
@@ -248,8 +246,3 @@ let corrupt_record m ~index =
     flip 0
 
 let busy_seconds t = t.busy
-let bytes_moved t = t.bytes
-
-let reset_stats t =
-  t.busy <- 0.0;
-  t.bytes <- 0

@@ -93,9 +93,6 @@ val skip_filemarks : t -> int -> unit
 (** [skip_filemarks t n] positions after the [n]-th next filemark
     (fast-forward). Raises [End_of_tape] if fewer remain. *)
 
-val position : t -> int
-(** Item index from beginning of tape. *)
-
 val corrupt_record : media -> index:int -> unit
 (** Flip bytes inside record [index] (counting records only, not
     filemarks). Raises [Invalid_argument] if out of range or not a
@@ -104,7 +101,3 @@ val corrupt_record : media -> index:int -> unit
 (** {1 Accounting} *)
 
 val busy_seconds : t -> float
-val bytes_moved : t -> int
-(** Uncompressed payload bytes through the head. *)
-
-val reset_stats : t -> unit

@@ -6,14 +6,10 @@
     loads the next blank and the stream continues.
 
     Sinks and sources are built over a {e backend} — by default the
-    attached stacker, but the engine's network mover
-    ({!Repro_backup.Mover}) substitutes one that ships each record to a
-    remote tape server. The dump and image layers only ever see
+    attached stacker, but the network mover ([Repro_net.Mover])
+    substitutes one that ships each record to a remote tape server. The dump and image layers only ever see
     {!sink}/{!source}, so tape content is byte-identical wherever the
     stacker lives. *)
-
-val default_record_bytes : int
-(** 64 KiB. *)
 
 (** {1 Writing} *)
 

@@ -128,6 +128,3 @@ let read r =
   let t = { bits; length } in
   mask_tail t;
   t
-
-let pp ppf t =
-  Format.fprintf ppf "<bitmap %d/%d set>" (count t) t.length

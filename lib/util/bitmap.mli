@@ -39,7 +39,6 @@ val subset : t -> t -> bool
 val iter_set : (int -> unit) -> t -> unit
 (** [iter_set f t] calls [f i] for every set bit, in increasing order. *)
 
-val fold_set : ('a -> int -> 'a) -> 'a -> t -> 'a
 val to_list : t -> int list
 val first_set_from : t -> int -> int option
 (** [first_set_from t i] is the index of the first set bit at or after [i]. *)
@@ -48,4 +47,3 @@ val first_clear_from : t -> int -> int option
 
 val write : Serde.writer -> t -> unit
 val read : Serde.reader -> t
-val pp : Format.formatter -> t -> unit

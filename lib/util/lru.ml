@@ -21,7 +21,6 @@ module Make (K : Hashtbl.HashedType) = struct
     if capacity <= 0 then invalid_arg "Lru.create";
     { capacity; table = H.create (2 * capacity); head = None; tail = None }
 
-  let capacity t = t.capacity
   let length t = H.length t.table
   let mem t k = H.mem t.table k
 
@@ -78,20 +77,6 @@ module Make (K : Hashtbl.HashedType) = struct
     while H.length t.table > t.capacity do
       evict_lru ?on_evict t
     done
-
-  let iter f t =
-    let rec loop = function
-      | None -> ()
-      | Some node ->
-        f node.key node.value;
-        loop node.next
-    in
-    loop t.head
-
-  let fold f t init =
-    let acc = ref init in
-    iter (fun k v -> acc := f k v !acc) t;
-    !acc
 
   let clear t =
     H.clear t.table;

@@ -10,7 +10,6 @@ module Make (K : Hashtbl.HashedType) : sig
   val create : capacity:int -> 'v t
   (** Raises [Invalid_argument] if [capacity <= 0]. *)
 
-  val capacity : 'v t -> int
   val length : 'v t -> int
   val mem : 'v t -> key -> bool
 
@@ -26,9 +25,5 @@ module Make (K : Hashtbl.HashedType) : sig
 
   val remove : 'v t -> key -> unit
 
-  val iter : (key -> 'v -> unit) -> 'v t -> unit
-  (** Iterates from most- to least-recently-used. *)
-
-  val fold : (key -> 'v -> 'a -> 'a) -> 'v t -> 'a -> 'a
   val clear : 'v t -> unit
 end

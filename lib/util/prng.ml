@@ -13,8 +13,6 @@ let int64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix64 t.state
 
-let split t = { state = int64 t }
-
 (* 61 random bits: the range [0, 2^61) is comfortably representable in
    OCaml's 63-bit native int, including as an exclusive bound. *)
 let bit_range = 1 lsl 61
@@ -85,5 +83,3 @@ let sample_cdf cdf t =
 let zipf_table ~n ~s =
   let cdf = build_zipf_cdf ~n ~s in
   fun t -> sample_cdf cdf t
-
-let zipf t ~n ~s = sample_cdf (build_zipf_cdf ~n ~s) t

@@ -8,13 +8,7 @@ type t
 val create : int -> t
 (** [create seed] makes an independent generator. *)
 
-val split : t -> t
-(** A new generator whose stream is independent of further draws from the
-    parent. *)
-
 val int64 : t -> int64
-val bits : t -> int
-(** 61 uniformly random non-negative bits. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound). Raises [Invalid_argument] if
@@ -35,11 +29,6 @@ val shuffle : t -> 'a array -> unit
 val exponential : t -> mean:float -> float
 val lognormal : t -> mu:float -> sigma:float -> float
 (** Log-normal via Box–Muller; the classic model for file sizes. *)
-
-val zipf : t -> n:int -> s:float -> int
-(** Zipf-distributed rank in [1, n] with exponent [s], via inverse-CDF on a
-    precomputed table (the table is rebuilt per call only for small [n];
-    prefer {!zipf_table} for hot loops). *)
 
 val zipf_table : n:int -> s:float -> t -> int
 (** [zipf_table ~n ~s] precomputes the CDF once and returns a sampler. *)

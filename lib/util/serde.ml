@@ -91,7 +91,6 @@ let read_string r =
   read_fixed r n
 
 let remaining r = String.length r.data - r.pos
-let position r = r.pos
 let at_end r = remaining r = 0
 
 let expect_magic r m =

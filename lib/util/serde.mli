@@ -59,8 +59,6 @@ val read_int : reader -> int
 val read_bool : reader -> bool
 val read_string : reader -> string
 val read_fixed : reader -> int -> string
-val remaining : reader -> int
-val position : reader -> int
 val at_end : reader -> bool
 val expect_magic : reader -> string -> unit
 (** [expect_magic r m] reads [String.length m] bytes and raises [Corrupt]

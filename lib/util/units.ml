@@ -1,8 +1,4 @@
-let kib = 1024
 let mib = 1024 * 1024
-let gib = 1024 * 1024 * 1024
-let bytes_of_mib n = n * mib
-let bytes_of_gib n = n * gib
 
 let mb_per_s ~bytes ~seconds =
   if seconds <= 0.0 then 0.0 else Float.of_int bytes /. 1_000_000.0 /. seconds
@@ -10,19 +6,3 @@ let mb_per_s ~bytes ~seconds =
 let gb_per_hour ~bytes ~seconds =
   if seconds <= 0.0 then 0.0
   else Float.of_int bytes /. 1_000_000_000.0 /. (seconds /. 3600.0)
-
-let hours s = s /. 3600.0
-
-let pp_bytes ppf n =
-  let f = Float.of_int n in
-  if n < kib then Format.fprintf ppf "%d B" n
-  else if n < mib then Format.fprintf ppf "%.1f KiB" (f /. Float.of_int kib)
-  else if n < gib then Format.fprintf ppf "%.1f MiB" (f /. Float.of_int mib)
-  else Format.fprintf ppf "%.2f GiB" (f /. Float.of_int gib)
-
-let pp_duration ppf s =
-  if s < 120.0 then Format.fprintf ppf "%.0f s" s
-  else if s < 7200.0 then Format.fprintf ppf "%.1f min" (s /. 60.0)
-  else Format.fprintf ppf "%.2f h" (s /. 3600.0)
-
-let pp_percent ppf f = Format.fprintf ppf "%.0f%%" (100.0 *. f)

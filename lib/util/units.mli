@@ -1,27 +1,11 @@
-(** Byte-size and duration constants and pretty-printers.
+(** Byte-size constants and throughput conversions.
 
-    The paper reports throughput in MB/s and GB/hour and elapsed times in
-    hours; these helpers keep unit conversions in one place. *)
+    The paper reports throughput in MB/s and GB/hour; these helpers keep
+    unit conversions in one place. *)
 
-val kib : int
 val mib : int
-val gib : int
-
-val bytes_of_mib : int -> int
-val bytes_of_gib : int -> int
 
 val mb_per_s : bytes:int -> seconds:float -> float
 (** Decimal megabytes per second, as the paper reports. *)
 
 val gb_per_hour : bytes:int -> seconds:float -> float
-val hours : float -> float
-(** Seconds to hours. *)
-
-val pp_bytes : Format.formatter -> int -> unit
-(** "512 B", "4.0 KiB", "1.5 GiB"... *)
-
-val pp_duration : Format.formatter -> float -> unit
-(** Seconds as "35 s", "20.0 min", "6.75 h". *)
-
-val pp_percent : Format.formatter -> float -> unit
-(** A [0,1] fraction as "25%". *)

@@ -9,10 +9,8 @@ let create ~nblocks =
   if nblocks <= 0 then invalid_arg "Blockmap.create";
   { planes = Array.init nplanes (fun _ -> Bitmap.create nblocks); nblocks }
 
-let nblocks t = t.nblocks
 let mark_allocated t vbn = Bitmap.set t.planes.(0) vbn
 let mark_free t vbn = Bitmap.clear t.planes.(0) vbn
-let in_active t vbn = Bitmap.get t.planes.(0) vbn
 let active_used t = Bitmap.count t.planes.(0)
 let active_plane t = Bitmap.copy t.planes.(0)
 

@@ -17,14 +17,12 @@
 type t
 
 val create : nblocks:int -> t
-val nblocks : t -> int
 val nplanes : int
 
 (** {1 Active plane (plane 0)} *)
 
 val mark_allocated : t -> int -> unit
 val mark_free : t -> int -> unit
-val in_active : t -> int -> bool
 val active_used : t -> int
 val active_plane : t -> Repro_util.Bitmap.t
 (** A copy; mutating it does not affect the map. *)
@@ -34,9 +32,6 @@ val find_free : t -> ?avoid:Repro_util.Bitmap.t -> start:int -> unit -> int opti
     and which is not set in [avoid]. *)
 
 (** {1 Snapshot planes} *)
-
-val word : t -> int -> int
-(** The 32-bit word for a vbn (bit [p] = plane [p]). *)
 
 val is_free_block : t -> int -> bool
 (** word = 0: in neither the live file system nor any snapshot. *)
@@ -71,7 +66,6 @@ val state_included : block_state -> bool
 
 (** {1 Serialization into the block-map file} *)
 
-val words_per_block : int
 val file_blocks : nblocks:int -> int
 (** Size of the block-map file in 4 KB blocks. *)
 

@@ -15,10 +15,6 @@ let entries block =
       let name = read_fixed r len in
       (name, ino))
 
-let count block =
-  let open Repro_util.Serde in
-  read_u16 (reader (Bytes.unsafe_to_string block))
-
 let find block name =
   List.assoc_opt name (entries block)
 

@@ -13,7 +13,6 @@ val entries : bytes -> (string * int) list
 (** [(name, ino)] pairs in storage order. Raises [Serde.Corrupt] on a
     malformed block. *)
 
-val count : bytes -> int
 val find : bytes -> string -> int option
 
 val add : bytes -> string -> int -> bytes option

@@ -1133,11 +1133,6 @@ let snapshots t =
 
 let snapshot_entries t = t.snaps
 
-let snapshot_plane t name =
-  match find_snap t name with
-  | Some s -> s.plane
-  | None -> err "no snapshot %S" name
-
 (* ------------------------------------------------------------------ *)
 (* Read-only views                                                     *)
 
@@ -1513,7 +1508,6 @@ let free_blocks t =
   t.vol_blocks - !used
 
 let blockmap t = t.bmap
-let dirty_blocks t = t.dirty_count
 
 let inode_count t = Bitmap.count t.ino_used
 

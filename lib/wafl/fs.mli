@@ -145,7 +145,6 @@ val qtree_create : t -> string -> perms:int -> int
     qtree id. Files and directories created below it inherit the id — the
     paper's unit for splitting a volume into parallel logical dumps. *)
 
-val set_qtree : t -> string -> qtree:int -> unit
 val qtree_of : t -> string -> int
 
 val qtree_usage : t -> qtree:int -> int
@@ -176,7 +175,6 @@ val snapshot_create : t -> string -> unit
 
 val snapshot_delete : t -> string -> unit
 val snapshots : t -> snap_info list
-val snapshot_plane : t -> string -> int
 
 (** {1 Read-only views}
 
@@ -233,5 +231,3 @@ val fsck_repair : t -> string list
 
 val inode_count : t -> int
 (** Allocated inodes (including the root directory and metadata files). *)
-
-val dirty_blocks : t -> int

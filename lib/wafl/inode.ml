@@ -133,14 +133,3 @@ let encode t =
 
 let decode block ~pos =
   read (Repro_util.Serde.reader ~pos (Bytes.unsafe_to_string block))
-
-let pp ppf t =
-  let k =
-    match t.kind with
-    | Free -> "free"
-    | Regular -> "file"
-    | Directory -> "dir"
-    | Symlink -> "symlink"
-  in
-  Format.fprintf ppf "<%s size=%d nlink=%d perms=%o qtree=%d>" k t.size t.nlink
-    t.perms t.qtree

@@ -47,5 +47,3 @@ val write : Repro_util.Serde.writer -> t -> unit
 (** Unpadded form, for embedding in the fsinfo block and dump headers. *)
 
 val read : Repro_util.Serde.reader -> t
-
-val pp : Format.formatter -> t -> unit

@@ -30,10 +30,6 @@ let create ?(capacity_bytes = 32 * 1024 * 1024) ?(label = "nvram") () =
   if capacity_bytes <= 0 then invalid_arg "Nvram.create";
   { label; capacity = capacity_bytes; used = 0; entries = []; is_failed = false }
 
-let label t = t.label
-
-let capacity_bytes t = t.capacity
-let used_bytes t = t.used
 
 (* Fixed per-entry overhead (tag, opcode, framing) plus payload. *)
 let op_size op =

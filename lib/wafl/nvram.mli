@@ -41,10 +41,6 @@ val create : ?capacity_bytes:int -> ?label:string -> unit -> t
     ["nvram"]) addresses the device in fault plans
     ({!Repro_fault.Fault}). *)
 
-val label : t -> string
-val capacity_bytes : t -> int
-val used_bytes : t -> int
-
 val append : t -> tag:int -> op -> bool
 (** [false] if the entry does not fit: the caller must take a consistency
     point (which clears the log) and retry. Raises {!Failed} if the NVRAM

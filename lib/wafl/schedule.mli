@@ -20,9 +20,6 @@ type policy = {
   nightly_keep : int;
 }
 
-val default_policy : policy
-(** Every 4 h keep 6; every 24 h keep 2. *)
-
 type t
 
 val create : ?policy:policy -> Fs.t -> t

@@ -238,9 +238,9 @@ let test_engine_concurrent_drives () =
   (match Engine.last_stats eng with
   | None -> Alcotest.fail "no schedule stats"
   | Some st ->
-    checkb "positive makespan" true (st.Repro_backup.Scheduler.elapsed > 0.0);
+    checkb "positive makespan" true (st.Repro_backup.Scheduler.p_elapsed > 0.0);
     checki "stats cover the pool" 2
-      (List.length st.Repro_backup.Scheduler.per_drive));
+      (List.length st.Repro_backup.Scheduler.p_slots));
   let dvol = Volume.create ~label:"dst" (Volume.small_geometry ~data_blocks:16384) in
   let dfs = Fs.mkfs dvol in
   ignore
@@ -259,28 +259,26 @@ let test_engine_selective_restore () =
     (Engine.backup_job eng
        (Engine.Job.make ~strategy:Strategy.Logical ~subtree:"/data" ()));
   Fs.unlink fs "/data/keep/me.txt";
-  (* through the unified entry point: the strategy picks the variant *)
   let results =
-    match
-      Engine.restore eng ~strategy:Strategy.Logical ~label:"/data" ~target:"/data"
-        ~select:[ "keep/me.txt" ] ()
-    with
-    | `Logical rs -> rs
-    | `Physical _ -> Alcotest.fail "logical restore returned physical results"
+    Engine.restore_logical eng ~label:"/data" ~fs ~target:"/data"
+      ~select:[ "keep/me.txt" ] ()
   in
   checki "one stream read" 1 (List.length results);
-  checks "file back" "precious" (Fs.read fs "/data/keep/me.txt" ~offset:0 ~len:8);
-  (* misuse is rejected up front *)
-  (try
-     ignore (Engine.restore eng ~strategy:Strategy.Logical ~label:"/data" ());
-     Alcotest.fail "restore without ~target accepted"
-   with Invalid_argument _ -> ());
-  try
-    ignore
-      (Engine.restore eng ~strategy:Strategy.Physical ~label:"vol"
-         ~select:[ "x" ] ());
-    Alcotest.fail "physical restore with ~select accepted"
-  with Invalid_argument _ -> ()
+  checks "file back" "precious" (Fs.read fs "/data/keep/me.txt" ~offset:0 ~len:8)
+
+(* A pool naming a drive the engine does not have is a typed job error,
+   raised before the backup takes its snapshot or stores a checkpoint. *)
+let test_engine_unknown_drive () =
+  List.iter
+    (fun strategy ->
+      let eng, fs = make_engine () in
+      (match backup eng ~strategy ~subtree:"/data" ~drives:[ 0; 2 ] () with
+      | _ -> Alcotest.fail "a pool with drive 2 accepted on a 2-drive engine"
+      | exception Engine.Job.Invalid (Engine.Job.Unknown_drive 2) -> ());
+      checki "no snapshot" 0 (List.length (Fs.snapshots fs));
+      checki "no checkpoint" 0 (List.length (Catalog.checkpoints (Engine.catalog eng)));
+      checki "no entry" 0 (List.length (Catalog.entries (Engine.catalog eng))))
+    Strategy.all
 
 let test_engine_incremental_without_full () =
   let eng, _fs = make_engine () in
@@ -459,6 +457,8 @@ let () =
           Alcotest.test_case "concurrent drive pool" `Quick test_engine_concurrent_drives;
           Alcotest.test_case "selective restore" `Quick test_engine_selective_restore;
           Alcotest.test_case "job validation" `Quick test_job_make_validation;
+          Alcotest.test_case "unknown drive rejected first" `Quick
+            test_engine_unknown_drive;
           Alcotest.test_case "incremental needs full" `Quick
             test_engine_incremental_without_full;
           Alcotest.test_case "store persistence round trip" `Quick test_store_roundtrip;

@@ -7,6 +7,7 @@
 module Frame = Repro_net.Frame
 module Link = Repro_net.Link
 module Session = Repro_net.Session
+module Mover = Repro_net.Mover
 module Fault = Repro_fault.Fault
 module Volume = Repro_block.Volume
 module Library = Repro_tape.Library
@@ -319,6 +320,71 @@ let test_reng4_roundtrip () =
   | Ok () -> ()
   | Error d -> Alcotest.failf "mismatch after reload: %s" (String.concat ";" d)
 
+(* ------------------------------- mover ------------------------------- *)
+
+(* The record-over-session wire: any sequence of records (empty ones, ones
+   larger than the link MTU) and filemarks, framed and then cut at
+   arbitrary chunk boundaries, reassembles to the same sequence. *)
+type item = Record of string | Mark
+
+let test_mover_reassembly =
+  let mtu = Link.default_params.Link.mtu_bytes in
+  let open QCheck2.Gen in
+  let record =
+    frequency
+      [
+        (1, return "");
+        (4, string_size (int_range 1 300));
+        ( 1,
+          map2
+            (fun n k -> String.init n (fun i -> Char.chr ((i * k) land 0xff)))
+            (int_range (mtu + 1) ((2 * mtu) + 100))
+            (int_range 1 255) );
+      ]
+  in
+  let item = frequency [ (5, map (fun r -> Record r) record); (1, return Mark) ] in
+  let cut =
+    frequency
+      [ (1, int_range 1 8); (2, int_range 9 5000); (1, int_range 5001 100_000) ]
+  in
+  let show = function
+    | Record r -> Printf.sprintf "record(%d)" (String.length r)
+    | Mark -> "mark"
+  in
+  QCheck2.Test.make ~count:200 ~name:"mover wire reassembles under any chunking"
+    ~print:(fun (items, cuts) ->
+      Printf.sprintf "[%s] cut at [%s]"
+        (String.concat "; " (List.map show items))
+        (String.concat "; " (List.map string_of_int cuts)))
+    (pair (list_size (int_range 0 30) item) (list_size (int_range 0 40) cut))
+    (fun (items, cuts) ->
+      let wire =
+        String.concat ""
+          (List.map
+             (function
+               | Record r -> Mover.record_header (String.length r) ^ r
+               | Mark -> Mover.mark)
+             items)
+      in
+      let got = ref [] in
+      let feed =
+        Mover.reassembler
+          ~on_record:(fun r -> got := Record r :: !got)
+          ~on_mark:(fun () -> got := Mark :: !got)
+      in
+      (* Feed the cuts in order; whatever they leave arrives as one last
+         chunk. *)
+      let rec go pos = function
+        | _ when pos >= String.length wire -> ()
+        | c :: rest ->
+          let n = min c (String.length wire - pos) in
+          feed (String.sub wire pos n);
+          go (pos + n) rest
+        | [] -> feed (String.sub wire pos (String.length wire - pos))
+      in
+      go 0 cuts;
+      List.rev !got = items)
+
 let q = QCheck_alcotest.to_alcotest
 
 let () =
@@ -331,6 +397,7 @@ let () =
           q test_frame_fast_equals_reference;
           Alcotest.test_case "sizes" `Quick test_frame_sizes;
         ] );
+      ("mover", [ q test_mover_reassembly ]);
       ( "session",
         [
           Alcotest.test_case "delivers in order" `Quick test_session_delivers;

@@ -1,6 +1,6 @@
-(* Tests for the drive-pool scheduler and the concurrent data-plane engine:
-   analytic timing of the max-min solver, pinning/fault semantics on
-   synthetic jobs, and the issue's two properties — a concurrent backup
+(* Tests for the scheduler and the concurrent data-plane engine: analytic
+   timing of the max-min solver, pinning/fault semantics on synthetic
+   drive-slot tasks, and two properties — a concurrent backup
    restores byte-identically to the serial one (both strategies, drives in
    {1, 2, 4}), and simulated elapsed time scales with drives asymmetrically
    (physical speedup at 4 drives exceeds logical, the Table 4/5 shape). *)
@@ -34,99 +34,146 @@ let test_fair_share () =
 
 (* ------------------------ scheduler semantics ------------------------ *)
 
-let job ?(pin = None) label demands =
-  { Scheduler.label; pin; execute = (fun ~drive -> ((label, drive), demands)) }
+(* The engine's shape of task: a part claims one [Drive] slot — any drive
+   of the pool ([One_of]) for a backup part, or the drive that wrote it
+   ([Exactly]) for a restore part — and records the drive it ran on. *)
+let drive d = Repro_sim.Resource_id.Drive d
+let drives ds = List.map drive ds
+
+let slot_drive = function
+  | Repro_sim.Resource_id.Drive d -> d
+  | s -> Alcotest.failf "non-drive slot %s" (Repro_sim.Resource_id.to_key s)
+
+let claim ?pin pool =
+  match pin with
+  | Some d -> Scheduler.Exactly (drive d)
+  | None -> Scheduler.One_of (drives pool)
+
+let job ?pin ~pool label demands =
+  Scheduler.task ~label ~claims:[ claim ?pin pool ] (fun ~now:_ ~granted ->
+      ((label, slot_drive (List.hd granted)), demands))
+
+let failing ?pin ~pool error =
+  Scheduler.task ~label:"f" ~claims:[ claim ?pin pool ] (fun ~now:_ ~granted:_ ->
+      raise error)
 
 let demand key work = { Scheduler.key; work }
 
+let drive_of_grant (g : _ Scheduler.grant) = snd g.Scheduler.g_value
+
+let per_drive (st : Scheduler.pool_stats) =
+  List.map (fun (s, b, n) -> (slot_drive s, b, n)) st.Scheduler.p_slots
+
 let test_scheduler_timing () =
   (* two unit jobs on private resources: one drive serializes, two don't *)
-  let mk () = [ job "a" [ demand "tape:0" 1.0 ]; job "b" [ demand "tape:1" 1.0 ] ] in
-  let _, st1 = Scheduler.run ~drives:[ 0 ] (mk ()) in
-  checkf "serial elapsed" 2.0 st1.Scheduler.elapsed;
-  let _, st2 = Scheduler.run ~drives:[ 0; 1 ] (mk ()) in
-  checkf "concurrent elapsed" 1.0 st2.Scheduler.elapsed;
+  let mk pool =
+    [ job ~pool "a" [ demand "tape:0" 1.0 ]; job ~pool "b" [ demand "tape:1" 1.0 ] ]
+  in
+  let _, st1 = Scheduler.run_tasks ~slots:(drives [ 0 ]) (mk [ 0 ]) in
+  checkf "serial elapsed" 2.0 st1.Scheduler.p_elapsed;
+  let _, st2 = Scheduler.run_tasks ~slots:(drives [ 0; 1 ]) (mk [ 0; 1 ]) in
+  checkf "concurrent elapsed" 1.0 st2.Scheduler.p_elapsed;
   (* a shared bottleneck: two drives buy nothing *)
-  let shared () = [ job "a" [ demand "disk" 1.0 ]; job "b" [ demand "disk" 1.0 ] ] in
-  let _, st3 = Scheduler.run ~drives:[ 0; 1 ] (shared ()) in
-  checkf "disk-bound elapsed" 2.0 st3.Scheduler.elapsed;
+  let pool = [ 0; 1 ] in
+  let shared =
+    [ job ~pool "a" [ demand "disk" 1.0 ]; job ~pool "b" [ demand "disk" 1.0 ] ]
+  in
+  let _, st3 = Scheduler.run_tasks ~slots:(drives pool) shared in
+  checkf "disk-bound elapsed" 2.0 st3.Scheduler.p_elapsed;
   (* per-drive accounting *)
-  let outs, st = Scheduler.run ~drives:[ 0; 1 ] (mk ()) in
+  let outs, st = Scheduler.run_tasks ~slots:(drives pool) (mk pool) in
   (match (outs.(0), outs.(1)) with
-  | Scheduler.Done c0, Scheduler.Done c1 ->
-    checki "job a on drive 0" 0 c0.Scheduler.drive;
-    checki "job b on drive 1" 1 c1.Scheduler.drive
+  | Scheduler.Completed g0, Scheduler.Completed g1 ->
+    checki "job a on drive 0" 0 (drive_of_grant g0);
+    checki "job b on drive 1" 1 (drive_of_grant g1)
   | _ -> Alcotest.fail "both jobs must complete");
   Alcotest.(check (list (triple int (float 1e-6) int)))
     "busy and job counts"
     [ (0, 1.0, 1); (1, 1.0, 1) ]
-    st.Scheduler.per_drive
+    (per_drive st)
 
 let test_scheduler_order_and_pinning () =
   (* one drive: execution in list order, completions in list order *)
   let order = ref [] in
-  let jobs = List.init 3 (fun i -> job (string_of_int i) [ demand "t" 1.0 ]) in
+  let pool = [ 0 ] in
+  let jobs = List.init 3 (fun i -> job ~pool (string_of_int i) [ demand "t" 1.0 ]) in
   let on_complete i _ = order := i :: !order in
-  let _, _ = Scheduler.run ~drives:[ 0 ] ~on_complete jobs in
+  let _, _ = Scheduler.run_tasks ~slots:(drives pool) ~on_complete jobs in
   Alcotest.(check (list int)) "completion order" [ 0; 1; 2 ] (List.rev !order);
   (* pinned jobs wait for their drive even when another is free *)
+  let pool = [ 0; 1 ] in
   let jobs =
     [
-      job ~pin:(Some 1) "p0" [ demand "tape:1" 1.0 ];
-      job ~pin:(Some 1) "p1" [ demand "tape:1" 1.0 ];
+      job ~pin:1 ~pool "p0" [ demand "tape:1" 1.0 ];
+      job ~pin:1 ~pool "p1" [ demand "tape:1" 1.0 ];
     ]
   in
-  let outs, st = Scheduler.run ~drives:[ 0; 1 ] jobs in
-  checkf "pinned jobs serialize" 2.0 st.Scheduler.elapsed;
+  let outs, st = Scheduler.run_tasks ~slots:(drives pool) jobs in
+  checkf "pinned jobs serialize" 2.0 st.Scheduler.p_elapsed;
   (match outs.(1) with
-  | Scheduler.Done c -> checki "second job still on drive 1" 1 c.Scheduler.drive
+  | Scheduler.Completed g -> checki "second job still on drive 1" 1 (drive_of_grant g)
   | _ -> Alcotest.fail "pinned job must complete");
   (* max_active 1 serializes even with two drives *)
   let _, st =
-    Scheduler.run ~max_active:1 ~drives:[ 0; 1 ]
-      [ job "a" [ demand "x" 1.0 ]; job "b" [ demand "y" 1.0 ] ]
+    Scheduler.run_tasks ~max_active:1 ~slots:(drives pool)
+      [ job ~pool "a" [ demand "x" 1.0 ]; job ~pool "b" [ demand "y" 1.0 ] ]
   in
-  checkf "max_active caps concurrency" 2.0 st.Scheduler.elapsed
+  checkf "max_active caps concurrency" 2.0 st.Scheduler.p_elapsed
 
 let test_scheduler_fault_semantics () =
   let boom = Failure "boom" in
-  let failing = { Scheduler.label = "f"; pin = None; execute = (fun ~drive:_ -> raise boom) } in
+  let unran = function Scheduler.Unran -> true | _ -> false in
   (* fatal: the drive leaves the pool, the queue drains on the survivor *)
-  let jobs = [ failing; job "a" [ demand "t" 1.0 ]; job "b" [ demand "t" 1.0 ] ] in
-  let outs, _ = Scheduler.run ~fatal:(fun _ -> true) ~drives:[ 0; 1 ] jobs in
-  (match outs.(0) with
-  | Scheduler.Failed { drive = 0; _ } -> ()
-  | _ -> Alcotest.fail "first job must fail on drive 0");
-  (match (outs.(1), outs.(2)) with
-  | Scheduler.Done c1, Scheduler.Done c2 ->
-    checki "queue drained on the survivor" 1 c1.Scheduler.drive;
-    checki "last job too" 1 c2.Scheduler.drive
-  | _ -> Alcotest.fail "remaining jobs must complete");
-  (* non-fatal: abort admissions, the rest are skipped *)
-  let outs, _ = Scheduler.run ~drives:[ 0 ] jobs in
-  (match outs.(0) with
-  | Scheduler.Failed _ -> ()
-  | _ -> Alcotest.fail "first job must fail");
-  checkb "rest skipped" true
-    (outs.(1) = Scheduler.Skipped && outs.(2) = Scheduler.Skipped);
-  (* a job pinned to a dead drive is skipped, not deadlocked *)
+  let pool = [ 0; 1 ] in
   let jobs =
     [
-      { Scheduler.label = "f"; pin = Some 0; execute = (fun ~drive:_ -> raise boom) };
-      job ~pin:(Some 0) "stuck" [ demand "t" 1.0 ];
-      job "free" [ demand "t" 1.0 ];
+      failing ~pool boom;
+      job ~pool "a" [ demand "t" 1.0 ];
+      job ~pool "b" [ demand "t" 1.0 ];
     ]
   in
-  let outs, _ = Scheduler.run ~fatal:(fun _ -> true) ~drives:[ 0; 1 ] jobs in
-  checkb "pinned-to-dead skipped" true (outs.(1) = Scheduler.Skipped);
+  let outs, _ = Scheduler.run_tasks ~fatal:(fun _ -> true) ~slots:(drives pool) jobs in
+  (match outs.(0) with
+  | Scheduler.Errored { slots = [ s ]; _ } when slot_drive s = 0 -> ()
+  | _ -> Alcotest.fail "first job must fail on drive 0");
+  (match (outs.(1), outs.(2)) with
+  | Scheduler.Completed g1, Scheduler.Completed g2 ->
+    checki "queue drained on the survivor" 1 (drive_of_grant g1);
+    checki "last job too" 1 (drive_of_grant g2)
+  | _ -> Alcotest.fail "remaining jobs must complete");
+  (* non-fatal: abort admissions, the rest are skipped *)
+  let pool = [ 0 ] in
+  let jobs =
+    [
+      failing ~pool boom;
+      job ~pool "a" [ demand "t" 1.0 ];
+      job ~pool "b" [ demand "t" 1.0 ];
+    ]
+  in
+  let outs, _ = Scheduler.run_tasks ~slots:(drives pool) jobs in
+  (match outs.(0) with
+  | Scheduler.Errored _ -> ()
+  | _ -> Alcotest.fail "first job must fail");
+  checkb "rest skipped" true (unran outs.(1) && unran outs.(2));
+  (* a job pinned to a dead drive is skipped, not deadlocked *)
+  let pool = [ 0; 1 ] in
+  let jobs =
+    [
+      failing ~pin:0 ~pool boom;
+      job ~pin:0 ~pool "stuck" [ demand "t" 1.0 ];
+      job ~pool "free" [ demand "t" 1.0 ];
+    ]
+  in
+  let outs, _ = Scheduler.run_tasks ~fatal:(fun _ -> true) ~slots:(drives pool) jobs in
+  checkb "pinned-to-dead skipped" true (unran outs.(1));
   (match outs.(2) with
-  | Scheduler.Done _ -> ()
+  | Scheduler.Completed _ -> ()
   | _ -> Alcotest.fail "unpinned job must complete");
   (* pool validation *)
-  (match Scheduler.run ~drives:[] [ job "a" [] ] with
+  (match Scheduler.run_tasks ~slots:[] [ job ~pool:[] "a" [] ] with
   | _ -> Alcotest.fail "empty pool must be rejected"
   | exception Invalid_argument _ -> ());
-  match Scheduler.run ~drives:[ 0; 0 ] [ job "a" [] ] with
+  match Scheduler.run_tasks ~slots:(drives [ 0; 0 ]) [ job ~pool:[ 0 ] "a" [] ] with
   | _ -> Alcotest.fail "duplicate drives must be rejected"
   | exception Invalid_argument _ -> ()
 
@@ -174,7 +221,7 @@ let elapsed_at ~strategy ~seed k =
   let eng, _ = make_engine ~blocks:1024 ~bytes:3_000_000 ~seed () in
   ignore (backup eng ~strategy ~parts:4 ~drives:(drive_pool k));
   match Engine.last_stats eng with
-  | Some st -> st.Scheduler.elapsed
+  | Some st -> st.Scheduler.p_elapsed
   | None -> Alcotest.fail "no schedule stats"
 
 let prop_scaling_shape =
