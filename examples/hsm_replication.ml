@@ -4,7 +4,8 @@
      RAID filer to a cheaper backup file server, which then streams to
      tape on its own schedule;
    - image-dump-based remote mirroring: ship a full image once, then
-     plane-difference incrementals, over a rate-limited link.
+     plane-difference incrementals, over a rate-limited network link
+     ({!Repro_repl.Repl}).
 
    Run with: dune exec examples/hsm_replication.exe *)
 
@@ -15,7 +16,8 @@ module Fs = Repro_wafl.Fs
 module Dump = Repro_dump.Dump
 module Restore = Repro_dump.Restore
 module Dumpdates = Repro_dump.Dumpdates
-module Mirror = Repro_image.Mirror
+module Link = Repro_net.Link
+module Repl = Repro_repl.Repl
 module Generator = Repro_workload.Generator
 module Ager = Repro_workload.Ager
 module Compare = Repro_workload.Compare
@@ -82,26 +84,26 @@ let () =
 
   say "";
   say "=== image-dump mirroring over a 100 Mbit link (paper section 6) ===";
-  let mirror_vol = Volume.create ~label:"remote" (Volume.small_geometry ~data_blocks:24576) in
-  let m = Mirror.create ~link_mb_s:12.5 ~label:"dr-site" mirror_vol in
-  Fs.snapshot_create primary "mirror.0";
-  let x0 = Mirror.initialize m ~from:primary ~snapshot:"mirror.0" in
-  say "  initial sync: %d blocks, %.1f s on the link" x0.Mirror.blocks x0.Mirror.link_seconds;
+  let t = Repl.create ~primary:"fast" primary in
+  Repl.add_replica t ~params:(Link.params ~bandwidth_bytes_s:12.5e6 ()) ~upstream:"fast"
+    ~name:"dr-site" ();
+  let show (x : Repl.transfer) =
+    say "  %s %s: %d bytes, %.2f s on the link"
+      (match x.Repl.xfer_kind with `Full -> "full" | `Incremental -> "incremental")
+      x.Repl.xfer_snapshot x.Repl.xfer_payload_bytes x.Repl.xfer_wire_s
+  in
+  ignore (Repl.checkpoint t);
+  List.iter show (Repl.sync t ~name:"dr-site");
   for epoch = 1 to 3 do
     ignore
       (Ager.age
          ~churn:{ Ager.default_churn with Ager.seed = 100 + epoch; rounds = 1; batch = 20 }
          ~fs:primary ~root:"/data" ());
-    let name = Printf.sprintf "mirror.%d" epoch in
-    Fs.snapshot_create primary name;
-    let x = Mirror.update m ~from:primary ~snapshot:name in
-    (* the previous mirror snapshot has served its purpose *)
-    Fs.snapshot_delete primary (Printf.sprintf "mirror.%d" (epoch - 1));
-    say "  update %d: %d blocks (plane difference), %.2f s on the link" epoch
-      x.Mirror.blocks x.Mirror.link_seconds
+    ignore (Repl.checkpoint t);
+    (* one plane-difference incremental per new checkpoint *)
+    List.iter show (Repl.sync t ~name:"dr-site")
   done;
-  let mfs = Mirror.mount m in
-  (match Compare.trees ~src:(primary, "/data") ~dst:(mfs, "/data") () with
-  | Ok () -> say "  mirror verified: remote volume matches the primary"
+  (match Repl.verify t ~name:"dr-site" with
+  | Ok () -> say "  mirror verified: every checkpoint on dr-site matches the primary"
   | Error d -> say "  MIRROR DIVERGED: %s" (String.concat "; " d));
   say "done."

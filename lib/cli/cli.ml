@@ -25,7 +25,6 @@ module Analysis = Repro_obs.Analysis
 module Slo = Repro_obs.Slo
 module Prof = Repro_prof.Prof
 module Link = Repro_net.Link
-module Mirror = Repro_image.Mirror
 module Repl = Repro_repl.Repl
 module Serde = Repro_util.Serde
 module Fleet = Repro_fleet.Fleet
@@ -57,11 +56,14 @@ let handle f =
        run mirror resync %s@."
       node base node;
     1
-  | Mirror.Error e ->
-    Format.eprintf "error: %s@." (Mirror.error_message e);
-    1
   | Engine.Job.Invalid e ->
     Format.eprintf "error: %s@." (Engine.Job.error_message e);
+    1
+  | Engine.Attach_invalid e ->
+    Format.eprintf "error: %s@." (Engine.attach_error_message e);
+    1
+  | Link.Invalid e ->
+    Format.eprintf "error: %s@." (Link.error_message e);
     1
   | Fleet.Spec.Invalid e ->
     Format.eprintf "error: %s@." (Fleet.Spec.error_message e);
@@ -95,17 +97,12 @@ let () =
       ("quota", "Manage quota-tree limits");
       ("ln", "Create a hard or symbolic link");
       ("serve", "Attach a remote tape server's stackers, or list attached servers");
-      ("backup", "Run a backup, locally or to a remote tape server");
+      ("backup", "Run a backup, locally or to a remote tape server, optionally as a fault drill");
       ("catalog", "Show the backup catalog (including resumable in-flight jobs)");
       ("restore", "Logical restore (full chain or selected paths)");
       ("browse", "Interactively browse a dump and extract files (restore -i)");
       ("disaster", "Recreate the volume from the physical chain into a new store");
       ("verify", "Checksum-verify the physical backup chain");
-      ("fault", "Run a backup drill under an armed fault plan and print the journal");
-      ("trace", "Run a backup and export its Chrome trace_event JSON");
-      ("metrics", "Run a backup and print its metrics registry");
-      ("analyze", "Run a backup and print its critical path and bottleneck verdict");
-      ("alerts", "Run a backup under SLO rules and print the alert journal");
       ("mirror", "Manage scheduled replication, failover and resync");
       ("fleet", "Plan, run or inspect a fleet-wide backup night from a spec");
       ("profile", "Run any backupctl command under the host-side self-profiler");
@@ -120,7 +117,7 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 let write_file path contents =
   Repro_util.Atomic_file.write path (fun oc -> output_string oc contents)
 
-let obs_cmds = [ "backup"; "restore"; "fault"; "fleet" ]
+let obs_cmds = [ "backup"; "restore"; "fleet" ]
 
 let trace_out_arg =
   Arg.(
@@ -141,52 +138,24 @@ let metrics_out_arg =
         (Usage.flag ~cmds:obs_cmds [ "metrics-out" ])
         ~docv:"FILE" ~doc:"Write a JSONL metrics dump of this run to $(docv).")
 
-(* Run [f] under a freshly armed obs plane and export what it recorded.
-   The exports happen in the [finally] so an interrupted run (a fault
-   drill dying mid-backup) still leaves its trace behind. *)
-let run_with_obs ?trace_out ?metrics_out f =
-  let o = Obs.create () in
-  Fun.protect
-    ~finally:(fun () ->
-      Option.iter (fun p -> write_file p (Obs.chrome_trace o)) trace_out;
-      Option.iter (fun p -> write_file p (Obs.metrics_jsonl o)) metrics_out)
-    (fun () -> Obs.with_armed o (fun () -> f o))
+(* A fresh plane when [need] or an export asks for one: the common path
+   arms nothing and pays nothing. *)
+let obs_plane ?(need = false) trace_out metrics_out =
+  if need || trace_out <> None || metrics_out <> None then Some (Obs.create ())
+  else None
 
-(* Arm a plane only when some export was requested: the common path pays
-   nothing. *)
-let with_obs trace_out metrics_out f =
-  match (trace_out, metrics_out) with
-  | None, None -> f None
-  | _ -> run_with_obs ?trace_out ?metrics_out (fun o -> f (Some o))
-
-(* --------------------------- self-profiling --------------------------- *)
-
-let prof_cmds =
-  [ "backup"; "restore"; "fault"; "trace"; "metrics"; "analyze"; "alerts" ]
-
-let profile_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info
-        (Usage.flag ~cmds:prof_cmds [ "profile-out" ])
-        ~docv:"FILE"
-        ~doc:
-          "Write a host-side self-profile (JSONL: wall time, allocation and \
-           event-loop statistics per probe) of this run to $(docv). \
-           Profiling is host-only and never changes simulated results.")
-
-(* Arm the self-profiler around [f] only when an export was requested;
-   the export happens in the [finally] so an interrupted run still
-   leaves its profile behind. *)
-let with_prof profile_out f =
-  match profile_out with
+(* Run [f] under [obs], if any, and export what it recorded. The exports
+   happen in the [finally] so an interrupted run (a fault drill dying
+   mid-backup) still leaves its trace behind. *)
+let with_obs obs ?trace_out ?metrics_out f =
+  match obs with
   | None -> f ()
-  | Some path ->
-    let p = Prof.create () in
+  | Some o ->
     Fun.protect
-      ~finally:(fun () -> write_file path (Prof.jsonl p))
-      (fun () -> Prof.with_armed p f)
+      ~finally:(fun () ->
+        Option.iter (fun p -> write_file p (Obs.chrome_trace o)) trace_out;
+        Option.iter (fun p -> write_file p (Obs.metrics_jsonl o)) metrics_out)
+      (fun () -> Obs.with_armed o f)
 
 (* ------------------------------- args -------------------------------- *)
 
@@ -467,7 +436,7 @@ let cmd_serve =
               false
             | Some host ->
               let libraries =
-                List.init drives (fun i ->
+                List.init (Int.max 0 drives) (fun i ->
                     Library.create ~slots
                       ~label:(Printf.sprintf "%s.stacker%d" host i)
                       ())
@@ -583,9 +552,7 @@ let report_entry (e : Catalog.entry) =
        Printf.sprintf " — DEGRADED: %d unreadable file(s) skipped" e.Catalog.degraded
      else "")
 
-(* The backup job description, shared — identically — by the backup,
-   fault, trace, metrics, analyze and alerts commands. *)
-let backup_cmds = [ "backup"; "fault"; "trace"; "metrics"; "analyze"; "alerts" ]
+let backup_cmds = [ "backup" ]
 
 let strategy_arg =
   Arg.(
@@ -646,14 +613,6 @@ let remote_arg =
           "Write to the named tape server's drives over its network link \
            (attach one first with $(b,serve)).")
 
-let backup_args =
-  let tup strategy level subtree drive drives parts resume remote =
-    (strategy, level, subtree, drive, drives, parts, resume, remote)
-  in
-  Term.(
-    const tup $ strategy_arg $ level_arg $ subtree_arg $ drive_arg $ drives_arg
-    $ parts_arg $ resume_arg $ remote_arg)
-
 let pool_of engine ~remote ~drives ~drive =
   match remote with
   | Some host -> (
@@ -668,248 +627,17 @@ let pool_of engine ~remote ~drives ~drive =
     else if drive <> 0 then Some [ drive ]
     else None
 
-let job_of engine (strategy, level, subtree, drive, drives, parts, resume, remote) =
-  Engine.Job.make ~strategy ?level ~subtree
-    ?drives:(pool_of engine ~remote ~drives ~drive)
-    ~parts ~resume ()
-
-let run_backup engine args = Engine.backup_job engine (job_of engine args)
-
-let cmd_backup =
-  let run store args trace_out metrics_out profile_out =
-    handle (fun () ->
-        with_prof profile_out (fun () ->
-            with_store store (fun engine ->
-                with_obs trace_out metrics_out (fun _obs ->
-                    report_entry (run_backup engine args));
-                true)))
+(* The job flags, as a job for a loaded engine (the pool names its
+   drives). *)
+let job_arg =
+  let job strategy level subtree drive drives parts resume remote engine =
+    Engine.Job.make ~strategy ?level ~subtree
+      ?drives:(pool_of engine ~remote ~drives ~drive)
+      ~parts ~resume ()
   in
-  Cmd.v
-    (Cmd.info "backup" ~doc:(summary "backup"))
-    Term.(
-      const run $ store_arg $ backup_args $ trace_out_arg $ metrics_out_arg
-      $ profile_out_arg)
-
-let cmd_trace =
-  let run store args out profile_out =
-    handle (fun () ->
-        with_prof profile_out (fun () ->
-            with_store store (fun engine ->
-                run_with_obs ~trace_out:out (fun o ->
-                    report_entry (run_backup engine args);
-                    say "trace: %d events written to %s"
-                      (List.length (Obs.events o))
-                      out);
-                true)))
-  in
-  let out =
-    Arg.(
-      value & opt string "trace.json"
-      & info (Usage.flag ~cmds:[ "trace" ] [ "out"; "o" ])
-          ~docv:"FILE" ~doc:"Trace output file.")
-  in
-  Cmd.v
-    (Cmd.info "trace" ~doc:(summary "trace"))
-    Term.(const run $ store_arg $ backup_args $ out $ profile_out_arg)
-
-let cmd_metrics =
-  let run store args out jsonl profile_out =
-    handle (fun () ->
-        with_prof profile_out (fun () ->
-            with_store store (fun engine ->
-                run_with_obs ?metrics_out:out (fun o ->
-                    report_entry (run_backup engine args);
-                    if jsonl then print_string (Obs.metrics_jsonl o)
-                    else Obs.pp_summary Format.std_formatter o);
-                true)))
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info (Usage.flag ~cmds:[ "metrics" ] [ "out"; "o" ])
-          ~docv:"FILE" ~doc:"Also write the JSONL dump here.")
-  in
-  let jsonl =
-    Arg.(
-      value & flag
-      & info (Usage.flag ~cmds:[ "metrics" ] [ "jsonl" ])
-          ~doc:"Print JSONL instead of the summary table.")
-  in
-  Cmd.v
-    (Cmd.info "metrics" ~doc:(summary "metrics"))
-    Term.(const run $ store_arg $ backup_args $ out $ jsonl $ profile_out_arg)
-
-let cmd_analyze =
-  let run store args out series_out profile_out =
-    handle (fun () ->
-        with_prof profile_out (fun () ->
-            with_store store (fun engine ->
-                let o = Obs.create () in
-                Obs.with_armed o (fun () -> report_entry (run_backup engine args));
-                let report = Analysis.analyze o in
-                Report.bottleneck Format.std_formatter report;
-                Option.iter (fun p -> write_file p (Analysis.to_json report)) out;
-                Option.iter (fun p -> write_file p (Analysis.series_csv o)) series_out;
-                true)))
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info
-          (Usage.flag ~cmds:[ "analyze" ] [ "out"; "o" ])
-          ~docv:"FILE" ~doc:"Write the analysis report JSON to $(docv).")
-  in
-  let series_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info
-          (Usage.flag ~cmds:[ "analyze" ] [ "series-out" ])
-          ~docv:"FILE"
-          ~doc:
-            "Write every time series (including the 64-bin utilization \
-             timelines) as CSV ($(b,series,t_s,value)) to $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "analyze" ~doc:(summary "analyze"))
-    Term.(const run $ store_arg $ backup_args $ out $ series_out $ profile_out_arg)
-
-let cmd_catalog =
-  let run store =
-    handle (fun () ->
-        with_store store (fun engine ->
-            say "%-4s %-9s %-14s %5s %12s %6s %6s  %s" "id" "strategy" "label" "level"
-              "bytes" "drive" "strm" "media";
-            List.iter
-              (fun (e : Catalog.entry) ->
-                say "%-4d %-9s %-14s %5d %12d %6d %6s  %s%s" e.Catalog.id
-                  (Strategy.to_string e.Catalog.strategy)
-                  e.Catalog.label e.Catalog.level e.Catalog.bytes e.Catalog.drive
-                  (streams_str e)
-                  (String.concat "," e.Catalog.media)
-                  (if e.Catalog.degraded > 0 then
-                     Printf.sprintf "  [degraded: %d]" e.Catalog.degraded
-                   else ""))
-              (Catalog.entries (Engine.catalog engine));
-            List.iter
-              (fun (ck : Catalog.checkpoint) ->
-                say "in-flight: %s %s level %d — %d/%d parts done (backup --resume)"
-                  (Strategy.to_string ck.Catalog.ck_strategy)
-                  ck.Catalog.ck_label ck.Catalog.ck_level
-                  (List.length ck.Catalog.ck_done)
-                  ck.Catalog.ck_parts)
-              (Catalog.checkpoints (Engine.catalog engine));
-            false))
-  in
-  Cmd.v (Cmd.info "catalog" ~doc:(summary "catalog")) Term.(const run $ store_arg)
-
-(* ------------------------------ restore ------------------------------ *)
-
-let cmd_restore =
-  let run store label target select drives trace_out metrics_out profile_out =
-    handle (fun () ->
-        with_prof profile_out (fun () ->
-            with_store store (fun engine ->
-            let fs = Engine.fs engine in
-            let select = match select with [] -> None | l -> Some l in
-            with_obs trace_out metrics_out (fun _obs ->
-                let results =
-                  Engine.restore_logical engine ~label ~fs ~target ?select
-                    ~concurrency:drives ()
-                in
-                List.iteri
-                  (fun i (r : Restore.apply_result) ->
-                    say
-                      "stream %d: %d files restored, %d dirs created, %d deleted, %d bytes"
-                      i r.Restore.files_restored r.Restore.dirs_created
-                      r.Restore.files_deleted r.Restore.bytes_restored)
-                  results);
-            true)))
-  in
-  let label =
-    Arg.(
-      required
-      & opt (some string) None
-      & info
-          (Usage.flag ~cmds:[ "restore"; "disaster"; "verify"; "browse" ] [ "label" ])
-          ~doc:"Backup label.")
-  in
-  let target =
-    Arg.(
-      required
-      & opt (some string) None
-      & info (Usage.flag ~cmds:[ "restore" ] [ "target" ])
-          ~doc:"Restore target path.")
-  in
-  let select =
-    Arg.(
-      value & opt_all string []
-      & info (Usage.flag ~cmds:[ "restore" ] [ "select" ])
-          ~doc:"Restore only this path (repeatable).")
-  in
-  Cmd.v
-    (Cmd.info "restore" ~doc:(summary "restore"))
-    Term.(
-      const run $ store_arg $ label $ target $ select $ drives_arg
-      $ trace_out_arg $ metrics_out_arg $ profile_out_arg)
-
-let cmd_disaster =
-  let run store label output =
-    handle (fun () ->
-        let engine = Store.load ~path:store in
-        let src_vol = Fs.volume (Engine.fs engine) in
-        let replacement = Volume.create ~label:"replacement" (Volume.geometry_of src_vol) in
-        let results =
-          Engine.restore_physical engine ~label ~volume:replacement ()
-        in
-        say "applied %d image stream(s)" (List.length results);
-        let fs = Fs.mount replacement in
-        (match Fs.fsck fs with
-        | Ok () -> say "recovered volume: fsck clean"
-        | Error p -> List.iter (fun m -> say "fsck: %s" m) p);
-        (* The recovered filer keeps the old tape inventory and catalog:
-           round-trip the engine blob against the recovered file system. *)
-        let buf = Repro_util.Serde.writer () in
-        Engine.save buf engine;
-        let recovered =
-          Engine.load (Repro_util.Serde.reader (Repro_util.Serde.contents buf)) ~fs
-        in
-        Store.save ~path:output recovered;
-        say "recovered filer written to %s" output;
-        0)
-  in
-  let label =
-    Arg.(
-      required & opt (some string) None & info [ "label" ] ~doc:"Physical backup label.")
-  in
-  let output =
-    Arg.(
-      required
-      & opt (some string) None
-      & info (Usage.flag ~cmds:[ "disaster" ] [ "output" ]) ~doc:"New store file.")
-  in
-  Cmd.v
-    (Cmd.info "disaster" ~doc:(summary "disaster"))
-    Term.(const run $ store_arg $ label $ output)
-
-let cmd_verify =
-  let run store label =
-    handle (fun () ->
-        with_store store (fun engine ->
-            (match Engine.verify_physical engine ~label with
-            | Ok blocks -> say "verified: %d blocks checksum clean" blocks
-            | Error problems -> List.iter (fun p -> say "verify: %s" p) problems);
-            false))
-  in
-  let label =
-    Arg.(
-      required & opt (some string) None & info [ "label" ] ~doc:"Physical backup label.")
-  in
-  Cmd.v
-    (Cmd.info "verify" ~doc:(summary "verify"))
-    Term.(const run $ store_arg $ label)
+  Term.(
+    const job $ strategy_arg $ level_arg $ subtree_arg $ drive_arg $ drives_arg
+    $ parts_arg $ resume_arg $ remote_arg)
 
 (* ------------------------------ faults ------------------------------- *)
 
@@ -996,60 +724,119 @@ let inject_conv =
   in
   Arg.conv (parse, print)
 
-let cmd_fault =
-  let run store args seed injects revive trace_out metrics_out profile_out =
+(* A drill: run [job] under an armed fault plan. A hard fault interrupts
+   the backup and leaves its checkpoint; with [revive], heal everything
+   the plan killed (dead tape drives, partitioned links) and resume. *)
+let drill engine job ~seed ~revive injects =
+  let plane = Fault.plan ~seed injects in
+  Fault.with_armed plane (fun () ->
+      (match Engine.backup_job engine job with
+      | entry -> report_entry entry
+      | exception
+          (( Fault.Drive_dead _ | Fault.Media_error _ | Fault.Transient _
+           | Fault.Partitioned _ | Disk.Disk_failed _ | Fs.Error _ ) as e)
+        ->
+        say "backup interrupted: %s" (Printexc.to_string e);
+        if revive then begin
+          List.iter
+            (fun spec ->
+              match spec with
+              | Fault.Tape_drive_death { device; _ } when Fault.dead plane ~device ->
+                Fault.revive plane ~device
+              | Fault.Link_partition { device; _ }
+                when Fault.partitioned plane ~device ->
+                Fault.revive plane ~device
+              | _ -> ())
+            injects;
+          report_entry
+            (Engine.backup_job engine
+               (Engine.Job.make ~strategy:job.Engine.Job.strategy
+                  ~subtree:job.Engine.Job.subtree ~resume:true ()))
+        end);
+      Report.faults Format.std_formatter ~plane ~engine)
+
+(* What a finished run explains about itself, all read from the one
+   (disarmed) plane it ran under: the bottleneck verdict, the time
+   series and the alert journal. *)
+let explain o ~analysis_out ~series_out ~rules ~alerts_out =
+  Option.iter
+    (fun p ->
+      let report = Analysis.analyze o in
+      Report.bottleneck Format.std_formatter report;
+      write_file p (Analysis.to_json report))
+    analysis_out;
+  Option.iter (fun p -> write_file p (Analysis.series_csv o)) series_out;
+  Option.iter
+    (fun rules ->
+      let e = Slo.create ~rules o in
+      Slo.replay e;
+      let alerts = Slo.alerts e in
+      Slo.pp_journal Format.std_formatter alerts;
+      Option.iter (fun p -> write_file p (Slo.journal_json alerts)) alerts_out)
+    rules
+
+let cmd_backup =
+  let run store job trace_out metrics_out analysis_out series_out rules_file
+      alerts_out seed injects revive =
     handle (fun () ->
-        with_prof profile_out (fun () ->
+        (* parse the rules first: a typo in the rule file should not cost
+           a backup run *)
+        let rules =
+          match (rules_file, alerts_out) with
+          | Some rf, _ -> Some (Slo.parse_rules (read_file rf))
+          | None, Some _ -> Some (Slo.default_job_rules ())
+          | None, None -> None
+        in
         with_store store (fun engine ->
-            let plane = Fault.plan ~seed injects in
-            (* A drill always records: the report reads its counters from
-               the metrics registry, and the trace carries every injected
-               fault as an instant inside the span it hit. *)
-            run_with_obs ?trace_out ?metrics_out (fun obs ->
-                Fault.with_armed plane (fun () ->
-                    let job = job_of engine args in
-                    (match Engine.backup_job engine job with
-                    | entry -> report_entry entry
-                    | exception
-                        (( Fault.Drive_dead _ | Fault.Media_error _
-                         | Fault.Transient _ | Fault.Partitioned _
-                         | Disk.Disk_failed _ | Fs.Error _ ) as e)
-                    ->
-                      say "backup interrupted: %s" (Printexc.to_string e);
-                      if revive then begin
-                        (* Heal everything the plan killed — dead tape
-                           drives and partitioned links — then resume. *)
-                        List.iter
-                          (fun spec ->
-                            match spec with
-                            | Fault.Tape_drive_death { device; _ }
-                              when Fault.dead plane ~device ->
-                              Fault.revive plane ~device
-                            | Fault.Link_partition { device; _ }
-                              when Fault.partitioned plane ~device ->
-                              Fault.revive plane ~device
-                            | _ -> ())
-                          injects;
-                        report_entry
-                          (Engine.backup_job engine
-                             (Engine.Job.make ~strategy:job.Engine.Job.strategy
-                                ~subtree:job.Engine.Job.subtree ~resume:true ()))
-                      end);
-                    Report.faults Format.std_formatter ~obs ~plane ~engine ()));
-            true)))
+            let need = analysis_out <> None || series_out <> None || rules <> None in
+            let obs = obs_plane ~need trace_out metrics_out in
+            with_obs obs ?trace_out ?metrics_out (fun () ->
+                let job = job engine in
+                if injects = [] then report_entry (Engine.backup_job engine job)
+                else drill engine job ~seed ~revive injects);
+            Option.iter (explain ~analysis_out ~series_out ~rules ~alerts_out) obs;
+            true))
+  in
+  let file_arg name doc =
+    Arg.(
+      value
+      & opt (some string) None
+      & info (Usage.flag ~cmds:backup_cmds [ name ]) ~docv:"FILE" ~doc)
+  in
+  let analysis_out =
+    file_arg "analysis-out"
+      "Print the run's critical path and bottleneck verdict, and write the \
+       analysis report JSON to $(docv)."
+  in
+  let series_out =
+    file_arg "series-out"
+      "Write every time series (including the 64-bin utilization \
+       timelines) as CSV ($(b,series,t_s,value)) to $(docv)."
+  in
+  let rules_file =
+    file_arg "rules"
+      "Replay the SLO rules in $(docv) ($(b,SLO1) format; see docs/SLO.md) \
+       over the run and print the alert journal."
+  in
+  let alerts_out =
+    file_arg "alerts-out"
+      "Print the alert journal and write it as JSON to $(docv). Without \
+       $(b,--rules), the built-in job rules apply (tape silence, faults \
+       injected, retry budget)."
   in
   let seed =
     Arg.(
       value & opt int 0
-      & info (Usage.flag ~cmds:[ "fault" ] [ "seed" ]) ~doc:"Fault-plan PRNG seed.")
+      & info (Usage.flag ~cmds:backup_cmds [ "seed" ]) ~doc:"Fault-plan PRNG seed.")
   in
   let injects =
     Arg.(
       value & opt_all inject_conv []
-      & info (Usage.flag ~cmds:[ "fault" ] [ "inject" ])
+      & info (Usage.flag ~cmds:backup_cmds [ "inject" ])
           ~docv:"SPEC"
           ~doc:
-            "Fault to inject (repeatable): lse:DEV:ADDR, flaky:DEV:N:PROB, \
+            "Run the backup as a drill under this fault (repeatable) and print \
+             the fault journal: lse:DEV:ADDR, flaky:DEV:N:PROB, \
              disk-death:DEV:N, tape-soft:DEV:read|write:N, tape-hard:DEV:REC, \
              tape-death:DEV:N, nvram-loss:DEV:N, torn-fsinfo:DEV, \
              net-loss:HOST:N:PROB, net-flap:HOST:AFTER:DOWN, \
@@ -1060,16 +847,152 @@ let cmd_fault =
   let revive =
     Arg.(
       value & flag
-      & info (Usage.flag ~cmds:[ "fault" ] [ "revive" ])
+      & info (Usage.flag ~cmds:backup_cmds [ "revive" ])
           ~doc:
-            "If a hard fault interrupts the backup, revive dead tape drives, \
+            "If a hard fault interrupts a drill, revive dead tape drives, \
              heal partitioned links, and resume the job.")
   in
   Cmd.v
-    (Cmd.info "fault" ~doc:(summary "fault"))
+    (Cmd.info "backup" ~doc:(summary "backup"))
     Term.(
-      const run $ store_arg $ backup_args $ seed $ injects $ revive
-      $ trace_out_arg $ metrics_out_arg $ profile_out_arg)
+      const run $ store_arg $ job_arg $ trace_out_arg $ metrics_out_arg
+      $ analysis_out $ series_out $ rules_file $ alerts_out $ seed $ injects
+      $ revive)
+
+let cmd_catalog =
+  let run store =
+    handle (fun () ->
+        with_store store (fun engine ->
+            say "%-4s %-9s %-14s %5s %12s %6s %6s  %s" "id" "strategy" "label" "level"
+              "bytes" "drive" "strm" "media";
+            List.iter
+              (fun (e : Catalog.entry) ->
+                say "%-4d %-9s %-14s %5d %12d %6d %6s  %s%s" e.Catalog.id
+                  (Strategy.to_string e.Catalog.strategy)
+                  e.Catalog.label e.Catalog.level e.Catalog.bytes e.Catalog.drive
+                  (streams_str e)
+                  (String.concat "," e.Catalog.media)
+                  (if e.Catalog.degraded > 0 then
+                     Printf.sprintf "  [degraded: %d]" e.Catalog.degraded
+                   else ""))
+              (Catalog.entries (Engine.catalog engine));
+            List.iter
+              (fun (ck : Catalog.checkpoint) ->
+                say "in-flight: %s %s level %d — %d/%d parts done (backup --resume)"
+                  (Strategy.to_string ck.Catalog.ck_strategy)
+                  ck.Catalog.ck_label ck.Catalog.ck_level
+                  (List.length ck.Catalog.ck_done)
+                  ck.Catalog.ck_parts)
+              (Catalog.checkpoints (Engine.catalog engine));
+            false))
+  in
+  Cmd.v (Cmd.info "catalog" ~doc:(summary "catalog")) Term.(const run $ store_arg)
+
+(* ------------------------------ restore ------------------------------ *)
+
+let cmd_restore =
+  let run store label target select drives trace_out metrics_out =
+    handle (fun () ->
+        with_store store (fun engine ->
+            let fs = Engine.fs engine in
+            let select = match select with [] -> None | l -> Some l in
+            with_obs (obs_plane trace_out metrics_out) ?trace_out ?metrics_out
+              (fun () ->
+                let results =
+                  Engine.restore_logical engine ~label ~fs ~target ?select
+                    ~concurrency:drives ()
+                in
+                List.iteri
+                  (fun i (r : Restore.apply_result) ->
+                    say
+                      "stream %d: %d files restored, %d dirs created, %d deleted, %d bytes"
+                      i r.Restore.files_restored r.Restore.dirs_created
+                      r.Restore.files_deleted r.Restore.bytes_restored)
+                  results);
+            true))
+  in
+  let label =
+    Arg.(
+      required
+      & opt (some string) None
+      & info
+          (Usage.flag ~cmds:[ "restore"; "disaster"; "verify"; "browse" ] [ "label" ])
+          ~doc:"Backup label.")
+  in
+  let target =
+    Arg.(
+      required
+      & opt (some string) None
+      & info (Usage.flag ~cmds:[ "restore" ] [ "target" ])
+          ~doc:"Restore target path.")
+  in
+  let select =
+    Arg.(
+      value & opt_all string []
+      & info (Usage.flag ~cmds:[ "restore" ] [ "select" ])
+          ~doc:"Restore only this path (repeatable).")
+  in
+  Cmd.v
+    (Cmd.info "restore" ~doc:(summary "restore"))
+    Term.(
+      const run $ store_arg $ label $ target $ select $ drives_arg
+      $ trace_out_arg $ metrics_out_arg)
+
+let cmd_disaster =
+  let run store label output =
+    handle (fun () ->
+        let engine = Store.load ~path:store in
+        let src_vol = Fs.volume (Engine.fs engine) in
+        let replacement = Volume.create ~label:"replacement" (Volume.geometry_of src_vol) in
+        let results =
+          Engine.restore_physical engine ~label ~volume:replacement ()
+        in
+        say "applied %d image stream(s)" (List.length results);
+        let fs = Fs.mount replacement in
+        (match Fs.fsck fs with
+        | Ok () -> say "recovered volume: fsck clean"
+        | Error p -> List.iter (fun m -> say "fsck: %s" m) p);
+        (* The recovered filer keeps the old tape inventory and catalog:
+           round-trip the engine blob against the recovered file system. *)
+        let buf = Repro_util.Serde.writer () in
+        Engine.save buf engine;
+        let recovered =
+          Engine.load (Repro_util.Serde.reader (Repro_util.Serde.contents buf)) ~fs
+        in
+        Store.save ~path:output recovered;
+        say "recovered filer written to %s" output;
+        0)
+  in
+  let label =
+    Arg.(
+      required & opt (some string) None & info [ "label" ] ~doc:"Physical backup label.")
+  in
+  let output =
+    Arg.(
+      required
+      & opt (some string) None
+      & info (Usage.flag ~cmds:[ "disaster" ] [ "output" ]) ~doc:"New store file.")
+  in
+  Cmd.v
+    (Cmd.info "disaster" ~doc:(summary "disaster"))
+    Term.(const run $ store_arg $ label $ output)
+
+let cmd_verify =
+  let run store label =
+    handle (fun () ->
+        with_store store (fun engine ->
+            (match Engine.verify_physical engine ~label with
+            | Ok blocks -> say "verified: %d blocks checksum clean" blocks
+            | Error problems -> List.iter (fun p -> say "verify: %s" p) problems);
+            false))
+  in
+  let label =
+    Arg.(
+      required & opt (some string) None & info [ "label" ] ~doc:"Physical backup label.")
+  in
+  Cmd.v
+    (Cmd.info "verify" ~doc:(summary "verify"))
+    Term.(const run $ store_arg $ label)
 
 let cmd_quota =
   let run store action path limit =
@@ -1534,9 +1457,11 @@ let cmd_fleet =
           in
           (* The SLO engine and the night report need an armed plane even
              when no trace/metrics export was asked for. *)
-          if report_out <> None || rules_file <> None then
-            run_with_obs ?trace_out ?metrics_out (fun o -> night (Some o))
-          else with_obs trace_out metrics_out night
+          let obs =
+            obs_plane ~need:(report_out <> None || rules_file <> None)
+              trace_out metrics_out
+          in
+          with_obs obs ?trace_out ?metrics_out (fun () -> night obs)
         | "status" ->
           let st = Fleet.Status.load (Serde.reader (read_file file)) in
           Fleet.Status.pp Format.std_formatter st;
@@ -1648,57 +1573,6 @@ let cmd_fleet =
       $ storm_drives $ storm_abort $ storm_seed $ rules_file $ report_out
       $ trace_out_arg $ metrics_out_arg)
 
-(* ------------------------------- alerts ------------------------------- *)
-
-let cmd_alerts =
-  let run store args rules_file out profile_out =
-    handle (fun () ->
-        with_prof profile_out (fun () ->
-            with_store store (fun engine ->
-                (* parse the rules first: a typo in the rule file should
-                   not cost a backup run *)
-                let rules =
-                  match rules_file with
-                  | None -> Slo.default_job_rules ()
-                  | Some rf -> Slo.parse_rules (read_file rf)
-                in
-                let o = Obs.create () in
-                Obs.with_armed o (fun () ->
-                    report_entry (run_backup engine args));
-                let e = Slo.create ~rules o in
-                Slo.replay e;
-                let alerts = Slo.alerts e in
-                Slo.pp_journal Format.std_formatter alerts;
-                Option.iter
-                  (fun p -> write_file p (Slo.journal_json alerts))
-                  out;
-                true)))
-  in
-  let rules_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info
-          (Usage.flag ~cmds:[ "alerts" ] [ "rules" ])
-          ~docv:"FILE"
-          ~doc:
-            "SLO rule file ($(b,SLO1) format; see docs/SLO.md). Default: \
-             the built-in job rules (tape silence, faults injected, retry \
-             budget).")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info
-          (Usage.flag ~cmds:[ "alerts" ] [ "out"; "o" ])
-          ~docv:"FILE" ~doc:"Write the alert journal JSON to $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "alerts" ~doc:(summary "alerts"))
-    Term.(
-      const run $ store_arg $ backup_args $ rules_file $ out $ profile_out_arg)
-
 (* ------------------------------ profile ------------------------------ *)
 
 (* Every command [profile] can wrap: all but itself. *)
@@ -1723,11 +1597,6 @@ let profiled_commands =
     cmd_browse;
     cmd_disaster;
     cmd_verify;
-    cmd_fault;
-    cmd_trace;
-    cmd_metrics;
-    cmd_analyze;
-    cmd_alerts;
     cmd_mirror;
     cmd_fleet;
   ]

@@ -97,14 +97,20 @@ let remote_drives t ~host =
     (fun d -> String.equal t.atts.(d).att_host host)
     (List.init (Array.length t.atts) Fun.id)
 
+type attach_error = Empty_host | No_libraries of string | Link_configured of string
+
+exception Attach_invalid of attach_error
+
+let attach_error_message = function
+  | Empty_host -> "tape server host name must not be empty"
+  | No_libraries h -> Printf.sprintf "tape server %S needs at least one drive" h
+  | Link_configured h -> Printf.sprintf "the link to %S is already configured" h
+
 let attach_remote t ~host ?link_params ~libraries () =
-  if host = "" then invalid_arg "Engine.attach_remote: empty host";
-  if libraries = [] then invalid_arg "Engine.attach_remote: no tape libraries";
+  if host = "" then raise (Attach_invalid Empty_host);
+  if libraries = [] then raise (Attach_invalid (No_libraries host));
   (match (List.assoc_opt host t.links, link_params) with
-  | Some _, Some _ ->
-    invalid_arg
-      (Printf.sprintf "Engine.attach_remote: link to %S already configured"
-         host)
+  | Some _, Some _ -> raise (Attach_invalid (Link_configured host))
   | Some _, None -> ()
   | None, p -> t.links <- t.links @ [ (host, Link.create ?params:p ~label:host ()) ]);
   let base = Array.length t.atts in

@@ -86,6 +86,16 @@ val catalog : t -> Catalog.t
     and restores ship the stream back. Byte content on the remote
     cartridges is identical to a local backup's. *)
 
+type attach_error =
+  | Empty_host
+  | No_libraries of string  (** the host *)
+  | Link_configured of string  (** the host *)
+
+exception Attach_invalid of attach_error
+(** A malformed {!attach_remote}, rejected before the engine changes. *)
+
+val attach_error_message : attach_error -> string
+
 val attach_remote :
   t ->
   host:string ->
@@ -98,7 +108,7 @@ val attach_remote :
     The first attachment to [host] creates its link ([link_params]
     defaulting to {!Repro_net.Link.default_params}); later attachments
     reuse it and must not pass [link_params]. The control session is
-    dialed lazily on first use. Raises [Invalid_argument] on an empty
+    dialed lazily on first use. Raises {!Attach_invalid} on an empty
     [host], an empty [libraries], or re-configuring an existing link. *)
 
 val drive_count : t -> int

@@ -286,34 +286,14 @@ let scaling_chart ppf (runs : Experiment.basic list) =
         (if b.Experiment.tapes = 1 then " " else "s") p (bar p))
     runs
 
-let faults ppf ?obs ~plane ~engine () =
+let faults ppf ~plane ~engine =
   let module F = Repro_fault.Fault in
-  let module Obs = Repro_obs.Obs in
   Format.fprintf ppf "Fault drill report@.";
   hline ppf 72;
-  (* With an obs plane the counters come from the metrics registry the
-     layers feed directly; otherwise fold the fault journal. Same truth,
-     two carriers. *)
-  let injected, repairs, retries, skips, media_repairs =
-    match obs with
-    | Some o ->
-      ( Obs.counter_value o "fault.injected",
-        Obs.counter_value o "fault.repairs",
-        Obs.counter_value o "fault.retries",
-        Obs.counter_value o "fault.skips",
-        Obs.counter_value o "raid.media_repairs" )
-    | None ->
-      ( F.injected plane,
-        F.repairs plane,
-        F.retries plane,
-        F.skips plane,
-        Repro_block.Volume.media_repairs
-          (Repro_wafl.Fs.volume (Engine.fs engine)) )
-  in
   Format.fprintf ppf "  injected %d | repairs %d | retries %d | skips %d@."
-    injected repairs retries skips;
+    (F.injected plane) (F.repairs plane) (F.retries plane) (F.skips plane);
   Format.fprintf ppf "  RAID media repairs (reconstruct + rewrite in place): %d@."
-    media_repairs;
+    (Repro_block.Volume.media_repairs (Repro_wafl.Fs.volume (Engine.fs engine)));
   let cat = Engine.catalog engine in
   List.iter
     (fun (e : Catalog.entry) ->
@@ -355,7 +335,8 @@ let concurrent ppf (c : Experiment.concurrent) =
 
 (* The trace-analysis verdict: which resource gated each phase, and the
    critical path the elapsed time flowed through. Rendered from an
-   Analysis.report so `backupctl analyze` and tests share the bytes. *)
+   Analysis.report so `backupctl backup --analysis-out` and tests share
+   the bytes. *)
 let bottleneck ppf (r : Analysis.report) =
   Format.fprintf ppf "Trace analysis@.";
   hline ppf 72;

@@ -28,19 +28,16 @@ val concurrent : Format.formatter -> Experiment.concurrent -> unit
 
 val faults :
   Format.formatter ->
-  ?obs:Repro_obs.Obs.t ->
   plane:Repro_fault.Fault.plane ->
   engine:Engine.t ->
-  unit ->
   unit
-(** After a fault drill: injected/repair/retry/skip counts, RAID media
-    repairs, degraded catalog entries, resumable in-flight checkpoints,
-    and the journal itself. With [obs] the counts are read from that
-    plane's metrics registry ([fault.*], [raid.media_repairs]);
-    otherwise they are folded from the fault journal. *)
+(** After a fault drill: injected/repair/retry/skip counts (folded from
+    the fault journal), RAID media repairs (read from the volume),
+    degraded catalog entries, resumable in-flight checkpoints, and the
+    journal itself. *)
 
 val bottleneck : Format.formatter -> Repro_obs.Analysis.report -> unit
-(** The trace-analysis verdict ([backupctl analyze]): per phase, the
+(** The trace-analysis verdict ([backupctl backup --analysis-out]): per phase, the
     limiting resource class with its mean/peak busy fractions, and the
     critical path — which parts the elapsed time flowed through and the
     per-resource seconds along it. See [docs/OBSERVABILITY.md] §7. *)

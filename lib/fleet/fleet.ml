@@ -292,23 +292,26 @@ module Spec = struct
           let kvs = parse_fields ~line fields in
           let d = Link.default_params in
           let link =
-            Link.params
-              ~bandwidth_bytes_s:
-                (opt_float ~line kvs "link_mb_s"
-                   ~default:(d.Link.bandwidth_bytes_s /. 1e6)
-                *. 1e6)
-              ~latency_s:
-                (opt_float ~line kvs "latency_ms"
-                   ~default:(d.Link.latency_s *. 1e3)
-                /. 1e3)
-              ~mtu_bytes:(opt_int ~line kvs "mtu" ~default:d.Link.mtu_bytes)
-              ~window_bytes:
-                (opt_int ~line kvs "window_kib"
-                   ~default:(d.Link.window_bytes / 1024)
-                * 1024)
-              ~max_retransmits:
-                (opt_int ~line kvs "retrans" ~default:d.Link.max_retransmits)
-              ()
+            try
+              Link.params
+                ~bandwidth_bytes_s:
+                  (opt_float ~line kvs "link_mb_s"
+                     ~default:(d.Link.bandwidth_bytes_s /. 1e6)
+                  *. 1e6)
+                ~latency_s:
+                  (opt_float ~line kvs "latency_ms"
+                     ~default:(d.Link.latency_s *. 1e3)
+                  /. 1e3)
+                ~mtu_bytes:(opt_int ~line kvs "mtu" ~default:d.Link.mtu_bytes)
+                ~window_bytes:
+                  (opt_int ~line kvs "window_kib"
+                     ~default:(d.Link.window_bytes / 1024)
+                  * 1024)
+                ~max_retransmits:
+                  (opt_int ~line kvs "retrans" ~default:d.Link.max_retransmits)
+                ()
+            with Link.Invalid e ->
+              invalid (Parse { line; msg = Link.error_message e })
           in
           hosts :=
             { h_name = name; h_drives = int_field ~line kvs "drives"; h_link = link }

@@ -18,16 +18,38 @@ let default_params =
     max_retransmits = 8;
   }
 
+type error =
+  | Bad_bandwidth of float
+  | Bad_latency of float
+  | Bad_mtu of int
+  | Window_below_mtu of { window : int; mtu : int }
+  | Bad_retransmits of int
+
+exception Invalid of error
+
+let error_message = function
+  | Bad_bandwidth b ->
+    Printf.sprintf "link bandwidth must be positive (got %g bytes/s)" b
+  | Bad_latency l -> Printf.sprintf "link latency must not be negative (got %g s)" l
+  | Bad_mtu m -> Printf.sprintf "link MTU must be positive (got %d bytes)" m
+  | Window_below_mtu { window; mtu } ->
+    Printf.sprintf "link window (%d bytes) is smaller than its MTU (%d bytes)"
+      window mtu
+  | Bad_retransmits n ->
+    Printf.sprintf "link retransmit budget must not be negative (got %d)" n
+
 let params ?(bandwidth_bytes_s = default_params.bandwidth_bytes_s)
     ?(latency_s = default_params.latency_s)
     ?(mtu_bytes = default_params.mtu_bytes)
     ?(window_bytes = default_params.window_bytes)
     ?(max_retransmits = default_params.max_retransmits) () =
-  if bandwidth_bytes_s <= 0.0 then invalid_arg "Link.params: bandwidth";
-  if latency_s < 0.0 then invalid_arg "Link.params: latency";
-  if mtu_bytes <= 0 then invalid_arg "Link.params: mtu";
-  if window_bytes < mtu_bytes then invalid_arg "Link.params: window < mtu";
-  if max_retransmits < 0 then invalid_arg "Link.params: max_retransmits";
+  let invalid e = raise (Invalid e) in
+  if not (bandwidth_bytes_s > 0.0) then invalid (Bad_bandwidth bandwidth_bytes_s);
+  if not (latency_s >= 0.0) then invalid (Bad_latency latency_s);
+  if mtu_bytes <= 0 then invalid (Bad_mtu mtu_bytes);
+  if window_bytes < mtu_bytes then
+    invalid (Window_below_mtu { window = window_bytes; mtu = mtu_bytes });
+  if max_retransmits < 0 then invalid (Bad_retransmits max_retransmits);
   { bandwidth_bytes_s; latency_s; mtu_bytes; window_bytes; max_retransmits }
 
 type t = {

@@ -25,6 +25,17 @@ val default_params : params
 (** A fat datacenter link: 125 MB/s (GbE), 0.2 ms one-way, 64 KiB MTU,
     4 MiB window, 8 retransmits. *)
 
+type error =
+  | Bad_bandwidth of float  (** not positive *)
+  | Bad_latency of float  (** negative *)
+  | Bad_mtu of int  (** not positive *)
+  | Window_below_mtu of { window : int; mtu : int }
+  | Bad_retransmits of int  (** negative *)
+
+exception Invalid of error
+
+val error_message : error -> string
+
 val params :
   ?bandwidth_bytes_s:float ->
   ?latency_s:float ->
@@ -33,8 +44,10 @@ val params :
   ?max_retransmits:int ->
   unit ->
   params
-(** {!default_params} with overrides. Raises [Invalid_argument] on a
-    non-positive bandwidth, MTU or window. *)
+(** {!default_params} with overrides. Raises {!Invalid} on a bandwidth
+    that is not positive, a negative latency, an MTU that is not
+    positive, a window smaller than the MTU, or a negative retransmit
+    budget. *)
 
 type t
 

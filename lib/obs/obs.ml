@@ -707,49 +707,3 @@ let series_jsonl t =
       Buffer.add_string b "]}\n")
     (all_series t);
   Buffer.contents b
-
-let pp_summary ppf t =
-  let spans = List.length (List.filter (fun e -> e.ph = B) (events t)) in
-  Format.fprintf ppf "obs plane: %d events (%d spans), %d open, %d unbalanced ends@."
-    t.nevs spans (open_spans t) (unbalanced t);
-  let counters, gauges, hists =
-    List.fold_left
-      (fun (cs, gs, hs) (name, m) ->
-        match m with
-        | Counter c -> ((name, c.total) :: cs, gs, hs)
-        | Gauge g -> (cs, (name, g.g) :: gs, hs)
-        | Histogram h ->
-          let pct q = if h.n = 0 then 0.0 else percentile_of h.buckets h.n h.sum h.vmax q in
-          ( cs,
-            gs,
-            ( name,
-              ( h.n,
-                h.sum,
-                (if h.n = 0 then 0 else h.vmax),
-                pct 0.5,
-                pct 0.95,
-                pct 0.99 ) )
-            :: hs ))
-      ([], [], []) (sorted_metrics t)
-  in
-  if counters <> [] then begin
-    Format.fprintf ppf "counters:@.";
-    List.iter
-      (fun (name, v) -> Format.fprintf ppf "  %-32s %12d@." name v)
-      (List.rev counters)
-  end;
-  if gauges <> [] then begin
-    Format.fprintf ppf "gauges:@.";
-    List.iter
-      (fun (name, v) -> Format.fprintf ppf "  %-32s %12.2f@." name v)
-      (List.rev gauges)
-  end;
-  if hists <> [] then begin
-    Format.fprintf ppf "histograms: %-20s %8s %14s %12s %10s %10s %10s@." ""
-      "count" "sum" "max" "p50" "p95" "p99";
-    List.iter
-      (fun (name, (n, sum, vmax, p50, p95, p99)) ->
-        Format.fprintf ppf "  %-30s %8d %14d %12d %10.0f %10.0f %10.0f@." name n
-          sum vmax p50 p95 p99)
-      (List.rev hists)
-  end

@@ -216,7 +216,3 @@ val series_jsonl : t -> string
 (** One JSON object per line, one line per series (recorded and
     derived), in {!nat_compare} order:
     [{"name":...,"type":"series","points":[[t_s,v],...]}]. *)
-
-val pp_summary : Format.formatter -> t -> unit
-(** Human table: span and event totals, counters, gauges, histograms
-    (with estimated percentiles). *)

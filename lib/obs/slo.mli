@@ -100,8 +100,8 @@ val replay : ?upto:float -> t -> unit
     rule could change state — the points of every series a rule
     references plus each rule's own [after_s] / [by_s] boundary —
     and {!eval} at each in ascending order, ending at [upto] (default:
-    the latest gathered instant). This is what [backupctl alerts] runs
-    on a finished backup/restore/fault trace. *)
+    the latest gathered instant). This is what [backupctl backup --rules]
+    runs on a finished backup's plane. *)
 
 val alerts : t -> alert list
 (** The journal, in transition order. *)
@@ -110,8 +110,8 @@ val firing : t -> string list
 (** Rules currently firing, in rule order. *)
 
 val default_job_rules : unit -> rule list
-(** The built-in rule set [backupctl alerts] applies to a single
-    backup/restore/fault run when no [--rules] file is given: tape
+(** The built-in rule set [backupctl backup --alerts-out] applies to a
+    single backup or fault drill when no [--rules] file is given: tape
     silence ([tape.write.ops] absent), fault injections present, and
     retries above budget. *)
 

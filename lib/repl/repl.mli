@@ -25,8 +25,7 @@
     promoted, fsck-clean mount). {!resync} reconciles a diverged node
     with its new upstream by computing the newest common snapshot and
     re-shipping only the difference — falling back to a full transfer
-    when the boundary is gone ({!Snapshot_gap}, the typed analogue of
-    {!Repro_image.Mirror.Error}).
+    when the boundary is gone ({!Snapshot_gap}).
 
     Fault addressing: a replica's incoming link is labelled with the
     replica's name (so [net-partition:B:40] partitions the edge into

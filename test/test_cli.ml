@@ -7,6 +7,10 @@
 
 module Cli = Repro_cli.Cli
 module Usage = Repro_cli.Usage
+module Store = Repro_backup.Store
+module Engine = Repro_backup.Engine
+module Catalog = Repro_backup.Catalog
+module Slo = Repro_obs.Slo
 
 let checkb = Alcotest.(check bool)
 
@@ -57,6 +61,80 @@ let test_mentions_every_flag () =
       checkb (Printf.sprintf "help mentions %s" needle) true (contains ~needle t))
     [ "serve"; "--remote"; "--bandwidth-mib" ]
 
+(* ------------------------- end-to-end commands ------------------------ *)
+
+(* Commands run in-process on a temp store, as [backupctl ARGS] would. *)
+let backupctl args =
+  Cmdliner.Cmd.eval' ~argv:(Array.of_list ("backupctl" :: args)) (Cli.group commands)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* A fresh file in the test's directory, removed when the suite exits. *)
+let temp ext =
+  let path = Filename.temp_file ~temp_dir:Filename.current_dir_name "cli" ext in
+  at_exit (fun () -> if Sys.file_exists path then Sys.remove path);
+  path
+
+let temp_store () =
+  let store = temp ".store" in
+  Alcotest.(check int) "init exits 0" 0
+    (backupctl [ "init"; store; "--data-mib"; "2"; "--drives"; "4" ]);
+  store
+
+let starts_with ~prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
+
+let test_backup_explains_itself () =
+  let store = temp_store () in
+  let trace = temp ".json" and metrics = temp ".jsonl" and analysis = temp ".json"
+  and series = temp ".csv" and alerts = temp ".json" in
+  Alcotest.(check int) "backup exits 0" 0
+    (backupctl
+       [ "backup"; store; "--strategy"; "logical"; "--parts"; "4"; "--drives"; "4";
+         "--trace-out"; trace; "--metrics-out"; metrics; "--analysis-out"; analysis;
+         "--series-out"; series; "--alerts-out"; alerts ]);
+  Alcotest.(check int) "one run, one catalog entry" 1
+    (List.length (Catalog.entries (Engine.catalog (Store.load ~path:store))));
+  List.iter
+    (fun (what, path) ->
+      match Slo.Json.parse (read_file path) with
+      | _ -> ()
+      | exception e ->
+        Alcotest.failf "%s does not parse: %s" what (Printexc.to_string e))
+    [ ("trace", trace); ("analysis report", analysis); ("alert journal", alerts) ];
+  checkb "metrics written" true (String.length (read_file metrics) > 0);
+  checkb "series CSV header" true
+    (starts_with ~prefix:"series,t_s,value\n" (read_file series))
+
+let test_drill_revives_and_resumes () =
+  let store = temp_store () in
+  let trace = temp ".json" in
+  Alcotest.(check int) "drill exits 0" 0
+    (backupctl
+       [ "backup"; store; "--strategy"; "logical"; "--subtree"; "/data"; "--parts";
+         "3"; "--seed"; "42"; "--inject"; "tape-death:stacker0:10"; "--revive";
+         "--trace-out"; trace ]);
+  let t = read_file trace in
+  checkb "the drive died" true (contains ~needle:"fault.tape-dead" t);
+  checkb "and was revived" true (contains ~needle:"fault.revive" t);
+  let cat = Engine.catalog (Store.load ~path:store) in
+  Alcotest.(check int) "resumed to a catalog entry" 1
+    (List.length (Catalog.entries cat));
+  Alcotest.(check int) "no checkpoint left" 0 (List.length (Catalog.checkpoints cat))
+
+let test_serve_rejects_bad_attachments () =
+  let store = temp_store () in
+  let before = read_file store in
+  List.iter
+    (fun flags ->
+      Alcotest.(check int)
+        (String.concat " " ("serve" :: flags) ^ " exits 1")
+        1
+        (backupctl ([ "serve"; store; "--host"; "v" ] @ flags));
+      checkb "store unchanged" true (String.equal before (read_file store)))
+    [ [ "--drives"; "0" ]; [ "--bandwidth-mib"; "0" ] ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -65,5 +143,14 @@ let () =
           Alcotest.test_case "table matches golden" `Quick test_matches_golden;
           Alcotest.test_case "every command in help" `Quick test_mentions_every_command;
           Alcotest.test_case "every flag in help" `Quick test_mentions_every_flag;
+        ] );
+      ( "commands",
+        [
+          Alcotest.test_case "one backup, every export" `Quick
+            test_backup_explains_itself;
+          Alcotest.test_case "drill revives and resumes" `Quick
+            test_drill_revives_and_resumes;
+          Alcotest.test_case "serve rejects bad attachments" `Quick
+            test_serve_rejects_bad_attachments;
         ] );
     ]

@@ -472,7 +472,7 @@ let test_acceptance_drill () =
       (* and the whole drill renders as a report *)
       let buf = Buffer.create 256 in
       let ppf = Format.formatter_of_buffer buf in
-      Report.faults ppf ~plane ~engine:eng ();
+      Report.faults ppf ~plane ~engine:eng;
       Format.pp_print_flush ppf ();
       checkb "report mentions repairs" true (contains (Buffer.contents buf) "repairs"))
 

@@ -103,7 +103,9 @@ let test_parse_errors () =
   expects_parse ~line:1 "expected key=value, got \"drives\""
     "host vault0 drives";
   expects_parse ~line:3 "field budget_mb_s is not a number"
-    "fleet seed=1\n# comment\ntenant eng budget_mb_s=lots"
+    "fleet seed=1\n# comment\ntenant eng budget_mb_s=lots";
+  expects_parse ~line:2 "link bandwidth must be positive (got 0 bytes/s)"
+    "fleet seed=1\nhost vault0 drives=2 link_mb_s=0"
 
 let test_render_parse_roundtrip () =
   let s =

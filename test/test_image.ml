@@ -1,6 +1,6 @@
 (* Physical (image) dump/restore tests: Table 1 block-state logic, full and
    incremental round trips, snapshot preservation, chain validation,
-   corruption detection, and mirroring. *)
+   corruption detection. *)
 
 module Bitmap = Repro_util.Bitmap
 module Volume = Repro_block.Volume
@@ -11,7 +11,6 @@ module Fs = Repro_wafl.Fs
 module Blockmap = Repro_wafl.Blockmap
 module Image_dump = Repro_image.Image_dump
 module Image_restore = Repro_image.Image_restore
-module Mirror = Repro_image.Mirror
 module Generator = Repro_workload.Generator
 module Compare = Repro_workload.Compare
 
@@ -258,44 +257,6 @@ let test_image_dump_is_sequential () =
     true
     (seeks * 5 < r.Image_dump.blocks_dumped)
 
-let test_mirror_initialize_and_update () =
-  let fs, _ = populated ~bytes:500_000 "src" in
-  Fs.snapshot_create fs "mirror.0";
-  let m = Mirror.create ~label:"remote" (make_vol "mirror") in
-  let x0 = Mirror.initialize m ~from:fs ~snapshot:"mirror.0" in
-  checkb "link time accounted" true (x0.Mirror.link_seconds > 0.0);
-  (* verify the mirror matches *)
-  let mfs = Mirror.mount m in
-  assert_equal_trees (fs, "/data") (mfs, "/data");
-  (* update with an incremental *)
-  ignore (Fs.create fs "/data/fresh.txt" ~perms:0o644);
-  Fs.write fs "/data/fresh.txt" ~offset:0 "replicate me";
-  Fs.snapshot_create fs "mirror.1";
-  let x1 = Mirror.update m ~from:fs ~snapshot:"mirror.1" in
-  checkb "incremental cheaper" true (x1.Mirror.payload_bytes < x0.Mirror.payload_bytes);
-  let mfs2 = Mirror.mount m in
-  checks "update arrived" "replicate me" (Fs.read mfs2 "/data/fresh.txt" ~offset:0 ~len:12);
-  assert_equal_trees (fs, "/data") (mfs2, "/data")
-
-let test_mirror_typed_errors () =
-  let fs, _ = populated ~bytes:200_000 "src" in
-  Fs.snapshot_create fs "mirror.0";
-  let m = Mirror.create ~label:"remote" (make_vol "mirror") in
-  (* updating before initializing is a typed error, not a raw Fs one *)
-  (match Mirror.update m ~from:fs ~snapshot:"mirror.0" with
-  | _ -> Alcotest.fail "expected Not_initialized"
-  | exception Mirror.Error Mirror.Not_initialized -> ());
-  ignore (Mirror.initialize m ~from:fs ~snapshot:"mirror.0");
-  (* the mirror's base snapshot vanishing on the source is a gap *)
-  Fs.snapshot_delete fs "mirror.0";
-  Fs.snapshot_create fs "mirror.2";
-  (match Mirror.update m ~from:fs ~snapshot:"mirror.2" with
-  | _ -> Alcotest.fail "expected Snapshot_gap"
-  | exception Mirror.Error (Mirror.Snapshot_gap { base }) ->
-    checks "gap names the missing base" "mirror.0" base);
-  checkb "message renders" true
-    (String.length (Mirror.error_message Mirror.Not_initialized) > 0)
-
 let test_intermediate_snapshot_coverage () =
   (* a snapshot taken between base and target whose blocks are fully
      covered survives the incremental; one with unique blocks is dropped *)
@@ -392,8 +353,6 @@ let suite =
     ("corruption detected and refused", `Quick, test_image_corruption_detected);
     ("verify passes clean streams", `Quick, test_image_verify_clean);
     ("image dump reads sequentially", `Quick, test_image_dump_is_sequential);
-    ("mirroring: initialize and update", `Quick, test_mirror_initialize_and_update);
-    ("mirroring: typed errors", `Quick, test_mirror_typed_errors);
     ("intermediate snapshot coverage", `Quick, test_intermediate_snapshot_coverage);
     ("randomized incremental chains", `Slow, test_randomized_incremental_chains);
     ("restore to smaller volume fails", `Quick, test_restore_to_smaller_volume_fails);

@@ -186,7 +186,7 @@ let test_attach_remote_accounting () =
   try
     ignore (attach ~link_params:Link.default_params eng);
     Alcotest.fail "re-configuring an existing link accepted"
-  with Invalid_argument _ -> ()
+  with Engine.Attach_invalid (Engine.Link_configured "vault") -> ()
 
 (* The differential property: a backup shipped to a remote tape server
    over a lossy (but not partitioned) link restores a tree byte-identical

@@ -243,14 +243,9 @@ let test_exporters_with_edge_values () =
   checkb "no bare inf in metrics" false (contains jm "inf\"");
   checkb "no bare inf value in metrics" false (contains jm ":inf");
   checkb "no bare -inf in series" false (contains js ":-inf");
-  (* pp_summary on an armed-but-empty plane is stable and total *)
+  (* an armed-but-empty plane exports stably *)
   let empty = Obs.create () in
   Obs.with_armed empty (fun () -> ());
-  let b = Buffer.create 64 in
-  let fmt = Format.formatter_of_buffer b in
-  Obs.pp_summary fmt empty;
-  Format.pp_print_flush fmt ();
-  checkb "empty summary total (no raise)" true (Buffer.length b >= 0);
   checkb "empty metrics jsonl stable" true
     (String.equal (Obs.metrics_jsonl empty) (Obs.metrics_jsonl empty))
 

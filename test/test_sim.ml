@@ -7,7 +7,6 @@ module Eventq = Repro_sim.Eventq
 module Heap = Oracle.Heap
 module Resource = Repro_sim.Resource
 module Instrument = Repro_backup.Instrument
-module Stats = Repro_sim.Stats
 module Cost = Repro_sim.Cost
 
 let checki = Alcotest.(check int)
@@ -204,14 +203,6 @@ let test_resource_accounting () =
   checkf "rate" 0.5 (Resource.rate_mb_s r ~elapsed:2.0);
   Resource.reset r;
   checkf "reset" 0.0 (Resource.busy r)
-
-let test_stats () =
-  let s = Stats.create () in
-  List.iter (Stats.add s) [ 1.0; 2.0; 3.0; 4.0 ];
-  checki "count" 4 (Stats.count s);
-  checkf "mean" 2.5 (Stats.mean s);
-  checkf "min" 1.0 (Stats.min s);
-  checkf "max" 4.0 (Stats.max s)
 
 (* ---------------------------- stream runner --------------------------- *)
 
@@ -426,7 +417,6 @@ let () =
       ( "resources",
         [
           Alcotest.test_case "accounting" `Quick test_resource_accounting;
-          Alcotest.test_case "stats" `Quick test_stats;
           Alcotest.test_case "cost scaling" `Quick test_cost_scale;
         ] );
       ( "pipeline",
