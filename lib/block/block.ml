@@ -4,12 +4,17 @@ type addr = int
 
 let zero () = Bytes.make size '\000'
 
+(* Eight bytes at a time; a ragged tail only past the last whole word. *)
 let is_zero b =
-  let exception Nonzero in
-  try
-    Bytes.iter (fun c -> if c <> '\000' then raise Nonzero) b;
-    true
-  with Nonzero -> false
+  let n = Bytes.length b in
+  let i = ref 0 in
+  while !i + 8 <= n && Bytes.get_int64_le b !i = 0L do
+    i := !i + 8
+  done;
+  while !i < n && Bytes.get b !i = '\000' do
+    incr i
+  done;
+  !i = n
 
 let check b =
   if Bytes.length b <> size then

@@ -75,18 +75,26 @@ let hook t f =
     t.is_failed <- true;
     raise (Disk_failed t.label)
 
-let read t dbn =
+(* Never-written blocks read as this; [read_shared] callers must not
+   mutate what it returns, so one immutable copy serves every disk. *)
+let zeros = String.make Block.size '\000'
+
+let read_shared t dbn =
   check_access t dbn;
   hook t (fun () -> Repro_fault.Fault.on_disk_read ~device:t.label ~addr:dbn);
   charge t ~op:"disk.read" dbn Block.size;
-  match t.data.(dbn) with Some b -> Bytes.copy b | None -> Block.zero ()
+  match t.data.(dbn) with Some b -> b | None -> Bytes.unsafe_of_string zeros
 
-let write t dbn b =
+let read t dbn = Bytes.copy (read_shared t dbn)
+
+let write_owned t dbn b =
   Block.check b;
   check_access t dbn;
   hook t (fun () -> Repro_fault.Fault.on_disk_write ~device:t.label ~addr:dbn);
   charge t ~op:"disk.write" dbn Block.size;
-  t.data.(dbn) <- Some (Bytes.copy b)
+  t.data.(dbn) <- Some b
+
+let write t dbn b = write_owned t dbn (Bytes.copy b)
 
 let fail t = t.is_failed <- true
 let failed t = t.is_failed

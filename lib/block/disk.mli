@@ -44,6 +44,16 @@ val write : t -> int -> bytes -> unit
     injected latent sector error at that address (the RAID repair
     path). *)
 
+val read_shared : t -> int -> bytes
+(** RAID-internal. {!read} without the copy: the same checks, fault hooks
+    and charge, but the result is the stored block itself (or a shared
+    all-zero block). The caller must not mutate it, and it may be
+    replaced by the next write at [dbn]. *)
+
+val write_owned : t -> int -> bytes -> unit
+(** RAID-internal. {!write} without the copy: the disk keeps [b] itself,
+    so the caller must not touch [b] afterwards. *)
+
 exception Disk_failed of string
 
 val fail : t -> unit

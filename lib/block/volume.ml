@@ -56,9 +56,16 @@ let read t vbn =
   let g, gbn = locate t vbn in
   Raid.read g gbn
 
+let p_write = Repro_prof.Prof.probe "block.write"
+
 let write t vbn b =
+  let tok = Repro_prof.Prof.enter p_write in
   let g, gbn = locate t vbn in
-  Raid.write g gbn b
+  match Raid.write g gbn b with
+  | () -> Repro_prof.Prof.leave tok
+  | exception e ->
+    Repro_prof.Prof.leave tok;
+    raise e
 
 let read_extent t vbn n =
   if n <= 0 then invalid_arg "Volume.read_extent";
@@ -72,6 +79,7 @@ let read_extent t vbn n =
    then write any run segment that covers a whole RAID stripe with one
    write_stripe call. *)
 let write_batch t blocks =
+  Repro_prof.Prof.with_probe p_write @@ fun () ->
   let sorted = List.sort (fun (a, _) (b, _) -> compare a b) blocks in
   let arr = Array.of_list sorted in
   let n = Array.length arr in

@@ -168,29 +168,35 @@ let path_pos n doc = Arg.(required & pos n (some string) None & info [] ~docv:"P
 
 let cmd_init =
   let run store data_mib seed drives empty =
-    handle (fun () ->
-        let bytes = data_mib * 1024 * 1024 in
-        let data_blocks = (bytes / 4096 * 2) + 2048 in
-        let vol = Volume.create ~label:"filer" (Volume.small_geometry ~data_blocks) in
-        let fs = Fs.mkfs vol in
-        if not empty then begin
-          (* /data is a quota tree, so `backupctl quota` has a subject *)
-          ignore (Fs.qtree_create fs "/data" ~perms:0o755);
-          let profile = { Generator.default with Generator.seed } in
-          let stats = Generator.populate ~profile ~fs ~root:"/data" ~total_bytes:bytes () in
-          say "populated /data: %d files, %d directories, %d bytes" stats.Generator.files
-            stats.Generator.dirs stats.Generator.bytes
-        end;
-        let libraries =
-          List.init drives (fun i ->
-              Library.create ~slots:32 ~label:(Printf.sprintf "stacker%d" i) ())
-        in
-        let engine = Engine.create ~fs ~libraries () in
-        Store.save ~path:store engine;
-        say "created %s (%d-block volume, %d tape stacker%s)" store (Fs.size_blocks fs)
-          drives
-          (if drives = 1 then "" else "s");
-        0)
+    if drives < 1 then begin
+      (* checked before mkfs: a bad count must not cost a populate *)
+      Format.eprintf "error: init needs at least one tape drive (--drives %d)@." drives;
+      1
+    end
+    else
+      handle (fun () ->
+          let bytes = data_mib * 1024 * 1024 in
+          let data_blocks = (bytes / 4096 * 2) + 2048 in
+          let vol = Volume.create ~label:"filer" (Volume.small_geometry ~data_blocks) in
+          let fs = Fs.mkfs vol in
+          if not empty then begin
+            (* /data is a quota tree, so `backupctl quota` has a subject *)
+            ignore (Fs.qtree_create fs "/data" ~perms:0o755);
+            let profile = { Generator.default with Generator.seed } in
+            let stats = Generator.populate ~profile ~fs ~root:"/data" ~total_bytes:bytes () in
+            say "populated /data: %d files, %d directories, %d bytes" stats.Generator.files
+              stats.Generator.dirs stats.Generator.bytes
+          end;
+          let libraries =
+            List.init drives (fun i ->
+                Library.create ~slots:32 ~label:(Printf.sprintf "stacker%d" i) ())
+          in
+          let engine = Engine.create ~fs ~libraries () in
+          Store.save ~path:store engine;
+          say "created %s (%d-block volume, %d tape stacker%s)" store (Fs.size_blocks fs)
+            drives
+            (if drives = 1 then "" else "s");
+          0)
   in
   let data_mib =
     Arg.(

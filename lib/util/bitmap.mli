@@ -45,5 +45,22 @@ val first_set_from : t -> int -> int option
 
 val first_clear_from : t -> int -> int option
 
+(** {1 Plane transposes}
+
+    A word buffer holds one little-endian u32 per index, word [i] at byte
+    [4i]; bit [p] of word [i] is bit [first + i] of [planes.(p)]. Both
+    raise [Invalid_argument] unless there are at most 32 planes, [first]
+    is a non-negative multiple of 8, every plane has at least
+    [first + count] bits and the buffer at least [4 * count] bytes. *)
+
+val to_words : t array -> first:int -> count:int -> bytes -> unit
+(** [to_words planes ~first ~count dst] overwrites the first [count]
+    words of [dst] from bits [first, first + count) of the planes. *)
+
+val of_words : t array -> first:int -> count:int -> bytes -> unit
+(** [of_words planes ~first ~count src] overwrites bits
+    [first, first + count) of every plane from the first [count] words of
+    [src]; word bits at or above [Array.length planes] are ignored. *)
+
 val write : Serde.writer -> t -> unit
 val read : Serde.reader -> t

@@ -1,39 +1,47 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state, unboxed in an 8-byte buffer: a mutable [int64]
+   field would box a fresh state on every draw. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9e3779b97f4a7c15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 (mix64 (Int64.of_int seed));
+  t
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
+
+let int64 t = next t
 
 (* 61 random bits: the range [0, 2^61) is comfortably representable in
    OCaml's 63-bit native int, including as an exclusive bound. *)
 let bit_range = 1 lsl 61
-let bits t = Int64.to_int (Int64.shift_right_logical (int64 t) 3)
+let[@inline] bits t = Int64.to_int (Int64.shift_right_logical (next t) 3)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int";
   (* Rejection sampling to avoid modulo bias. *)
   let limit = bit_range - (bit_range mod bound) in
-  let rec draw () =
-    let v = bits t in
-    if v >= limit then draw () else v mod bound
-  in
-  draw ()
+  let v = ref (bits t) in
+  while !v >= limit do
+    v := bits t
+  done;
+  !v mod bound
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Prng.int_in";
   lo + int t (hi - lo + 1)
 
 let float t bound = bound *. (Float.of_int (bits t) /. Float.of_int bit_range)
-let bool t = Int64.logand (int64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let choose t a =
   if Array.length a = 0 then invalid_arg "Prng.choose";

@@ -66,23 +66,17 @@ let state_included = function
 
 let file_blocks ~nblocks = (nblocks + words_per_block - 1) / words_per_block
 
+(* File block [lbn] holds the words of vbns [lbn * words_per_block, +count);
+   none past the end of the map. *)
+let span_count t lbn =
+  Stdlib.max 0 (Stdlib.min words_per_block (t.nblocks - (lbn * words_per_block)))
+
 let encode_file_block t lbn =
   let b = Bytes.make 4096 '\000' in
-  let base = lbn * words_per_block in
-  for i = 0 to words_per_block - 1 do
-    let vbn = base + i in
-    if vbn < t.nblocks then Bytes.set_int32_le b (i * 4) (Int32.of_int (word t vbn))
-  done;
+  let count = span_count t lbn in
+  if count > 0 then Bitmap.to_words t.planes ~first:(lbn * words_per_block) ~count b;
   b
 
 let load_file_block t lbn block =
-  let base = lbn * words_per_block in
-  for i = 0 to words_per_block - 1 do
-    let vbn = base + i in
-    if vbn < t.nblocks then begin
-      let w = Int32.to_int (Bytes.get_int32_le block (i * 4)) land 0xffffffff in
-      for p = 0 to nplanes - 1 do
-        Bitmap.assign t.planes.(p) vbn (w land (1 lsl p) <> 0)
-      done
-    end
-  done
+  let count = span_count t lbn in
+  if count > 0 then Bitmap.of_words t.planes ~first:(lbn * words_per_block) ~count block

@@ -502,7 +502,10 @@ let flush_xattrs t =
 
 type capture = { cap_name : string; cap_plane : int }
 
+let p_cp = Repro_prof.Prof.probe "wafl.cp"
+
 let cp_internal t ?capture () =
+  Repro_prof.Prof.with_probe p_cp @@ fun () ->
   alive t;
   (* 0. extended attributes (dirties inodes) *)
   flush_xattrs t;
@@ -1323,7 +1326,10 @@ let build t_vol config nvram info =
     dead = false;
   }
 
+let p_mkfs = Repro_prof.Prof.probe "wafl.mkfs"
+
 let mkfs ?config ?nvram ?max_inodes vol =
+  Repro_prof.Prof.with_probe p_mkfs @@ fun () ->
   let config = match config with Some c -> c | None -> default_config () in
   let vol_blocks = Volume.size_blocks vol in
   if vol_blocks < 64 then err "volume too small";

@@ -48,7 +48,10 @@ let pick_op rng c =
   then Append
   else Rename
 
+let p_age = Repro_prof.Prof.probe "workload.age"
+
 let age ?(churn = default_churn) ~fs ~root () =
+  Repro_prof.Prof.with_probe p_age @@ fun () ->
   let c = churn in
   let rng = Prng.create c.seed in
   let files = ref (Array.of_list (Generator.file_paths fs root)) in

@@ -59,7 +59,10 @@ let dos_name_of name =
   let short = String.sub base 0 (Stdlib.min 6 (String.length base)) in
   short ^ "~1.DAT"
 
+let p_populate = Repro_prof.Prof.probe "workload.populate"
+
 let populate ?(profile = default) ~fs ~root ~total_bytes () =
+  Repro_prof.Prof.with_probe p_populate @@ fun () ->
   let p = profile in
   let rng = Prng.create p.seed in
   if Fs.lookup fs root = None then ignore (Fs.mkdir fs root ~perms:0o755);

@@ -4,11 +4,14 @@
    an algorithm the library now runs in optimized form — the generic
    comparator heap the event engine used to dispatch on, the bytewise
    CRC-32 loop, the writer-per-frame wire encode, the Buffer record/MTU
-   chunker, the in-order span-attribute append, and the clock-stepped
-   fluid loop the paper tables ran on. They live here, not in lib/, so
-   the library keeps exactly one path per module; the properties in
-   test_util, test_sim, test_tape, test_net and test_obs
-   assert the library computes the same function as its oracle. Like
+   chunker, the in-order span-attribute append, the clock-stepped fluid
+   loop the paper tables ran on, the bytewise RAID parity xor and zero
+   test, the byte-at-a-time bitmap set operations, the bit-at-a-time
+   block-map file codec, and the boxed-state splitmix generator. They
+   live here, not in lib/, so the library keeps exactly one path per
+   module; the properties in test_util, test_sim, test_block, test_tape,
+   test_wafl, test_net and test_obs assert the library computes the same
+   function as its oracle. Like
    differential.ml, this module is linked into every test executable and
    is not itself a test. *)
 
@@ -496,4 +499,172 @@ module Pipeline = struct
              })
     in
     { elapsed = Clock.now clock -. start_time; stages }
+end
+
+(* ----------------------------- raid xor ------------------------------ *)
+
+(* The bytewise parity loop RAID-4 xored with, and the bytewise zero test
+   the parity scrub used. *)
+module Raid_xor = struct
+  let xor_into dst src =
+    for i = 0 to Bytes.length dst - 1 do
+      Bytes.set dst i
+        (Char.chr (Char.code (Bytes.get dst i) lxor Char.code (Bytes.get src i)))
+    done
+
+  let is_zero b =
+    let exception Nonzero in
+    try
+      Bytes.iter (fun c -> if c <> '\000' then raise Nonzero) b;
+      true
+    with Nonzero -> false
+end
+
+(* ------------------------------ bitmap ------------------------------- *)
+
+(* The byte-at-a-time set operations, over the persisted layout: [bits]
+   are the bytes [Bitmap.write] emits after the length. *)
+module Bitmap = struct
+  type t = { bits : Bytes.t; length : int }
+
+  let of_bitmap b =
+    let w = Serde.writer () in
+    Repro_util.Bitmap.write w b;
+    let r = Serde.reader (Serde.contents w) in
+    let length = Serde.read_u32 r in
+    { bits = Bytes.of_string (Serde.read_fixed r ((length + 7) / 8)); length }
+
+  let create length = { bits = Bytes.make ((length + 7) / 8) '\000'; length }
+
+  let popcount_byte =
+    let table = Array.make 256 0 in
+    for i = 1 to 255 do
+      table.(i) <- table.(i lsr 1) + (i land 1)
+    done;
+    fun c -> table.(Char.code c)
+
+  let count t =
+    let n = ref 0 in
+    Bytes.iter (fun c -> n := !n + popcount_byte c) t.bits;
+    !n
+
+  let map2 op a b =
+    if a.length <> b.length then invalid_arg "Bitmap: length mismatch";
+    let r = create a.length in
+    for i = 0 to Bytes.length a.bits - 1 do
+      Bytes.set r.bits i
+        (Char.chr (op (Char.code (Bytes.get a.bits i)) (Char.code (Bytes.get b.bits i))))
+    done;
+    r
+
+  let union a b = map2 (fun x y -> x lor y) a b
+  let inter a b = map2 (fun x y -> x land y) a b
+  let diff a b = map2 (fun x y -> x land lnot y land 0xff) a b
+
+  let union_into ~dst src =
+    if dst.length <> src.length then invalid_arg "Bitmap: length mismatch";
+    for i = 0 to Bytes.length dst.bits - 1 do
+      Bytes.set dst.bits i
+        (Char.chr (Char.code (Bytes.get dst.bits i) lor Char.code (Bytes.get src.bits i)))
+    done
+
+  let is_empty t =
+    let exception Found in
+    try
+      Bytes.iter (fun c -> if c <> '\000' then raise Found) t.bits;
+      true
+    with Found -> false
+
+  let iter_set f t =
+    for byte = 0 to Bytes.length t.bits - 1 do
+      let c = Char.code (Bytes.get t.bits byte) in
+      if c <> 0 then
+        for bit = 0 to 7 do
+          if c land (1 lsl bit) <> 0 then f ((byte lsl 3) lor bit)
+        done
+    done
+end
+
+(* ----------------------------- blockmap ------------------------------ *)
+
+(* The block-map file codec one bit at a time: 32 [Bitmap.get]s per vbn
+   to build its word, 32 [Bitmap.assign]s to load it back. [planes] are
+   the map's 32 planes of [nblocks] bits. *)
+module Blockmap = struct
+  module Bitmap = Repro_util.Bitmap
+
+  let nplanes = 32
+  let words_per_block = 4096 / 4
+
+  let word planes vbn =
+    let w = ref 0 in
+    for p = 0 to nplanes - 1 do
+      if Bitmap.get planes.(p) vbn then w := !w lor (1 lsl p)
+    done;
+    !w
+
+  let encode_file_block planes ~nblocks lbn =
+    let b = Bytes.make 4096 '\000' in
+    let base = lbn * words_per_block in
+    for i = 0 to words_per_block - 1 do
+      let vbn = base + i in
+      if vbn < nblocks then Bytes.set_int32_le b (i * 4) (Int32.of_int (word planes vbn))
+    done;
+    b
+
+  let load_file_block planes ~nblocks lbn block =
+    let base = lbn * words_per_block in
+    for i = 0 to words_per_block - 1 do
+      let vbn = base + i in
+      if vbn < nblocks then begin
+        let w = Int32.to_int (Bytes.get_int32_le block (i * 4)) land 0xffffffff in
+        for p = 0 to nplanes - 1 do
+          Bitmap.assign planes.(p) vbn (w land (1 lsl p) <> 0)
+        done
+      end
+    done
+end
+
+(* ------------------------------- prng -------------------------------- *)
+
+(* splitmix64 with its state in a mutable boxed [int64] field, which
+   allocated a fresh box on every draw. *)
+module Prng = struct
+  type t = { mutable state : int64 }
+
+  let golden_gamma = 0x9e3779b97f4a7c15L
+
+  let mix64 z =
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let create seed = { state = mix64 (Int64.of_int seed) }
+
+  let int64 t =
+    t.state <- Int64.add t.state golden_gamma;
+    mix64 t.state
+
+  let bit_range = 1 lsl 61
+  let bits t = Int64.to_int (Int64.shift_right_logical (int64 t) 3)
+
+  let int t bound =
+    if bound <= 0 then invalid_arg "Prng.int";
+    let limit = bit_range - (bit_range mod bound) in
+    let rec draw () =
+      let v = bits t in
+      if v >= limit then draw () else v mod bound
+    in
+    draw ()
+
+  let int_in t lo hi =
+    if hi < lo then invalid_arg "Prng.int_in";
+    lo + int t (hi - lo + 1)
+
+  let float t bound = bound *. (Float.of_int (bits t) /. Float.of_int bit_range)
+  let bool t = Int64.logand (int64 t) 1L = 1L
+
+  let choose t a =
+    if Array.length a = 0 then invalid_arg "Prng.choose";
+    a.(int t (Array.length a))
 end

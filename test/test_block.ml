@@ -6,6 +6,7 @@ module Disk = Repro_block.Disk
 module Raid = Repro_block.Raid
 module Volume = Repro_block.Volume
 module Prng = Repro_util.Prng
+module Fault = Repro_fault.Fault
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -33,7 +34,10 @@ let test_disk_read_write () =
   (* returned buffer is a copy: mutating it must not corrupt the disk *)
   let r = Disk.read d 7 in
   Bytes.set r 0 'Z';
-  Alcotest.(check bytes) "isolation" b (Disk.read d 7)
+  Alcotest.(check bytes) "isolation" b (Disk.read d 7);
+  (* ...also for a never-written block *)
+  Bytes.set (Disk.read d 9) 0 'Z';
+  checkb "unwritten still zero" true (Block.is_zero (Disk.read d 10))
 
 let test_disk_service_model () =
   let d = Disk.create ~label:"d0" (Disk.default_params ~blocks:4096) in
@@ -232,6 +236,107 @@ let prop_volume_batch_equals_singles =
       List.for_all (fun (vbn, _) -> Bytes.equal (Volume.read v1 vbn) (Volume.read v2 vbn)) writes
       && Volume.parity_consistent v1)
 
+(* Block.is_zero scans 64-bit words; the bytewise original
+   (Oracle.Raid_xor.is_zero) must agree on zero blocks and on blocks
+   with one nonzero byte anywhere, the last byte included. *)
+let prop_is_zero_equals_oracle =
+  QCheck2.Test.make ~count:300 ~name:"block: word is_zero = bytewise oracle"
+    QCheck2.Gen.(option (pair (int_bound (Block.size - 1)) (int_range 1 255)))
+    (fun poke ->
+      let b = Block.zero () in
+      Option.iter (fun (i, v) -> Bytes.set b i (Char.chr v)) poke;
+      Block.is_zero b = Oracle.Raid_xor.is_zero b)
+
+(* RAID parity is xored a 64-bit word at a time and small writes xor
+   old parity, old data and new data straight off the disks. After any
+   mix of small and full-stripe writes, every live parity block must be
+   the bytewise oracle xor (Oracle.Raid_xor) of the stripe's intended
+   data, and every block must read back as written (zeros if never
+   written): with all disks up, with a data or the parity disk failed
+   part-way, and with latent sector errors repaired from parity during
+   small writes. *)
+type raid_op = Small of int * int | Full of int * int
+
+type raid_case = Clean | Fail_data of int * int | Fail_parity of int | Lse of int
+
+let gen_raid_case =
+  let ndisks = 5 and stripes = 6 in
+  let width = ndisks - 1 in
+  QCheck2.Gen.(
+    let op =
+      oneof
+        [
+          map2 (fun g seed -> Small (g, seed)) (int_bound ((width * stripes) - 1)) nat;
+          map2 (fun st seed -> Full (st, seed)) (int_bound (stripes - 1)) nat;
+        ]
+    in
+    let* ops = list_size (int_range 1 40) op in
+    let n = List.length ops in
+    let+ case =
+      oneof
+        [
+          return Clean;
+          map2 (fun d at -> Fail_data (d, at)) (int_bound (width - 1)) (int_bound n);
+          map (fun at -> Fail_parity at) (int_bound n);
+          map (fun d -> Lse d) (int_bound (ndisks - 1));
+        ]
+    in
+    (ops, case))
+
+let prop_raid_parity_equals_oracle =
+  QCheck2.Test.make ~count:200 ~name:"raid: word parity = bytewise oracle xor" gen_raid_case
+    (fun (ops, case) ->
+      let r = Raid.create ~label:"q" ~ndisks:5 ~blocks_per_disk:6 (Disk.default_params ~blocks:6) in
+      let width = Raid.data_disks r in
+      let model = Array.init (Raid.data_blocks r) (fun _ -> Block.zero ()) in
+      let content seed =
+        let rng = Prng.create seed in
+        Bytes.init Block.size (fun _ -> Char.unsafe_chr (Prng.int rng 256))
+      in
+      let apply i op =
+        (match case with
+        | Fail_data (d, at) when at = i -> Raid.fail_disk r d
+        | Fail_parity at when at = i -> Raid.fail_disk r width
+        | _ -> ());
+        match op with
+        | Small (gbn, seed) ->
+          let b = content seed in
+          Raid.write r gbn b;
+          model.(gbn) <- b
+        | Full (stripe, seed) ->
+          let data = Array.init width (fun k -> content (seed + k)) in
+          Raid.write_stripe r stripe data;
+          Array.iteri (fun k b -> model.((stripe * width) + k) <- b) data
+      in
+      let lse_repaired =
+        match (case, ops) with
+        | Lse d, Small (gbn, _) :: _ ->
+          (* a latent error in the first small write's stripe, on its data
+             disk, on parity, or on a disk its pre-reads do not touch *)
+          let stripe, di = Raid.stripe_of_gbn r gbn in
+          let plane =
+            Fault.plan
+              [ Fault.Latent_sector_error { device = Printf.sprintf "q.d%d" d; addr = stripe } ]
+          in
+          Fault.with_armed plane (fun () -> List.iteri apply ops);
+          d = di || d = width
+        | _ ->
+          List.iteri apply ops;
+          false
+      in
+      let parity_ok stripe =
+        Disk.failed (Raid.disks r).(width)
+        ||
+        let want = Block.zero () in
+        for k = 0 to width - 1 do
+          Oracle.Raid_xor.xor_into want model.((stripe * width) + k)
+        done;
+        Bytes.equal want (Disk.read (Raid.disks r).(width) stripe)
+      in
+      List.for_all parity_ok (List.init 6 Fun.id)
+      && Array.for_all Fun.id (Array.mapi (fun gbn b -> Bytes.equal b (Raid.read r gbn)) model)
+      && ((not lse_repaired) || Raid.media_repairs r = 1))
+
 let () =
   Alcotest.run "block"
     [
@@ -262,4 +367,9 @@ let () =
         ] );
       ( "volume properties",
         [ QCheck_alcotest.to_alcotest ~long:false prop_volume_batch_equals_singles ] );
+      ( "raid properties",
+        [
+          QCheck_alcotest.to_alcotest ~long:false prop_is_zero_equals_oracle;
+          QCheck_alcotest.to_alcotest ~long:false prop_raid_parity_equals_oracle;
+        ] );
     ]

@@ -135,6 +135,16 @@ let test_serve_rejects_bad_attachments () =
       checkb "store unchanged" true (String.equal before (read_file store)))
     [ [ "--drives"; "0" ]; [ "--bandwidth-mib"; "0" ] ]
 
+let test_init_rejects_no_drives () =
+  List.iter
+    (fun argv ->
+      let store = temp ".store" in
+      Sys.remove store;
+      Alcotest.(check int) (String.concat " " ("init" :: argv) ^ " exits 1") 1
+        (backupctl ([ "init"; store ] @ argv));
+      checkb "no store written" false (Sys.file_exists store))
+    [ [ "--drives"; "0" ]; [ "--drives=-3" ] ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -152,5 +162,7 @@ let () =
             test_drill_revives_and_resumes;
           Alcotest.test_case "serve rejects bad attachments" `Quick
             test_serve_rejects_bad_attachments;
+          Alcotest.test_case "init rejects fewer than one drive" `Quick
+            test_init_rejects_no_drives;
         ] );
     ]

@@ -161,6 +161,45 @@ let prop_bitmap_serde =
       Bitmap.write w b;
       Bitmap.equal b (Bitmap.read (Serde.reader (Serde.contents w))))
 
+(* Bitmaps long enough to span several 64-bit words plus a ragged tail,
+   from empty through sparse to full. *)
+let gen_wide_bitmap_pair =
+  QCheck2.Gen.(
+    let* len = int_range 0 700 in
+    let plane =
+      let* density = oneofl [ 0.0; 0.01; 0.2; 0.9; 1.0 ] in
+      let+ coins = list_repeat len (float_bound_exclusive 1.0) in
+      List.concat (List.mapi (fun i c -> if c < density then [ i ] else []) coins)
+    in
+    let+ a = plane and+ b = plane in
+    (len, a, b))
+
+(* count, iter_set, union_into, union, inter, diff and is_empty scan
+   64-bit words; the byte-at-a-time originals (Oracle.Bitmap) must agree
+   on every result and leave the same bytes. *)
+let prop_bitmap_words_equal_bytewise =
+  QCheck2.Test.make ~count:300 ~name:"bitmap: word kernels = bytewise oracle"
+    gen_wide_bitmap_pair (fun (len, ba, bb) ->
+      let a = bitmap_of (len, ba) and b = bitmap_of (len, bb) in
+      let oa = Oracle.Bitmap.of_bitmap a and ob = Oracle.Bitmap.of_bitmap b in
+      let same lib (o : Oracle.Bitmap.t) = Bytes.equal (Oracle.Bitmap.of_bitmap lib).bits o.bits in
+      let set_bits iter t =
+        let acc = ref [] in
+        iter (fun i -> acc := i :: !acc) t;
+        List.rev !acc
+      in
+      let dst = Bitmap.copy a and odst = Oracle.Bitmap.of_bitmap a in
+      Bitmap.union_into ~dst b;
+      Oracle.Bitmap.union_into ~dst:odst ob;
+      Bitmap.count a = Oracle.Bitmap.count oa
+      && set_bits Bitmap.iter_set a = set_bits Oracle.Bitmap.iter_set oa
+      && same dst odst
+      && same (Bitmap.union a b) (Oracle.Bitmap.union oa ob)
+      && same (Bitmap.inter a b) (Oracle.Bitmap.inter oa ob)
+      && same (Bitmap.diff a b) (Oracle.Bitmap.diff oa ob)
+      && Bitmap.is_empty a = Oracle.Bitmap.is_empty oa
+      && Bitmap.is_empty (Bitmap.diff a b) = Oracle.Bitmap.is_empty (Oracle.Bitmap.diff oa ob))
+
 (* ------------------------------- crc32 ------------------------------- *)
 
 let test_crc32_vectors () =
@@ -295,6 +334,67 @@ let test_prng_distributions () =
     (Printf.sprintf "exponential mean ~3 (got %.2f)" mean)
     true
     (mean > 2.7 && mean < 3.3)
+
+(* The generator keeps its state unboxed; the boxed-int64 original
+   (Oracle.Prng) must produce the same stream under any interleaving of
+   draws, with bounds at 1, every power of two up to 2^61, 2^61 - 1 and
+   at random. *)
+type prng_op = Int of int | Int_in of int * int | Int64 | Float of float | Bool | Choose of int
+
+let gen_prng_ops =
+  QCheck2.Gen.(
+    let bound =
+      oneof
+        [
+          return 1;
+          map (fun k -> 1 lsl k) (int_range 0 61);
+          return ((1 lsl 61) - 1);
+          int_range 1 1_000_000;
+        ]
+    in
+    let op =
+      oneof
+        [
+          map (fun b -> Int b) bound;
+          map2 (fun lo span -> Int_in (lo, lo + span)) (int_range (-1000) 1000) (int_bound 5000);
+          return Int64;
+          map (fun f -> Float f) (float_range 0.0 1e9);
+          return Bool;
+          map (fun n -> Choose n) (int_range 1 40);
+        ]
+    in
+    pair (int_range (-1000) 1_000_000) (list_size (int_range 1 200) op))
+
+let prop_prng_equals_boxed =
+  QCheck2.Test.make ~count:300 ~name:"prng: unboxed state = boxed-int64 oracle" gen_prng_ops
+    (fun (seed, ops) ->
+      let t = Prng.create seed and o = Oracle.Prng.create seed in
+      List.for_all
+        (function
+          | Int b -> Prng.int t b = Oracle.Prng.int o b
+          | Int_in (lo, hi) -> Prng.int_in t lo hi = Oracle.Prng.int_in o lo hi
+          | Int64 -> Int64.equal (Prng.int64 t) (Oracle.Prng.int64 o)
+          | Float b ->
+            Int64.equal
+              (Int64.bits_of_float (Prng.float t b))
+              (Int64.bits_of_float (Oracle.Prng.float o b))
+          | Bool -> Prng.bool t = Oracle.Prng.bool o
+          | Choose n ->
+            let a = Array.init n Fun.id in
+            Prng.choose t a = Oracle.Prng.choose o a)
+        ops)
+
+let test_prng_int_allocates_nothing () =
+  let rng = Prng.create 9 in
+  let sink = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    sink := !sink + Prng.int rng 256 + Bool.to_int (Prng.bool rng)
+  done;
+  let words = Gc.minor_words () -. before in
+  checkb (Printf.sprintf "10k int + bool draws allocate nothing (%.0f words)" words) true
+    (words < 64.0);
+  ignore (Sys.opaque_identity !sink)
 
 let test_prng_shuffle () =
   let rng = Prng.create 5 in
@@ -471,7 +571,12 @@ let () =
           Alcotest.test_case "serialization" `Quick test_bitmap_serde;
         ] );
       qsuite "bitmap properties"
-        [ prop_bitmap_algebra; prop_bitmap_subset; prop_bitmap_serde ];
+        [
+          prop_bitmap_algebra;
+          prop_bitmap_subset;
+          prop_bitmap_serde;
+          prop_bitmap_words_equal_bytewise;
+        ];
       ( "crc32",
         [
           Alcotest.test_case "standard vectors" `Quick test_crc32_vectors;
@@ -489,7 +594,10 @@ let () =
           Alcotest.test_case "ranges" `Quick test_prng_ranges;
           Alcotest.test_case "distributions" `Quick test_prng_distributions;
           Alcotest.test_case "shuffle" `Quick test_prng_shuffle;
+          Alcotest.test_case "int and bool allocate nothing" `Quick
+            test_prng_int_allocates_nothing;
         ] );
+      qsuite "prng properties" [ prop_prng_equals_boxed ];
       ( "heap",
         [
           Alcotest.test_case "ordering" `Quick test_heap_ordering;

@@ -742,9 +742,116 @@ let suite =
     ("randomized crash consistency", `Slow, test_crash_consistency_randomized);
   ]
 
+(* The block-map file codec transposes plane by plane over the bitmap
+   bytes; the bit-at-a-time original (Oracle.Blockmap) must encode the
+   same file blocks from any planes, load any file block into the same
+   planes, and the load must round-trip — with map sizes that leave a
+   ragged final byte, word and file block. *)
+type bmap_op = Mark of int | Free of int | Capture of int | Drop of int
+
+let gen_bmap_case =
+  QCheck2.Gen.(
+    let* nblocks =
+      oneof
+        [
+          map2 (fun k r -> (8 * k) + r) (int_bound 400) (int_range 1 7);
+          oneofl [ 8; 64; 1024; 2048 ];
+        ]
+    in
+    let vbn = int_bound (nblocks - 1) and plane = int_range 1 31 in
+    let op =
+      frequency
+        [
+          (6, map (fun v -> Mark v) vbn);
+          (2, map (fun v -> Free v) vbn);
+          (1, map (fun p -> Capture p) plane);
+          (1, map (fun p -> Drop p) plane);
+        ]
+    in
+    let+ ops = list_size (int_range 0 300) op and+ seed = nat and+ lbn = nat in
+    (nblocks, ops, seed, lbn))
+
+let prop_blockmap_codec_equals_oracle =
+  QCheck2.Test.make ~count:200 ~name:"blockmap: plane transpose = per-bit oracle codec"
+    gen_bmap_case (fun (nblocks, ops, seed, lbn) ->
+      let module Bitmap = Repro_util.Bitmap in
+      let t = Blockmap.create ~nblocks in
+      let planes = Array.init Blockmap.nplanes (fun _ -> Bitmap.create nblocks) in
+      List.iter
+        (function
+          | Mark v ->
+            Blockmap.mark_allocated t v;
+            Bitmap.set planes.(0) v
+          | Free v ->
+            Blockmap.mark_free t v;
+            Bitmap.clear planes.(0) v
+          | Capture p ->
+            Blockmap.capture_snapshot t ~plane:p;
+            planes.(p) <- Bitmap.copy planes.(0)
+          | Drop p ->
+            Blockmap.clear_plane t p;
+            Bitmap.fill planes.(p) false)
+        ops;
+      let nfile = Blockmap.file_blocks ~nblocks in
+      let encodes_agree () =
+        List.for_all
+          (fun l ->
+            Bytes.equal (Blockmap.encode_file_block t l)
+              (Oracle.Blockmap.encode_file_block planes ~nblocks l))
+          (List.init (nfile + 1) Fun.id)
+      in
+      let planes_agree () =
+        Array.for_all Fun.id
+          (Array.mapi (fun p o -> Bitmap.equal (Blockmap.plane_copy t p) o) planes)
+      in
+      (* a file block of mostly-empty, plane-0-only and random words *)
+      let lbn = lbn mod nfile in
+      let rng = Prng.create seed in
+      let block = Bytes.make 4096 '\000' in
+      for i = 0 to 1023 do
+        let w =
+          match Prng.int rng 4 with
+          | 0 | 1 -> 0
+          | 2 -> 1
+          | _ -> Prng.int rng (1 lsl 32)
+        in
+        Bytes.set_int32_le block (4 * i) (Int32.of_int w)
+      done;
+      let before = encodes_agree () in
+      Blockmap.load_file_block t lbn block;
+      Oracle.Blockmap.load_file_block planes ~nblocks lbn block;
+      let live = Stdlib.min 1024 (nblocks - (lbn * 1024)) in
+      Bytes.fill block (4 * live) (4096 - (4 * live)) '\000';
+      before && planes_agree () && encodes_agree ()
+      && Bytes.equal block (Blockmap.encode_file_block t lbn))
+
+let test_blockmap_codec_allocates_only_the_block () =
+  let t = Blockmap.create ~nblocks:3000 in
+  for v = 0 to 2999 do
+    if v mod 3 <> 0 then Blockmap.mark_allocated t v
+  done;
+  Blockmap.capture_snapshot t ~plane:5;
+  let block = Blockmap.encode_file_block t 1 in
+  let before = Gc.allocated_bytes () in
+  for _ = 1 to 100 do
+    Blockmap.load_file_block t 1 (Blockmap.encode_file_block t 1)
+  done;
+  let per_call = (Gc.allocated_bytes () -. before) /. 100.0 in
+  checkb (Printf.sprintf "%.0f bytes per encode + load" per_call) true (per_call < 4096.0 +. 64.0);
+  checkb "round trip" true (Bytes.equal block (Blockmap.encode_file_block t 1))
+
 let () =
   Alcotest.run "wafl"
     [
       ("fs", suite);
-      ("properties", [ QCheck_alcotest.to_alcotest ~long:false prop_file_model ]);
+      ( "properties",
+        [
+          QCheck_alcotest.to_alcotest ~long:false prop_file_model;
+          QCheck_alcotest.to_alcotest ~long:false prop_blockmap_codec_equals_oracle;
+        ] );
+      ( "blockmap",
+        [
+          Alcotest.test_case "codec allocates only the block" `Quick
+            test_blockmap_codec_allocates_only_the_block;
+        ] );
     ]
