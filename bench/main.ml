@@ -739,7 +739,7 @@ let run_net () =
   let goodput name params =
     let link = Link.create ~params ~label:"bench" () in
     let session = Session.connect ~host:"bench" link in
-    let stream = Session.open_stream session ~deliver:(fun _ -> ()) in
+    let stream = Session.open_stream session ~deliver:(fun _ _ _ -> ()) in
     let chunk = String.make 65536 'x' in
     for _ = 1 to 64 do
       Session.write stream chunk

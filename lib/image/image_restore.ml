@@ -21,10 +21,14 @@ let charge cpu secs = match cpu with Some r -> Resource.charge r secs | None -> 
 
 let block_size = 4096
 
+(* Each block is copied once, straight from the extent into the buffer
+   the volume takes. *)
 let split_blocks vbn data =
   let n = String.length data / block_size in
   List.init n (fun i ->
-      (vbn + i, Bytes.of_string (String.sub data (i * block_size) block_size)))
+      let b = Bytes.create block_size in
+      Bytes.blit_string data (i * block_size) b 0 block_size;
+      (vbn + i, b))
 
 let apply ?cpu ?(costs = Cost.f630) ?(observe = Repro_obs.Obs.observe) ~volume
     src =

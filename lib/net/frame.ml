@@ -11,46 +11,58 @@ let c_frames = Repro_prof.Prof.counter "net.frames"
 
 (* The CRC covers the sequence number as well as the payload: a damaged
    seq must not deliver an intact payload into the wrong slot. The four
-   little-endian seq bytes are fed directly (their range is checked by
-   the u32 write in [encode] and implied by the u32 read in [decode]). *)
-let crc_of ~seq payload =
+   little-endian seq bytes are fed directly (their range is checked in
+   [encode] and implied by the u32 read in [decode]). *)
+let crc_of ~seq s off len =
   let c = Crc32.init in
   let c = Crc32.update_byte c (seq land 0xff) in
   let c = Crc32.update_byte c ((seq lsr 8) land 0xff) in
   let c = Crc32.update_byte c ((seq lsr 16) land 0xff) in
   let c = Crc32.update_byte c ((seq lsr 24) land 0xff) in
-  Crc32.finish (Crc32.update_string c payload)
+  Crc32.finish (Crc32.update_substring c s off len)
 
-(* One warm buffer per domain for all its encodes (a frame image is
-   built and copied out before the domain's next encode can begin): the
-   per-frame writer allocation goes away, only the final contents copy
-   remains. *)
-let encode_pool = Domain.DLS.new_key (fun () -> Serde.writer ~initial_size:4096 ())
+let set_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
+let get_u32 s off = Int32.to_int (String.get_int32_le s off) land 0xffff_ffff
 
+(* Header and payload go straight into the one image: the payload is
+   copied once and checksummed once. *)
 let encode ~seq payload =
+  if seq < 0 || seq > 0xffff_ffff then invalid_arg "Frame.encode: seq";
   let tok = Repro_prof.Prof.enter p_frame in
-  let w = Domain.DLS.get encode_pool in
-  Serde.clear w;
-  Serde.write_fixed w magic;
-  Serde.write_u32 w seq;
-  Serde.write_u32 w (crc_of ~seq payload);
-  Serde.write_string w payload;
-  let s = Serde.contents w in
+  let len = String.length payload in
+  let crc = crc_of ~seq payload 0 len in
+  let b = Bytes.create (overhead + len) in
+  Bytes.blit_string magic 0 b 0 (String.length magic);
+  set_u32 b 4 seq;
+  set_u32 b 8 crc;
+  set_u32 b 12 len;
+  Bytes.blit_string payload 0 b overhead len;
   Repro_prof.Prof.leave tok;
   Repro_prof.Prof.bump c_frames;
-  s
+  Bytes.unsafe_to_string b
 
+let magic_word = String.get_int32_le magic 0
+
+let corrupt tok msg =
+  Repro_prof.Prof.leave tok;
+  raise (Serde.Corrupt msg)
+
+(* Every check reads the image in place, so an inflated length field
+   costs a comparison, not an allocation. *)
 let decode s =
   let tok = Repro_prof.Prof.enter p_frame in
-  let r = Serde.reader s in
-  Serde.expect_magic r magic;
-  let seq = Serde.read_u32 r in
-  let crc = Serde.read_u32 r in
-  let payload = Serde.read_string r in
-  if crc_of ~seq payload <> crc then begin
-    Repro_prof.Prof.leave tok;
-    raise (Serde.Corrupt (Printf.sprintf "frame %d: header CRC mismatch" seq))
-  end;
+  let n = String.length s in
+  if n < overhead then
+    corrupt tok (Printf.sprintf "frame: truncated header (%d bytes)" n);
+  if not (Int32.equal (String.get_int32_le s 0) magic_word) then
+    corrupt tok (Printf.sprintf "frame: bad magic %S" (String.sub s 0 4));
+  let seq = get_u32 s 4 in
+  let len = get_u32 s 12 in
+  if len > n - overhead then
+    corrupt tok
+      (Printf.sprintf "frame %d: length %d exceeds the %d-byte image" seq len n);
+  if crc_of ~seq s overhead len <> get_u32 s 8 then
+    corrupt tok (Printf.sprintf "frame %d: header CRC mismatch" seq);
   Repro_prof.Prof.leave tok;
   Repro_prof.Prof.bump c_frames;
-  (seq, payload)
+  (seq, overhead, len)

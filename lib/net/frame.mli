@@ -19,10 +19,14 @@ val overhead : int
     [overhead + String.length payload]. *)
 
 val encode : seq:int -> string -> string
-(** [encode ~seq payload] is the frame image. Raises [Invalid_argument]
-    if [seq] is outside [0, 2{^32}). *)
+(** [encode ~seq payload] is the frame image: one fresh string holding
+    the header and a single copy of the payload. Raises
+    [Invalid_argument] if [seq] is outside [0, 2{^32}). *)
 
-val decode : string -> int * string
-(** [decode s] returns [(seq, payload)]. Raises
-    [Repro_util.Serde.Corrupt] on a bad magic, a truncated image, or a
-    CRC mismatch. *)
+val decode : string -> int * int * int
+(** [decode image] checks the image in place and returns
+    [(seq, off, len)]: the payload is [String.sub image off len], left
+    for the caller to take as a slice. Raises [Repro_util.Serde.Corrupt]
+    (never [Invalid_argument]) on an image shorter than {!overhead}, a
+    bad magic, a length field past the end of the image, or a CRC
+    mismatch. *)

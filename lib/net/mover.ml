@@ -15,30 +15,74 @@ let record_header n =
 
 let mark = record_header mark_len
 
-(* Reassemble records from MTU-sized delivery chunks. [pending] holds at
-   most one partial item (a record is bounded by the blocking factor), so
-   the carry-over concatenation stays cheap. *)
+(* Reassemble records from MTU-sized delivery slices, in one pass over
+   each slice. A record whole inside a slice is cut out with one
+   [String.sub]; a record spanning slices is filled into its own buffer,
+   which becomes the record without a further copy; a header cut across
+   slices collects in a 4-byte scratch. The record buffer grows with the
+   bytes that actually arrive (never past twice them plus one slice), not
+   with the wire's length field, so an inflated header cannot make it
+   allocate the claimed size up front. *)
+type reassembly = {
+  hdr : Bytes.t;  (** a header cut across slices *)
+  mutable hdr_fill : int;
+  mutable body : Bytes.t;  (** the spanning record, [want] bytes once whole *)
+  mutable want : int;  (** its length; [-1] between records *)
+  mutable got : int;
+}
+
 let reassembler ~on_record ~on_mark =
-  let pending = ref "" in
-  fun chunk ->
-    let data = if !pending = "" then chunk else !pending ^ chunk in
-    let n = String.length data in
-    let pos = ref 0 in
-    (try
-       while n - !pos >= 4 do
-         let len = Int32.to_int (String.get_int32_le data !pos) land mark_len in
-         if len = mark_len then begin
-           pos := !pos + 4;
-           on_mark ()
-         end
-         else if n - !pos - 4 >= len then begin
-           on_record (String.sub data (!pos + 4) len);
-           pos := !pos + 4 + len
-         end
-         else raise Exit
-       done
-     with Exit -> ());
-    pending := String.sub data !pos (n - !pos)
+  let r = { hdr = Bytes.create 4; hdr_fill = 0; body = Bytes.empty; want = -1; got = 0 } in
+  fun s off len ->
+    let stop = off + len in
+    let pos = ref off in
+    (* The item a length field announces, its bytes starting at [!pos]. *)
+    let start n =
+      if n = mark_len then on_mark ()
+      else if stop - !pos >= n then begin
+        let p = !pos in
+        pos := p + n;
+        on_record (String.sub s p n)
+      end
+      else r.want <- n
+    in
+    while !pos < stop do
+      if r.want >= 0 then begin
+        let take = Stdlib.min (stop - !pos) (r.want - r.got) in
+        let need = r.got + take in
+        if need > Bytes.length r.body then begin
+          let cap = Stdlib.min r.want (Stdlib.max (2 * Bytes.length r.body) (need + len)) in
+          let b = Bytes.create cap in
+          Bytes.blit r.body 0 b 0 r.got;
+          r.body <- b
+        end;
+        Bytes.blit_string s !pos r.body r.got take;
+        pos := !pos + take;
+        r.got <- need;
+        if need = r.want then begin
+          let record = Bytes.unsafe_to_string r.body in
+          r.body <- Bytes.empty;
+          r.want <- -1;
+          r.got <- 0;
+          on_record record
+        end
+      end
+      else if r.hdr_fill > 0 || stop - !pos < 4 then begin
+        let take = Stdlib.min (stop - !pos) (4 - r.hdr_fill) in
+        Bytes.blit_string s !pos r.hdr r.hdr_fill take;
+        pos := !pos + take;
+        r.hdr_fill <- r.hdr_fill + take;
+        if r.hdr_fill = 4 then begin
+          r.hdr_fill <- 0;
+          start (Int32.to_int (Bytes.get_int32_le r.hdr 0) land mark_len)
+        end
+      end
+      else begin
+        let n = Int32.to_int (String.get_int32_le s !pos) land mark_len in
+        pos := !pos + 4;
+        start n
+      end
+    done
 
 let put stream r =
   Session.write stream (record_header (String.length r));

@@ -56,7 +56,16 @@ val mark : string
 (** The filemark on the wire. *)
 
 val reassembler :
-  on_record:(string -> unit) -> on_mark:(unit -> unit) -> string -> unit
-(** [reassembler ~on_record ~on_mark] is a fresh chunk consumer: feed it
-    the wire bytes in order, cut anywhere, and it calls [on_record] and
-    [on_mark] once per complete item, in wire order. *)
+  on_record:(string -> unit) ->
+  on_mark:(unit -> unit) ->
+  string ->
+  int ->
+  int ->
+  unit
+(** [reassembler ~on_record ~on_mark] is a fresh consumer of wire slices
+    [s off len], the shape {!Session.open_stream} delivers: feed it the
+    wire bytes in order, cut anywhere, and it calls [on_record] and
+    [on_mark] once per complete item, in wire order. It runs in time
+    linear in the bytes fed. Each record it hands over is a fresh string
+    the callee may keep. Memory held for a partial record follows the
+    bytes received, not the record's length field. *)

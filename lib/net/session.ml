@@ -23,11 +23,15 @@ type xfer = {
   xf_peak_in_flight : int;
 }
 
-type frame_state = { fs_payload : string; mutable fs_attempts : int }
+(* A frame is encoded once, when it enters the window; a retransmission
+   resends the same image. *)
+type frame_state = { fs_image : string; mutable fs_attempts : int }
+
+let payload_bytes fs = String.length fs.fs_image - Frame.overhead
 
 type stream = {
   st : t;
-  deliver : string -> unit;
+  deliver : string -> int -> int -> unit;
   chunk : Repro_util.Stage.t;  (** cuts writes into MTU payloads for [sendq] *)
   sendq : string Queue.t;  (** MTU payloads awaiting window room *)
   inflight : (int, frame_state) Hashtbl.t;
@@ -35,7 +39,7 @@ type stream = {
   mutable acked_upto : int;  (** every seq below this is acknowledged *)
   mutable inflight_bytes : int;
   mutable peak_in_flight : int;
-  recvbuf : (int, string) Hashtbl.t;
+  recvbuf : (int, string * int * int) Hashtbl.t;  (** image, payload slice *)
   mutable expected : int;
   mutable sent_frames : int;
   mutable st_retransmits : int;
@@ -118,22 +122,19 @@ let abort_stream st e =
   end;
   raise e
 
-let guard_deliver st payload =
-  try st.deliver payload with e -> abort_stream st e
+let guard_deliver st (image, off, len) =
+  try st.deliver image off len with e -> abort_stream st e
 
 let rec send_frame st seq fs =
-  let payload_bytes = String.length fs.fs_payload in
   let finish, lost =
-    try send_raw st.st ~payload_bytes with e -> abort_stream st e
+    try send_raw st.st ~payload_bytes:(payload_bytes fs)
+    with e -> abort_stream st e
   in
   st.sent_frames <- st.sent_frames + 1;
   let p = Link.params_of st.st.s_link in
-  (* The frame image really is encoded and decoded: the CRC framing is
-     exercised on every chunk, not just described. *)
-  let image = Frame.encode ~seq fs.fs_payload in
   if not lost then
     Sim.schedule_at st.st.engine (finish +. p.Link.latency_s) (fun () ->
-        arrival st image);
+        arrival st fs.fs_image);
   let attempt = fs.fs_attempts in
   Sim.schedule_at st.st.engine
     (finish +. retransmit_timeout st)
@@ -141,9 +142,12 @@ let rec send_frame st seq fs =
 
 and arrival st image =
   if not (st.aborted || st.closed) then begin
-    let seq, payload = Frame.decode image in
+    (* The frame image really is encoded and decoded: the CRC framing is
+       exercised on every chunk, and the receiver takes the payload as a
+       slice of the image. *)
+    let seq, off, len = Frame.decode image in
     if seq >= st.expected && not (Hashtbl.mem st.recvbuf seq) then begin
-      Hashtbl.replace st.recvbuf seq payload;
+      Hashtbl.replace st.recvbuf seq (image, off, len);
       while Hashtbl.mem st.recvbuf st.expected do
         let chunk = Hashtbl.find st.recvbuf st.expected in
         Hashtbl.remove st.recvbuf st.expected;
@@ -163,7 +167,7 @@ and ack st upto =
       (match Hashtbl.find_opt st.inflight st.acked_upto with
       | Some fs ->
         Hashtbl.remove st.inflight st.acked_upto;
-        st.inflight_bytes <- st.inflight_bytes - String.length fs.fs_payload
+        st.inflight_bytes <- st.inflight_bytes - payload_bytes fs
       | None -> ());
       st.acked_upto <- st.acked_upto + 1
     done;
@@ -198,7 +202,7 @@ and try_send st =
     let payload = Queue.pop st.sendq in
     let seq = st.next_seq in
     st.next_seq <- seq + 1;
-    let fs = { fs_payload = payload; fs_attempts = 1 } in
+    let fs = { fs_image = Frame.encode ~seq payload; fs_attempts = 1 } in
     Hashtbl.replace st.inflight seq fs;
     st.inflight_bytes <- st.inflight_bytes + String.length payload;
     if st.inflight_bytes > st.peak_in_flight then

@@ -51,10 +51,13 @@ type xfer = {
 
 type stream
 
-val open_stream : ?label:string -> t -> deliver:(string -> unit) -> stream
-(** Open a data stream (one verb round trip). [deliver] receives the
-    payload bytes on the far side, in order, exactly once, in whatever
-    chunk sizes the MTU induces. One stream may be open per session at a
+val open_stream :
+  ?label:string -> t -> deliver:(string -> int -> int -> unit) -> stream
+(** Open a data stream (one verb round trip). [deliver image off len]
+    receives the payload bytes on the far side, in order, exactly once,
+    in whatever chunk sizes the MTU induces: each chunk is the slice
+    [off, off + len) of an immutable frame image, handed over without a
+    copy. One stream may be open per session at a
     time; a second [open_stream] before [close_stream] raises
     [Invalid_argument]. *)
 

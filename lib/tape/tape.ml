@@ -9,7 +9,10 @@ let params ?(native_mb_s = 5.0) ?(compression = 1.7)
     invalid_arg "Tape.params";
   { native_mb_s; compression; capacity_bytes }
 
-type item = Rec of bytes | Mark
+(* Records are immutable: the drive keeps the string it was handed and
+   returns it on read, and corruption replaces a record rather than
+   editing it. *)
+type item = Rec of string | Mark
 
 type media = {
   mlabel : string;
@@ -68,10 +71,9 @@ let write_media w m =
   for i = 0 to m.nitems - 1 do
     match m.items.(i) with
     | Mark -> write_u8 w 0
-    | Rec b ->
+    | Rec r ->
       write_u8 w 1;
-      write_u32 w (Bytes.length b);
-      write_bytes w b
+      write_string w r
   done
 
 let read_media r =
@@ -85,8 +87,7 @@ let read_media r =
         match read_u8 r with
         | 0 -> Mark
         | 1 ->
-          let len = read_u32 r in
-          Rec (Bytes.of_string (read_fixed r len))
+          Rec (read_string r)
         | n -> raise (Corrupt (Printf.sprintf "bad media item tag %d" n)))
   in
   { mlabel; items; nitems; stored_bytes }
@@ -125,7 +126,7 @@ let charge t ~op ~payload ~on_media =
     Repro_obs.Obs.io ~op ~device:t.label ~addr:t.pos ~bytes:payload secs
 
 let item_size t = function
-  | Rec b -> compressed_size t (Bytes.length b)
+  | Rec r -> compressed_size t (String.length r)
   | Mark -> 0
 
 (* Truncate media at the current position: writing to the middle of a tape
@@ -158,7 +159,7 @@ let write_record t s =
   if m.stored_bytes + on_media > t.p.capacity_bytes then raise End_of_tape;
   Repro_fault.Fault.on_tape_write ~device:t.label ~record:t.pos;
   charge t ~op:"tape.write" ~payload:(String.length s) ~on_media;
-  append t m (Rec (Bytes.of_string s))
+  append t m (Rec s)
 
 let write_filemark t =
   let m = require_media t in
@@ -184,10 +185,10 @@ let read_record t =
     t.pos <- t.pos + 1;
     match item with
     | Mark -> Filemark
-    | Rec b ->
-      charge t ~op:"tape.read" ~payload:(Bytes.length b)
-        ~on_media:(compressed_size t (Bytes.length b));
-      Record (Bytes.to_string b)
+    | Rec r ->
+      charge t ~op:"tape.read" ~payload:(String.length r)
+        ~on_media:(compressed_size t (String.length r));
+      Record r
   end
 
 let charge_delay t secs =
@@ -223,10 +224,10 @@ let corrupt_record m ~index =
   (try
      for i = 0 to m.nitems - 1 do
        match m.items.(i) with
-       | Rec b ->
+       | Rec r ->
          incr found;
          if !found = index then begin
-           target := Some b;
+           target := Some (i, r);
            raise Exit
          end
        | Mark -> ()
@@ -234,15 +235,18 @@ let corrupt_record m ~index =
    with Exit -> ());
   match !target with
   | None -> invalid_arg (Printf.sprintf "Tape.corrupt_record: no record %d" index)
-  | Some b ->
-    if Bytes.length b = 0 then invalid_arg "Tape.corrupt_record: empty record";
-    (* Flip bits at a few fixed offsets: deterministic, detectable. *)
+  | Some (i, r) ->
+    if String.length r = 0 then invalid_arg "Tape.corrupt_record: empty record";
+    (* Flip bits at a few fixed offsets of a copy: deterministic,
+       detectable, and a record read earlier keeps its bytes. *)
+    let b = Bytes.of_string r in
     let flip off =
       if off < Bytes.length b then
         Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0xff))
     in
     flip (Bytes.length b / 2);
     flip (Bytes.length b - 1);
-    flip 0
+    flip 0;
+    m.items.(i) <- Rec (Bytes.unsafe_to_string b)
 
 let busy_seconds t = t.busy

@@ -8,9 +8,11 @@
     DLT-7000's hardware compressor (the paper's drives sustain roughly
     8–10 MB/s on compressible file data against a 5 MB/s native rate).
 
-    Records can be corrupted in place ({!corrupt_record}) to drive the
-    failure-injection tests: logical restore must lose only the damaged
-    file, image restore must detect the damaged block record. *)
+    Records are immutable strings: a write stores the caller's string and
+    a read returns the stored one, with no copy either way. Records can be
+    corrupted ({!corrupt_record}) to drive the failure-injection tests:
+    logical restore must lose only the damaged file, image restore must
+    detect the damaged block record. *)
 
 type params = {
   native_mb_s : float;  (** media rate before compression *)
@@ -59,6 +61,8 @@ val loaded : t -> media option
 
 val write_record : t -> string -> unit
 (** Append a record at the current position, truncating anything beyond it.
+    The media keeps [s] itself, not a copy: it must be a fresh string that
+    no [Bytes] still aliases.
     Raises [End_of_tape] if media capacity is exceeded, [No_media] if the
     drive is empty. An armed fault plane may raise
     [Repro_fault.Fault.Transient] (soft write error, nothing written) or
@@ -94,8 +98,9 @@ val skip_filemarks : t -> int -> unit
     (fast-forward). Raises [End_of_tape] if fewer remain. *)
 
 val corrupt_record : media -> index:int -> unit
-(** Flip bytes inside record [index] (counting records only, not
-    filemarks). Raises [Invalid_argument] if out of range or not a
+(** Replace record [index] (counting records only, not filemarks) with a
+    copy whose bytes at a few fixed offsets are flipped. A record string
+    read before the corruption keeps its bytes. Raises [Invalid_argument] if out of range or not a
     record. *)
 
 (** {1 Accounting} *)

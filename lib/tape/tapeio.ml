@@ -124,6 +124,8 @@ let refill t =
     | None -> t.finished <- true
   end
 
+(* The request is filled into one buffer that becomes the result, so each
+   byte is copied once on its way out of a record. *)
 let input_inner t n =
   let out = Bytes.create n in
   let filled = ref 0 in
@@ -136,7 +138,7 @@ let input_inner t n =
     t.pos <- t.pos + take;
     filled := !filled + take
   done;
-  Bytes.to_string out
+  Bytes.unsafe_to_string out
 
 (* End_of_file is ordinary control flow for callers, so the probe frame
    must be closed on that path too. *)

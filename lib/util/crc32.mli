@@ -11,7 +11,7 @@ val init : t
 val update_string : t -> string -> t
 
 val update_substring : t -> string -> int -> int -> t
-(** Slicing-by-8: eight input bytes per table combine. *)
+(** Slicing-by-16: sixteen input bytes per table combine. *)
 
 val update_byte : t -> int -> t
 (** Feed a single byte (low 8 bits of the int). *)

@@ -3,7 +3,9 @@
    Each module below is the original, straightforward implementation of
    an algorithm the library now runs in optimized form — the generic
    comparator heap the event engine used to dispatch on, the bytewise
-   CRC-32 loop, the writer-per-frame wire encode, the Buffer record/MTU
+   CRC-32 loop, the writer-per-frame wire encode, the concatenating
+   record reassembler of the mover wire (Mover), the RMED1 encoding of
+   byte-buffer tape records (Media), the Buffer record/MTU
    chunker, the in-order span-attribute append, the clock-stepped fluid
    loop the paper tables ran on, the bytewise RAID parity xor and zero
    test, the byte-at-a-time bitmap set operations, the bit-at-a-time
@@ -198,6 +200,62 @@ module Frame = struct
     Serde.write_u32 w (crc_of_reference ~seq payload);
     Serde.write_string w payload;
     Serde.contents w
+end
+
+(* ------------------------------ mover ------------------------------- *)
+
+(* The record-over-session reassembler that re-concatenated the pending
+   partial item with every delivered chunk. *)
+module Mover = struct
+  let mark_len = 0xFFFF_FFFF
+
+  (* Reassemble records from MTU-sized delivery chunks. [pending] holds at
+     most one partial item (a record is bounded by the blocking factor), so
+     the carry-over concatenation stays cheap. *)
+  let reassembler ~on_record ~on_mark =
+    let pending = ref "" in
+    fun chunk ->
+      let data = if !pending = "" then chunk else !pending ^ chunk in
+      let n = String.length data in
+      let pos = ref 0 in
+      (try
+         while n - !pos >= 4 do
+           let len = Int32.to_int (String.get_int32_le data !pos) land mark_len in
+           if len = mark_len then begin
+             pos := !pos + 4;
+             on_mark ()
+           end
+           else if n - !pos - 4 >= len then begin
+             on_record (String.sub data (!pos + 4) len);
+             pos := !pos + 4 + len
+           end
+           else raise Exit
+         done
+       with Exit -> ());
+      pending := String.sub data !pos (n - !pos)
+end
+
+(* ------------------------------ media ------------------------------- *)
+
+(* The RMED1 cartridge encoding as written when records were held as
+   [bytes]: each record's u32 length, then its bytes. *)
+module Media = struct
+  type item = Rec of bytes | Mark
+
+  let write_reference w ~label ~stored_bytes items =
+    let open Serde in
+    write_fixed w "RMED1";
+    write_string w label;
+    write_u32 w (List.length items);
+    write_int w stored_bytes;
+    List.iter
+      (function
+        | Mark -> write_u8 w 0
+        | Rec b ->
+          write_u8 w 1;
+          write_u32 w (Bytes.length b);
+          write_bytes w b)
+      items
 end
 
 (* ----------------------------- chunker ------------------------------ *)

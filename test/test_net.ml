@@ -28,8 +28,9 @@ let test_frame_roundtrip =
   QCheck.Test.make ~count:100 ~name:"frame encode/decode roundtrip"
     QCheck.(pair small_nat (string_of_size Gen.(0 -- 2000)))
     (fun (seq, payload) ->
-      let seq', payload' = Frame.decode (Frame.encode ~seq payload) in
-      seq' = seq && String.equal payload' payload)
+      let image = Frame.encode ~seq payload in
+      let seq', off, len = Frame.decode image in
+      seq' = seq && String.equal (String.sub image off len) payload)
 
 let test_frame_corruption =
   QCheck.Test.make ~count:100 ~name:"frame corruption is detected"
@@ -46,10 +47,11 @@ let test_frame_corruption =
            seq+payload, or the length prefix failing the read *)
         false)
 
-(* The pooled-buffer/byte-fed-CRC encode must produce the same image —
-   magic, seq, CRC over seq+payload, payload — as the writer-per-frame
-   oracle (Oracle.Frame), for sequence numbers across the whole u32
-   range, and decode must accept the oracle's image. *)
+(* The one-copy encode must produce the same image — magic, seq, CRC
+   over seq+payload, payload — as the writer-per-frame oracle
+   (Oracle.Frame), for sequence numbers across the whole u32 range, and
+   decode must accept the oracle's image and point its slice at the
+   payload. *)
 let test_frame_fast_equals_reference =
   QCheck.Test.make ~count:200 ~name:"frame fast path equals reference bytes"
     QCheck.(
@@ -58,8 +60,30 @@ let test_frame_fast_equals_reference =
         (string_of_size Gen.(0 -- 2000)))
     (fun (seq, payload) ->
       let reference = Oracle.Frame.encode_reference ~seq payload in
+      let seq', off, len = Frame.decode reference in
       String.equal (Frame.encode ~seq payload) reference
-      && Frame.decode reference = (seq, payload))
+      && seq' = seq
+      && String.equal (String.sub reference off len) payload)
+
+(* Decode is total: an image cut short anywhere (below the header, or
+   inside the payload its length field announces), or one whose length
+   field claims more than the image holds, is [Corrupt], never
+   [Invalid_argument]. *)
+let test_frame_decode_total =
+  QCheck.Test.make ~count:200 ~name:"frame decode of short or inflated images is Corrupt"
+    QCheck.(triple (string_of_size Gen.(0 -- 300)) small_nat (int_bound 0xffff))
+    (fun (payload, cut, extra) ->
+      let image = Frame.encode ~seq:3 payload in
+      let short = String.sub image 0 (cut mod String.length image) in
+      let inflated = Bytes.of_string image in
+      Bytes.set_int32_le inflated 12
+        (Int32.of_int (String.length payload + 1 + extra));
+      let corrupt s =
+        match Frame.decode s with
+        | exception Serde.Corrupt _ -> true
+        | _ -> false
+      in
+      corrupt short && corrupt (Bytes.to_string inflated))
 
 let test_frame_sizes () =
   checks "magic" "RNF1" Frame.magic;
@@ -74,7 +98,7 @@ let ship ?params ?(bytes = 1 lsl 20) () =
   let session = Session.connect ~host:"vault" link in
   let received = Buffer.create bytes in
   let stream =
-    Session.open_stream session ~deliver:(Buffer.add_string received)
+    Session.open_stream session ~deliver:(Buffer.add_substring received)
   in
   let block = String.init 4096 (fun i -> Char.chr (i mod 251)) in
   let sent = Buffer.create bytes in
@@ -322,12 +346,11 @@ let test_reng4_roundtrip () =
 
 (* ------------------------------- mover ------------------------------- *)
 
-(* The record-over-session wire: any sequence of records (empty ones, ones
-   larger than the link MTU) and filemarks, framed and then cut at
-   arbitrary chunk boundaries, reassembles to the same sequence. *)
 type item = Record of string | Mark
 
-let test_mover_reassembly =
+(* Any sequence of records (empty ones, ones larger than the link MTU)
+   and filemarks, and the cuts that slice its wire. *)
+let wire_case =
   let mtu = Link.default_params.Link.mtu_bytes in
   let open QCheck2.Gen in
   let record =
@@ -343,47 +366,95 @@ let test_mover_reassembly =
       ]
   in
   let item = frequency [ (5, map (fun r -> Record r) record); (1, return Mark) ] in
+  (* Small cuts land inside the 4-byte headers; empty ones too. *)
   let cut =
     frequency
-      [ (1, int_range 1 8); (2, int_range 9 5000); (1, int_range 5001 100_000) ]
+      [ (1, int_range 0 8); (2, int_range 9 5000); (1, int_range 5001 100_000) ]
   in
+  pair (list_size (int_range 0 30) item) (list_size (int_range 0 40) cut)
+
+let show_wire_case (items, cuts) =
   let show = function
     | Record r -> Printf.sprintf "record(%d)" (String.length r)
     | Mark -> "mark"
   in
+  Printf.sprintf "[%s] cut at [%s]"
+    (String.concat "; " (List.map show items))
+    (String.concat "; " (List.map string_of_int cuts))
+
+let wire_of items =
+  String.concat ""
+    (List.map
+       (function
+         | Record r -> Mover.record_header (String.length r) ^ r
+         | Mark -> Mover.mark)
+       items)
+
+(* Hand [feed] the wire as slices at the cuts, in order; whatever they
+   leave arrives as one last slice. *)
+let feed_cuts feed wire cuts =
+  let rec go pos = function
+    | _ when pos >= String.length wire -> ()
+    | c :: rest ->
+      let n = min c (String.length wire - pos) in
+      feed wire pos n;
+      go (pos + n) rest
+    | [] -> feed wire pos (String.length wire - pos)
+  in
+  go 0 cuts
+
+let reassemble_into got =
+  Mover.reassembler
+    ~on_record:(fun r -> got := Record r :: !got)
+    ~on_mark:(fun () -> got := Mark :: !got)
+
+(* The record-over-session wire: the items, framed and then cut at
+   arbitrary chunk boundaries, reassemble to the same sequence. *)
+let test_mover_reassembly =
   QCheck2.Test.make ~count:200 ~name:"mover wire reassembles under any chunking"
-    ~print:(fun (items, cuts) ->
-      Printf.sprintf "[%s] cut at [%s]"
-        (String.concat "; " (List.map show items))
-        (String.concat "; " (List.map string_of_int cuts)))
-    (pair (list_size (int_range 0 30) item) (list_size (int_range 0 40) cut))
-    (fun (items, cuts) ->
-      let wire =
-        String.concat ""
-          (List.map
-             (function
-               | Record r -> Mover.record_header (String.length r) ^ r
-               | Mark -> Mover.mark)
-             items)
-      in
+    ~print:show_wire_case wire_case (fun (items, cuts) ->
       let got = ref [] in
-      let feed =
-        Mover.reassembler
-          ~on_record:(fun r -> got := Record r :: !got)
-          ~on_mark:(fun () -> got := Mark :: !got)
-      in
-      (* Feed the cuts in order; whatever they leave arrives as one last
-         chunk. *)
-      let rec go pos = function
-        | _ when pos >= String.length wire -> ()
-        | c :: rest ->
-          let n = min c (String.length wire - pos) in
-          feed (String.sub wire pos n);
-          go (pos + n) rest
-        | [] -> feed (String.sub wire pos (String.length wire - pos))
-      in
-      go 0 cuts;
+      feed_cuts (reassemble_into got) (wire_of items) cuts;
       List.rev !got = items)
+
+(* The slice reassembler reports the same items, in the same order, as
+   the concatenating one it replaced (Oracle.Mover), however the wire is
+   cut — the oracle fed copies, the library slices of one string. *)
+let test_mover_equals_oracle =
+  QCheck2.Test.make ~count:200 ~name:"mover reassembler equals concat oracle"
+    ~print:show_wire_case wire_case (fun (items, cuts) ->
+      let wire = wire_of items in
+      let got = ref [] and want = ref [] in
+      feed_cuts (reassemble_into got) wire cuts;
+      let oracle =
+        Oracle.Mover.reassembler
+          ~on_record:(fun r -> want := Record r :: !want)
+          ~on_mark:(fun () -> want := Mark :: !want)
+      in
+      feed_cuts (fun s pos n -> oracle (String.sub s pos n)) wire cuts;
+      !got = !want)
+
+(* An untrusted length field buys no memory: a header claiming nearly
+   4 GiB followed by 100 kB of body allocates in proportion to the 100 kB,
+   and the record (and anything after it) is never reported — which is
+   what makes [Mover.remote_source] fail a shipment that ends
+   mid-record. *)
+let test_mover_inflated_length () =
+  let got = ref [] in
+  let feed = reassemble_into got in
+  let chunk = String.make 1000 'x' in
+  let before = Gc.allocated_bytes () in
+  feed (Mover.record_header 0xFFFF_FFFE) 0 4;
+  for _ = 1 to 100 do
+    feed chunk 0 (String.length chunk)
+  done;
+  feed Mover.mark 0 4;
+  let allocated = Gc.allocated_bytes () -. before in
+  checkb
+    (Printf.sprintf "allocated %.0f bytes for 100 kB received" allocated)
+    true
+    (allocated < 1_000_000.0);
+  checki "nothing reported" 0 (List.length !got)
 
 let q = QCheck_alcotest.to_alcotest
 
@@ -395,9 +466,16 @@ let () =
           q test_frame_roundtrip;
           q test_frame_corruption;
           q test_frame_fast_equals_reference;
+          q test_frame_decode_total;
           Alcotest.test_case "sizes" `Quick test_frame_sizes;
         ] );
-      ("mover", [ q test_mover_reassembly ]);
+      ( "mover",
+        [
+          q test_mover_reassembly;
+          q test_mover_equals_oracle;
+          Alcotest.test_case "inflated length allocates by bytes received"
+            `Quick test_mover_inflated_length;
+        ] );
       ( "session",
         [
           Alcotest.test_case "delivers in order" `Quick test_session_delivers;

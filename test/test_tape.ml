@@ -197,6 +197,134 @@ let prop_tapeio_records_match_chunker =
       let rec drain acc = match next () with Some r -> drain (r :: acc) | None -> acc in
       drain [] = !want)
 
+(* A tape's contents as the test builds them: records and filemarks. *)
+type item = Record of string | Mark
+
+let items_gen =
+  QCheck2.Gen.(
+    list_size (int_range 0 12)
+      (frequency
+         [ (4, map (fun r -> Record r) (string_size (int_bound 300))); (1, return Mark) ]))
+
+let show_items items =
+  String.concat "; "
+    (List.map
+       (function Record r -> Printf.sprintf "record(%d)" (String.length r) | Mark -> "mark")
+       items)
+
+let write_items t items =
+  List.iter
+    (function Record r -> Tape.write_record t r | Mark -> Tape.write_filemark t)
+    items
+
+let read_all t =
+  Tape.rewind t;
+  let rec go acc =
+    match Tape.read_record t with
+    | Tape.Record r -> go (Record r :: acc)
+    | Tape.Filemark -> go (Mark :: acc)
+    | Tape.End_of_data -> List.rev acc
+  in
+  go []
+
+let flipped r =
+  let b = Bytes.of_string r in
+  let flip off =
+    if off < Bytes.length b then
+      Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0xff))
+  in
+  flip (Bytes.length b / 2);
+  flip (Bytes.length b - 1);
+  flip 0;
+  Bytes.to_string b
+
+(* Records are immutable: corrupting one replaces it on the media, so the
+   string a reader got before is unchanged, and a read afterwards sees
+   exactly the flipped bytes in that record and no other change. *)
+let prop_corrupt_keeps_earlier_reads =
+  QCheck2.Test.make ~name:"corrupt_record: earlier reads unchanged"
+    ~print:(fun (items, k) -> Printf.sprintf "[%s] corrupt %d" (show_items items) k)
+    QCheck2.Gen.(pair items_gen (int_bound 20))
+    (fun (items, k) ->
+      let items = Record "seed-record" :: items in
+      (* [corrupt_record] counts every record, empty ones included, and
+         refuses an empty one: pick the k-th non-empty record. *)
+      let record_indices =
+        List.filter_map Fun.id
+          (List.mapi (fun i r -> if r = "" then None else Some i)
+             (List.filter_map (function Record r -> Some r | Mark -> None) items))
+      in
+      let index = List.nth record_indices (k mod List.length record_indices) in
+      let t = drive () in
+      let m = Tape.blank_media ~label:"m0" in
+      Tape.load t m;
+      write_items t items;
+      let before = read_all t in
+      let copies =
+        List.map (function Record r -> Record (String.init (String.length r) (String.get r)) | Mark -> Mark) before
+      in
+      Tape.corrupt_record m ~index;
+      let after = read_all t in
+      let expected =
+        let i = ref (-1) in
+        List.map
+          (function
+            | Record r ->
+              incr i;
+              if !i = index then Record (flipped r) else Record r
+            | Mark -> Mark)
+          items
+      in
+      before = copies && before = items && after = expected)
+
+(* RMED1 bytes did not move when records became strings: [write_media]
+   equals the u32-length-then-bytes encoding of the byte-buffer records
+   (Oracle.Media), and [read_media] reads it back to the same records. *)
+let prop_media_bytes_unchanged =
+  QCheck2.Test.make ~name:"write_media = byte-record encoding"
+    ~print:show_items items_gen
+    (fun items ->
+      let t = drive () in
+      let m = Tape.blank_media ~label:"m0" in
+      Tape.load t m;
+      write_items t items;
+      let w = Repro_util.Serde.writer () in
+      Tape.write_media w m;
+      let got = Repro_util.Serde.contents w in
+      let w = Repro_util.Serde.writer () in
+      Oracle.Media.write_reference w ~label:"m0" ~stored_bytes:(Tape.media_bytes m)
+        (List.map
+           (function Record r -> Oracle.Media.Rec (Bytes.of_string r) | Mark -> Oracle.Media.Mark)
+           items);
+      let t' = drive () in
+      Tape.load t' (Tape.read_media (Repro_util.Serde.reader got));
+      String.equal got (Repro_util.Serde.contents w) && read_all t' = items)
+
+(* [Tapeio.input] returns exactly the stream's next bytes whatever the
+   request sizes: inside one record, a whole record, across records, or
+   empty. *)
+let prop_tapeio_input_any_sizes =
+  QCheck2.Test.make ~name:"tapeio: input of any sizes = stream bytes"
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 1 10) (string_size (int_bound 2000)))
+        (list_size (int_range 1 40) (frequency [ (1, return 0); (1, return 777); (4, int_bound 1600) ])))
+    (fun (chunks, sizes) ->
+      let lib = Library.create ~slots:16 ~label:"L" () in
+      let sink = Tapeio.sink ~record_bytes:777 lib in
+      List.iter (Tapeio.output sink) chunks;
+      Tapeio.close_sink sink;
+      let whole = String.concat "" chunks in
+      let src = Tapeio.source lib in
+      let rec go pos = function
+        | [] -> String.equal (Tapeio.input_all src) (String.sub whole pos (String.length whole - pos))
+        | n :: rest ->
+          if pos + n > String.length whole then
+            (match Tapeio.input src n with exception End_of_file -> true | _ -> false)
+          else String.equal (Tapeio.input src n) (String.sub whole pos n) && go (pos + n) rest
+      in
+      go 0 sizes)
+
 let () =
   Alcotest.run "tape"
     [
@@ -210,6 +338,8 @@ let () =
           Alcotest.test_case "streaming rate" `Quick test_streaming_time;
           Alcotest.test_case "skip filemarks" `Quick test_skip_filemarks;
           Alcotest.test_case "corruption injection" `Quick test_corrupt_record;
+          QCheck_alcotest.to_alcotest ~long:false prop_corrupt_keeps_earlier_reads;
+          QCheck_alcotest.to_alcotest ~long:false prop_media_bytes_unchanged;
         ] );
       ( "library",
         [
@@ -223,5 +353,6 @@ let () =
           Alcotest.test_case "stream indexing" `Quick test_tapeio_multiple_streams;
           QCheck_alcotest.to_alcotest ~long:false prop_tapeio_roundtrip;
           QCheck_alcotest.to_alcotest ~long:false prop_tapeio_records_match_chunker;
+          QCheck_alcotest.to_alcotest ~long:false prop_tapeio_input_any_sizes;
         ] );
     ]

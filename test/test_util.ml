@@ -219,15 +219,20 @@ let test_crc32_incremental () =
   in
   checki "incremental = one-shot" whole stepped
 
-(* The slicing-by-8 loop computes the same function as the bytewise
-   oracle loop (Oracle.Crc32), for every offset and length — including
-   the head/tail cases shorter than one 8-byte step. *)
+(* The slicing-by-16 loop computes the same function as the bytewise
+   oracle loop (Oracle.Crc32) at any offset, aligned or not: lengths 0–40
+   cover the bytewise tail on its own and around one 16-byte step, and
+   lengths 16k+r run many steps before an r-byte tail. *)
 let prop_crc32_sliced_equals_bytewise =
-  QCheck2.Test.make ~name:"crc32: slicing-by-8 = bytewise reference"
-    QCheck2.Gen.(triple (string_size (int_range 0 300)) (int_bound 32) (int_bound 10_000))
+  let open QCheck2.Gen in
+  let len =
+    oneof [ int_range 0 40; map2 (fun k r -> (16 * k) + r) (int_range 1 300) (int_bound 15) ]
+  in
+  QCheck2.Test.make ~name:"crc32: sliced = bytewise"
+    ~print:(fun (s, pos, len) -> Printf.sprintf "%d-byte string, pos %d, len %d" (String.length s) pos len)
+    (triple (int_bound 31) len (int_bound 20) >>= fun (pos, len, slack) ->
+     map (fun s -> (s, pos, len)) (string_size (return (pos + len + slack))))
     (fun (s, pos, len) ->
-      let pos = if String.length s = 0 then 0 else pos mod String.length s in
-      let len = len mod (String.length s - pos + 1) in
       Crc32.substring s pos len = Oracle.Crc32.substring s pos len)
 
 let prop_crc32_detects_flip =
