@@ -215,7 +215,7 @@ let ablation_stripe_writes () =
     Raid.create ~label:"rg" ~ndisks:8 ~blocks_per_disk:512 (Disk.default_params ~blocks:512)
   in
   let width r = Raid.data_disks r in
-  let data r = Array.init (width r) (fun i -> Bytes.make 4096 (Char.chr (65 + i))) in
+  let data r = Array.init (width r) (fun i -> String.make 4096 (Char.chr (65 + i))) in
   let a = make () in
   for s = 0 to 63 do
     Raid.write_stripe a s (data a)

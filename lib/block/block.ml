@@ -3,23 +3,24 @@ let size = 4096
 type addr = int
 
 let zero () = Bytes.make size '\000'
+let zeros = String.make size '\000'
 
 (* Eight bytes at a time; a ragged tail only past the last whole word. *)
 let is_zero b =
-  let n = Bytes.length b in
+  let n = String.length b in
   let i = ref 0 in
-  while !i + 8 <= n && Bytes.get_int64_le b !i = 0L do
+  while !i + 8 <= n && String.get_int64_le b !i = 0L do
     i := !i + 8
   done;
-  while !i < n && Bytes.get b !i = '\000' do
+  while !i < n && String.get b !i = '\000' do
     incr i
   done;
   !i = n
 
 let check b =
-  if Bytes.length b <> size then
+  if String.length b <> size then
     invalid_arg
-      (Printf.sprintf "Block.check: buffer is %d bytes, want %d" (Bytes.length b) size)
+      (Printf.sprintf "Block.check: buffer is %d bytes, want %d" (String.length b) size)
 
 let blocks_for len =
   if len < 0 then invalid_arg "Block.blocks_for";

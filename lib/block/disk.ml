@@ -7,7 +7,7 @@ exception Disk_failed of string
 type t = {
   label : string;
   params : params;
-  data : bytes option array;
+  data : string array; (* Block.zeros where never written *)
   resource : Repro_sim.Resource.t option;
   service_scale : float;
   mutable is_failed : bool;
@@ -22,7 +22,7 @@ let create ?resource ?(service_scale = 1.0) ~label params =
   {
     label;
     params;
-    data = Array.make params.blocks None;
+    data = Array.make params.blocks Block.zeros;
     resource;
     service_scale;
     is_failed = false;
@@ -75,26 +75,18 @@ let hook t f =
     t.is_failed <- true;
     raise (Disk_failed t.label)
 
-(* Never-written blocks read as this; [read_shared] callers must not
-   mutate what it returns, so one immutable copy serves every disk. *)
-let zeros = String.make Block.size '\000'
-
-let read_shared t dbn =
+let read t dbn =
   check_access t dbn;
   hook t (fun () -> Repro_fault.Fault.on_disk_read ~device:t.label ~addr:dbn);
   charge t ~op:"disk.read" dbn Block.size;
-  match t.data.(dbn) with Some b -> b | None -> Bytes.unsafe_of_string zeros
+  t.data.(dbn)
 
-let read t dbn = Bytes.copy (read_shared t dbn)
-
-let write_owned t dbn b =
+let write t dbn b =
   Block.check b;
   check_access t dbn;
   hook t (fun () -> Repro_fault.Fault.on_disk_write ~device:t.label ~addr:dbn);
   charge t ~op:"disk.write" dbn Block.size;
-  t.data.(dbn) <- Some b
-
-let write t dbn b = write_owned t dbn (Bytes.copy b)
+  t.data.(dbn) <- b
 
 let fail t = t.is_failed <- true
 let failed t = t.is_failed
@@ -102,7 +94,7 @@ let failed t = t.is_failed
 let revive t =
   t.is_failed <- false;
   t.head <- -1;
-  Array.fill t.data 0 (Array.length t.data) None
+  Array.fill t.data 0 (Array.length t.data) Block.zeros
 
 let busy_seconds t = t.busy
 let bytes_moved t = t.bytes

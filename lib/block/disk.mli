@@ -1,12 +1,13 @@
 (** A simulated disk drive.
 
-    Data is held in memory (lazily allocated 4 KB chunks). Each access is
-    charged a service time from a classic two-parameter model: a positioning
-    cost (average seek + rotational latency) whenever the access is not
-    contiguous with the previous one, plus a media-transfer cost
-    proportional to the bytes moved. This is the one property the paper's
-    analysis rests on: sequential block streams run at device speed while
-    inode-order file reads pay a seek per discontiguity.
+    Data is held in memory, one immutable 4 KB string per written block.
+    Each access is charged a service time from a classic two-parameter
+    model: a positioning cost (average seek + rotational latency) whenever
+    the access is not contiguous with the previous one, plus a
+    media-transfer cost proportional to the bytes moved. This is the one
+    property the paper's analysis rests on: sequential block streams run
+    at device speed while inode-order file reads pay a seek per
+    discontiguity.
 
     Service time is charged to an optional shared {!Repro_sim.Resource.t}
     (scaled by [service_scale], so a volume can normalize per-disk busy time
@@ -28,36 +29,31 @@ type t
 val create :
   ?resource:Repro_sim.Resource.t -> ?service_scale:float -> label:string -> params -> t
 
-val read : t -> int -> bytes
-(** [read d dbn] returns a fresh copy of block [dbn] (all zeros if never
-    written). Raises [Disk_failed] if the disk has {!fail}ed — a device
-    fault the RAID layer handles — and [Invalid_argument] only on an
-    out-of-range [dbn], which is a programmer error. An armed fault plane
+val read : t -> int -> string
+(** [read d dbn] is the block stored at [dbn] ({!Block.zeros} if never
+    written): the very string the last {!write} there was given, not a
+    copy, so a caller may keep it — it stays the same bytes even after the
+    address is rewritten — and must copy it before changing anything.
+    Raises [Disk_failed] if the disk has {!fail}ed — a device fault the
+    RAID layer handles — and [Invalid_argument] only on an out-of-range
+    [dbn], which is a programmer error. An armed fault plane
     ({!Repro_fault.Fault}) may additionally raise
     [Repro_fault.Fault.Media_error] (latent sector error) or
     [Repro_fault.Fault.Transient] (timeout); a plane-scheduled drive death
     fails the disk and raises [Disk_failed]. *)
 
-val write : t -> int -> bytes -> unit
-(** Same failure contract as {!read}: [Disk_failed] on a failed drive,
-    [Invalid_argument] on a bad address. A successful write clears any
-    injected latent sector error at that address (the RAID repair
-    path). *)
-
-val read_shared : t -> int -> bytes
-(** RAID-internal. {!read} without the copy: the same checks, fault hooks
-    and charge, but the result is the stored block itself (or a shared
-    all-zero block). The caller must not mutate it, and it may be
-    replaced by the next write at [dbn]. *)
-
-val write_owned : t -> int -> bytes -> unit
-(** RAID-internal. {!write} without the copy: the disk keeps [b] itself,
-    so the caller must not touch [b] afterwards. *)
+val write : t -> int -> string -> unit
+(** [write d dbn b] stores [b] itself at [dbn], without copying: the
+    writer hands the block over and keeps no [bytes] alias of it (see
+    {!Block}). Same failure contract as {!read}: [Disk_failed] on a failed
+    drive, [Invalid_argument] on a bad address or a buffer that is not one
+    block. A successful write clears any injected latent sector error at
+    that address (the RAID repair path). *)
 
 exception Disk_failed of string
 
 val fail : t -> unit
-(** Simulate a total drive failure: subsequent [read]/[write] raise
+(** Simulate a total drive failure: subsequent {!read}/{!write} raise
     [Disk_failed]. Used by the RAID reconstruction tests. *)
 
 val failed : t -> bool

@@ -24,7 +24,7 @@ let write w vol =
   List.iter
     (fun (vbn, b) ->
       Serde.write_u32 w vbn;
-      Serde.write_bytes w b)
+      Serde.write_fixed w b)
     (List.rev !nonzero)
 
 let read r =
@@ -43,8 +43,7 @@ let read r =
   let blocks =
     List.init count (fun _ ->
         let vbn = Serde.read_u32 r in
-        let b = Bytes.of_string (Serde.read_fixed r Block.size) in
-        (vbn, b))
+        (vbn, Serde.read_fixed r Block.size))
   in
   Volume.write_batch vol blocks;
   Volume.reset_stats vol;

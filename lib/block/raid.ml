@@ -38,34 +38,34 @@ let xor_into dst src =
   let i = ref 0 in
   while !i < full do
     Bytes.set_int64_le dst !i
-      (Int64.logxor (Bytes.get_int64_le dst !i) (Bytes.get_int64_le src !i));
+      (Int64.logxor (Bytes.get_int64_le dst !i) (String.get_int64_le src !i));
     i := !i + 8
   done;
   for j = full to Bytes.length dst - 1 do
     Bytes.set dst j
-      (Char.unsafe_chr (Char.code (Bytes.get dst j) lxor Char.code (Bytes.get src j)))
+      (Char.unsafe_chr (Char.code (Bytes.get dst j) lxor Char.code (String.get src j)))
   done
 
 (* A fresh [a xor b xor c]. *)
 let xor3 a b c =
-  let r = Bytes.copy a in
+  let r = Bytes.of_string a in
   xor_into r b;
   xor_into r c;
-  r
+  Bytes.unsafe_to_string r
 
-(* Every block this module reads is read with [Disk.read_shared] and only
-   xored from, and every block it makes is stored with [Disk.write_owned]
-   and never touched again; only {!read} and caller-owned data are
-   copied. *)
+(* Blocks are immutable strings (see {!Block}): this module reads stored
+   blocks without copying and only xors from them, and every parity or
+   reconstructed block it builds is handed to [Disk.write] and never
+   touched again. *)
 
 (* Reconstruct disk [missing]'s block in [stripe] by xoring every other
    disk's block, parity included. *)
 let reconstruct t ~missing stripe =
   let acc = Block.zero () in
   Array.iteri
-    (fun i d -> if i <> missing then xor_into acc (Disk.read_shared d stripe))
+    (fun i d -> if i <> missing then xor_into acc (Disk.read d stripe))
     t.disks;
-  acc
+  Bytes.unsafe_to_string acc
 
 (* Read one disk's block in [stripe] with single-fault recovery:
    - a drive that fails mid-I/O is served degraded, like a disk already
@@ -74,11 +74,10 @@ let reconstruct t ~missing stripe =
      block from the surviving disks and rewrite it in place, which remaps
      the bad sector. A second fault during reconstruction propagates —
      that block is genuinely lost.
-   Transient timeouts pass through untouched; retry is the engine's job.
-   The result is shared: the caller must not mutate it. *)
+   Transient timeouts pass through untouched; retry is the engine's job. *)
 let read_disk_repairing t di stripe =
   let disk = t.disks.(di) in
-  match Disk.read_shared disk stripe with
+  match Disk.read disk stripe with
   | b -> b
   | exception Disk.Disk_failed _ -> reconstruct t ~missing:di stripe
   | exception Fault.Media_error { device; addr } ->
@@ -92,7 +91,7 @@ let read_disk_repairing t di stripe =
                block really is lost — surface it as the media error it is *)
             raise (Fault.Media_error { device; addr })
         in
-        (try Disk.write_owned disk stripe b
+        (try Disk.write disk stripe b
          with Disk.Disk_failed _ ->
            () (* died before the rewrite: serve degraded *));
         t.media_repairs <- t.media_repairs + 1;
@@ -106,7 +105,7 @@ let read t gbn =
   let stripe, di = stripe_of_gbn t gbn in
   let disk = t.disks.(di) in
   if Disk.failed disk then reconstruct t ~missing:di stripe
-  else Bytes.copy (read_disk_repairing t di stripe)
+  else read_disk_repairing t di stripe
 
 let rec write t gbn b =
   Block.check b;
@@ -123,16 +122,16 @@ let rec write t gbn b =
       let old_data = read_disk_repairing t di stripe in
       let parity = xor3 (read_disk_repairing t (parity_index t) stripe) old_data b in
       Disk.write data_disk stripe b;
-      Disk.write_owned parity_disk stripe parity
+      Disk.write parity_disk stripe parity
     with Disk.Disk_failed _ -> write t gbn b)
   | true, false ->
     (* Degraded write: fold the new data into parity computed from the
        surviving data disks. *)
-    let parity = Bytes.copy b in
+    let parity = Bytes.of_string b in
     for i = 0 to data_disks t - 1 do
-      if i <> di then xor_into parity (Disk.read_shared t.disks.(i) stripe)
+      if i <> di then xor_into parity (Disk.read t.disks.(i) stripe)
     done;
-    Disk.write_owned parity_disk stripe parity
+    Disk.write parity_disk stripe (Bytes.unsafe_to_string parity)
   | false, true -> Disk.write data_disk stripe b
   | true, true -> raise (Disk.Disk_failed t.label)
 
@@ -147,21 +146,21 @@ let write_stripe t stripe data =
     (fun i b -> if not (Disk.failed t.disks.(i)) then Disk.write t.disks.(i) stripe b)
     data;
   let pd = t.disks.(parity_index t) in
-  if not (Disk.failed pd) then Disk.write_owned pd stripe parity
+  if not (Disk.failed pd) then Disk.write pd stripe (Bytes.unsafe_to_string parity)
 
 let fail_disk t i = Disk.fail t.disks.(i)
 
 let rebuild_disk t i =
   Disk.revive t.disks.(i);
   for stripe = 0 to stripes t - 1 do
-    Disk.write_owned t.disks.(i) stripe (reconstruct t ~missing:i stripe)
+    Disk.write t.disks.(i) stripe (reconstruct t ~missing:i stripe)
   done
 
 let parity_consistent t =
   let ok = ref true in
   for stripe = 0 to stripes t - 1 do
     let acc = Block.zero () in
-    Array.iter (fun d -> xor_into acc (Disk.read_shared d stripe)) t.disks;
-    if not (Block.is_zero acc) then ok := false
+    Array.iter (fun d -> xor_into acc (Disk.read d stripe)) t.disks;
+    if not (Block.is_zero (Bytes.unsafe_to_string acc)) then ok := false
   done;
   !ok

@@ -31,8 +31,10 @@ val data_disks : t -> int
 val disks : t -> Disk.t array
 (** Index [ndisks - 1] is the parity disk. *)
 
-val read : t -> int -> bytes
-(** Reads via parity reconstruction if the data disk has failed. A
+val read : t -> int -> string
+(** The stored block itself, not a copy (see {!Disk.read}): the caller
+    may keep it and must copy it before changing anything. Reads via
+    parity reconstruction if the data disk has failed. A
     single-block media error ([Repro_fault.Fault.Media_error]) is repaired
     in place: the block is reconstructed from parity, rewritten to the disk
     (remapping the bad sector), counted in {!media_repairs}, and served.
@@ -40,17 +42,19 @@ val read : t -> int -> bytes
     itself only on a double fault (a media error with another disk already
     missing). *)
 
-val write : t -> int -> bytes -> unit
-(** Read-modify-write parity update (up to 4 disk I/Os). Media errors on
-    the pre-read are repaired as in {!read}; a drive dying mid-operation
-    falls back to the degraded write path. *)
+val write : t -> int -> string -> unit
+(** Takes ownership of the block: the data disk stores it as given (see
+    {!Disk.write}). Read-modify-write parity update (up to 4 disk I/Os).
+    Media errors on the pre-read are repaired as in {!read}; a drive dying
+    mid-operation falls back to the degraded write path. *)
 
 val media_repairs : t -> int
 (** Blocks repaired from parity after a media error. *)
 
-val write_stripe : t -> int -> bytes array -> unit
+val write_stripe : t -> int -> string array -> unit
 (** [write_stripe t stripe data] writes all [n-1] data blocks of a stripe
-    and its parity in [n] disk I/Os. [Array.length data] must be [n-1]. *)
+    and its parity in [n] disk I/Os, storing each block as given.
+    [Array.length data] must be [n-1]. *)
 
 val stripe_of_gbn : t -> int -> int * int
 (** [(stripe, data_disk_index)]. *)

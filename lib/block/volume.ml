@@ -69,11 +69,7 @@ let write t vbn b =
 
 let read_extent t vbn n =
   if n <= 0 then invalid_arg "Volume.read_extent";
-  let buf = Bytes.create (n * Block.size) in
-  for i = 0 to n - 1 do
-    Bytes.blit (read t (vbn + i)) 0 buf (i * Block.size) Block.size
-  done;
-  buf
+  Array.init n (fun i -> read t (vbn + i))
 
 (* Group sorted (vbn, block) pairs into maximal runs of consecutive vbns,
    then write any run segment that covers a whole RAID stripe with one

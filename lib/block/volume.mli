@@ -36,13 +36,23 @@ val size_blocks : t -> int
 val resource : t -> Repro_sim.Resource.t
 val raid_groups : t -> Raid.t array
 
-val read : t -> Block.addr -> bytes
-val write : t -> Block.addr -> bytes -> unit
+(** {1 Block ownership}
 
-val read_extent : t -> Block.addr -> int -> bytes
-(** [read_extent t vbn n] reads [n] consecutive blocks into one buffer. *)
+    Stored blocks are immutable strings (see {!Block}). A writer hands its
+    block over: the volume keeps the very string, and the writer must not
+    keep a [bytes] alias of it. A reader gets the stored string back, not a
+    copy: it may keep it as long as it likes — a later write to the same
+    address stores a different string and leaves it alone — and must copy
+    it before changing anything. *)
 
-val write_batch : t -> (Block.addr * bytes) list -> unit
+val read : t -> Block.addr -> string
+val write : t -> Block.addr -> string -> unit
+
+val read_extent : t -> Block.addr -> int -> string array
+(** [read_extent t vbn n] reads the [n] consecutive blocks from [vbn], in
+    order. *)
+
+val write_batch : t -> (Block.addr * string) list -> unit
 (** Write a set of dirty blocks. Runs covering complete RAID stripes are
     written with {!Raid.write_stripe} (one I/O per disk, parity in one
     pass); stragglers fall back to read-modify-write. This is the payoff of

@@ -39,7 +39,7 @@ let emit_map sink ~map_kind ~inodes bitmap =
     let len = Stdlib.min Spec.data_block_size (String.length payload - off) in
     let block = Bytes.make Spec.data_block_size '\000' in
     Bytes.blit_string payload off block 0 len;
-    Tapeio.output sink (Bytes.to_string block)
+    Tapeio.output sink (Bytes.unsafe_to_string block)
   done
 
 (* Raw hole-map bytes: bit lbn set iff the block is present. *)
@@ -220,7 +220,7 @@ let run ?(level = 0) ?dumpdates ?(record = true) ?(exclude = Filter.none) ?cpu
             let blen = Stdlib.min Spec.data_block_size (len - off) in
             let block = Bytes.make Spec.data_block_size '\000' in
             Bytes.blit_string content off block 0 blen;
-            Tapeio.output sink (Bytes.to_string block)
+            Tapeio.output sink (Bytes.unsafe_to_string block)
           done;
           incr dirs_dumped)
         dir_inos);
@@ -255,7 +255,7 @@ let run ?(level = 0) ?dumpdates ?(record = true) ?(exclude = Filter.none) ?cpu
                 (fun block ->
                   charge cpu
                     (Float.of_int Spec.data_block_size *. costs.Cost.dump_format_per_byte);
-                  Tapeio.output sink (Bytes.to_string block))
+                  Tapeio.output sink block)
                 blocks;
               incr files_dumped
             | exception Repro_fault.Fault.Media_error { device; _ } ->

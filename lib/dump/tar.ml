@@ -146,7 +146,7 @@ let create ?newer ~view ~subtree ~sink () =
       let take = Stdlib.min !remaining 4096 in
       let data =
         match Fs.View.file_block view ino !lbn with
-        | Some b -> Bytes.sub_string b 0 take
+        | Some b -> String.sub b 0 take
         | None -> String.make take '\000' (* tar densifies holes *)
       in
       (* pad the final fragment to the 512 boundary *)

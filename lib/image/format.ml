@@ -70,18 +70,30 @@ type record = Extent of { vbn : int; data : string } | Trailer of { fsinfo : str
 let tag_extent = 1
 let tag_trailer = 2
 
-let encode_extent ~vbn ~data =
-  let n = String.length data / block_size in
-  if String.length data mod block_size <> 0 || n = 0 || n > max_extent_blocks then
-    invalid_arg "Format.encode_extent";
-  let open Serde in
-  let w = writer ~initial_size:(String.length data + 16) () in
-  write_u8 w tag_extent;
-  write_u32 w vbn;
-  write_u16 w n;
-  write_u32 w (Crc32.string data);
-  write_fixed w data;
-  contents w
+(* Tag, vbn, block count and CRC, then the blocks. *)
+let extent_header = 11
+
+(* One copy per block, straight into the record, and the CRC over the
+   copy while it is still in cache. *)
+let encode_extent ~vbn blocks =
+  let n = Array.length blocks in
+  if
+    n = 0 || n > max_extent_blocks || vbn < 0 || vbn > 0xffffffff
+    || Array.exists (fun b -> String.length b <> block_size) blocks
+  then invalid_arg "Format.encode_extent";
+  let r = Bytes.create (extent_header + (n * block_size)) in
+  Bytes.set_uint8 r 0 tag_extent;
+  Bytes.set_int32_le r 1 (Int32.of_int vbn);
+  Bytes.set_uint16_le r 5 n;
+  let crc = ref Crc32.init in
+  Array.iteri
+    (fun i b ->
+      let off = extent_header + (i * block_size) in
+      Bytes.blit_string b 0 r off block_size;
+      crc := Crc32.update_substring !crc (Bytes.unsafe_to_string r) off block_size)
+    blocks;
+  Bytes.set_int32_le r 7 (Int32.of_int (Crc32.finish !crc));
+  Bytes.unsafe_to_string r
 
 let encode_trailer ~fsinfo =
   if String.length fsinfo <> block_size then invalid_arg "Format.encode_trailer";

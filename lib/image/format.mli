@@ -41,7 +41,10 @@ type record =
 val max_extent_blocks : int
 (** 64. *)
 
-val encode_extent : vbn:int -> data:string -> string
+val encode_extent : vbn:int -> string array -> string
+(** [encode_extent ~vbn blocks]: the record for blocks [vbn, vbn+count),
+    given as 1 to {!max_extent_blocks} 4 KB blocks. *)
+
 val encode_trailer : fsinfo:string -> string
 val read_record : (int -> string) -> record
 (** [read_record input] where [input n] yields exactly [n] bytes. *)

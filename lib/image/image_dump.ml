@@ -39,12 +39,12 @@ let emit_extents ?cpu ~costs ~fs ~sink set =
   let flush vbn count =
     if count > 0 then begin
       let tok = Repro_prof.Prof.enter p_extent in
-      let data = Bytes.to_string (Volume.read_extent vol vbn count) in
+      let extent = Volume.read_extent vol vbn count in
       charge cpu
         (Float.of_int count
         *. (costs.Cost.image_per_block
            +. (4096.0 *. costs.Cost.image_per_byte)));
-      Tapeio.output sink (Format.encode_extent ~vbn ~data);
+      Tapeio.output sink (Format.encode_extent ~vbn extent);
       nblocks := !nblocks + count;
       Repro_prof.Prof.leave tok;
       Repro_prof.Prof.bump c_extents
@@ -163,7 +163,7 @@ let run ?cpu ?(costs = Cost.f630) ?(part = (0, 1))
       blocks := emit_extents ?cpu ~costs ~fs ~sink set;
       Tapeio.output sink
         (Format.encode_trailer
-           ~fsinfo:(Bytes.to_string (synthesize_fsinfo fs target included))));
+           ~fsinfo:(synthesize_fsinfo fs target included)));
   Tapeio.close_sink sink;
   Repro_obs.Obs.count "image_dump.blocks" !blocks;
   Repro_obs.Obs.count "image_dump.bytes_written"
@@ -198,15 +198,15 @@ let raw ?cpu ?(costs = Cost.f630) ?(observe = Repro_obs.Obs.observe) ~volume
       let vbn = ref 2 in
       while !vbn < nblocks do
         let count = Stdlib.min Format.max_extent_blocks (nblocks - !vbn) in
-        let data = Bytes.to_string (Volume.read_extent volume !vbn count) in
+        let extent = Volume.read_extent volume !vbn count in
         charge cpu
           (Float.of_int count
           *. (costs.Cost.image_per_block +. (4096.0 *. costs.Cost.image_per_byte)));
-        Tapeio.output sink (Format.encode_extent ~vbn:!vbn ~data);
+        Tapeio.output sink (Format.encode_extent ~vbn:!vbn extent);
         blocks := !blocks + count;
         vbn := !vbn + count
       done;
-      let fsinfo = Bytes.to_string (Volume.read volume Layout.fsinfo_vbn_primary) in
+      let fsinfo = Volume.read volume Layout.fsinfo_vbn_primary in
       Tapeio.output sink (Format.encode_trailer ~fsinfo));
   Tapeio.close_sink sink;
   {

@@ -21,14 +21,11 @@ let charge cpu secs = match cpu with Some r -> Resource.charge r secs | None -> 
 
 let block_size = 4096
 
-(* Each block is copied once, straight from the extent into the buffer
-   the volume takes. *)
+(* Each block is copied once, out of the extent into the string the
+   volume keeps. *)
 let split_blocks vbn data =
   let n = String.length data / block_size in
-  List.init n (fun i ->
-      let b = Bytes.create block_size in
-      Bytes.blit_string data (i * block_size) b 0 block_size;
-      (vbn + i, b))
+  List.init n (fun i -> (vbn + i, String.sub data (i * block_size) block_size))
 
 let apply ?cpu ?(costs = Cost.f630) ?(observe = Repro_obs.Obs.observe) ~volume
     src =
@@ -87,11 +84,11 @@ let apply ?cpu ?(costs = Cost.f630) ?(observe = Repro_obs.Obs.observe) ~volume
           bytes := !bytes + String.length data
         | Format.Trailer { fsinfo } ->
           flush ();
-          (match Fsinfo.decode (Bytes.of_string fsinfo) with
+          (match Fsinfo.decode fsinfo with
           | Some _ -> ()
           | None -> err "trailer fsinfo does not decode");
-          Volume.write volume Layout.fsinfo_vbn_primary (Bytes.of_string fsinfo);
-          Volume.write volume Layout.fsinfo_vbn_backup (Bytes.of_string fsinfo);
+          Volume.write volume Layout.fsinfo_vbn_primary fsinfo;
+          Volume.write volume Layout.fsinfo_vbn_backup fsinfo;
           continue := false
       done);
   if !blocks <> header.Format.block_count then
@@ -119,7 +116,7 @@ let verify src =
          ignore vbn;
          blocks := !blocks + (String.length data / block_size)
        | Format.Trailer { fsinfo } ->
-         (match Fsinfo.decode (Bytes.of_string fsinfo) with
+         (match Fsinfo.decode fsinfo with
          | Some _ -> ()
          | None -> note "trailer fsinfo does not decode");
          continue := false

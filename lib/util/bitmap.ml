@@ -186,20 +186,20 @@ let first_clear_from t start =
    with [first] a multiple of 8, plane byte [first / 8 + k] holds words
    [8k .. 8k+7]. *)
 
-let check_transpose name planes ~first ~count buf =
+let check_transpose name planes ~first ~count buf_len =
   if
     Array.length planes > 32
     || first < 0
     || first land 7 <> 0
     || count < 0
-    || Bytes.length buf < 4 * count
+    || buf_len < 4 * count
   then invalid_arg name;
   for p = 0 to Array.length planes - 1 do
     if planes.(p).length < first + count then invalid_arg name
   done
 
 let to_words planes ~first ~count dst =
-  check_transpose "Bitmap.to_words" planes ~first ~count dst;
+  check_transpose "Bitmap.to_words" planes ~first ~count (Bytes.length dst);
   Bytes.fill dst 0 (4 * count) '\000';
   let lo = first lsr 3 and hi = (first + count + 7) lsr 3 in
   for p = 0 to Array.length planes - 1 do
@@ -244,19 +244,20 @@ let scatter_word planes v w =
     done
   end
 
+let u32 src j = Int32.to_int (String.get_int32_le src (4 * j)) land 0xffffffff
+
 let of_words planes ~first ~count src =
-  check_transpose "Bitmap.of_words" planes ~first ~count src;
+  check_transpose "Bitmap.of_words" planes ~first ~count (String.length src);
   for p = 0 to Array.length planes - 1 do
     clear_from_aligned planes.(p) first (first + count)
   done;
-  let u32 j = Int32.to_int (Bytes.get_int32_le src (4 * j)) land 0xffffffff in
   let i = ref 0 in
   while !i < count do
     (* two words at a time, both skipped when zero *)
     let pair = !i + 1 < count in
-    if (not pair) || Bytes.get_int64_le src (4 * !i) <> 0L then begin
-      scatter_word planes (first + !i) (u32 !i);
-      if pair then scatter_word planes (first + !i + 1) (u32 (!i + 1))
+    if (not pair) || String.get_int64_le src (4 * !i) <> 0L then begin
+      scatter_word planes (first + !i) (u32 src !i);
+      if pair then scatter_word planes (first + !i + 1) (u32 src (!i + 1))
     end;
     i := !i + 2
   done

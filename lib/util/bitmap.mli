@@ -57,7 +57,7 @@ val to_words : t array -> first:int -> count:int -> bytes -> unit
 (** [to_words planes ~first ~count dst] overwrites the first [count]
     words of [dst] from bits [first, first + count) of the planes. *)
 
-val of_words : t array -> first:int -> count:int -> bytes -> unit
+val of_words : t array -> first:int -> count:int -> string -> unit
 (** [of_words planes ~first ~count src] overwrites bits
     [first, first + count) of every plane from the first [count] words of
     [src]; word bits at or above [Array.length planes] are ignored. *)

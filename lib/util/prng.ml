@@ -36,6 +36,18 @@ let int t bound =
   done;
   !v mod bound
 
+(* [int t 256] is [bits t mod 256], since 256 divides 2^61 and so never
+   rejects: the low byte of [next t lsr 3], one draw per byte. *)
+let fill t b off len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Prng.fill";
+  let s = ref (Bytes.get_int64_ne t 0) in
+  for i = off to off + len - 1 do
+    s := Int64.add !s golden_gamma;
+    Bytes.unsafe_set b i
+      (Char.unsafe_chr (Int64.to_int (Int64.shift_right_logical (mix64 !s) 3) land 0xff))
+  done;
+  Bytes.set_int64_ne t 0 !s
+
 let int_in t lo hi =
   if hi < lo then invalid_arg "Prng.int_in";
   lo + int t (hi - lo + 1)

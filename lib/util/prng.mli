@@ -14,6 +14,11 @@ val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound). Raises [Invalid_argument] if
     [bound <= 0]. *)
 
+val fill : t -> bytes -> int -> int -> unit
+(** [fill t b off len] sets [b.[off] .. b.[off + len - 1]] to the bytes
+    [len] calls of [int t 256] would draw, in order, and leaves [t] as they
+    would. Raises [Invalid_argument] on a range outside [b]. *)
+
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform in [lo, hi] inclusive. *)
 

@@ -75,7 +75,7 @@ let encode_file_block t lbn =
   let b = Bytes.make 4096 '\000' in
   let count = span_count t lbn in
   if count > 0 then Bitmap.to_words t.planes ~first:(lbn * words_per_block) ~count b;
-  b
+  Bytes.unsafe_to_string b
 
 let load_file_block t lbn block =
   let count = span_count t lbn in

@@ -69,7 +69,7 @@ val state_included : block_state -> bool
 val file_blocks : nblocks:int -> int
 (** Size of the block-map file in 4 KB blocks. *)
 
-val encode_file_block : t -> int -> bytes
+val encode_file_block : t -> int -> string
 (** [encode_file_block t lbn] is the [lbn]-th 4 KB block of the file. *)
 
-val load_file_block : t -> int -> bytes -> unit
+val load_file_block : t -> int -> string -> unit

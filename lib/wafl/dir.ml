@@ -1,55 +1,109 @@
 let block_size = 4096
 
-let empty_block () =
-  let b = Bytes.make block_size '\000' in
-  (* count = 0 is already encoded by the zero fill *)
-  b
+let empty_block () = Bytes.make block_size '\000' (* count = 0 *)
 
-let entries block =
-  let open Repro_util.Serde in
-  let r = reader (Bytes.unsafe_to_string block) in
-  let count = read_u16 r in
-  List.init count (fun _ ->
-      let ino = read_u32 r in
-      let len = read_u8 r in
-      let name = read_fixed r len in
-      (name, ino))
+let corrupt pos =
+  raise
+    (Repro_util.Serde.Corrupt
+       (Printf.sprintf "directory entry at offset %d runs past the block" pos))
 
-let find block name =
-  List.assoc_opt name (entries block)
+(* [walk s f] calls [f pos len] on each entry of block [s], in storage
+   order, and returns the offset just past the last one. The whole entry
+   is checked to lie inside the block before [f] sees it, and its length
+   is read before, so [f] may overwrite bytes below [pos + len]. *)
+let walk s f =
+  let size = String.length s in
+  if size < 2 then corrupt 0;
+  let pos = ref 2 in
+  for _ = 1 to String.get_uint16_le s 0 do
+    let p = !pos in
+    if p + 5 > size then corrupt p;
+    let len = 5 + String.get_uint8 s (p + 4) in
+    if p + len > size then corrupt p;
+    f p len;
+    pos := p + len
+  done;
+  !pos
 
-let encode items =
-  let open Repro_util.Serde in
-  let w = writer ~initial_size:block_size () in
-  write_u16 w (List.length items);
-  List.iter
-    (fun (name, ino) ->
-      write_u32 w ino;
-      write_u8 w (String.length name);
-      write_fixed w name)
-    items;
-  if writer_length w > block_size then None
+let used s = walk s (fun _ _ -> ())
+
+let ino_at s pos = Int32.to_int (String.get_int32_le s pos) land 0xffffffff
+
+let name_is s pos name =
+  let n = String.length name in
+  String.get_uint8 s (pos + 4) = n
+  &&
+  let i = ref 0 in
+  while !i < n && String.unsafe_get s (pos + 5 + !i) = String.unsafe_get name !i do
+    incr i
+  done;
+  !i = n
+
+let entries s =
+  let acc = ref [] in
+  ignore
+    (walk s (fun p len -> acc := (String.sub s (p + 5) (len - 5), ino_at s p) :: !acc));
+  List.rev !acc
+
+let find s name =
+  let hit = ref (-1) in
+  ignore (walk s (fun p _ -> if !hit < 0 && name_is s p name then hit := p));
+  if !hit < 0 then None else Some (ino_at s !hit)
+
+let check_ino ino = if ino < 0 || ino > 0xffffffff then invalid_arg "Dir: bad inode number"
+
+let check_name name =
+  let len = String.length name in
+  if len = 0 || len > Layout.max_name_len then invalid_arg "Dir.add: bad name"
+
+let fits s name =
+  check_name name;
+  used s + 5 + String.length name <= block_size
+
+(* The bytes past the last entry are zero in every block this module
+   writes. *)
+let finish b ~count ~used =
+  Bytes.set_uint16_le b 0 count;
+  Bytes.fill b used (block_size - used) '\000'
+
+let add b name ino =
+  check_name name;
+  let s = Bytes.unsafe_to_string b in
+  let used = used s in
+  check_ino ino;
+  let len = String.length name in
+  if used + 5 + len > block_size then false
   else begin
-    let b = Bytes.make block_size '\000' in
-    Bytes.blit_string (contents w) 0 b 0 (writer_length w);
-    Some b
+    Bytes.set_int32_le b used (Int32.of_int ino);
+    Bytes.set_uint8 b (used + 4) len;
+    Bytes.blit_string name 0 b (used + 5) len;
+    finish b ~count:(String.get_uint16_le s 0 + 1) ~used:(used + 5 + len);
+    true
   end
 
-let add block name ino =
-  let len = String.length name in
-  if len = 0 || len > Layout.max_name_len then invalid_arg "Dir.add: bad name";
-  encode (entries block @ [ (name, ino) ])
+let remove b name =
+  let s = Bytes.unsafe_to_string b in
+  if find s name = None then false
+  else begin
+    (* slide the kept entries down over the removed ones *)
+    let dst = ref 2 and kept = ref 0 in
+    ignore
+      (walk s (fun p len ->
+           if not (name_is s p name) then begin
+             Bytes.blit b p b !dst len;
+             dst := !dst + len;
+             incr kept
+           end));
+    finish b ~count:!kept ~used:!dst;
+    true
+  end
 
-let remove block name =
-  let items = entries block in
-  if not (List.mem_assoc name items) then None
-  else
-    let items = List.filter (fun (n, _) -> not (String.equal n name)) items in
-    encode items
-
-let replace block name ino =
-  let items = entries block in
-  if not (List.mem_assoc name items) then None
-  else
-    encode
-      (List.map (fun (n, i) -> if String.equal n name then (n, ino) else (n, i)) items)
+let replace b name ino =
+  let s = Bytes.unsafe_to_string b in
+  if find s name = None then false
+  else begin
+    check_ino ino;
+    let set p _ = if name_is s p name then Bytes.set_int32_le b p (Int32.of_int ino) in
+    finish b ~count:(String.get_uint16_le s 0) ~used:(walk s set);
+    true
+  end

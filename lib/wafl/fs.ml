@@ -29,7 +29,10 @@ let default_config () =
 
 (* In-memory image of one file's block tree. [f_ptrs] maps logical block
    number to vbn ([Layout.no_block] = hole); dirty data lives only in
-   [f_dirty] until the next consistency point allocates it a home. *)
+   [f_dirty] until the next consistency point allocates it a home. A dirty
+   block is owned by its ftree alone: every insertion stores a fresh
+   block, later edits in the same CP change it in place, and the CP hands
+   it to the volume as an immutable string. *)
 type ftree = {
   f_ino : int; (* -1 denotes the inode file itself *)
   mutable f_inode : Inode.t;
@@ -67,8 +70,8 @@ type t = {
   ftrees : (int, ftree) Hashtbl.t;
   xattr_dirty : (int, (string * string) list) Hashtbl.t;
   ino_used : Bitmap.t;
-  lru : bytes Lru.t;
-  pending : (int, bytes) Hashtbl.t; (* blocks allocated mid-CP, not yet on disk *)
+  lru : string Lru.t; (* stored blocks, shared with the volume *)
+  pending : (int, string) Hashtbl.t; (* blocks allocated mid-CP, not yet on disk *)
   mutable alloc_cursor : int;
   mutable ops_since_cp : int;
   mutable dirty_count : int;
@@ -109,20 +112,20 @@ let vol_read t vbn =
 (* Pointer-tree loading                                                *)
 
 let encode_ptr_block ptrs off count =
-  let b = Bytes.make 4096 '\000' in
+  let b = Block.zero () in
   for i = 0 to count - 1 do
     let p = if off + i < Array.length ptrs then ptrs.(off + i) else Layout.no_block in
     Bytes.set_int32_le b (i * 4) (Int32.of_int p)
   done;
-  b
+  Bytes.unsafe_to_string b
 
 (* Materialize the lbn->vbn map and the list of indirect-block vbns from an
    on-disk inode. [read] lets views substitute uncached volume reads. *)
 let load_ptrs_with ~read (inode : Inode.t) =
   let ptr_block vbn =
-    let b : bytes = read vbn in
+    let b : string = read vbn in
     Array.init Layout.ptrs_per_block (fun i ->
-        Int32.to_int (Bytes.get_int32_le b (i * 4)) land 0xffffffff)
+        Int32.to_int (String.get_int32_le b (i * 4)) land 0xffffffff)
   in
   let n = Inode.nblocks inode in
   let ptrs = Array.make (Stdlib.max n Layout.ndirect) Layout.no_block in
@@ -181,22 +184,35 @@ let ftree_grow ft lbn =
     ft.f_ptrs <- np
   end
 
+(* A dirty block comes back as a view of the ftree's own buffer: read it
+   and let go, since a later edit changes it in place. *)
 let ftree_read_block t ft lbn =
   if lbn < 0 then invalid_arg "ftree_read_block";
   match Hashtbl.find_opt ft.f_dirty lbn with
-  | Some b -> b
+  | Some b -> Bytes.unsafe_to_string b
   | None ->
     if lbn < Array.length ft.f_ptrs && ft.f_ptrs.(lbn) <> Layout.no_block then
       vol_read t ft.f_ptrs.(lbn)
-    else Block.zero ()
+    else Block.zeros
 
+(* [data] must be fresh: the ftree takes it over. *)
 let ftree_write_block t ft lbn data =
-  Block.check data;
+  Block.check (Bytes.unsafe_to_string data);
   if lbn >= Layout.max_file_blocks then err "file too large";
   ftree_grow ft lbn;
   if not (Hashtbl.mem ft.f_dirty lbn) then t.dirty_count <- t.dirty_count + 1;
   Hashtbl.replace ft.f_dirty lbn data;
   ft.f_data_dirty <- true
+
+(* Block [lbn], dirty and owned by [ft], to edit in place: the dirty block
+   itself, or a fresh copy of the clean one made dirty. *)
+let ftree_own_block t ft lbn =
+  match Hashtbl.find_opt ft.f_dirty lbn with
+  | Some b -> b
+  | None ->
+    let b = Bytes.of_string (ftree_read_block t ft lbn) in
+    ftree_write_block t ft lbn b;
+    b
 
 (* ------------------------------------------------------------------ *)
 (* Inode file access                                                   *)
@@ -221,9 +237,8 @@ let read_inode t ino =
 let write_inode_slot t ino inode =
   check_ino t ino;
   let lbn, slot = slot_of_ino ino in
-  let b = Bytes.copy (ftree_read_block t t.inode_file lbn) in
-  Bytes.blit (Inode.encode inode) 0 b (slot * Layout.inode_size) Layout.inode_size;
-  ftree_write_block t t.inode_file lbn b
+  Inode.encode_into (ftree_own_block t t.inode_file lbn) ~pos:(slot * Layout.inode_size)
+    inode
 
 let get_ftree t ino =
   if ino = Layout.blockmap_ino then t.bmap_file
@@ -292,50 +307,40 @@ let dir_entries t dir_ino =
       false);
   !acc
 
+(* Edit the first block [pick] accepts, in place; whether one did. *)
+let dir_edit t ft pick edit =
+  let done_ = ref false in
+  dir_iter_blocks t ft (fun lbn b ->
+      done_ := pick b;
+      if !done_ then ignore (edit (ftree_own_block t ft lbn) : bool);
+      !done_);
+  !done_
+
 let dir_add t dir_ino name ino =
   let ft = get_ftree t dir_ino in
-  let placed = ref false in
-  dir_iter_blocks t ft (fun lbn b ->
-      match Dir.add b name ino with
-      | Some b' ->
-        ftree_write_block t ft lbn b';
-        placed := true;
-        true
-      | None -> false);
-  if not !placed then begin
+  let placed = dir_edit t ft (fun b -> Dir.fits b name) (fun b -> Dir.add b name ino) in
+  if not placed then begin
     let lbn = dir_nblocks ft.f_inode in
-    (match Dir.add (Dir.empty_block ()) name ino with
-    | Some b -> ftree_write_block t ft lbn b
-    | None -> err "directory entry too large");
+    let b = Dir.empty_block () in
+    if not (Dir.add b name ino) then err "directory entry too large";
+    ftree_write_block t ft lbn b;
     set_inode t ft
       { ft.f_inode with size = (lbn + 1) * Block.size; mtime = t.config.now () }
   end
   else set_inode t ft { ft.f_inode with mtime = t.config.now () }
 
+let has name b = Option.is_some (Dir.find b name)
+
 let dir_remove t dir_ino name =
   let ft = get_ftree t dir_ino in
-  let removed = ref false in
-  dir_iter_blocks t ft (fun lbn b ->
-      match Dir.remove b name with
-      | Some b' ->
-        ftree_write_block t ft lbn b';
-        removed := true;
-        true
-      | None -> false);
-  if not !removed then err "no such directory entry %S" name;
+  if not (dir_edit t ft (has name) (fun b -> Dir.remove b name)) then
+    err "no such directory entry %S" name;
   set_inode t ft { ft.f_inode with mtime = t.config.now () }
 
 let dir_replace t dir_ino name ino =
   let ft = get_ftree t dir_ino in
-  let done_ = ref false in
-  dir_iter_blocks t ft (fun lbn b ->
-      match Dir.replace b name ino with
-      | Some b' ->
-        ftree_write_block t ft lbn b';
-        done_ := true;
-        true
-      | None -> false);
-  if not !done_ then err "no such directory entry %S" name
+  if not (dir_edit t ft (has name) (fun b -> Dir.replace b name ino)) then
+    err "no such directory entry %S" name
 
 (* ------------------------------------------------------------------ *)
 (* Path resolution                                                     *)
@@ -413,7 +418,8 @@ let flush_ftree t ft ~write_slot =
         if old <> Layout.no_block then free_block t old;
         let vbn = alloc_block t in
         ft.f_ptrs.(lbn) <- vbn;
-        Hashtbl.replace t.pending vbn data)
+        (* the ftree lets go of its block here: [f_dirty] is reset below *)
+        Hashtbl.replace t.pending vbn (Bytes.unsafe_to_string data))
       dirty;
     t.dirty_count <- t.dirty_count - Hashtbl.length ft.f_dirty;
     Hashtbl.reset ft.f_dirty;
@@ -489,10 +495,10 @@ let flush_xattrs t =
               write_string w v)
             attrs;
           if writer_length w > Block.size then err "xattrs of inode %d overflow a block" ino;
-          let b = Bytes.make Block.size '\000' in
+          let b = Block.zero () in
           Bytes.blit_string (contents w) 0 b 0 (writer_length w);
           let vbn = alloc_block t in
-          Hashtbl.replace t.pending vbn b;
+          Hashtbl.replace t.pending vbn (Bytes.unsafe_to_string b);
           vbn
         end
       in
@@ -583,10 +589,12 @@ let cp_internal t ?capture () =
     | `Torn ->
       (* Torn write: only the first half of the block reaches the media;
          the tail keeps its previous contents. The CRC catches it and the
-         mount falls back to the redundant copy. *)
-      let torn = Volume.read t.vol vbn in
-      Bytes.blit b 0 torn 0 (Bytes.length b / 2);
-      Volume.write t.vol vbn torn
+         mount falls back to the redundant copy. The old block is stored,
+         and may be shared (both copies of the last fsinfo are one
+         string), so the tear is made in a copy. *)
+      let torn = Bytes.of_string (Volume.read t.vol vbn) in
+      Bytes.blit_string b 0 torn 0 (String.length b / 2);
+      Volume.write t.vol vbn (Bytes.unsafe_to_string torn)
   in
   write_fsinfo Layout.fsinfo_vbn_primary ~primary:true;
   write_fsinfo Layout.fsinfo_vbn_backup ~primary:false;
@@ -853,7 +861,7 @@ let readlink t path =
   let ft = get_ftree t ino in
   if ft.f_inode.Inode.kind <> Inode.Symlink then err "%S: not a symlink" path;
   charge_op t 1;
-  Bytes.sub_string (ftree_read_block t ft 0) 0 ft.f_inode.Inode.size
+  String.sub (ftree_read_block t ft 0) 0 ft.f_inode.Inode.size
 
 (* ------------------------------------------------------------------ *)
 (* File I/O                                                            *)
@@ -876,12 +884,13 @@ let write_internal t path ~offset data =
     let lbn = abs / Block.size in
     let boff = abs mod Block.size in
     let chunk = Stdlib.min (Block.size - boff) (len - !pos) in
-    let block =
-      if chunk = Block.size then Block.zero ()
-      else Bytes.copy (ftree_read_block t ft lbn)
-    in
-    Bytes.blit_string data !pos block boff chunk;
-    ftree_write_block t ft lbn block;
+    if chunk = Block.size then begin
+      (* a whole block: every byte is overwritten, so no zero fill *)
+      let block = Bytes.create Block.size in
+      Bytes.blit_string data !pos block 0 chunk;
+      ftree_write_block t ft lbn block
+    end
+    else Bytes.blit_string data !pos (ftree_own_block t ft lbn) boff chunk;
     pos := !pos + chunk
   done;
   let new_size = Stdlib.max ft.f_inode.Inode.size (offset + len) in
@@ -911,11 +920,10 @@ let read t path ~offset ~len =
     let lbn = abs / Block.size in
     let boff = abs mod Block.size in
     let chunk = Stdlib.min (Block.size - boff) (len - !pos) in
-    let block = ftree_read_block t ft lbn in
-    Bytes.blit block boff out !pos chunk;
+    Bytes.blit_string (ftree_read_block t ft lbn) boff out !pos chunk;
     pos := !pos + chunk
   done;
-  Bytes.to_string out
+  Bytes.unsafe_to_string out
 
 let truncate_internal t path ~size =
   alive t;
@@ -944,9 +952,7 @@ let truncate_internal t path ~size =
        zeros, not stale bytes. *)
     let lbn = new_n - 1 in
     let keep = size mod Block.size in
-    let b = Bytes.copy (ftree_read_block t ft lbn) in
-    Bytes.fill b keep (Block.size - keep) '\000';
-    ftree_write_block t ft lbn b
+    Bytes.fill (ftree_own_block t ft lbn) keep (Block.size - keep) '\000'
   end;
   ft.f_data_dirty <- true;
   set_inode t ft { ft.f_inode with size; mtime = t.config.now () };
@@ -993,8 +999,7 @@ let load_xattrs t ino =
     if inode.Inode.xattr_vbn = Layout.no_block then []
     else begin
       let open Repro_util.Serde in
-      let b = vol_read t inode.Inode.xattr_vbn in
-      let r = reader (Bytes.unsafe_to_string b) in
+      let r = reader (vol_read t inode.Inode.xattr_vbn) in
       let n = read_u16 r in
       List.init n (fun _ ->
           let k = read_string r in
@@ -1170,7 +1175,7 @@ module View = struct
     let ptrs = Lazy.force v.vinode_ptrs in
     if lbn < Array.length ptrs && ptrs.(lbn) <> Layout.no_block then
       vread v.vt ptrs.(lbn)
-    else Block.zero ()
+    else Block.zeros
 
   let getattr v ino =
     if ino < 0 || ino >= v.vmax then err "inode %d out of range" ino;
@@ -1200,7 +1205,7 @@ module View = struct
     let _, ptrs = tree v ino in
     if lbn < Array.length ptrs && ptrs.(lbn) <> Layout.no_block then begin
       charge_read v.vt Block.size;
-      Some (Bytes.copy (vread v.vt ptrs.(lbn)))
+      Some (vread v.vt ptrs.(lbn))
     end
     else None
 
@@ -1219,12 +1224,12 @@ module View = struct
       let block =
         if lbn < Array.length ptrs && ptrs.(lbn) <> Layout.no_block then
           vread v.vt ptrs.(lbn)
-        else Block.zero ()
+        else Block.zeros
       in
-      Bytes.blit block boff out !pos chunk;
+      Bytes.blit_string block boff out !pos chunk;
       pos := !pos + chunk
     done;
-    Bytes.to_string out
+    Bytes.unsafe_to_string out
 
   let readdir v ino =
     let inode, ptrs = tree v ino in
@@ -1235,7 +1240,7 @@ module View = struct
       let b =
         if lbn < Array.length ptrs && ptrs.(lbn) <> Layout.no_block then
           vread v.vt ptrs.(lbn)
-        else Block.zero ()
+        else Block.zeros
       in
       acc := !acc @ Dir.entries b
     done;
@@ -1246,8 +1251,7 @@ module View = struct
     if inode.Inode.xattr_vbn = Layout.no_block then []
     else begin
       let open Repro_util.Serde in
-      let b = vread v.vt inode.Inode.xattr_vbn in
-      let r = reader (Bytes.unsafe_to_string b) in
+      let r = reader (vread v.vt inode.Inode.xattr_vbn) in
       let n = read_u16 r in
       List.init n (fun _ ->
           let k = read_string r in
@@ -1434,7 +1438,7 @@ let mount ?config ?nvram vol =
       let b =
         if lbn < Array.length if_ptrs && if_ptrs.(lbn) <> Layout.no_block then
           vol_read t if_ptrs.(lbn)
-        else Block.zero ()
+        else Block.zeros
       in
       Inode.decode b ~pos:(slot * Layout.inode_size)
     in
@@ -1448,7 +1452,7 @@ let mount ?config ?nvram vol =
       let b =
         if l < Array.length bm_ptrs && bm_ptrs.(l) <> Layout.no_block then
           vol_read t bm_ptrs.(l)
-        else Block.zero ()
+        else Block.zeros
       in
       Blockmap.load_file_block t.bmap l b
     done;

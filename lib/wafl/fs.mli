@@ -191,8 +191,9 @@ module View : sig
   (** [Inode.free] for unallocated slots. *)
 
   val read : v -> int -> offset:int -> len:int -> string
-  val file_block : v -> int -> int -> bytes option
-  (** [file_block v ino lbn]: [None] for holes. *)
+  val file_block : v -> int -> int -> string option
+  (** [file_block v ino lbn]: the stored block itself, not a copy (see
+      {!Repro_block.Volume.read}); [None] for holes. *)
 
   val block_present : v -> int -> int -> bool
   (** Hole-map probe without reading the data. *)

@@ -51,18 +51,18 @@ let encode t =
   (* CRC over the zero-padded body, stored in the last 4 bytes. *)
   let crc = Repro_util.Crc32.substring (Bytes.unsafe_to_string b) 0 4092 in
   Bytes.set_int32_le b 4092 (Int32.of_int crc);
-  b
+  Bytes.unsafe_to_string b
 
 let decode b =
-  if Bytes.length b <> 4096 then None
+  if String.length b <> 4096 then None
   else
-    let stored = Int32.to_int (Bytes.get_int32_le b 4092) land 0xffffffff in
-    let crc = Repro_util.Crc32.substring (Bytes.unsafe_to_string b) 0 4092 in
+    let stored = Int32.to_int (String.get_int32_le b 4092) land 0xffffffff in
+    let crc = Repro_util.Crc32.substring b 0 4092 in
     if stored <> crc then None
     else
       let open Repro_util.Serde in
       try
-        let r = reader (Bytes.unsafe_to_string b) in
+        let r = reader b in
         expect_magic r Layout.fsinfo_magic;
         let generation = Int64.to_int (read_u64 r) in
         let cp_time = Int64.float_of_bits (read_u64 r) in

@@ -31,9 +31,9 @@ type t = {
   snaps : snap_entry list;  (** ordered by id *)
 }
 
-val encode : t -> bytes
+val encode : t -> string
 (** One 4 KB block: magic, payload, CRC-32 trailer. Raises
     [Invalid_argument] if the snapshot table overflows the block. *)
 
-val decode : bytes -> t option
+val decode : string -> t option
 (** [None] if magic or CRC is wrong — the mount path's torn-write check. *)

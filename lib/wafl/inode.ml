@@ -121,15 +121,40 @@ let read r =
     double;
   }
 
-let encode t =
-  let open Repro_util.Serde in
-  let w = writer ~initial_size:Layout.inode_size () in
-  write w t;
-  let body = contents w in
-  assert (String.length body <= Layout.inode_size);
-  let b = Bytes.make Layout.inode_size '\000' in
-  Bytes.blit_string body 0 b 0 (String.length body);
-  b
+(* The slot layout [write] produces, written straight into the block:
+   every field range-checked before the first byte changes. *)
+let encoded_size = 57 + (4 * Layout.ndirect) + 8
 
-let decode block ~pos =
-  read (Repro_util.Serde.reader ~pos (Bytes.unsafe_to_string block))
+let encode_into b ~pos t =
+  let fits bits v = v >= 0 && v lsr bits = 0 in
+  if
+    pos < 0
+    || pos > Bytes.length b - Layout.inode_size
+    || Array.length t.direct <> Layout.ndirect
+    || not
+         (fits 16 t.nlink && fits 16 t.perms && fits 32 t.uid && fits 32 t.gid
+        && fits 32 t.gen && fits 16 t.qtree && fits 16 t.dos_flags
+        && fits 32 t.xattr_vbn && fits 32 t.single && fits 32 t.double
+        && Array.for_all (fits 32) t.direct)
+  then invalid_arg "Inode.encode_into";
+  let u32 off v = Bytes.set_int32_le b (pos + off) (Int32.of_int v) in
+  let f64 off x = Bytes.set_int64_le b (pos + off) (Int64.bits_of_float x) in
+  Bytes.set_uint8 b pos (kind_code t.kind);
+  Bytes.set_uint16_le b (pos + 1) t.nlink;
+  Bytes.set_uint16_le b (pos + 3) t.perms;
+  u32 5 t.uid;
+  u32 9 t.gid;
+  Bytes.set_int64_le b (pos + 13) (Int64.of_int t.size);
+  f64 21 t.atime;
+  f64 29 t.mtime;
+  f64 37 t.ctime;
+  u32 45 t.gen;
+  Bytes.set_uint16_le b (pos + 49) t.qtree;
+  Bytes.set_uint16_le b (pos + 51) t.dos_flags;
+  u32 53 t.xattr_vbn;
+  Array.iteri (fun i p -> u32 (57 + (4 * i)) p) t.direct;
+  u32 (encoded_size - 8) t.single;
+  u32 (encoded_size - 4) t.double;
+  Bytes.fill b (pos + encoded_size) (Layout.inode_size - encoded_size) '\000'
+
+let decode block ~pos = read (Repro_util.Serde.reader ~pos block)

@@ -37,10 +37,13 @@ val is_free : t -> bool
 val nblocks : t -> int
 (** Size in 4 KB blocks ([Block.blocks_for size]). *)
 
-val encode : t -> bytes
-(** Exactly {!Layout.inode_size} bytes. *)
+val encode_into : bytes -> pos:int -> t -> unit
+(** [encode_into block ~pos t] overwrites the {!Layout.inode_size}-byte
+    slot at [pos] in place: the {!write} form, zero-padded. Raises
+    [Invalid_argument], leaving the block unchanged, if the slot does not
+    fit in the block or a field is out of its on-disk range. *)
 
-val decode : bytes -> pos:int -> t
+val decode : string -> pos:int -> t
 (** Raises [Serde.Corrupt] on a malformed slot. *)
 
 val write : Repro_util.Serde.writer -> t -> unit

@@ -64,7 +64,11 @@ let age ?(churn = default_churn) ~fs ~root () =
     files := Array.of_list (List.filter (fun p -> p <> path) (Array.to_list !files))
   in
   let add_to_list path = files := Array.append !files [| path |] in
-  let payload n = String.init n (fun _ -> Char.chr (Prng.int rng 256)) in
+  let payload n =
+    let b = Bytes.create n in
+    Prng.fill rng b 0 n;
+    Bytes.unsafe_to_string b
+  in
   for _round = 1 to c.rounds do
     for _op = 1 to c.batch do
       match pick_op rng c with

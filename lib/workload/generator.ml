@@ -30,9 +30,7 @@ type stats = { files : int; dirs : int; bytes : int }
    fast to produce and somewhat compressible, like real data. *)
 let content rng size =
   let tile = Bytes.create 4096 in
-  for i = 0 to 4095 do
-    Bytes.set tile i (Char.chr (Prng.int rng 256))
-  done;
+  Prng.fill rng tile 0 4096;
   let b = Bytes.create size in
   let pos = ref 0 in
   let blk = ref 0 in

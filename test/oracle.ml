@@ -9,11 +9,13 @@
    chunker, the in-order span-attribute append, the clock-stepped fluid
    loop the paper tables ran on, the bytewise RAID parity xor and zero
    test, the byte-at-a-time bitmap set operations, the bit-at-a-time
-   block-map file codec, and the boxed-state splitmix generator. They
-   live here, not in lib/, so the library keeps exactly one path per
-   module; the properties in test_util, test_sim, test_block, test_tape,
-   test_wafl, test_net and test_obs assert the library computes the same
-   function as its oracle. Like
+   block-map file codec, the list-decoding directory block codec (Dir)
+   and the writer-built inode slot (Inode) that WAFL now edits in place,
+   and the boxed-state splitmix generator with its per-byte content
+   loop. They live here, not in lib/, so the library keeps exactly one
+   path per module; the properties in test_util, test_sim, test_block,
+   test_tape, test_wafl, test_net and test_obs assert the library
+   computes the same function as its oracle. Like
    differential.ml, this module is linked into every test executable and
    is not itself a test. *)
 
@@ -683,6 +685,80 @@ module Blockmap = struct
     done
 end
 
+(* ---------------------------- dir, inode ----------------------------- *)
+
+(* The directory block codec as it was: decode the block into a fresh
+   (name, ino) list, edit the list, and encode it through a writer into a
+   new zeroed block. *)
+module Dir = struct
+  let block_size = 4096
+
+  let entries block =
+    let open Repro_util.Serde in
+    let r = reader (Bytes.unsafe_to_string block) in
+    let count = read_u16 r in
+    List.init count (fun _ ->
+        let ino = read_u32 r in
+        let len = read_u8 r in
+        let name = read_fixed r len in
+        (name, ino))
+
+  let find block name =
+    List.assoc_opt name (entries block)
+
+  let encode items =
+    let open Repro_util.Serde in
+    let w = writer ~initial_size:block_size () in
+    write_u16 w (List.length items);
+    List.iter
+      (fun (name, ino) ->
+        write_u32 w ino;
+        write_u8 w (String.length name);
+        write_fixed w name)
+      items;
+    if writer_length w > block_size then None
+    else begin
+      let b = Bytes.make block_size '\000' in
+      Bytes.blit_string (contents w) 0 b 0 (writer_length w);
+      Some b
+    end
+
+  let add block name ino =
+    let len = String.length name in
+    if len = 0 || len > Repro_wafl.Layout.max_name_len then invalid_arg "Dir.add: bad name";
+    encode (entries block @ [ (name, ino) ])
+
+  let remove block name =
+    let items = entries block in
+    if not (List.mem_assoc name items) then None
+    else
+      let items = List.filter (fun (n, _) -> not (String.equal n name)) items in
+      encode items
+
+  let replace block name ino =
+    let items = entries block in
+    if not (List.mem_assoc name items) then None
+    else
+      encode
+        (List.map (fun (n, i) -> if String.equal n name then (n, ino) else (n, i)) items)
+end
+
+(* The inode slot as it was: the unpadded writer form copied into a fresh
+   zeroed 256-byte buffer. *)
+module Inode = struct
+  module Layout = Repro_wafl.Layout
+
+  let encode t =
+    let open Repro_util.Serde in
+    let w = writer ~initial_size:Layout.inode_size () in
+    Repro_wafl.Inode.write w t;
+    let body = contents w in
+    assert (String.length body <= Layout.inode_size);
+    let b = Bytes.make Layout.inode_size '\000' in
+    Bytes.blit_string body 0 b 0 (String.length body);
+    b
+end
+
 (* ------------------------------- prng -------------------------------- *)
 
 (* splitmix64 with its state in a mutable boxed [int64] field, which
@@ -725,4 +801,11 @@ module Prng = struct
   let choose t a =
     if Array.length a = 0 then invalid_arg "Prng.choose";
     a.(int t (Array.length a))
+
+  (* What synthetic content drew before [Prng.fill]: one [int t 256] per
+     byte. *)
+  let fill t b off len =
+    for i = off to off + len - 1 do
+      Bytes.set b i (Char.chr (int t 256))
+    done
 end

@@ -11,17 +11,17 @@ module Fault = Repro_fault.Fault
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
-let block_of_char c = Bytes.make Block.size c
+let block_of_char c = String.make Block.size c
 
 let test_block_helpers () =
-  checkb "zero is zero" true (Block.is_zero (Block.zero ()));
+  checkb "zero is zero" true (Block.is_zero Block.zeros);
   checkb "nonzero detected" false (Block.is_zero (block_of_char 'x'));
   checki "blocks_for 1" 1 (Block.blocks_for 1);
   checki "blocks_for 4096" 1 (Block.blocks_for 4096);
   checki "blocks_for 4097" 2 (Block.blocks_for 4097);
   checki "blocks_for 0" 0 (Block.blocks_for 0);
   try
-    Block.check (Bytes.create 100);
+    Block.check (String.make 100 'x');
     Alcotest.fail "wrong size should raise"
   with Invalid_argument _ -> ()
 
@@ -29,15 +29,18 @@ let test_disk_read_write () =
   let d = Disk.create ~label:"d0" (Disk.default_params ~blocks:64) in
   let b = block_of_char 'a' in
   Disk.write d 7 b;
-  Alcotest.(check bytes) "read back" b (Disk.read d 7);
+  (* the disk keeps the block it was given and hands that same block back *)
+  checkb "read back, no copy" true (Disk.read d 7 == b);
   checkb "unwritten reads zero" true (Block.is_zero (Disk.read d 8));
-  (* returned buffer is a copy: mutating it must not corrupt the disk *)
+  (* a block read earlier keeps its bytes when the address is rewritten *)
   let r = Disk.read d 7 in
-  Bytes.set r 0 'Z';
-  Alcotest.(check bytes) "isolation" b (Disk.read d 7);
-  (* ...also for a never-written block *)
-  Bytes.set (Disk.read d 9) 0 'Z';
-  checkb "unwritten still zero" true (Block.is_zero (Disk.read d 10))
+  Disk.write d 7 (block_of_char 'b');
+  Alcotest.(check string) "earlier read unchanged" (block_of_char 'a') r;
+  Alcotest.(check string) "rewrite visible" (block_of_char 'b') (Disk.read d 7);
+  (try
+     Disk.write d 8 (String.make 100 'x');
+     Alcotest.fail "a short block should raise"
+   with Invalid_argument _ -> ())
 
 let test_disk_service_model () =
   let d = Disk.create ~label:"d0" (Disk.default_params ~blocks:4096) in
@@ -90,23 +93,23 @@ let test_raid_parity_and_reconstruction () =
     for i = 0 to 255 do
       Bytes.set b i (Char.chr (Prng.int rng 256))
     done;
-    Raid.write r gbn b
+    Raid.write r gbn (Bytes.unsafe_to_string b)
   done;
   checkb "parity consistent after writes" true (Raid.parity_consistent r);
   (* capture, fail a data disk, verify reads reconstruct *)
   let expect = Array.init (Raid.data_blocks r) (fun gbn -> Raid.read r gbn) in
   Raid.fail_disk r 1;
   Array.iteri
-    (fun gbn b -> Alcotest.(check bytes) (Printf.sprintf "gbn %d degraded" gbn) b (Raid.read r gbn))
+    (fun gbn b -> Alcotest.(check string) (Printf.sprintf "gbn %d degraded" gbn) b (Raid.read r gbn))
     expect;
   (* writes in degraded mode still correct *)
   let nb = block_of_char 'N' in
   Raid.write r 1 nb (* gbn 1 lives on the failed disk *);
-  Alcotest.(check bytes) "degraded write" nb (Raid.read r 1);
+  Alcotest.(check string) "degraded write" nb (Raid.read r 1);
   (* rebuild onto replacement *)
   Raid.rebuild_disk r 1;
   checkb "parity consistent after rebuild" true (Raid.parity_consistent r);
-  Alcotest.(check bytes) "content after rebuild" nb (Raid.read r 1)
+  Alcotest.(check string) "content after rebuild" nb (Raid.read r 1)
 
 let test_raid_write_stripe () =
   let r = make_raid () in
@@ -115,7 +118,7 @@ let test_raid_write_stripe () =
   checkb "parity consistent" true (Raid.parity_consistent r);
   Array.iteri
     (fun i b ->
-      Alcotest.(check bytes)
+      Alcotest.(check string)
         (Printf.sprintf "disk %d" i)
         b
         (Raid.read r ((3 * Raid.data_disks r) + i)))
@@ -166,8 +169,8 @@ let test_volume_flat_space () =
   let last_of_g0 = (3 * 16) - 1 in
   Volume.write v last_of_g0 (block_of_char 'x');
   Volume.write v (last_of_g0 + 1) (block_of_char 'y');
-  Alcotest.(check bytes) "g0" (block_of_char 'x') (Volume.read v last_of_g0);
-  Alcotest.(check bytes) "g1" (block_of_char 'y') (Volume.read v (last_of_g0 + 1));
+  Alcotest.(check string) "g0" (block_of_char 'x') (Volume.read v last_of_g0);
+  Alcotest.(check string) "g1" (block_of_char 'y') (Volume.read v (last_of_g0 + 1));
   checkb "parity ok" true (Volume.parity_consistent v);
   try
     ignore (Volume.read v (Volume.size_blocks v));
@@ -185,12 +188,12 @@ let test_volume_write_batch () =
         let b = Block.zero () in
         Bytes.set b 0 (Char.chr (Prng.int rng 256));
         Bytes.set b 1 (Char.chr (i mod 256));
-        (i + 3, b))
+        (i + 3, Bytes.unsafe_to_string b))
   in
   Volume.write_batch v blocks;
   List.iter
     (fun (vbn, b) ->
-      Alcotest.(check bytes) (Printf.sprintf "vbn %d" vbn) b (Volume.read v vbn))
+      Alcotest.(check string) (Printf.sprintf "vbn %d" vbn) b (Volume.read v vbn))
     blocks;
   checkb "parity consistent after batch" true (Volume.parity_consistent v)
 
@@ -199,8 +202,11 @@ let test_volume_read_extent () =
   Volume.write v 10 (block_of_char 'a');
   Volume.write v 11 (block_of_char 'b');
   let ext = Volume.read_extent v 10 2 in
-  Alcotest.(check char) "first" 'a' (Bytes.get ext 0);
-  Alcotest.(check char) "second" 'b' (Bytes.get ext Block.size)
+  checki "two blocks" 2 (Array.length ext);
+  Alcotest.(check char) "first" 'a' ext.(0).[0];
+  Alcotest.(check char) "second" 'b' ext.(1).[0];
+  checkb "the stored blocks, not copies" true
+    (ext.(0) == Volume.read v 10 && ext.(1) == Volume.read v 11)
 
 let test_volume_rebuild () =
   let v = Volume.create ~label:"v" (Volume.small_geometry ~data_blocks:256) in
@@ -208,17 +214,17 @@ let test_volume_rebuild () =
   for vbn = 0 to 255 do
     let b = Block.zero () in
     Bytes.set_int64_le b 0 (Prng.int64 rng);
-    Volume.write v vbn b
+    Volume.write v vbn (Bytes.unsafe_to_string b)
   done;
   let before = Array.init 256 (fun vbn -> Volume.read v vbn) in
   Volume.fail_disk v ~group:0 ~disk:2;
   Array.iteri
-    (fun vbn b -> Alcotest.(check bytes) (Printf.sprintf "degraded %d" vbn) b (Volume.read v vbn))
+    (fun vbn b -> Alcotest.(check string) (Printf.sprintf "degraded %d" vbn) b (Volume.read v vbn))
     before;
   Volume.rebuild_disk v ~group:0 ~disk:2;
   checkb "parity ok after rebuild" true (Volume.parity_consistent v);
   Array.iteri
-    (fun vbn b -> Alcotest.(check bytes) (Printf.sprintf "rebuilt %d" vbn) b (Volume.read v vbn))
+    (fun vbn b -> Alcotest.(check string) (Printf.sprintf "rebuilt %d" vbn) b (Volume.read v vbn))
     before
 
 let prop_volume_batch_equals_singles =
@@ -233,7 +239,7 @@ let prop_volume_batch_equals_singles =
       let v2 = Volume.create ~label:"b" (Volume.small_geometry ~data_blocks:128) in
       Volume.write_batch v1 (List.map (fun (vbn, c) -> (vbn, block_of_char c)) writes);
       List.iter (fun (vbn, c) -> Volume.write v2 vbn (block_of_char c)) writes;
-      List.for_all (fun (vbn, _) -> Bytes.equal (Volume.read v1 vbn) (Volume.read v2 vbn)) writes
+      List.for_all (fun (vbn, _) -> String.equal (Volume.read v1 vbn) (Volume.read v2 vbn)) writes
       && Volume.parity_consistent v1)
 
 (* Block.is_zero scans 64-bit words; the bytewise original
@@ -245,7 +251,7 @@ let prop_is_zero_equals_oracle =
     (fun poke ->
       let b = Block.zero () in
       Option.iter (fun (i, v) -> Bytes.set b i (Char.chr v)) poke;
-      Block.is_zero b = Oracle.Raid_xor.is_zero b)
+      Block.is_zero (Bytes.to_string b) = Oracle.Raid_xor.is_zero b)
 
 (* RAID parity is xored a 64-bit word at a time and small writes xor
    old parity, old data and new data straight off the disks. After any
@@ -288,10 +294,10 @@ let prop_raid_parity_equals_oracle =
     (fun (ops, case) ->
       let r = Raid.create ~label:"q" ~ndisks:5 ~blocks_per_disk:6 (Disk.default_params ~blocks:6) in
       let width = Raid.data_disks r in
-      let model = Array.init (Raid.data_blocks r) (fun _ -> Block.zero ()) in
+      let model = Array.make (Raid.data_blocks r) Block.zeros in
       let content seed =
         let rng = Prng.create seed in
-        Bytes.init Block.size (fun _ -> Char.unsafe_chr (Prng.int rng 256))
+        String.init Block.size (fun _ -> Char.unsafe_chr (Prng.int rng 256))
       in
       let apply i op =
         (match case with
@@ -329,12 +335,12 @@ let prop_raid_parity_equals_oracle =
         ||
         let want = Block.zero () in
         for k = 0 to width - 1 do
-          Oracle.Raid_xor.xor_into want model.((stripe * width) + k)
+          Oracle.Raid_xor.xor_into want (Bytes.of_string model.((stripe * width) + k))
         done;
-        Bytes.equal want (Disk.read (Raid.disks r).(width) stripe)
+        String.equal (Bytes.to_string want) (Disk.read (Raid.disks r).(width) stripe)
       in
       List.for_all parity_ok (List.init 6 Fun.id)
-      && Array.for_all Fun.id (Array.mapi (fun gbn b -> Bytes.equal b (Raid.read r gbn)) model)
+      && Array.for_all Fun.id (Array.mapi (fun gbn b -> String.equal b (Raid.read r gbn)) model)
       && ((not lse_repaired) || Raid.media_repairs r = 1))
 
 let () =

@@ -91,7 +91,7 @@ let file_vbns view =
 
 let test_lse_inject_and_clear () =
   let d = Disk.create ~label:"d0" (Disk.default_params ~blocks:16) in
-  let b = Bytes.make Block.size 'a' in
+  let b = String.make Block.size 'a' in
   Disk.write d 5 b;
   let plane = Fault.plan [ Fault.Latent_sector_error { device = "d0"; addr = 5 } ] in
   Fault.with_armed plane (fun () ->
@@ -163,7 +163,7 @@ let raid_with_data () =
       (Disk.default_params ~blocks:16)
   in
   for gbn = 0 to Raid.data_blocks r - 1 do
-    Raid.write r gbn (Bytes.make Block.size (Char.chr (Char.code 'a' + (gbn mod 26))))
+    Raid.write r gbn (String.make Block.size (Char.chr (Char.code 'a' + (gbn mod 26))))
   done;
   r
 
@@ -175,12 +175,12 @@ let test_raid_media_repair () =
   let plane = Fault.plan [ Fault.Latent_sector_error { device = "rg.d1"; addr = 1 } ] in
   Fault.with_armed plane (fun () ->
       let b = Raid.read r 4 in
-      checkb "data reconstructed" true (Bytes.get b 0 = 'e');
+      checkb "data reconstructed" true (b.[0] = 'e');
       checki "one media repair" 1 (Raid.media_repairs r);
       checki "repair noted on the plane" 1 (Fault.repairs plane);
       checkb "journal repair" true (journal_has plane "repair");
       (* the rewrite remapped the bad sector: second read is clean *)
-      checkb "repaired data persists" true (Bytes.get (Raid.read r 4) 0 = 'e');
+      checkb "repaired data persists" true ((Raid.read r 4).[0] = 'e');
       checki "no second repair" 1 (Raid.media_repairs r);
       checkb "parity consistent after repair" true (Raid.parity_consistent r))
 

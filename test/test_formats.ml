@@ -51,7 +51,9 @@ let inode_equal (a : Inode.t) (b : Inode.t) =
 
 let prop_inode_codec =
   QCheck2.Test.make ~name:"inode: 256-byte codec round-trips" gen_inode (fun i ->
-      inode_equal i (Inode.decode (Inode.encode i) ~pos:0))
+      let b = Bytes.make Repro_wafl.Layout.inode_size 'x' in
+      Inode.encode_into b ~pos:0 i;
+      inode_equal i (Inode.decode (Bytes.to_string b) ~pos:0))
 
 let gen_name = QCheck2.Gen.(string_size ~gen:(char_range 'a' 'z') (int_range 1 20))
 
@@ -111,7 +113,8 @@ let prop_image_extent =
     QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 1 8))
     (fun (vbn, nblocks) ->
       let data = String.init (nblocks * 4096) (fun i -> Char.chr ((i + vbn) mod 256)) in
-      let encoded = Format_img.encode_extent ~vbn ~data in
+      let blocks = Array.init nblocks (fun i -> String.sub data (i * 4096) 4096) in
+      let encoded = Format_img.encode_extent ~vbn blocks in
       let pos = ref 0 in
       let input n =
         let s = String.sub encoded !pos n in
@@ -126,8 +129,7 @@ let prop_image_extent_corruption =
   QCheck2.Test.make ~name:"image: corrupted extents rejected"
     QCheck2.Gen.(int_range 11 4000)
     (fun flip_at ->
-      let data = String.make 4096 'x' in
-      let encoded = Format_img.encode_extent ~vbn:7 ~data in
+      let encoded = Format_img.encode_extent ~vbn:7 [| String.make 4096 'x' |] in
       let b = Bytes.of_string encoded in
       let flip_at = flip_at mod Bytes.length b in
       if flip_at = 0 then true (* tag byte: framing error, different path *)
@@ -205,9 +207,9 @@ let prop_fsinfo_corruption =
           snaps = [];
         }
       in
-      let b = Fsinfo.encode info in
+      let b = Bytes.of_string (Fsinfo.encode info) in
       Bytes.set b flip_at (Char.chr (Char.code (Bytes.get b flip_at) lxor 0x23));
-      Fsinfo.decode b = None)
+      Fsinfo.decode (Bytes.to_string b) = None)
 
 (* ------------------------- pipeline conservation ---------------------- *)
 

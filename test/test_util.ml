@@ -389,6 +389,21 @@ let prop_prng_equals_boxed =
             Prng.choose t a = Oracle.Prng.choose o a)
         ops)
 
+(* Prng.fill writes, and consumes, exactly what the per-byte loop of the
+   content generator drew: [int t 256] per byte, on the boxed oracle. The
+   bytes outside the range stay put, and both generators agree
+   afterwards. *)
+let prop_prng_fill_equals_per_byte =
+  QCheck2.Test.make ~count:200 ~name:"prng: fill = per-byte int 256 oracle"
+    QCheck2.Gen.(quad nat (int_bound 10_000) (int_bound 64) (int_bound 64))
+    (fun (seed, len, off, slack) ->
+      let t = Prng.create seed and o = Oracle.Prng.create seed in
+      let size = off + len + slack in
+      let b = Bytes.make size '\x5a' and ob = Bytes.make size '\x5a' in
+      Prng.fill t b off len;
+      Oracle.Prng.fill o ob off len;
+      Bytes.equal b ob && Int64.equal (Prng.int64 t) (Oracle.Prng.int64 o))
+
 let test_prng_int_allocates_nothing () =
   let rng = Prng.create 9 in
   let sink = ref 0 in
@@ -602,7 +617,7 @@ let () =
           Alcotest.test_case "int and bool allocate nothing" `Quick
             test_prng_int_allocates_nothing;
         ] );
-      qsuite "prng properties" [ prop_prng_equals_boxed ];
+      qsuite "prng properties" [ prop_prng_equals_boxed; prop_prng_fill_equals_per_byte ];
       ( "heap",
         [
           Alcotest.test_case "ordering" `Quick test_heap_ordering;

@@ -467,7 +467,7 @@ let test_fsinfo_torn_write () =
   Fs.cp fs;
   Fs.crash fs;
   (* Corrupt the primary fsinfo copy; mount must fall back to the backup. *)
-  let junk = Bytes.make 4096 '\xde' in
+  let junk = String.make 4096 '\xde' in
   Volume.write vol Repro_wafl.Layout.fsinfo_vbn_primary junk;
   let fs2 = Fs.mount vol in
   checks "backup copy used" "resilient" (Fs.read fs2 "/x" ~offset:0 ~len:9)
@@ -551,14 +551,12 @@ let test_fsck_repair () =
   (* 1. dangling dirent: splice an entry to a free inode into /d's block *)
   let d_ino = Option.get (Fs.View.lookup view "/d") in
   let d_vbn = Option.get (Fs.View.block_address view d_ino 0) in
-  let dir_block = Volume.read vol d_vbn in
-  let damaged =
-    Option.get (Repro_wafl.Dir.add dir_block "ghost" (Fs.max_inodes fs - 1))
-  in
-  Volume.write vol d_vbn damaged;
+  let damaged = Bytes.of_string (Volume.read vol d_vbn) in
+  checkb "ghost fits" true (Repro_wafl.Dir.add damaged "ghost" (Fs.max_inodes fs - 1));
+  Volume.write vol d_vbn (Bytes.unsafe_to_string damaged);
   (* 2. leaked block: set a free vbn's active bit in the on-disk block map *)
   let bm_vbn = Option.get (Fs.View.block_address view Repro_wafl.Layout.blockmap_ino 0) in
-  let bm_block = Volume.read vol bm_vbn in
+  let bm_block = Bytes.of_string (Volume.read vol bm_vbn) in
   let victim_vbn =
     (* find a word that is zero within this block-map block *)
     let rec find i =
@@ -569,7 +567,7 @@ let test_fsck_repair () =
     find 2
   in
   Bytes.set_int32_le bm_block (victim_vbn * 4) 1l;
-  Volume.write vol bm_vbn bm_block;
+  Volume.write vol bm_vbn (Bytes.unsafe_to_string bm_block);
   (* remount to pick the damage up from disk *)
   Fs.crash fs;
   let fs2 = Fs.mount vol in
@@ -796,8 +794,8 @@ let prop_blockmap_codec_equals_oracle =
       let encodes_agree () =
         List.for_all
           (fun l ->
-            Bytes.equal (Blockmap.encode_file_block t l)
-              (Oracle.Blockmap.encode_file_block planes ~nblocks l))
+            String.equal (Blockmap.encode_file_block t l)
+              (Bytes.to_string (Oracle.Blockmap.encode_file_block planes ~nblocks l)))
           (List.init (nfile + 1) Fun.id)
       in
       let planes_agree () =
@@ -818,12 +816,293 @@ let prop_blockmap_codec_equals_oracle =
         Bytes.set_int32_le block (4 * i) (Int32.of_int w)
       done;
       let before = encodes_agree () in
-      Blockmap.load_file_block t lbn block;
+      Blockmap.load_file_block t lbn (Bytes.to_string block);
       Oracle.Blockmap.load_file_block planes ~nblocks lbn block;
       let live = Stdlib.min 1024 (nblocks - (lbn * 1024)) in
       Bytes.fill block (4 * live) (4096 - (4 * live)) '\000';
       before && planes_agree () && encodes_agree ()
-      && Bytes.equal block (Blockmap.encode_file_block t lbn))
+      && String.equal (Bytes.to_string block) (Blockmap.encode_file_block t lbn))
+
+(* ------------------------- metadata codecs -------------------------- *)
+
+module Dir = Repro_wafl.Dir
+module Layout = Repro_wafl.Layout
+module Serde = Repro_util.Serde
+
+type 'a outcome = Value of 'a | Corrupt | Invalid
+
+let outcome f =
+  match f () with
+  | v -> Value v
+  | exception Serde.Corrupt _ -> Corrupt
+  | exception Invalid_argument _ -> Invalid
+
+(* A directory block and the names in it: valid blocks packed from short
+   names that repeat and long ones up to [max_name_len], filled up to
+   full, then either kept or damaged — random bytes past the entries, an
+   inflated count, the last entry's name running past the block, or a
+   block of random bytes. *)
+let gen_dir_block =
+  QCheck2.Gen.(
+    let name =
+      oneof
+        [
+          string_size ~gen:(char_range 'a' 'c') (int_range 1 2);
+          map2
+            (fun len c -> String.init len (fun i -> Char.chr (97 + ((c + (i * i)) mod 26))))
+            (int_range 1 Layout.max_name_len) (int_bound 25);
+        ]
+    in
+    let ino = oneof [ int_bound 100; int_bound 0xffffffff ] in
+    let* items = list_size (int_range 0 700) (pair name ino) in
+    let block = Bytes.make 4096 '\000' in
+    let used = ref 2 and names = ref [] and last = ref None in
+    List.iter
+      (fun (n, i) ->
+        let len = String.length n in
+        if !used + 5 + len <= 4096 then begin
+          Bytes.set_int32_le block !used (Int32.of_int i);
+          Bytes.set_uint8 block (!used + 4) len;
+          Bytes.blit_string n 0 block (!used + 5) len;
+          used := !used + 5 + len;
+          names := n :: !names;
+          last := Some n
+        end)
+      items;
+    Bytes.set_uint16_le block 0 (List.length !names);
+    let used = !used and names = !names and last = !last in
+    let* damage = int_bound 5 in
+    let* seed = nat in
+    let noise = Bytes.create 4096 in
+    Prng.fill (Prng.create seed) noise 0 4096;
+    let noise = Bytes.unsafe_to_string noise in
+    let* extra = int_range 1 50 in
+    let block = Bytes.copy block in
+    (match damage with
+    | 0 | 1 -> ()
+    | 2 -> Bytes.blit_string noise used block used (4096 - used)
+    | 3 ->
+      Bytes.set_uint16_le block 0
+        (Stdlib.min 0xffff (Bytes.get_uint16_le block 0 + extra))
+    | 4 -> (
+      match last with
+      | Some n -> Bytes.set_uint8 block (used - String.length n - 1) 255
+      | None -> Bytes.blit_string noise 0 block 0 4096)
+    | _ -> Bytes.blit_string noise 0 block 0 4096);
+    let* fresh = name in
+    return (block, fresh :: List.rev names))
+
+type dir_op = Find of string | Add of string * int | Remove of string | Replace of string * int
+
+let gen_dir_case =
+  QCheck2.Gen.(
+    let* block, names = gen_dir_block in
+    let pick = oneof (List.map return names) in
+    let ino = int_bound 0xffffffff in
+    let+ ops =
+      list_size (int_range 1 6)
+        (oneof
+           [
+             map (fun n -> Find n) pick;
+             map2 (fun n i -> Add (n, i)) pick ino;
+             map (fun n -> Remove n) pick;
+             map2 (fun n i -> Replace (n, i)) pick ino;
+           ])
+    in
+    (block, ops))
+
+(* One in-place edit against its oracle: the same answer, and the edited
+   block equal to the oracle's new block — or unchanged when the oracle
+   has none. *)
+let edit_agrees block edit oracle =
+  let mine = Bytes.copy block in
+  match (outcome (fun () -> edit mine), outcome oracle) with
+  | Value true, Value (Some b) -> Bytes.equal mine b
+  | Value false, Value None | Corrupt, Corrupt -> Bytes.equal mine block
+  | _ -> false
+
+let prop_dir_codec_equals_oracle =
+  QCheck2.Test.make ~count:300 ~name:"dir: in-place codec = list-decoding oracle" gen_dir_case
+    (fun (block, ops) ->
+      let s = Bytes.to_string block in
+      outcome (fun () -> Dir.entries s) = outcome (fun () -> Oracle.Dir.entries block)
+      && List.for_all
+           (function
+             | Find n -> outcome (fun () -> Dir.find s n) = outcome (fun () -> Oracle.Dir.find block n)
+             | Add (n, i) ->
+               let added = outcome (fun () -> Oracle.Dir.add block n i) in
+               outcome (fun () -> Dir.fits s n)
+               = (match added with
+                 | Value b -> Value (Option.is_some b)
+                 | Corrupt -> Corrupt
+                 | Invalid -> Invalid)
+               && edit_agrees block (fun b -> Dir.add b n i) (fun () -> Oracle.Dir.add block n i)
+             | Remove n ->
+               edit_agrees block (fun b -> Dir.remove b n) (fun () -> Oracle.Dir.remove block n)
+             | Replace (n, i) ->
+               edit_agrees block
+                 (fun b -> Dir.replace b n i)
+                 (fun () -> Oracle.Dir.replace block n i))
+           ops)
+
+(* Inodes with every field in its on-disk range, or one field just out of
+   it, written into a random slot of a block of random bytes. *)
+let gen_inode_case =
+  QCheck2.Gen.(
+    let u16 = int_bound 0xffff and u32 = int_bound 0xffffffff in
+    let* kind = oneofl Inode.[ Free; Regular; Directory; Symlink ] in
+    let* nlink = u16 and* perms = u16 and* uid = u32 and* gid = u32 in
+    let* size = oneof [ int_bound 1_000_000; map (fun x -> x lsl 20) nat ] in
+    let* atime = float and* mtime = float and* ctime = float in
+    let* gen = u32 and* qtree = u16 and* dos_flags = u16 and* xattr_vbn = u32 in
+    let* direct = array_size (return Layout.ndirect) u32 in
+    let* single = u32 and* double = u32 in
+    let* bad = int_bound 8 in
+    let* slot = int_bound (Layout.inodes_per_block - 1) in
+    let+ seed = nat in
+    let noise = Bytes.create 4096 in
+    Prng.fill (Prng.create seed) noise 0 4096;
+    let noise = Bytes.unsafe_to_string noise in
+    let i =
+      { Inode.kind; nlink; perms; uid; gid; size; atime; mtime; ctime; gen; qtree; dos_flags;
+        xattr_vbn; direct; single; double }
+    in
+    let i =
+      match bad with
+      | 0 -> { i with nlink = 0x10000 }
+      | 1 -> { i with uid = -1 }
+      | 2 -> { i with single = 0x1_0000_0000 }
+      | _ -> i
+    in
+    (i, slot * Layout.inode_size, noise))
+
+let prop_inode_slot_equals_oracle =
+  QCheck2.Test.make ~count:300 ~name:"inode: in-place slot = writer-built oracle"
+    gen_inode_case (fun (i, pos, noise) ->
+      let mine = Bytes.of_string noise and want = Bytes.of_string noise in
+      match
+        (outcome (fun () -> Inode.encode_into mine ~pos i), outcome (fun () -> Oracle.Inode.encode i))
+      with
+      | Value (), Value slot ->
+        Bytes.blit slot 0 want pos Layout.inode_size;
+        Bytes.equal mine want
+      | Invalid, Invalid -> Bytes.equal mine want
+      | _ -> false)
+
+(* ------------------------- block ownership -------------------------- *)
+
+(* Stored blocks are shared, not copied: the volume keeps the string it
+   is given and hands it back, the buffer cache and views hold it, and
+   snapshots share it with the active file system. So nothing may edit a
+   stored block in place. Random operations, with snapshots, CPs, torn
+   fsinfo writes and remounts between them, must leave every earlier
+   snapshot's tree and every block string read earlier byte-identical. *)
+type own_op =
+  | O_write of int * int * string
+  | O_trunc of int * int
+  | O_create of int
+  | O_unlink of int
+  | O_rename of int * int
+  | O_mkdir of int
+  | O_xattr of int * string
+  | O_snap
+  | O_cp
+  | O_torn_cp
+  | O_remount
+  | O_hold of int
+  | O_hold_file of int * int
+
+let gen_own_ops =
+  QCheck2.Gen.(
+    let file = int_bound 7 in
+    list_size (int_range 5 40)
+      (frequency
+         [
+           ( 4,
+             map3
+               (fun f off s -> O_write (f, off, s))
+               file (int_bound 20_000)
+               (string_size ~gen:printable (int_range 1 9000)) );
+           (1, map2 (fun f n -> O_trunc (f, n)) file (int_bound 20_000));
+           (2, map (fun f -> O_create f) file);
+           (1, map (fun f -> O_unlink f) file);
+           (1, map2 (fun a b -> O_rename (a, b)) file file);
+           (1, map (fun d -> O_mkdir d) (int_bound 2));
+           (1, map2 (fun f v -> O_xattr (f, v)) file (string_size ~gen:printable (int_range 1 40)));
+           (2, return O_snap);
+           (1, return O_cp);
+           (1, return O_torn_cp);
+           (1, return O_remount);
+           (2, map (fun v -> O_hold v) (int_bound 600));
+           (2, map2 (fun f l -> O_hold_file (f, l)) file (int_bound 4));
+         ]))
+
+let own_path f = Printf.sprintf "/d%d/f%d" (f mod 3) f
+
+(* Every file of a snapshot with its bytes, in path order. *)
+let snapshot_tree fs name =
+  let v = Fs.snapshot_view fs name in
+  let rec walk ino path acc =
+    List.fold_left
+      (fun acc (n, child) ->
+        let p = path ^ "/" ^ n in
+        let a = Fs.View.getattr v child in
+        match a.Inode.kind with
+        | Inode.Directory -> walk child p ((p, "<dir>") :: acc)
+        | _ -> (p, Fs.View.read v child ~offset:0 ~len:a.Inode.size) :: acc)
+      acc (Fs.View.readdir v ino)
+  in
+  List.sort compare (walk (Fs.View.root_ino v) "" [])
+
+let prop_stored_blocks_never_change =
+  QCheck2.Test.make ~count:40 ~name:"ownership: snapshots and earlier reads never change"
+    gen_own_ops (fun ops ->
+      let vol = make_vol ~blocks:4096 () in
+      let fs = ref (Fs.mkfs vol) in
+      List.iter (fun d -> ignore (Fs.mkdir !fs (Printf.sprintf "/d%d" d) ~perms:0o755)) [ 0; 1; 2 ];
+      let snaps = ref [] and held = ref [] and nsnap = ref 0 in
+      let hold s = held := (s, Bytes.to_string (Bytes.of_string s)) :: !held in
+      let apply = function
+        | O_write (f, off, data) -> Fs.write !fs (own_path f) ~offset:off data
+        | O_trunc (f, size) -> Fs.truncate !fs (own_path f) ~size
+        | O_create f -> ignore (Fs.create !fs (own_path f) ~perms:0o644)
+        | O_unlink f -> Fs.unlink !fs (own_path f)
+        | O_rename (a, b) -> Fs.rename !fs (own_path a) (own_path b)
+        | O_mkdir d -> ignore (Fs.mkdir !fs (Printf.sprintf "/d%d/sub" d) ~perms:0o755)
+        | O_xattr (f, v) -> Fs.set_xattr !fs (own_path f) ~name:"user.k" ~value:v
+        | O_snap ->
+          let name = Printf.sprintf "s%d" !nsnap in
+          incr nsnap;
+          Fs.snapshot_create !fs name;
+          snaps := (name, snapshot_tree !fs name) :: !snaps
+        | O_cp -> Fs.cp !fs
+        | O_torn_cp ->
+          let plane =
+            Repro_fault.Fault.plan
+              [ Repro_fault.Fault.Torn_fsinfo_write { device = Volume.label vol } ]
+          in
+          Repro_fault.Fault.with_armed plane (fun () -> Fs.cp !fs)
+        | O_remount ->
+          Fs.cp !fs;
+          Fs.crash !fs;
+          fs := Fs.mount vol
+        | O_hold vbn ->
+          (* the fsinfo pair too: a torn write must tear a copy *)
+          hold (Volume.read vol (vbn mod 2));
+          hold (Volume.read vol (vbn mod Volume.size_blocks vol))
+        | O_hold_file (f, lbn) -> (
+          let v = Fs.active_view !fs in
+          match Fs.View.lookup v (own_path f) with
+          | Some ino -> Option.iter hold (Fs.View.file_block v ino lbn)
+          | None -> ())
+      in
+      List.for_all
+        (fun op ->
+          (try apply op with Fs.Error _ -> ());
+          List.for_all (fun (s, copy) -> String.equal s copy) !held
+          && List.for_all (fun (name, tree) -> snapshot_tree !fs name = tree) !snaps)
+        ops
+      && Fs.fsck !fs = Ok ())
 
 let test_blockmap_codec_allocates_only_the_block () =
   let t = Blockmap.create ~nblocks:3000 in
@@ -833,18 +1112,23 @@ let test_blockmap_codec_allocates_only_the_block () =
   Blockmap.capture_snapshot t ~plane:5;
   let block = Blockmap.encode_file_block t 1 in
   (* The runtime adds minor words to its count only at a minor
-     collection, so the window opens on an empty minor heap (otherwise a
+     collection, so each window opens on an empty minor heap (otherwise a
      collection inside it bills the earlier tests' 0.4-1 MB to the
-     codec) and closes with one (so the codec's own minor words count). *)
-  Gc.full_major ();
-  let before = Gc.allocated_bytes () in
-  for _ = 1 to 100 do
-    Blockmap.load_file_block t 1 (Blockmap.encode_file_block t 1)
-  done;
-  Gc.minor ();
-  let per_call = (Gc.allocated_bytes () -. before) /. 100.0 in
-  checkb (Printf.sprintf "%.0f bytes per encode + load" per_call) true (per_call < 4096.0 +. 64.0);
-  checkb "round trip" true (Bytes.equal block (Blockmap.encode_file_block t 1))
+     codec) and closes with one (so the codec's own minor words count).
+     An empty window measures what the measuring itself allocates. *)
+  let window n =
+    Gc.full_major ();
+    let before = Gc.allocated_bytes () in
+    for _ = 1 to n do
+      Blockmap.load_file_block t 1 (Blockmap.encode_file_block t 1)
+    done;
+    Gc.minor ();
+    Gc.allocated_bytes () -. before
+  in
+  let per_call = (window 100 -. window 0) /. 100.0 in
+  (* the block is 4096 bytes, a padding word and a header word *)
+  checkb (Printf.sprintf "%.0f bytes per encode + load" per_call) true (per_call <= 4096.0 +. 16.0);
+  checkb "round trip" true (String.equal block (Blockmap.encode_file_block t 1))
 
 let () =
   Alcotest.run "wafl"
@@ -854,7 +1138,10 @@ let () =
         [
           QCheck_alcotest.to_alcotest ~long:false prop_file_model;
           QCheck_alcotest.to_alcotest ~long:false prop_blockmap_codec_equals_oracle;
+          QCheck_alcotest.to_alcotest ~long:false prop_dir_codec_equals_oracle;
+          QCheck_alcotest.to_alcotest ~long:false prop_inode_slot_equals_oracle;
         ] );
+      ("ownership", [ QCheck_alcotest.to_alcotest ~long:false prop_stored_blocks_never_change ]);
       ( "blockmap",
         [
           Alcotest.test_case "codec allocates only the block" `Quick
