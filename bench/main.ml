@@ -1103,7 +1103,6 @@ let run_speed ?(volumes = 100) () =
       let fs = Fs.mkfs vol in
       let profile =
         {
-          Generator.default with
           Generator.seed = seed + i;
           median_file_bytes = 4096.0;
           sigma = 1.2;

@@ -20,7 +20,7 @@ let run quick data_mib skip_parallel =
   Format.fprintf ppf
     "volume: %d MiB data, %d raid groups x %d disks, %s@.@."
     (cfg.Experiment.data_bytes / 1024 / 1024)
-    cfg.Experiment.groups cfg.Experiment.disks_per_group
+    Experiment.groups Experiment.disks_per_group
     (if cfg.Experiment.aged then "aged (mature)" else "fresh");
   Report.table1 ppf;
   Format.fprintf ppf "@.";

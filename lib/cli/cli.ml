@@ -986,11 +986,13 @@ let cmd_disaster =
 let cmd_verify =
   let run store label =
     handle (fun () ->
-        with_store store (fun engine ->
-            (match Engine.verify_physical engine ~label with
-            | Ok blocks -> say "verified: %d blocks checksum clean" blocks
-            | Error problems -> List.iter (fun p -> say "verify: %s" p) problems);
-            false))
+        match Engine.verify_physical (Store.load ~path:store) ~label with
+        | Ok blocks ->
+          say "verified: %d blocks checksum clean" blocks;
+          0
+        | Error problems ->
+          List.iter (fun p -> Format.eprintf "error: verify: %s@." p) problems;
+          1)
   in
   let label =
     Arg.(

@@ -59,11 +59,10 @@ val create :
   libraries:Repro_tape.Library.t list ->
   unit ->
   t
-(** [clock] receives the retry backoff delays ({!Repro_fault.Retry.run});
-    without one, backoff costs no simulated time. Retries follow
-    {!Repro_fault.Retry.default}, and the modeled disk demand follows
-    {!io_model}. The [libraries] are locally attached; see {!attach_remote} for drives on a
-    tape server. *)
+(** [clock] receives the retry backoff delays ({!Repro_fault.Retry.run},
+    a fixed budget); without one, backoff costs no simulated time. The
+    modeled disk demand follows {!io_model}. The [libraries] are locally
+    attached; see {!attach_remote} for drives on a tape server. *)
 
 val fs : t -> Repro_wafl.Fs.t
 
@@ -219,7 +218,7 @@ val backup_job : t -> Job.t -> Catalog.entry
     any snapshot, checkpoint or tape is touched.
 
     Transient faults never surface here: each part attempt retries under
-    the engine's {!Repro_fault.Retry.policy}, sealing the partial stream
+    {!Repro_fault.Retry.run}, sealing the partial stream
     before each retry — a remote part whose frames exhaust their
     retransmit budget surfaces as transient and retries the same way.
     Dumpdates and the catalog entry are recorded only when the whole job

@@ -17,42 +17,42 @@ module Compare = Repro_workload.Compare
 type config = {
   data_bytes : int;
   seed : int;
-  groups : int;
-  disks_per_group : int;
   aged : bool;
   churn_rounds : int;
-  tape : Tape.params;
   costs : Cost.t;
   profile : Generator.profile;
-  create_latency_s : float;
-  dump_file_latency_s : float;
-  dump_stream_bytes_s : float;
-  auto_cp_ops : int;
 }
+
+(* The paper's "home" volume: 31 disks in 3 RAID groups, parity
+   included. *)
+let groups = 3
+let disks_per_group = 11
+let auto_cp_ops = 20_000
+
+(* Serialization latency per file creation on the restore path: the
+   synchronous request/response cost that keeps the paper's "creating
+   files" stage from being CPU-saturated. *)
+let create_latency_s = 0.0025
+
+(* The single-stream read pipeline of the files phase: dump reads one
+   file at a time, so each file costs an unhidden positioning latency
+   and its bytes stream at roughly one spindle's rate boosted by
+   read-ahead — not the whole array's. This is what held the paper's
+   one-tape logical dump to ~7 MB/s against an 8.4 MB/s drive. *)
+let dump_file_latency_s = 0.004
+let dump_stream_bytes_s = 12.5e6
 
 let default_config () =
   {
     data_bytes = 64 * 1024 * 1024;
     seed = 1999;
-    groups = 3;
-    disks_per_group = 11;
     aged = true;
     churn_rounds = 12;
-    tape = Tape.dlt7000;
     costs = Cost.f630;
     (* Larger median than Generator.default so the file count per byte is
        closer to the paper's engineering volume; per-file costs then scale
        comparably despite the much smaller volume. *)
     profile = { Generator.default with Generator.median_file_bytes = 24_576.0; sigma = 1.3 };
-    create_latency_s = 0.0025;
-    (* The single-stream read pipeline of the files phase: dump reads one
-       file at a time, so each file costs an unhidden positioning latency
-       and its bytes stream at roughly one spindle's rate boosted by
-       read-ahead — not the whole array's. This is what held the paper's
-       one-tape logical dump to ~7 MB/s against an 8.4 MB/s drive. *)
-    dump_file_latency_s = 0.004;
-    dump_stream_bytes_s = 12.5e6;
-    auto_cp_ops = 20_000;
   }
 
 let quick_config () =
@@ -94,18 +94,18 @@ type concurrent = {
 
 (* ------------------------------------------------------------------ *)
 
-let make_volume cfg ~label ~bytes =
+let make_volume ~label ~bytes =
   (* Enough room for data plus metadata, snapshots and COW churn. *)
-  let data_disks = cfg.groups * (cfg.disks_per_group - 1) in
+  let data_disks = groups * (disks_per_group - 1) in
   let need_blocks = (bytes / 4096 * 2) + 4096 in
   let blocks_per_disk = (need_blocks + data_disks - 1) / data_disks in
   Volume.create ~label
-    (Volume.geometry ~groups:cfg.groups ~disks_per_group:cfg.disks_per_group
+    (Volume.geometry ~groups ~disks_per_group
        ~blocks_per_disk ())
 
 let make_fs cfg ~cpu vol =
   let config = { (Fs.default_config ()) with Fs.cpu = Some cpu; costs = cfg.costs;
-                 auto_cp_ops = cfg.auto_cp_ops } in
+                 auto_cp_ops } in
   (* The filer always runs with NVRAM: operations are logged (and charged)
      until a consistency point retires them; a full log forces a CP. *)
   Fs.mkfs ~config ~nvram:(Repro_wafl.Nvram.create ()) vol
@@ -113,7 +113,7 @@ let make_fs cfg ~cpu vol =
 let qtree_path i = Printf.sprintf "/home/q%d" i
 
 let build_source cfg ~cpu ~qtrees ~bytes =
-  let vol = make_volume cfg ~label:"home" ~bytes in
+  let vol = make_volume ~label:"home" ~bytes in
   let fs = make_fs cfg ~cpu vol in
   ignore (Fs.mkdir fs "/home" ~perms:0o755);
   for i = 0 to qtrees - 1 do
@@ -134,9 +134,9 @@ let build_source cfg ~cpu ~qtrees ~bytes =
   Fs.cp fs;
   (fs, vol)
 
-let tape_libs cfg ~prefix n =
+let tape_libs ~prefix n =
   Array.init n (fun i ->
-      Library.create ~params:cfg.tape ~slots:64
+      Library.create ~params:Tape.dlt7000 ~slots:64
         ~label:(Printf.sprintf "%s%d" prefix i)
         ())
 
@@ -151,7 +151,7 @@ let run_basic ?(tapes = 1) cfg =
   let fragmentation = Ager.fragmentation fs "/home" in
 
   (* ---------------- logical backup ---------------- *)
-  let dump_libs = tape_libs cfg ~prefix:"ld" n in
+  let dump_libs = tape_libs ~prefix:"ld" n in
   let (), snap_create =
     Instrument.collect ~resources:[ cpu; Volume.resource vol ] (fun observe ->
         observe "creating snapshot" (fun () -> Fs.snapshot_create fs "dump"))
@@ -163,7 +163,7 @@ let run_basic ?(tapes = 1) cfg =
         let result, stages =
           Instrument.collect ~resources:[ cpu; Volume.resource vol; tape_res ]
             (fun observe ->
-              Dump.run ~observe ~cpu ~costs:cfg.costs ~view ~subtree:(qtree_path i)
+              Dump.run ~observe ~cpu ~view ~subtree:(qtree_path i)
                 ~label:(qtree_path i) ~date:(Fs.now fs)
                 ~sink:(Tapeio.sink dump_libs.(i))
                 ())
@@ -172,8 +172,8 @@ let run_basic ?(tapes = 1) cfg =
            single-stream streaming rate (see default_config). *)
         let serial = Resource.create (Printf.sprintf "serial:d%d" i) in
         let pipeline_work =
-          (Float.of_int result.Dump.files_dumped *. cfg.dump_file_latency_s)
-          +. (Float.of_int result.Dump.bytes_written /. cfg.dump_stream_bytes_s)
+          (Float.of_int result.Dump.files_dumped *. dump_file_latency_s)
+          +. (Float.of_int result.Dump.bytes_written /. dump_stream_bytes_s)
         in
         let stages =
           Instrument.add_demand stages ~stage:"dumping files"
@@ -204,7 +204,7 @@ let run_basic ?(tapes = 1) cfg =
   in
 
   (* ---------------- logical restore ---------------- *)
-  let ldst_vol = make_volume cfg ~label:"ldst" ~bytes:cfg.data_bytes in
+  let ldst_vol = make_volume ~label:"ldst" ~bytes:cfg.data_bytes in
   let ldst_fs = make_fs cfg ~cpu ldst_vol in
   ignore (Fs.mkdir ldst_fs "/home" ~perms:0o755);
   let restore_streams =
@@ -212,7 +212,7 @@ let run_basic ?(tapes = 1) cfg =
         let tape_res = Tape.resource (Library.drive dump_libs.(i)) in
         let serial = Resource.create (Printf.sprintf "serial:%d" i) in
         let session =
-          Restore.session ~cpu ~costs:cfg.costs ~fs:ldst_fs ~target:(qtree_path i) ()
+          Restore.session ~cpu ~fs:ldst_fs ~target:(qtree_path i) ()
         in
         let result, stages =
           Instrument.collect
@@ -225,7 +225,7 @@ let run_basic ?(tapes = 1) cfg =
         in
         let stages =
           Instrument.add_demand stages ~stage:"creating files"
-            (Instrument.demand serial (Float.of_int creates *. cfg.create_latency_s))
+            (Instrument.demand serial (Float.of_int creates *. create_latency_s))
         in
         { Instrument.stream_label = Printf.sprintf "lrest%d" i; stages })
   in
@@ -243,7 +243,7 @@ let run_basic ?(tapes = 1) cfg =
     failwith ("logical restore verification failed: " ^ String.concat "; " d));
 
   (* ---------------- physical backup ---------------- *)
-  let img_libs = tape_libs cfg ~prefix:"im" n in
+  let img_libs = tape_libs ~prefix:"im" n in
   let (), isnap_create =
     Instrument.collect ~resources:[ cpu; Volume.resource vol ] (fun observe ->
         observe "creating snapshot" (fun () -> Fs.snapshot_create fs "img"))
@@ -252,7 +252,7 @@ let run_basic ?(tapes = 1) cfg =
   let img_result, img_stages =
     Instrument.collect ~resources:[ cpu; Volume.resource vol; img_tape0 ]
       (fun observe ->
-        Image_dump.full ~observe ~cpu ~costs:cfg.costs ~fs ~snapshot:"img"
+        Image_dump.full ~observe ~cpu ~fs ~snapshot:"img"
           ~sink:(Tapeio.sink img_libs.(0))
           ())
   in
@@ -286,11 +286,11 @@ let run_basic ?(tapes = 1) cfg =
   in
 
   (* ---------------- physical restore ---------------- *)
-  let pdst_vol = make_volume cfg ~label:"pdst" ~bytes:cfg.data_bytes in
+  let pdst_vol = make_volume ~label:"pdst" ~bytes:cfg.data_bytes in
   let _rr, prest_stages =
     Instrument.collect ~resources:[ cpu; Volume.resource pdst_vol; img_tape0 ]
       (fun observe ->
-        Image_restore.apply ~observe ~cpu ~costs:cfg.costs ~volume:pdst_vol
+        Image_restore.apply ~observe ~cpu ~volume:pdst_vol
           (Tapeio.source img_libs.(0)))
   in
   let prest_streams =
@@ -335,7 +335,7 @@ let measure_volume_dump cfg ~cpu ~name ~bytes =
   let fs, vol = build_source { cfg with seed = cfg.seed + Hashtbl.hash name } ~cpu
       ~qtrees:1 ~bytes
   in
-  let lib = (tape_libs cfg ~prefix:(name ^ "-t") 1).(0) in
+  let lib = (tape_libs ~prefix:(name ^ "-t") 1).(0) in
   Fs.snapshot_create fs "dump";
   let view = Fs.snapshot_view fs "dump" in
   let result, stages =
@@ -344,7 +344,7 @@ let measure_volume_dump cfg ~cpu ~name ~bytes =
       (fun observe ->
         Dump.run
           ~observe:(fun label f -> observe (name ^ " " ^ label) f)
-          ~cpu ~costs:cfg.costs ~view ~subtree:(qtree_path 0) ~label:name
+          ~cpu ~view ~subtree:(qtree_path 0) ~label:name
           ~date:(Fs.now fs) ~sink:(Tapeio.sink lib) ())
   in
   Fs.snapshot_delete fs "dump";

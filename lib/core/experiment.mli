@@ -17,28 +17,20 @@
 type config = {
   data_bytes : int;  (** user data per volume *)
   seed : int;
-  groups : int;  (** RAID groups ("home" has 3) *)
-  disks_per_group : int;  (** incl. parity (31 disks / 3 groups ≈ 11) *)
   aged : bool;  (** churn the volume into a mature, fragmented state *)
   churn_rounds : int;
-  tape : Repro_tape.Tape.params;
   costs : Repro_sim.Cost.t;
   profile : Repro_workload.Generator.profile;
       (** file-size/fan-out profile; the default median is chosen so
           files-per-megabyte lands near the paper's volume, keeping
           per-file costs comparable at small scale *)
-  create_latency_s : float;
-      (** serialization latency per file creation on the restore path
-          (models the synchronous request/response cost that keeps the
-          paper's "creating files" stage from being CPU-saturated) *)
-  dump_file_latency_s : float;
-      (** unhidden per-file positioning latency on the dump's files phase *)
-  dump_stream_bytes_s : float;
-      (** effective single-stream streaming rate of the dump read pipeline
-          (one file at a time ≈ one spindle plus read-ahead, not the whole
-          array) *)
-  auto_cp_ops : int;
 }
+
+val groups : int
+(** RAID groups per volume ("home" has 3). *)
+
+val disks_per_group : int
+(** Disks per RAID group, parity included (31 disks / 3 groups ≈ 11). *)
 
 val default_config : unit -> config
 (** 64 MiB of data, aged, home-like geometry. *)

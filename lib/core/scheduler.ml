@@ -328,10 +328,17 @@ let run_tasks ?(fatal = fun _ -> false) ?max_active ?on_complete ?on_interval
         fair_share
           (Array.of_list (List.map (fun f -> f.f_demands) flights))
       in
+      let now = Sim.now sim in
       let _, dt =
         List.fold_left
           (fun (i, acc) f ->
-            (i + 1, Float.min acc (f.f_remaining /. Float.max r.(i) eps)))
+            let d = f.f_remaining /. Float.max r.(i) eps in
+            (* Late in a long schedule the clock's float step exceeds
+               [eps]: a finish closer than one step can never advance the
+               clock, so the flight is done now and the next settle
+               completes it. *)
+            if now +. d <= now then f.f_remaining <- 0.0;
+            (i + 1, Float.min acc d))
           (0, infinity) flights
       in
       let dt = Float.max dt 0.0 in
@@ -339,7 +346,7 @@ let run_tasks ?(fatal = fun _ -> false) ?max_active ?on_complete ?on_interval
       Repro_prof.Prof.bump c_intervals;
       rates := r;
       solved := flights;
-      t_solved := Sim.now sim;
+      t_solved := now;
       incr epoch;
       let e = !epoch in
       Sim.schedule_in sim dt (fun () ->

@@ -160,21 +160,8 @@ let iter_entries src f =
     if String.equal e.e_path trailer_name then continue := false else f e data
   done
 
-let rec ensure_parents fs path =
-  match String.rindex_opt path '/' with
-  | None | Some 0 -> ()
-  | Some i ->
-    let parent = String.sub path 0 i in
-    if Fs.lookup fs parent = None then begin
-      ensure_parents fs parent;
-      ignore (Fs.mkdir fs parent ~perms:0o755)
-    end
-
 let extract ~fs ~target src =
-  if Fs.lookup fs target = None then begin
-    ensure_parents fs target;
-    ignore (Fs.mkdir fs target ~perms:0o755)
-  end;
+  Fs.mkdir_p fs target;
   let count = ref 0 in
   let links = ref 0 in
   let bytes = ref 0 in
@@ -185,18 +172,18 @@ let extract ~fs ~target src =
       incr count;
       if e.e_kind = `Dir then begin
         if Fs.lookup fs path = None then begin
-          ensure_parents fs path;
+          Fs.mkdir_parents fs path;
           ignore (Fs.mkdir fs path ~perms:e.e_perms)
         end
         else Fs.set_perms fs path ~perms:e.e_perms
       end
       else if e.e_kind = `Symlink then begin
-        ensure_parents fs path;
+        Fs.mkdir_parents fs path;
         if Fs.lookup fs path <> None then Fs.unlink fs path;
         Fs.symlink fs ~target:data path
       end
       else begin
-        ensure_parents fs path;
+        Fs.mkdir_parents fs path;
         (match Hashtbl.find_opt seen e.e_ino with
         | Some first when e.e_nlink > 1 && Fs.lookup fs first <> None ->
           if Fs.lookup fs path <> None then Fs.unlink fs path;

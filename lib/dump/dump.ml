@@ -1,6 +1,5 @@
 module Bitmap = Repro_util.Bitmap
 module Serde = Repro_util.Serde
-module Resource = Repro_sim.Resource
 module Cost = Repro_sim.Cost
 module Fs = Repro_wafl.Fs
 module Inode = Repro_wafl.Inode
@@ -19,8 +18,6 @@ type result = {
       (** unreadable files skipped (degraded mode); their headers are on
           tape with no data, so restore yields an empty file *)
 }
-
-let charge cpu secs = match cpu with Some r -> Resource.charge r secs | None -> ()
 
 (* Self-profiling: per-file header encoding on the logical block path. *)
 let p_file = Repro_prof.Prof.probe "dump.file_header"
@@ -96,8 +93,7 @@ let canonical_dir_content entries =
   Serde.contents w
 
 let run ?(level = 0) ?dumpdates ?(record = true) ?(exclude = Filter.none) ?cpu
-    ?(costs = Cost.f630) ?(part = (0, 1)) ?(observe = Obs.observe) ~view
-    ~subtree ~label ~date ~sink () =
+    ?(part = (0, 1)) ?(observe = Obs.observe) ~view ~subtree ~label ~date ~sink () =
   if level < 0 || level > 9 then invalid_arg "Dump.run: level must be 0-9";
   let part_idx, nparts = part in
   if nparts < 1 || part_idx < 0 || part_idx >= nparts then
@@ -130,7 +126,7 @@ let run ?(level = 0) ?dumpdates ?(record = true) ?(exclude = Filter.none) ?cpu
   let rec map_dir ino rel =
     Bitmap.set usage ino;
     incr inodes_mapped;
-    charge cpu costs.Cost.dump_map_per_inode;
+    Cost.charge cpu Cost.f630.dump_map_per_inode;
     let attr = Fs.View.getattr view ino in
     let entries = Fs.View.readdir view ino in
     let kept =
@@ -140,7 +136,7 @@ let run ?(level = 0) ?dumpdates ?(record = true) ?(exclude = Filter.none) ?cpu
           not (Filter.excluded exclude child_rel))
         entries
     in
-    charge cpu (Float.of_int (List.length entries) *. costs.Cost.dump_per_dirent);
+    Cost.charge cpu (Float.of_int (List.length entries) *. Cost.f630.dump_per_dirent);
     Hashtbl.replace dirs ino kept;
     let any_child_dumped =
       List.fold_left
@@ -152,7 +148,7 @@ let run ?(level = 0) ?dumpdates ?(record = true) ?(exclude = Filter.none) ?cpu
           | Inode.Regular | Inode.Symlink ->
             Bitmap.set usage child;
             incr inodes_mapped;
-            charge cpu costs.Cost.dump_map_per_inode;
+            Cost.charge cpu Cost.f630.dump_map_per_inode;
             if changed cattr then begin
               Bitmap.set dumped child;
               true
@@ -209,8 +205,8 @@ let run ?(level = 0) ?dumpdates ?(record = true) ?(exclude = Filter.none) ?cpu
           let content = canonical_dir_content entries in
           let len = String.length content in
           let nblocks = (len + Spec.data_block_size - 1) / Spec.data_block_size in
-          charge cpu costs.Cost.dump_per_file;
-          charge cpu (Float.of_int len *. costs.Cost.dump_format_per_byte);
+          Cost.charge cpu Cost.f630.dump_per_file;
+          Cost.charge cpu (Float.of_int len *. Cost.f630.dump_format_per_byte);
           emit_file_header sink ~ino
             ~inode:{ attr with size = len }
             ~xattrs:(Fs.View.xattrs view ino) ~nblocks
@@ -234,7 +230,7 @@ let run ?(level = 0) ?dumpdates ?(record = true) ?(exclude = Filter.none) ?cpu
           let attr = Fs.View.getattr view ino in
           if attr.Inode.kind = Inode.Regular || attr.Inode.kind = Inode.Symlink then begin
             let nblocks = Inode.nblocks attr in
-            charge cpu costs.Cost.dump_per_file;
+            Cost.charge cpu Cost.f630.dump_per_file;
             (* Pull every present block off the snapshot BEFORE emitting
                the header: an unreadable block must not leave a
                half-written file record on tape. *)
@@ -253,8 +249,8 @@ let run ?(level = 0) ?dumpdates ?(record = true) ?(exclude = Filter.none) ?cpu
                 ~present:(fun lbn -> Fs.View.block_present view ino lbn);
               List.iter
                 (fun block ->
-                  charge cpu
-                    (Float.of_int Spec.data_block_size *. costs.Cost.dump_format_per_byte);
+                  Cost.charge cpu
+                    (Float.of_int Spec.data_block_size *. Cost.f630.dump_format_per_byte);
                   Tapeio.output sink block)
                 blocks;
               incr files_dumped

@@ -31,7 +31,6 @@ val run :
   ?record:bool ->
   ?exclude:Filter.t ->
   ?cpu:Repro_sim.Resource.t ->
-  ?costs:Repro_sim.Cost.t ->
   ?part:int * int ->
   ?observe:(string -> (unit -> unit) -> unit) ->
   view:Repro_wafl.Fs.View.v ->

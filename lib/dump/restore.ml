@@ -14,7 +14,6 @@ type session = {
   rfs : Fs.t;
   target : string;
   cpu : Resource.t option;
-  costs : Cost.t;
   (* The persistent picture of the restored tree: dump ino -> directory
      entries, for every directory restored so far. Non-membership = file. *)
   tree : (int, (string * int) list) Hashtbl.t;
@@ -23,12 +22,11 @@ type session = {
   mutable applied : int;
 }
 
-let session ?cpu ?(costs = Cost.f630) ~fs ~target () =
+let session ?cpu ~fs ~target () =
   {
     rfs = fs;
     target;
     cpu;
-    costs;
     tree = Hashtbl.create 256;
     root_ino = -1;
     prior_usage = None;
@@ -60,7 +58,7 @@ let save_session s =
   | None -> write_bool w false);
   contents w
 
-let load_session ?cpu ?(costs = Cost.f630) ~fs blob =
+let load_session ?cpu ~fs blob =
   let open Serde in
   let r = reader blob in
   expect_magic r "RSYM1";
@@ -85,7 +83,6 @@ let load_session ?cpu ?(costs = Cost.f630) ~fs blob =
     rfs = fs;
     target;
     cpu;
-    costs;
     tree;
     root_ino = (if root_ino_raw = 0xffffffff then -1 else root_ino_raw);
     prior_usage;
@@ -102,8 +99,6 @@ type apply_result = {
 }
 
 type toc_entry = { rel_path : string; ino : int; is_dir : bool }
-
-let charge cpu secs = match cpu with Some r -> Resource.charge r secs | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Stream reading                                                      *)
@@ -281,16 +276,6 @@ let ensure_dir fs path ~perms =
     ignore (Fs.mkdir fs path ~perms);
     true
 
-let rec ensure_parents fs path =
-  match String.rindex_opt path '/' with
-  | None | Some 0 -> ()
-  | Some i ->
-    let parent = String.sub path 0 i in
-    if Fs.lookup fs parent = None then begin
-      ensure_parents fs parent;
-      ignore (Fs.mkdir fs parent ~perms:0o755)
-    end
-
 (* ------------------------------------------------------------------ *)
 (* Apply                                                               *)
 
@@ -304,8 +289,7 @@ let apply ?(observe = Repro_obs.Obs.observe) ?select session src =
       let dirents =
         Hashtbl.fold (fun _ (_, _, entries) acc -> acc + List.length entries) f.f_dirs 0
       in
-      charge session.cpu
-        (Float.of_int dirents *. session.costs.Cost.dump_per_dirent);
+      Cost.charge session.cpu (Float.of_int dirents *. Cost.f630.dump_per_dirent);
       front_ref := Some f);
   let front = Option.get !front_ref in
   let selective = select <> None in
@@ -381,10 +365,7 @@ let apply ?(observe = Repro_obs.Obs.observe) ?select session src =
 
   let fs = session.rfs in
   observe "creating files" (fun () ->
-      if Fs.lookup fs session.target = None then begin
-        ensure_parents fs session.target;
-        ignore (Fs.mkdir fs session.target ~perms:0o755)
-      end;
+      Fs.mkdir_p fs session.target;
       if (not selective) && session.applied > 0 then begin
         (* Incremental reconciliation: moves to temporary names first so
            renames (including swaps) cannot collide, then deletions
@@ -456,7 +437,7 @@ let apply ?(observe = Repro_obs.Obs.observe) ?select session src =
                   | Some (inode, _, _) -> inode.Inode.perms
                   | None -> 0o755
                 in
-                charge session.cpu session.costs.Cost.restore_create_per_file;
+                Cost.charge session.cpu Cost.f630.restore_create_per_file;
                 ignore (Fs.mkdir fs path ~perms);
                 incr dirs_created
               end
@@ -478,8 +459,8 @@ let apply ?(observe = Repro_obs.Obs.observe) ?select session src =
                 | Some (inode, _, _) -> inode.Inode.perms
                 | None -> 0o755
               in
-              charge session.cpu session.costs.Cost.restore_create_per_file;
-              ensure_parents fs path;
+              Cost.charge session.cpu Cost.f630.restore_create_per_file;
+              Fs.mkdir_parents fs path;
               if ensure_dir fs path ~perms then incr dirs_created
             end)
           bfs_order
@@ -494,8 +475,8 @@ let apply ?(observe = Repro_obs.Obs.observe) ?select session src =
             && is_selected ino
             && Fs.lookup fs path = None
           then begin
-            charge session.cpu session.costs.Cost.restore_create_per_file;
-            ensure_parents fs path;
+            Cost.charge session.cpu Cost.f630.restore_create_per_file;
+            Fs.mkdir_parents fs path;
             ignore (Fs.create fs path ~perms:0o600)
           end)
         new_paths;
@@ -532,8 +513,8 @@ let apply ?(observe = Repro_obs.Obs.observe) ?select session src =
             match Hashtbl.find_opt new_paths ino with
             | Some primary
               when Fs.lookup fs primary <> None && Fs.lookup fs lpath = None ->
-              charge session.cpu session.costs.Cost.restore_create_per_file;
-              ensure_parents fs lpath;
+              Cost.charge session.cpu Cost.f630.restore_create_per_file;
+              Fs.mkdir_parents fs lpath;
               Fs.link fs primary lpath
             | Some _ | None -> ())
         extra_links);
@@ -558,9 +539,9 @@ let apply ?(observe = Repro_obs.Obs.observe) ?select session src =
           (try Fs.unlink fs path with Fs.Error _ -> ());
           Fs.symlink fs ~target path;
           Fs.set_times fs path ~mtime:fr.fr_inode.Inode.mtime;
-          charge session.cpu
+          Cost.charge session.cpu
             (Float.of_int (String.length target)
-            *. session.costs.Cost.restore_write_per_byte);
+            *. Cost.f630.restore_write_per_byte);
           incr files_restored
         | Some path when is_selected fr.fr_ino ->
           (* the name must hold a regular file before we fill it (it may be
@@ -571,7 +552,7 @@ let apply ?(observe = Repro_obs.Obs.observe) ?select session src =
             ignore (Fs.create fs path ~perms:0o600)
           | _ -> ()
           | exception Fs.Error _ ->
-            ensure_parents fs path;
+            Fs.mkdir_parents fs path;
             ignore (Fs.create fs path ~perms:0o600));
           (* Replace content wholesale: a logical dump always carries the
              whole changed file. *)
@@ -581,9 +562,9 @@ let apply ?(observe = Repro_obs.Obs.observe) ?select session src =
             | [] -> ()
             | _ ->
               let data = String.concat "" (List.rev blocks) in
-              charge session.cpu
+              Cost.charge session.cpu
                 (Float.of_int (String.length data)
-                *. session.costs.Cost.restore_write_per_byte);
+                *. Cost.f630.restore_write_per_byte);
               Fs.write fs path ~offset:(start_lbn * Spec.data_block_size) data;
               bytes_restored := !bytes_restored + String.length data
           in

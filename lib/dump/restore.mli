@@ -23,7 +23,6 @@ type session
 
 val session :
   ?cpu:Repro_sim.Resource.t ->
-  ?costs:Repro_sim.Cost.t ->
   fs:Repro_wafl.Fs.t ->
   target:string ->
   unit ->
@@ -36,7 +35,6 @@ val save_session : session -> string
 
 val load_session :
   ?cpu:Repro_sim.Resource.t ->
-  ?costs:Repro_sim.Cost.t ->
   fs:Repro_wafl.Fs.t ->
   string ->
   session

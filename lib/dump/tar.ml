@@ -215,21 +215,8 @@ let read_headers src f =
       f e data
   done
 
-let rec ensure_parents fs path =
-  match String.rindex_opt path '/' with
-  | None | Some 0 -> ()
-  | Some i ->
-    let parent = String.sub path 0 i in
-    if Fs.lookup fs parent = None then begin
-      ensure_parents fs parent;
-      ignore (Fs.mkdir fs parent ~perms:0o755)
-    end
-
 let extract ~fs ~target src =
-  if Fs.lookup fs target = None then begin
-    ensure_parents fs target;
-    ignore (Fs.mkdir fs target ~perms:0o755)
-  end;
+  Fs.mkdir_p fs target;
   let count = ref 0 in
   let bytes = ref 0 in
   read_headers src (fun e data ->
@@ -237,18 +224,18 @@ let extract ~fs ~target src =
       incr count;
       if e.e_is_dir then begin
         if Fs.lookup fs path = None then begin
-          ensure_parents fs path;
+          Fs.mkdir_parents fs path;
           ignore (Fs.mkdir fs path ~perms:e.e_perms)
         end
         else Fs.set_perms fs path ~perms:e.e_perms
       end
       else if e.e_link <> "" then begin
-        ensure_parents fs path;
+        Fs.mkdir_parents fs path;
         if Fs.lookup fs path <> None then Fs.unlink fs path;
         Fs.symlink fs ~target:e.e_link path
       end
       else begin
-        ensure_parents fs path;
+        Fs.mkdir_parents fs path;
         if Fs.lookup fs path = None then ignore (Fs.create fs path ~perms:e.e_perms)
         else Fs.set_perms fs path ~perms:e.e_perms;
         Fs.truncate fs path ~size:0;

@@ -1,16 +1,13 @@
 module Obs = Repro_obs.Obs
 
-type policy = { attempts : int; base_s : float; multiplier : float }
+let attempts = 4
+let base_s = 1.0
+let multiplier = 2.0
 
-let default = { attempts = 4; base_s = 1.0; multiplier = 2.0 }
+let backoff ~attempt =
+  if attempt <= 1 then base_s else base_s *. (multiplier ** Float.of_int (attempt - 1))
 
-let backoff policy ~attempt =
-  if attempt <= 1 then policy.base_s
-  else policy.base_s *. (policy.multiplier ** Float.of_int (attempt - 1))
-
-let run ?(policy = default) ?(charge = fun _ -> ()) ?(cleanup = fun _ -> ())
-    ~label f =
-  if policy.attempts < 1 then invalid_arg "Retry.run: attempts < 1";
+let run ?(charge = fun _ -> ()) ?(cleanup = fun _ -> ()) ~label f =
   let rec go attempt =
     let sp =
       Obs.span_begin "attempt"
@@ -21,9 +18,9 @@ let run ?(policy = default) ?(charge = fun _ -> ()) ?(cleanup = fun _ -> ())
       Obs.span_end sp;
       v
     | exception (Fault.Transient { device; _ } as e)
-      when attempt < policy.attempts ->
+      when attempt < attempts ->
       cleanup e;
-      let delay = backoff policy ~attempt in
+      let delay = backoff ~attempt in
       let seq = Fault.note_retry ~device ~what:label ~attempt ~delay_s:delay in
       Obs.span_end sp
         ~attrs:

@@ -2,27 +2,19 @@
 
     The engine wraps each backup attempt in {!run}: a {!Fault.Transient}
     triggers a backoff (charged to the simulated clock by the caller's
-    [charge]) and a re-run, up to [attempts] total tries. Anything other
+    [charge]) and a re-run, up to 4 tries in all. Anything other
     than [Transient] — media errors, dead drives — propagates immediately;
     retrying cannot help those. Every retry is journalled to the armed
     fault plane, and each attempt runs inside an [attempt] span on the
     armed obs plane ({!Repro_obs.Obs}) carrying the retry's journal seq
     — the trace shows exactly which attempt absorbed which fault. *)
 
-type policy = {
-  attempts : int;  (** total tries, including the first (>= 1) *)
-  base_s : float;  (** backoff before the first retry, simulated seconds *)
-  multiplier : float;  (** backoff growth per retry *)
-}
-
-val default : policy
-(** 4 attempts, 1 s base, doubling: worst case 7 s of simulated backoff. *)
-
-val backoff : policy -> attempt:int -> float
-(** Backoff charged before retry number [attempt] (1-based). *)
+val backoff : attempt:int -> float
+(** Backoff charged before retry number [attempt] (1-based), in simulated
+    seconds: 1 s, doubling with each retry, so the three retries of the
+    4-try budget wait 7 s in all. *)
 
 val run :
-  ?policy:policy ->
   ?charge:(float -> unit) ->
   ?cleanup:(exn -> unit) ->
   label:string ->

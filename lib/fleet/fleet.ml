@@ -104,6 +104,11 @@ module Spec = struct
         else Hashtbl.add tbl n ())
       names
 
+  (* A NaN gets past every [<]/[<=] check below, and an infinite window
+     or rate never lets the night settle: every number must be finite. *)
+  let check_finite ~name ~field x =
+    if not (Float.is_finite x) then invalid (Bad_value { name; field })
+
   let make ?(seed = 1) ~hosts ~tenants volumes =
     if hosts = [] || volumes = [] then invalid Empty_fleet;
     check_dups
@@ -113,12 +118,15 @@ module Spec = struct
     List.iter
       (fun h ->
         check_name ~kind:"host" h.h_name;
+        check_finite ~name:h.h_name ~field:"link_mb_s" h.h_link.Link.bandwidth_bytes_s;
+        check_finite ~name:h.h_name ~field:"latency_ms" h.h_link.Link.latency_s;
         if h.h_drives < 1 then
           invalid (Bad_value { name = h.h_name; field = "drives" }))
       hosts;
     List.iter
       (fun t ->
         check_name ~kind:"tenant" t.t_name;
+        check_finite ~name:t.t_name ~field:"budget" t.t_budget_bytes_s;
         if t.t_budget_bytes_s <= 0.0 then
           invalid (Bad_value { name = t.t_name; field = "budget" }))
       tenants;
@@ -136,6 +144,8 @@ module Spec = struct
           invalid (Bad_value { name = v.v_name; field = "bytes" });
         if v.v_priority < 0 then
           invalid (Bad_value { name = v.v_name; field = "priority" });
+        check_finite ~name:v.v_name ~field:"window_s" v.v_window_s;
+        check_finite ~name:v.v_name ~field:"deadline_s" v.v_deadline_s;
         if v.v_window_s < 0.0 then
           invalid (Bad_value { name = v.v_name; field = "window_s" });
         if v.v_deadline_s < 0.0 then
@@ -150,7 +160,7 @@ module Spec = struct
   let volume_seed ~fleet_seed i = (fleet_seed * 1_000_003) + i + 1
 
   let synth ?(seed = 1) ?(hosts = 2) ?(drives_per_host = 4) ?(tenants = 2)
-      ?filers ?(bytes_per_volume = 64_000) ?link ?(budget_bytes_s = 64e6)
+      ?(bytes_per_volume = 64_000) ?link ?(budget_bytes_s = 64e6)
       ?(window_every = 0) ?(window_s = 0.0) ?(deadline_every = 0)
       ?(deadline_s = 0.0) ~volumes () =
     let link =
@@ -160,7 +170,7 @@ module Spec = struct
         Link.params ~bandwidth_bytes_s:2e6 ~latency_s:2e-4
           ~window_bytes:(256 * 1024) ()
     in
-    let filers = match filers with Some f -> f | None -> (volumes / 4) + 1 in
+    let filers = (volumes / 4) + 1 in
     let host_names = List.init hosts (Printf.sprintf "vault%d") in
     let tenant_names = List.init tenants (Printf.sprintf "t%d") in
     let vols =

@@ -80,14 +80,14 @@ module Spec : sig
 
   val make :
     ?seed:int -> hosts:host list -> tenants:tenant list -> volume list -> t
-  (** Validates cross-references and positivity; raises {!Invalid}. *)
+  (** Validates cross-references, positivity and that every number is
+      finite; raises {!Invalid}. *)
 
   val synth :
     ?seed:int ->
     ?hosts:int ->
     ?drives_per_host:int ->
     ?tenants:int ->
-    ?filers:int ->
     ?bytes_per_volume:int ->
     ?link:Repro_net.Link.params ->
     ?budget_bytes_s:float ->
@@ -100,7 +100,7 @@ module Spec : sig
     t
   (** A deterministic synthetic fleet: [volumes] volumes round-robined
       across [hosts] (default 2, [drives_per_host] 4), [tenants]
-      (default 2) and [filers] (default [volumes/4 + 1]), priorities
+      (default 2) and [volumes/4 + 1] filers, priorities
       cycling 0-2, per-volume seeds derived from [seed]. Every
       [window_every]-th volume (default: none) gets a window opening at
       [window_s]; every [deadline_every]-th volume (default: none) gets

@@ -1,5 +1,4 @@
 module Bitmap = Repro_util.Bitmap
-module Resource = Repro_sim.Resource
 module Cost = Repro_sim.Cost
 module Volume = Repro_block.Volume
 module Fs = Repro_wafl.Fs
@@ -16,7 +15,8 @@ type result = {
   snapshots_dropped : string list;
 }
 
-let charge cpu secs = match cpu with Some r -> Resource.charge r secs | None -> ()
+(* CPU per 4 KB block: record bookkeeping plus checksum and framing. *)
+let block_cost = Cost.f630.image_per_block +. (4096.0 *. Cost.f630.image_per_byte)
 
 (* Self-profiling: per-extent read+encode on the physical block path. *)
 let p_extent = Repro_prof.Prof.probe "image.extent"
@@ -33,17 +33,14 @@ let find_entry fs name =
 
 (* Stream the blocks of [set] (excluding the fixed fsinfo locations, which
    the trailer replaces) as maximal extents in ascending block order. *)
-let emit_extents ?cpu ~costs ~fs ~sink set =
+let emit_extents ?cpu ~fs ~sink set =
   let vol = Fs.volume fs in
   let nblocks = ref 0 in
   let flush vbn count =
     if count > 0 then begin
       let tok = Repro_prof.Prof.enter p_extent in
       let extent = Volume.read_extent vol vbn count in
-      charge cpu
-        (Float.of_int count
-        *. (costs.Cost.image_per_block
-           +. (4096.0 *. costs.Cost.image_per_byte)));
+      Cost.charge cpu (Float.of_int count *. block_cost);
       Tapeio.output sink (Format.encode_extent ~vbn extent);
       nblocks := !nblocks + count;
       Repro_prof.Prof.leave tok;
@@ -80,8 +77,8 @@ let synthesize_fsinfo fs (target : Fsinfo.snap_entry) included =
       snaps = included;
     }
 
-let run ?cpu ?(costs = Cost.f630) ?(part = (0, 1))
-    ?(observe = Repro_obs.Obs.observe) ~fs ~kind ~base ~snapshot ~sink () =
+let run ?cpu ?(part = (0, 1)) ?(observe = Repro_obs.Obs.observe) ~fs ~kind ~base
+    ~snapshot ~sink () =
   let part_idx, nparts = part in
   if nparts < 1 || part_idx < 0 || part_idx >= nparts then
     invalid_arg "Image_dump.run: bad part";
@@ -160,7 +157,7 @@ let run ?cpu ?(costs = Cost.f630) ?(part = (0, 1))
        });
   let blocks = ref 0 in
   observe "dumping blocks" (fun () ->
-      blocks := emit_extents ?cpu ~costs ~fs ~sink set;
+      blocks := emit_extents ?cpu ~fs ~sink set;
       Tapeio.output sink
         (Format.encode_trailer
            ~fsinfo:(synthesize_fsinfo fs target included)));
@@ -176,8 +173,7 @@ let run ?cpu ?(costs = Cost.f630) ?(part = (0, 1))
     snapshots_dropped = List.map (fun (s : Fsinfo.snap_entry) -> s.snap_name) dropped;
   }
 
-let raw ?cpu ?(costs = Cost.f630) ?(observe = Repro_obs.Obs.observe) ~volume
-    ~sink () =
+let raw ?cpu ?(observe = Repro_obs.Obs.observe) ~volume ~sink () =
   let nblocks = Volume.size_blocks volume in
   let date = 0.0 in
   let start_bytes = Tapeio.sink_bytes_written sink in
@@ -199,9 +195,7 @@ let raw ?cpu ?(costs = Cost.f630) ?(observe = Repro_obs.Obs.observe) ~volume
       while !vbn < nblocks do
         let count = Stdlib.min Format.max_extent_blocks (nblocks - !vbn) in
         let extent = Volume.read_extent volume !vbn count in
-        charge cpu
-          (Float.of_int count
-          *. (costs.Cost.image_per_block +. (4096.0 *. costs.Cost.image_per_byte)));
+        Cost.charge cpu (Float.of_int count *. block_cost);
         Tapeio.output sink (Format.encode_extent ~vbn:!vbn extent);
         blocks := !blocks + count;
         vbn := !vbn + count
@@ -217,9 +211,9 @@ let raw ?cpu ?(costs = Cost.f630) ?(observe = Repro_obs.Obs.observe) ~volume
     snapshots_dropped = [];
   }
 
-let full ?cpu ?costs ?part ?observe ~fs ~snapshot ~sink () =
-  run ?cpu ?costs ?part ?observe ~fs ~kind:Format.Full ~base:None ~snapshot ~sink ()
+let full ?cpu ?part ?observe ~fs ~snapshot ~sink () =
+  run ?cpu ?part ?observe ~fs ~kind:Format.Full ~base:None ~snapshot ~sink ()
 
-let incremental ?cpu ?costs ?part ?observe ~fs ~base ~snapshot ~sink () =
-  run ?cpu ?costs ?part ?observe ~fs ~kind:Format.Incremental ~base:(Some base) ~snapshot
+let incremental ?cpu ?part ?observe ~fs ~base ~snapshot ~sink () =
+  run ?cpu ?part ?observe ~fs ~kind:Format.Incremental ~base:(Some base) ~snapshot
     ~sink ()

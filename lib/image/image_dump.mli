@@ -26,7 +26,6 @@ type result = {
 
 val full :
   ?cpu:Repro_sim.Resource.t ->
-  ?costs:Repro_sim.Cost.t ->
   ?part:int * int ->
   ?observe:(string -> (unit -> unit) -> unit) ->
   fs:Repro_wafl.Fs.t ->
@@ -46,7 +45,6 @@ val full :
 
 val incremental :
   ?cpu:Repro_sim.Resource.t ->
-  ?costs:Repro_sim.Cost.t ->
   ?part:int * int ->
   ?observe:(string -> (unit -> unit) -> unit) ->
   fs:Repro_wafl.Fs.t ->
@@ -58,7 +56,6 @@ val incremental :
 
 val raw :
   ?cpu:Repro_sim.Resource.t ->
-  ?costs:Repro_sim.Cost.t ->
   ?observe:(string -> (unit -> unit) -> unit) ->
   volume:Repro_block.Volume.t ->
   sink:Repro_tape.Tapeio.sink ->

@@ -1,5 +1,4 @@
 module Serde = Repro_util.Serde
-module Resource = Repro_sim.Resource
 module Cost = Repro_sim.Cost
 module Volume = Repro_block.Volume
 module Fsinfo = Repro_wafl.Fsinfo
@@ -17,8 +16,6 @@ type result = {
   bytes_read : int;
 }
 
-let charge cpu secs = match cpu with Some r -> Resource.charge r secs | None -> ()
-
 let block_size = 4096
 
 (* Each block is copied once, out of the extent into the string the
@@ -27,8 +24,7 @@ let split_blocks vbn data =
   let n = String.length data / block_size in
   List.init n (fun i -> (vbn + i, String.sub data (i * block_size) block_size))
 
-let apply ?cpu ?(costs = Cost.f630) ?(observe = Repro_obs.Obs.observe) ~volume
-    src =
+let apply ?cpu ?(observe = Repro_obs.Obs.observe) ~volume src =
   let input n = try Tapeio.input src n with End_of_file -> err "image stream truncated" in
   let header =
     try Format.read_header input with Serde.Corrupt m -> err "bad image header: %s" m
@@ -72,11 +68,10 @@ let apply ?cpu ?(costs = Cost.f630) ?(observe = Repro_obs.Obs.observe) ~volume
           try Format.read_record input with Serde.Corrupt m -> err "corrupt image record: %s" m
         with
         | Format.Extent { vbn; data } ->
-          charge cpu
-            (Float.of_int (String.length data)
-            *. costs.Cost.image_per_byte);
-          charge cpu
-            (Float.of_int (String.length data / block_size) *. costs.Cost.image_per_block);
+          Cost.charge cpu
+            (Float.of_int (String.length data) *. Cost.f630.image_per_byte);
+          Cost.charge cpu
+            (Float.of_int (String.length data / block_size) *. Cost.f630.image_per_block);
           buffered := split_blocks vbn data :: !buffered;
           buffered_count := !buffered_count + (String.length data / block_size);
           if !buffered_count >= 2048 then flush ();

@@ -21,7 +21,6 @@ type result = {
 
 val apply :
   ?cpu:Repro_sim.Resource.t ->
-  ?costs:Repro_sim.Cost.t ->
   ?observe:(string -> (unit -> unit) -> unit) ->
   volume:Repro_block.Volume.t ->
   Repro_tape.Tapeio.source ->

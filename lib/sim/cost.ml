@@ -38,18 +38,4 @@ let f630 =
     image_per_block = 4.0 *. us;
   }
 
-let scale c f =
-  {
-    fs_read_per_byte = c.fs_read_per_byte *. f;
-    fs_write_per_byte = c.fs_write_per_byte *. f;
-    nvram_per_byte = c.nvram_per_byte *. f;
-    fs_op = c.fs_op *. f;
-    dump_format_per_byte = c.dump_format_per_byte *. f;
-    dump_per_file = c.dump_per_file *. f;
-    dump_per_dirent = c.dump_per_dirent *. f;
-    dump_map_per_inode = c.dump_map_per_inode *. f;
-    restore_create_per_file = c.restore_create_per_file *. f;
-    restore_write_per_byte = c.restore_write_per_byte *. f;
-    image_per_byte = c.image_per_byte *. f;
-    image_per_block = c.image_per_block *. f;
-  }
+let charge cpu secs = match cpu with Some r -> Resource.charge r secs | None -> ()

@@ -32,6 +32,6 @@ type t = {
 val f630 : t
 (** Calibration for the paper's Network Appliance F630. *)
 
-val scale : t -> float -> t
-(** [scale c f] multiplies every constant by [f] (a 2× faster CPU is
-    [scale f630 0.5]). *)
+val charge : Resource.t option -> float -> unit
+(** [charge cpu secs] charges [secs] to [cpu] when there is one; a path
+    run without a CPU resource accounts nothing. *)

@@ -57,15 +57,14 @@ module Make (K : Hashtbl.HashedType) = struct
       unlink t node;
       H.remove t.table k
 
-  let evict_lru ?on_evict t =
+  let evict_lru t =
     match t.tail with
     | None -> ()
     | Some victim ->
       unlink t victim;
-      H.remove t.table victim.key;
-      (match on_evict with Some f -> f victim.key victim.value | None -> ())
+      H.remove t.table victim.key
 
-  let add ?on_evict t k v =
+  let add t k v =
     (match H.find_opt t.table k with
     | Some node ->
       node.value <- v;
@@ -75,7 +74,7 @@ module Make (K : Hashtbl.HashedType) = struct
       H.add t.table k node;
       push_front t node);
     while H.length t.table > t.capacity do
-      evict_lru ?on_evict t
+      evict_lru t
     done
 
   let clear t =

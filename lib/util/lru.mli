@@ -1,7 +1,7 @@
-(** A bounded LRU map with eviction callbacks.
+(** A bounded LRU map.
 
-    The WAFL buffer cache is an LRU of 4 KB blocks; evicting a dirty block
-    must write it back, which the [on_evict] hook supports. *)
+    The WAFL buffer cache is an LRU of 4 KB blocks. It caches stored
+    blocks only, so an evicted entry is simply dropped. *)
 
 module Make (K : Hashtbl.HashedType) : sig
   type key = K.t
@@ -19,9 +19,9 @@ module Make (K : Hashtbl.HashedType) : sig
   val peek : 'v t -> key -> 'v option
   (** [peek] does not change recency. *)
 
-  val add : ?on_evict:(key -> 'v -> unit) -> 'v t -> key -> 'v -> unit
+  val add : 'v t -> key -> 'v -> unit
   (** Insert or replace; evicts the least-recently-used entry if over
-      capacity, calling [on_evict] on the victim. *)
+      capacity. *)
 
   val remove : 'v t -> key -> unit
 

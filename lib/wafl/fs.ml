@@ -685,6 +685,17 @@ let mkdir t path ~perms =
   log_op t (Nvram.Mkdir { path; perms });
   ino
 
+let rec mkdir_p t path =
+  if lookup t path = None then begin
+    mkdir_parents t path;
+    ignore (mkdir t path ~perms:0o755)
+  end
+
+and mkdir_parents t path =
+  match String.rindex_opt path '/' with
+  | None | Some 0 -> ()
+  | Some i -> mkdir_p t (String.sub path 0 i)
+
 let free_ftree_blocks t ft =
   Array.iteri
     (fun lbn vbn ->
@@ -1332,20 +1343,14 @@ let build t_vol config nvram info =
 
 let p_mkfs = Repro_prof.Prof.probe "wafl.mkfs"
 
-let mkfs ?config ?nvram ?max_inodes vol =
+let mkfs ?config ?nvram vol =
   Repro_prof.Prof.with_probe p_mkfs @@ fun () ->
   let config = match config with Some c -> c | None -> default_config () in
   let vol_blocks = Volume.size_blocks vol in
   if vol_blocks < 64 then err "volume too small";
   let max_ino =
-    match max_inodes with
-    | Some m ->
-      if m < Layout.first_user_ino + 1 then err "max_inodes too small";
-      ((m + Layout.inodes_per_block - 1) / Layout.inodes_per_block)
-      * Layout.inodes_per_block
-    | None ->
-      let m = Stdlib.max 1024 (vol_blocks / 4) in
-      (m / Layout.inodes_per_block) * Layout.inodes_per_block
+    let m = Stdlib.max 1024 (vol_blocks / 4) in
+    (m / Layout.inodes_per_block) * Layout.inodes_per_block
   in
   let now = config.now () in
   let root_dir = Inode.make ~kind:Inode.Directory ~perms:0o755 ~now () in

@@ -43,10 +43,9 @@ exception Error of string
 
 (** {1 Lifecycle} *)
 
-val mkfs :
-  ?config:config -> ?nvram:Nvram.t -> ?max_inodes:int -> Repro_block.Volume.t -> t
-(** Initialize a volume: root directory, metadata files, first CP.
-    [max_inodes] defaults to one inode per 4 data blocks. *)
+val mkfs : ?config:config -> ?nvram:Nvram.t -> Repro_block.Volume.t -> t
+(** Initialize a volume: root directory, metadata files, first CP. The
+    inode file holds one inode per 4 data blocks, at least 1024. *)
 
 val mount : ?config:config -> ?nvram:Nvram.t -> Repro_block.Volume.t -> t
 (** Mount from the newest valid fsinfo copy, then replay any NVRAM entries
@@ -86,6 +85,15 @@ val mkdir : t -> string -> perms:int -> int
 val create : t -> string -> perms:int -> int
 (** Both return the new inode number; raise [Error] if the parent is
     missing or the name exists. *)
+
+val mkdir_p : t -> string -> unit
+(** Create [path], if missing, and every missing directory above it,
+    each with perms 0o755: one [lookup] per level from [path] up to the
+    first that exists, then one [mkdir] per missing level, top down. *)
+
+val mkdir_parents : t -> string -> unit
+(** {!mkdir_p} of everything above [path] (up to its last ['/']), not
+    [path] itself. *)
 
 val lookup : t -> string -> int option
 val unlink : t -> string -> unit

@@ -1,21 +1,12 @@
-type policy = {
-  hourly_interval : float;
-  hourly_keep : int;
-  nightly_interval : float;
-  nightly_keep : int;
-}
-
-let default_policy =
-  {
-    hourly_interval = 4.0 *. 3600.0;
-    hourly_keep = 6;
-    nightly_interval = 24.0 *. 3600.0;
-    nightly_keep = 2;
-  }
+(* The paper's common schedule: an hourly snapshot every 4 hours kept
+   for 24 hours, a nightly one kept for 2 days. *)
+let hourly_interval = 4.0 *. 3600.0
+let hourly_keep = 6
+let nightly_interval = 24.0 *. 3600.0
+let nightly_keep = 2
 
 type t = {
   fs : Fs.t;
-  policy : policy;
   mutable next_seq : int;
   mutable last_hourly : float;
   mutable last_nightly : float;
@@ -36,16 +27,13 @@ let owned ~prefix fs =
     (Fs.snapshots fs)
   |> List.sort (fun (a, _, _) (b, _, _) -> compare b a)
 
-let create ?(policy = default_policy) fs =
-  if policy.hourly_keep < 0 || policy.nightly_keep < 0 then
-    invalid_arg "Schedule.create";
+let create fs =
   let hourlies = owned ~prefix:"hourly." fs in
   let nightlies = owned ~prefix:"nightly." fs in
   let max_seq l = List.fold_left (fun acc (s, _, _) -> Stdlib.max acc s) (-1) l in
   let newest_time l = match l with (_, _, t) :: _ -> t | [] -> neg_infinity in
   {
     fs;
-    policy;
     next_seq = 1 + Stdlib.max (max_seq hourlies) (max_seq nightlies);
     last_hourly = newest_time hourlies;
     last_nightly = newest_time nightlies;
@@ -77,17 +65,15 @@ let take t ~prefix ~now =
 
 let tick t ~now =
   let created = ref [] in
-  if t.policy.nightly_keep > 0 && now -. t.last_nightly >= t.policy.nightly_interval
-  then begin
+  if now -. t.last_nightly >= nightly_interval then begin
     created := take t ~prefix:"nightly." ~now :: !created;
     t.last_nightly <- now;
-    prune t ~prefix:"nightly." ~keep:t.policy.nightly_keep
+    prune t ~prefix:"nightly." ~keep:nightly_keep
   end;
-  if t.policy.hourly_keep > 0 && now -. t.last_hourly >= t.policy.hourly_interval
-  then begin
+  if now -. t.last_hourly >= hourly_interval then begin
     created := take t ~prefix:"hourly." ~now :: !created;
     t.last_hourly <- now;
-    prune t ~prefix:"hourly." ~keep:t.policy.hourly_keep
+    prune t ~prefix:"hourly." ~keep:hourly_keep
   end;
   List.rev !created
 

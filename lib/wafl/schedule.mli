@@ -4,7 +4,8 @@
     schedule selected by the file system administrator; a common schedule
     is hourly snapshots taken every 4 hours throughout the day and kept
     for 24 hours plus daily snapshots taken every night at midnight and
-    kept for 2 days." That common schedule is the default policy.
+    kept for 2 days." That common schedule is the one this scheduler
+    keeps.
 
     The scheduler owns snapshots named [hourly.N] and [nightly.N]
     (monotonic [N]; the highest is the newest). Manually created snapshots
@@ -13,16 +14,9 @@
     {!Layout.max_snapshots} limit: if no slot is free, the oldest
     scheduler-owned snapshot is retired early. *)
 
-type policy = {
-  hourly_interval : float;  (** seconds between hourly snapshots *)
-  hourly_keep : int;
-  nightly_interval : float;
-  nightly_keep : int;
-}
-
 type t
 
-val create : ?policy:policy -> Fs.t -> t
+val create : Fs.t -> t
 (** Adopts any existing [hourly.*]/[nightly.*] snapshots (so a schedule
     survives a remount). *)
 

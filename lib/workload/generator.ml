@@ -9,7 +9,6 @@ type profile = {
   files_per_dir : int;
   dirs_per_dir : int;
   max_depth : int;
-  xattr_fraction : float;
 }
 
 let default =
@@ -20,8 +19,10 @@ let default =
     files_per_dir = 12;
     dirs_per_dir = 3;
     max_depth = 4;
-    xattr_fraction = 0.1;
   }
+
+(* Fraction of files given DOS/ACL attributes. *)
+let xattr_fraction = 0.1
 
 type stats = { files : int; dirs : int; bytes : int }
 
@@ -93,7 +94,7 @@ let populate ?(profile = default) ~fs ~root ~total_bytes () =
       Fs.set_owner fs path ~uid:(1000 + Prng.int rng 8) ~gid:(100 + Prng.int rng 3);
       let size = sample_size rng p in
       Fs.write fs path ~offset:0 (content rng size);
-      if Prng.float rng 1.0 < p.xattr_fraction then begin
+      if Prng.float rng 1.0 < xattr_fraction then begin
         Fs.set_xattr fs path ~name:"dos.name" ~value:(dos_name_of (Filename.basename path));
         Fs.set_dos_flags fs path ~flags:(Prng.int rng 0x40);
         if Prng.float rng 1.0 < 0.5 then

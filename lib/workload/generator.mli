@@ -13,12 +13,12 @@ type profile = {
   files_per_dir : int;
   dirs_per_dir : int;
   max_depth : int;
-  xattr_fraction : float;  (** fraction of files given DOS/ACL attributes *)
 }
 
 val default : profile
 (** seed 1, 8 KB median, sigma 1.4, 12 files and 3 subdirs per directory,
-    depth 4, 10% of files carrying multi-protocol attributes. *)
+    depth 4. Whatever the profile, 10% of files carry multi-protocol
+    (DOS/ACL) attributes. *)
 
 type stats = { files : int; dirs : int; bytes : int }
 

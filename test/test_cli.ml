@@ -11,6 +11,9 @@ module Store = Repro_backup.Store
 module Engine = Repro_backup.Engine
 module Catalog = Repro_backup.Catalog
 module Slo = Repro_obs.Slo
+module Strategy = Repro_backup.Strategy
+module Library = Repro_tape.Library
+module Tape = Repro_tape.Tape
 
 let checkb = Alcotest.(check bool)
 
@@ -145,6 +148,21 @@ let test_init_rejects_no_drives () =
       checkb "no store written" false (Sys.file_exists store))
     [ [ "--drives"; "0" ]; [ "--drives=-3" ] ]
 
+(* A damaged physical chain is a failed command: [verify] exits 1, as
+   every other typed error does, instead of printing the problems and
+   exiting 0. *)
+let test_verify_fails_on_damage () =
+  let eng, _, libs = Differential.make_engine ~seed:3 () in
+  ignore (Differential.backup eng ~strategy:Strategy.Physical ~parts:1 ~drives:[ 0 ]);
+  let store = temp ".store" in
+  Store.save ~path:store eng;
+  let verify () = backupctl [ "verify"; store; "--label"; "vol" ] in
+  Alcotest.(check int) "clean chain verifies, exit 0" 0 (verify ());
+  let media = List.hd (Library.used_media (List.hd libs)) in
+  Tape.corrupt_record media ~index:(Tape.media_records media / 2);
+  Store.save ~path:store eng;
+  Alcotest.(check int) "damaged chain, exit 1" 1 (verify ())
+
 let () =
   Alcotest.run "cli"
     [
@@ -164,5 +182,7 @@ let () =
             test_serve_rejects_bad_attachments;
           Alcotest.test_case "init rejects fewer than one drive" `Quick
             test_init_rejects_no_drives;
+          Alcotest.test_case "verify fails on a damaged chain" `Quick
+            test_verify_fails_on_damage;
         ] );
     ]

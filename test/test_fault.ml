@@ -112,9 +112,9 @@ let test_lse_inject_and_clear () =
   checkb "journal lse-cleared" true (journal_has plane "lse-cleared")
 
 let test_retry_backoff_and_exhaustion () =
-  checkf "first backoff" 1.0 (Retry.backoff Retry.default ~attempt:1);
-  checkf "second backoff" 2.0 (Retry.backoff Retry.default ~attempt:2);
-  checkf "third backoff" 4.0 (Retry.backoff Retry.default ~attempt:3);
+  checkf "first backoff" 1.0 (Retry.backoff ~attempt:1);
+  checkf "second backoff" 2.0 (Retry.backoff ~attempt:2);
+  checkf "third backoff" 4.0 (Retry.backoff ~attempt:3);
   let plane = Fault.plan [] in
   Fault.with_armed plane (fun () ->
       let charged = ref 0.0 and cleanups = ref 0 and calls = ref 0 in
@@ -143,7 +143,7 @@ let test_retry_backoff_and_exhaustion () =
    with
   | (_ : unit) -> Alcotest.fail "expected Transient"
   | exception Fault.Transient _ -> ());
-  checki "default budget is 4 attempts" 4 !calls;
+  checki "the budget is 4 attempts" 4 !calls;
   (* anything non-transient propagates without retrying *)
   let calls = ref 0 in
   (match

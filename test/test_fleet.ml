@@ -85,6 +85,67 @@ let test_spec_validation () =
   in
   checki "tenantless spec accepted" 1 (List.length s.Spec.s_volumes)
 
+(* A NaN passes every [<]/[<=] check, and an infinite window never opens:
+   every float field must be finite, whether the spec is built as
+   records ([make]), by [synth], or parsed from text. Parsing a NaN or
+   negative link rate or latency fails earlier, in [Link.params], as a
+   parse error; every case is a [Spec.Invalid]. *)
+let test_non_finite () =
+  let link ?(bw = 2e6) ?(lat = 2e-4) () =
+    { Link.default_params with Link.bandwidth_bytes_s = bw; latency_s = lat }
+  in
+  let made ?(h = host "vault0") ?(t = tenant "eng") ?(v = volume "v0") () =
+    Spec.make ~hosts:[ h ] ~tenants:[ t ] [ v ]
+  in
+  let text ?(bw = "2") ?(lat = "0.2") ?(budget = "8") ?(window = "0")
+      ?(deadline = "0") () =
+    Printf.sprintf
+      "fleet seed=1\nhost vault0 drives=2 link_mb_s=%s latency_ms=%s\n\
+       tenant eng budget_mb_s=%s\n\
+       volume v0 host=vault0 tenant=eng bytes=1000 window_s=%s deadline_s=%s\n"
+      bw lat budget window deadline
+  in
+  let cases =
+    [
+      ( "vault0", "link_mb_s",
+        (fun x -> made ~h:{ (host "vault0") with Spec.h_link = link ~bw:x () } ()),
+        (fun x -> Spec.synth ~link:(link ~bw:x ()) ~volumes:2 ()),
+        fun s -> text ~bw:s () );
+      ( "vault0", "latency_ms",
+        (fun x -> made ~h:{ (host "vault0") with Spec.h_link = link ~lat:x () } ()),
+        (fun x -> Spec.synth ~link:(link ~lat:x ()) ~volumes:2 ()),
+        fun s -> text ~lat:s () );
+      ( "eng", "budget",
+        (fun x -> made ~t:(tenant ~budget:x "eng") ()),
+        (fun x -> Spec.synth ~budget_bytes_s:x ~volumes:2 ()),
+        fun s -> text ~budget:s () );
+      ( "v0", "window_s",
+        (fun x -> made ~v:(volume ~window:x "v0") ()),
+        (fun x -> Spec.synth ~window_every:1 ~window_s:x ~volumes:2 ()),
+        fun s -> text ~window:s () );
+      ( "v0", "deadline_s",
+        (fun x -> made ~v:(volume ~deadline:x "v0") ()),
+        (fun x -> Spec.synth ~deadline_every:1 ~deadline_s:x ~volumes:2 ()),
+        fun s -> text ~deadline:s () );
+    ]
+  in
+  (* the text template itself is valid *)
+  checki "valid template" 1 (List.length (Spec.parse (text ())).Spec.s_volumes);
+  List.iter
+    (fun (name, field, make, synth, parse) ->
+      List.iter
+        (fun (x, lit) ->
+          let what = Printf.sprintf "%s=%s" field lit in
+          expects (Spec.Bad_value { name; field }) (fun () -> make x);
+          (match synth x with
+          | (_ : Spec.t) -> Alcotest.failf "synth accepted %s" what
+          | exception Spec.Invalid _ -> ());
+          match Spec.parse (parse lit) with
+          | (_ : Spec.t) -> Alcotest.failf "parse accepted %s" what
+          | exception Spec.Invalid _ -> ())
+        [ (Float.nan, "nan"); (Float.infinity, "inf"); (Float.neg_infinity, "-inf") ])
+    cases
+
 let expects_parse ~line msg text =
   match Spec.parse text with
   | (_ : Spec.t) -> Alcotest.failf "expected parse error %S" msg
@@ -399,6 +460,7 @@ let () =
       ( "spec",
         [
           Alcotest.test_case "typed validation" `Quick test_spec_validation;
+          Alcotest.test_case "non-finite numbers rejected" `Quick test_non_finite;
           Alcotest.test_case "metric-path-safe names" `Quick test_bad_names;
           Alcotest.test_case "deadline validation and round-trip" `Quick
             test_deadline_validation;

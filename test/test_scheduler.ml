@@ -280,6 +280,31 @@ let test_empty_demand_completes_at_admission () =
       | _ -> Alcotest.fail "empty-demand task must complete")
     [ 0.001; 0.5; 1.0; 3.0; 100.0 ]
 
+(* Late in a long schedule the clock's float step outgrows the solver's
+   absolute tolerance. A flight opening at [ready] with one 0.0145 s
+   demand reaches its armed finish with a remainder whose time to run
+   lies below the clock's step there, so re-arming it could not move the
+   clock: at 8e6, 1e7, 1.6e7 and 5e7 the run never settled. Such a
+   flight completes at the instant it can no longer advance. *)
+let test_tiny_remainder_late_in_schedule () =
+  List.iter
+    (fun ready ->
+      let slot = Repro_sim.Resource_id.Drive 0 in
+      let t =
+        Scheduler.task ~ready ~label:"late" ~claims:[ Scheduler.Exactly slot ]
+          (fun ~now:_ ~granted:_ -> ((), [ demand "disk" 0.0145 ]))
+      in
+      let outs, ps = Scheduler.run_tasks ~slots:[ slot ] [ t ] in
+      match outs.(0) with
+      | Scheduler.Completed g ->
+        let took = g.Scheduler.g_finished -. g.Scheduler.g_started in
+        if Float.abs (took -. 0.0145) > 1e-6 then
+          Alcotest.failf "ready %g: took %h s, want 0.0145" ready took;
+        checkb "pool ends at the completion" true
+          (Float.equal ps.Scheduler.p_elapsed g.Scheduler.g_finished)
+      | _ -> Alcotest.failf "ready %g: task must complete" ready)
+    [ 4e6; 8e6; 1e7; 1.6e7; 5e7; 1e8 ]
+
 let () =
   Alcotest.run "scheduler"
     [
@@ -292,6 +317,8 @@ let () =
           Alcotest.test_case "fault semantics" `Quick test_scheduler_fault_semantics;
           Alcotest.test_case "empty demand completes at admission" `Quick
             test_empty_demand_completes_at_admission;
+          Alcotest.test_case "tiny remainder late in a schedule completes" `Quick
+            test_tiny_remainder_late_in_schedule;
         ] );
       ( "properties",
         [

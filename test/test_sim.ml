@@ -7,7 +7,6 @@ module Eventq = Repro_sim.Eventq
 module Heap = Oracle.Heap
 module Resource = Repro_sim.Resource
 module Instrument = Repro_backup.Instrument
-module Cost = Repro_sim.Cost
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -391,11 +390,6 @@ let prop_runner_matches_oracle =
       && List.length got.Instrument.stages = List.length want.Oracle.Pipeline.stages
       && List.for_all row_matches want.Oracle.Pipeline.stages)
 
-let test_cost_scale () =
-  let c = Cost.scale Cost.f630 2.0 in
-  checkb "scaled" true
-    (c.Cost.fs_read_per_byte = 2.0 *. Cost.f630.Cost.fs_read_per_byte)
-
 let () =
   Alcotest.run "sim"
     [
@@ -417,7 +411,6 @@ let () =
       ( "resources",
         [
           Alcotest.test_case "accounting" `Quick test_resource_accounting;
-          Alcotest.test_case "cost scaling" `Quick test_cost_scale;
         ] );
       ( "pipeline",
         [

@@ -466,14 +466,13 @@ let prop_heap_sorts =
 
 let test_lru_eviction () =
   let l = Lru.create ~capacity:3 in
-  let evicted = ref [] in
-  let on_evict k _ = evicted := k :: !evicted in
-  Lru.add ~on_evict l 1 "a";
-  Lru.add ~on_evict l 2 "b";
-  Lru.add ~on_evict l 3 "c";
+  Lru.add l 1 "a";
+  Lru.add l 2 "b";
+  Lru.add l 3 "c";
   ignore (Lru.find l 1);
-  Lru.add ~on_evict l 4 "d";
-  Alcotest.(check (list int)) "evicted 2" [ 2 ] !evicted;
+  Lru.add l 4 "d";
+  checkb "2 evicted" false (Lru.mem l 2);
+  checkb "3 kept" true (Lru.mem l 3);
   checkb "1 kept" true (Lru.mem l 1);
   checkb "4 kept" true (Lru.mem l 4);
   checki "size" 3 (Lru.length l)
