@@ -279,7 +279,20 @@ let ensure_dir fs path ~perms =
 (* ------------------------------------------------------------------ *)
 (* Apply                                                               *)
 
-let apply ?(observe = Repro_obs.Obs.observe) ?select session src =
+(* Write the [n] blocks of [run] (newest first), which start at block
+   [start_lbn] of [path]; the bytes written. Each block was cut out of
+   its tape record by [Tapeio.input] and is lent to the file system
+   as it is: no block is copied again on its way to the volume. *)
+let write_run cpu fs path start_lbn run n =
+  if n = 0 then 0
+  else begin
+    let len = n * Spec.data_block_size in
+    Cost.charge cpu (Float.of_int len *. Cost.f630.restore_write_per_byte);
+    Fs.writev fs path ~offset:(start_lbn * Spec.data_block_size) (List.rev run);
+    len
+  end
+
+let apply_with ~write_run ?(observe = Repro_obs.Obs.observe) ?select session src =
   let skipped = ref 0 in
   (* Reading the front matter (maps and the desiccated directory table) is
      part of the "creating files" stage the paper measures. *)
@@ -557,35 +570,23 @@ let apply ?(observe = Repro_obs.Obs.observe) ?select session src =
           (* Replace content wholesale: a logical dump always carries the
              whole changed file. *)
           (try Fs.truncate fs path ~size:0 with Fs.Error _ -> ());
-          let flush_run start_lbn (blocks : string list) =
-            match blocks with
-            | [] -> ()
-            | _ ->
-              let data = String.concat "" (List.rev blocks) in
-              Cost.charge session.cpu
-                (Float.of_int (String.length data)
-                *. Cost.f630.restore_write_per_byte);
-              Fs.write fs path ~offset:(start_lbn * Spec.data_block_size) data;
-              bytes_restored := !bytes_restored + String.length data
+          let run_start = ref 0 and run = ref [] and run_len = ref 0 in
+          let flush_run () =
+            bytes_restored :=
+              !bytes_restored + write_run session.cpu fs path !run_start !run !run_len;
+            run := [];
+            run_len := 0
           in
-          let run_start = ref 0 in
-          let run = ref [] in
           for lbn = 0 to fr.fr_nblocks - 1 do
             if block_present fr lbn then begin
-              if !run = [] then run_start := lbn;
+              if !run_len = 0 then run_start := lbn;
               run := Tapeio.input src Spec.data_block_size :: !run;
-              if List.length !run >= 16 then begin
-                flush_run !run_start !run;
-                run_start := lbn + 1;
-                run := []
-              end
+              incr run_len;
+              if !run_len >= 16 then flush_run ()
             end
-            else begin
-              flush_run !run_start !run;
-              run := []
-            end
+            else flush_run ()
           done;
-          flush_run !run_start !run;
+          flush_run ();
           if fr.fr_inode.Inode.size < fr.fr_nblocks * Spec.data_block_size then
             Fs.truncate fs path ~size:fr.fr_inode.Inode.size;
           Fs.set_perms fs path ~perms:fr.fr_inode.Inode.perms;
@@ -657,6 +658,8 @@ let apply ?(observe = Repro_obs.Obs.observe) ?select session src =
     bytes_restored = !bytes_restored;
     corrupt_headers_skipped = !skipped;
   }
+
+let apply ?observe ?select session src = apply_with ~write_run ?observe ?select session src
 
 let compare ~fs ~target src =
   let skipped = ref 0 in

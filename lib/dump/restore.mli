@@ -62,6 +62,29 @@ val apply :
     runs depending on the stream's level and the session history.
     [observe] wraps "creating files" and "filling in data". *)
 
+(**/**)
+
+val apply_with :
+  write_run:
+    (Repro_sim.Resource.t option ->
+    Repro_wafl.Fs.t ->
+    string ->
+    int ->
+    string list ->
+    int ->
+    int) ->
+  ?observe:(string -> (unit -> unit) -> unit) ->
+  ?select:string list ->
+  session ->
+  Repro_tape.Tapeio.source ->
+  apply_result
+(** {!apply} with its run writer replaced, for the test oracle of the
+    copy-free data path only: [write_run cpu fs path start_lbn run n]
+    writes the [n] blocks of [run] (newest first) at block [start_lbn] of
+    [path] and returns the bytes written. *)
+
+(**/**)
+
 type toc_entry = { rel_path : string; ino : int; is_dir : bool }
 
 val table_of_contents : Repro_tape.Tapeio.source -> toc_entry list

@@ -28,8 +28,12 @@ type error =
 exception Invalid of error
 
 let error_message = function
+  | Bad_bandwidth b when not (Float.is_finite b) ->
+    Printf.sprintf "link bandwidth must be finite (got %g bytes/s)" b
   | Bad_bandwidth b ->
     Printf.sprintf "link bandwidth must be positive (got %g bytes/s)" b
+  | Bad_latency l when not (Float.is_finite l) ->
+    Printf.sprintf "link latency must be finite (got %g s)" l
   | Bad_latency l -> Printf.sprintf "link latency must not be negative (got %g s)" l
   | Bad_mtu m -> Printf.sprintf "link MTU must be positive (got %d bytes)" m
   | Window_below_mtu { window; mtu } ->
@@ -44,8 +48,9 @@ let params ?(bandwidth_bytes_s = default_params.bandwidth_bytes_s)
     ?(window_bytes = default_params.window_bytes)
     ?(max_retransmits = default_params.max_retransmits) () =
   let invalid e = raise (Invalid e) in
-  if not (bandwidth_bytes_s > 0.0) then invalid (Bad_bandwidth bandwidth_bytes_s);
-  if not (latency_s >= 0.0) then invalid (Bad_latency latency_s);
+  if not (bandwidth_bytes_s > 0.0 && Float.is_finite bandwidth_bytes_s) then
+    invalid (Bad_bandwidth bandwidth_bytes_s);
+  if not (latency_s >= 0.0 && Float.is_finite latency_s) then invalid (Bad_latency latency_s);
   if mtu_bytes <= 0 then invalid (Bad_mtu mtu_bytes);
   if window_bytes < mtu_bytes then
     invalid (Window_below_mtu { window = window_bytes; mtu = mtu_bytes });

@@ -26,8 +26,8 @@ val default_params : params
     4 MiB window, 8 retransmits. *)
 
 type error =
-  | Bad_bandwidth of float  (** not positive *)
-  | Bad_latency of float  (** negative *)
+  | Bad_bandwidth of float  (** not positive, or not finite *)
+  | Bad_latency of float  (** negative, or not finite *)
   | Bad_mtu of int  (** not positive *)
   | Window_below_mtu of { window : int; mtu : int }
   | Bad_retransmits of int  (** negative *)
@@ -45,7 +45,8 @@ val params :
   unit ->
   params
 (** {!default_params} with overrides. Raises {!Invalid} on a bandwidth
-    that is not positive, a negative latency, an MTU that is not
+    that is not positive and finite, a latency that is negative or not
+    finite (NaN and infinities included), an MTU that is not
     positive, a window smaller than the MTU, or a negative retransmit
     budget. *)
 

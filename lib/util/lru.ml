@@ -3,11 +3,15 @@ module Make (K : Hashtbl.HashedType) = struct
 
   module H = Hashtbl.Make (K)
 
+  (* A node owns the option boxes that point at it ([self]) and at its
+     value ([found]), built once when it is made or its value set: a hit
+     relinks the node and returns its value without allocating. *)
   type 'v node = {
     key : key;
-    mutable value : 'v;
+    mutable found : 'v option; (* always [Some] of the value *)
     mutable prev : 'v node option;
     mutable next : 'v node option;
+    mutable self : 'v node option; (* [Some] of this node *)
   }
 
   type 'v t = {
@@ -33,29 +37,32 @@ module Make (K : Hashtbl.HashedType) = struct
   let push_front t node =
     node.next <- t.head;
     node.prev <- None;
-    (match t.head with Some h -> h.prev <- Some node | None -> t.tail <- Some node);
-    t.head <- Some node
+    (match t.head with Some h -> h.prev <- node.self | None -> t.tail <- node.self);
+    t.head <- node.self
 
+  (* The head has no [prev]: it stays where it is. *)
   let promote t node =
-    unlink t node;
-    push_front t node
+    match node.prev with
+    | None -> ()
+    | Some _ ->
+      unlink t node;
+      push_front t node
 
   let find t k =
-    match H.find_opt t.table k with
-    | None -> None
-    | Some node ->
+    match H.find t.table k with
+    | node ->
       promote t node;
-      Some node.value
+      node.found
+    | exception Not_found -> None
 
-  let peek t k =
-    match H.find_opt t.table k with None -> None | Some node -> Some node.value
+  let peek t k = match H.find t.table k with node -> node.found | exception Not_found -> None
 
   let remove t k =
-    match H.find_opt t.table k with
-    | None -> ()
-    | Some node ->
+    match H.find t.table k with
+    | node ->
       unlink t node;
       H.remove t.table k
+    | exception Not_found -> ()
 
   let evict_lru t =
     match t.tail with
@@ -65,12 +72,13 @@ module Make (K : Hashtbl.HashedType) = struct
       H.remove t.table victim.key
 
   let add t k v =
-    (match H.find_opt t.table k with
-    | Some node ->
-      node.value <- v;
+    (match H.find t.table k with
+    | node ->
+      node.found <- Some v;
       promote t node
-    | None ->
-      let node = { key = k; value = v; prev = None; next = None } in
+    | exception Not_found ->
+      let node = { key = k; found = Some v; prev = None; next = None; self = None } in
+      node.self <- Some node;
       H.add t.table k node;
       push_front t node);
     while H.length t.table > t.capacity do

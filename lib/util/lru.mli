@@ -1,7 +1,8 @@
 (** A bounded LRU map.
 
     The WAFL buffer cache is an LRU of 4 KB blocks. It caches stored
-    blocks only, so an evicted entry is simply dropped. *)
+    blocks only, so an evicted entry is simply dropped. A hit ({!find},
+    {!peek}) allocates nothing. *)
 
 module Make (K : Hashtbl.HashedType) : sig
   type key = K.t

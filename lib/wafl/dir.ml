@@ -29,15 +29,16 @@ let used s = walk s (fun _ _ -> ())
 
 let ino_at s pos = Int32.to_int (String.get_int32_le s pos) land 0xffffffff
 
-let name_is s pos name =
-  let n = String.length name in
-  String.get_uint8 s (pos + 4) = n
-  &&
-  let i = ref 0 in
-  while !i < n && String.unsafe_get s (pos + 5 + !i) = String.unsafe_get name !i do
-    incr i
-  done;
-  !i = n
+(* Whether the entry at [pos] is named [name.[npos .. npos + n - 1]]. *)
+let rec same_bytes s p name npos n =
+  n = 0
+  || String.unsafe_get s p = String.unsafe_get name npos
+     && same_bytes s (p + 1) name (npos + 1) (n - 1)
+
+let name_is_sub s pos name npos n =
+  String.get_uint8 s (pos + 4) = n && same_bytes s (pos + 5) name npos n
+
+let name_is s pos name = name_is_sub s pos name 0 (String.length name)
 
 let entries s =
   let acc = ref [] in
@@ -45,10 +46,26 @@ let entries s =
     (walk s (fun p len -> acc := (String.sub s (p + 5) (len - 5), ino_at s p) :: !acc));
   List.rev !acc
 
+(* [walk] unrolled for [find_sub], which must allocate nothing: the same
+   checks on every entry, in the same order, keeping the first hit. *)
+let rec scan s name npos n ~size left p hit =
+  if left = 0 then hit
+  else begin
+    if p + 5 > size then corrupt p;
+    let len = 5 + String.get_uint8 s (p + 4) in
+    if p + len > size then corrupt p;
+    let hit = if hit < 0 && name_is_sub s p name npos n then ino_at s p else hit in
+    scan s name npos n ~size (left - 1) (p + len) hit
+  end
+
+let find_sub s name ~pos ~len =
+  let size = String.length s in
+  if size < 2 then corrupt 0;
+  scan s name pos len ~size (String.get_uint16_le s 0) 2 (-1)
+
 let find s name =
-  let hit = ref (-1) in
-  ignore (walk s (fun p _ -> if !hit < 0 && name_is s p name then hit := p));
-  if !hit < 0 then None else Some (ino_at s !hit)
+  let ino = find_sub s name ~pos:0 ~len:(String.length name) in
+  if ino < 0 then None else Some ino
 
 let check_ino ino = if ino < 0 || ino > 0xffffffff then invalid_arg "Dir: bad inode number"
 

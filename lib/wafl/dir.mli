@@ -20,6 +20,12 @@ val entries : string -> (string * int) list
 val find : string -> string -> int option
 (** The inode of the first entry named [name]. *)
 
+val find_sub : string -> string -> pos:int -> len:int -> int
+(** [find_sub block s ~pos ~len]: {!find} of the name
+    [String.sub s pos len], or [-1] if there is none, without building
+    the name or an option. Path walks match components where they lie in
+    the path. *)
+
 val fits : string -> string -> bool
 (** Whether {!add} of [name] would fit. Raises [Invalid_argument] on an
     oversized or empty name. *)

@@ -27,28 +27,41 @@ let default_config () =
         !tick);
   }
 
+(* Tables keyed by inode, block or volume block number: hashed as the
+   int itself, compared without a polymorphic call. *)
+module Int_key = struct
+  type t = int
+
+  let equal = Int.equal
+  let hash (x : int) = x land max_int
+end
+
+module Itbl = Hashtbl.Make (Int_key)
+
+(* A block dirty in the current CP. [Owned] bytes are fresh and the
+   ftree's alone, so later edits in the same CP change them in place. A
+   [Lent] string is a whole block a writer handed over ({!writev}): it is
+   immutable, so the ftree keeps it as it is, and the first in-place edit
+   turns it into an [Owned] copy. Either way the CP hands the block to
+   the volume as an immutable string. *)
+type dirty = Owned of bytes | Lent of string
+
+let dirty_string = function Owned b -> Bytes.unsafe_to_string b | Lent s -> s
+
 (* In-memory image of one file's block tree. [f_ptrs] maps logical block
    number to vbn ([Layout.no_block] = hole); dirty data lives only in
-   [f_dirty] until the next consistency point allocates it a home. A dirty
-   block is owned by its ftree alone: every insertion stores a fresh
-   block, later edits in the same CP change it in place, and the CP hands
-   it to the volume as an immutable string. *)
+   [f_dirty] until the next consistency point allocates it a home. *)
 type ftree = {
   f_ino : int; (* -1 denotes the inode file itself *)
   mutable f_inode : Inode.t;
   mutable f_ptrs : int array;
-  f_dirty : (int, bytes) Hashtbl.t;
+  f_dirty : dirty Itbl.t;
   mutable f_indirects : int list; (* on-disk indirect-block vbns *)
   mutable f_meta_dirty : bool;
   mutable f_data_dirty : bool;
 }
 
-module Lru = Repro_util.Lru.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash = Hashtbl.hash
-end)
+module Lru = Repro_util.Lru.Make (Int_key)
 
 type t = {
   vol : Volume.t;
@@ -67,7 +80,7 @@ type t = {
   mutable snaps : Fsinfo.snap_entry list;
   inode_file : ftree;
   bmap_file : ftree;
-  ftrees : (int, ftree) Hashtbl.t;
+  ftrees : ftree Itbl.t;
   xattr_dirty : (int, (string * string) list) Hashtbl.t;
   ino_used : Bitmap.t;
   lru : string Lru.t; (* stored blocks, shared with the volume *)
@@ -98,7 +111,7 @@ let charge_nvram t bytes = charge t (Float.of_int bytes *. t.config.costs.Cost.n
 let alive t = if t.dead then err "file system handle is dead (crashed)"
 
 let vol_read t vbn =
-  match Hashtbl.find_opt t.pending vbn with
+  match if Hashtbl.length t.pending = 0 then None else Hashtbl.find_opt t.pending vbn with
   | Some b -> b
   | None -> (
     match Lru.find t.lru vbn with
@@ -170,7 +183,7 @@ let ftree_of_inode t ~ino inode =
     f_ino = ino;
     f_inode = inode;
     f_ptrs = ptrs;
-    f_dirty = Hashtbl.create 16;
+    f_dirty = Itbl.create 16;
     f_indirects = indirects;
     f_meta_dirty = false;
     f_data_dirty = false;
@@ -184,34 +197,38 @@ let ftree_grow ft lbn =
     ft.f_ptrs <- np
   end
 
-(* A dirty block comes back as a view of the ftree's own buffer: read it
-   and let go, since a later edit changes it in place. *)
+(* An [Owned] dirty block comes back as a view of the ftree's own
+   buffer: read it and let go, since a later edit changes it in place. *)
 let ftree_read_block t ft lbn =
   if lbn < 0 then invalid_arg "ftree_read_block";
-  match Hashtbl.find_opt ft.f_dirty lbn with
-  | Some b -> Bytes.unsafe_to_string b
-  | None ->
+  match Itbl.find ft.f_dirty lbn with
+  | d -> dirty_string d
+  | exception Not_found ->
     if lbn < Array.length ft.f_ptrs && ft.f_ptrs.(lbn) <> Layout.no_block then
       vol_read t ft.f_ptrs.(lbn)
     else Block.zeros
 
-(* [data] must be fresh: the ftree takes it over. *)
-let ftree_write_block t ft lbn data =
-  Block.check (Bytes.unsafe_to_string data);
+(* The ftree takes [block] over: [Owned] bytes must be fresh. *)
+let ftree_write_block t ft lbn block =
+  Block.check (dirty_string block);
   if lbn >= Layout.max_file_blocks then err "file too large";
   ftree_grow ft lbn;
-  if not (Hashtbl.mem ft.f_dirty lbn) then t.dirty_count <- t.dirty_count + 1;
-  Hashtbl.replace ft.f_dirty lbn data;
+  if not (Itbl.mem ft.f_dirty lbn) then t.dirty_count <- t.dirty_count + 1;
+  Itbl.replace ft.f_dirty lbn block;
   ft.f_data_dirty <- true
 
-(* Block [lbn], dirty and owned by [ft], to edit in place: the dirty block
-   itself, or a fresh copy of the clean one made dirty. *)
+(* Block [lbn], dirty and owned by [ft], to edit in place: the owned dirty
+   block itself, or a fresh copy of a lent or clean one made dirty. *)
 let ftree_own_block t ft lbn =
-  match Hashtbl.find_opt ft.f_dirty lbn with
-  | Some b -> b
-  | None ->
+  match Itbl.find ft.f_dirty lbn with
+  | Owned b -> b
+  | Lent s ->
+    let b = Bytes.of_string s in
+    Itbl.replace ft.f_dirty lbn (Owned b);
+    b
+  | exception Not_found ->
     let b = Bytes.of_string (ftree_read_block t ft lbn) in
-    ftree_write_block t ft lbn b;
+    ftree_write_block t ft lbn (Owned b);
     b
 
 (* ------------------------------------------------------------------ *)
@@ -224,9 +241,9 @@ let check_ino t ino =
 
 let read_inode t ino =
   check_ino t ino;
-  match Hashtbl.find_opt t.ftrees ino with
-  | Some ft -> ft.f_inode
-  | None ->
+  match Itbl.find t.ftrees ino with
+  | ft -> ft.f_inode
+  | exception Not_found ->
     if ino = Layout.blockmap_ino then t.bmap_file.f_inode
     else begin
       let lbn, slot = slot_of_ino ino in
@@ -243,13 +260,13 @@ let write_inode_slot t ino inode =
 let get_ftree t ino =
   if ino = Layout.blockmap_ino then t.bmap_file
   else
-    match Hashtbl.find_opt t.ftrees ino with
-    | Some ft -> ft
-    | None ->
+    match Itbl.find t.ftrees ino with
+    | ft -> ft
+    | exception Not_found ->
       let inode = read_inode t ino in
       if Inode.is_free inode then err "inode %d is not allocated" ino;
       let ft = ftree_of_inode t ~ino inode in
-      Hashtbl.add t.ftrees ino ft;
+      Itbl.add t.ftrees ino ft;
       ft
 
 let set_inode t ft inode =
@@ -288,16 +305,20 @@ let dir_iter_blocks t ft f =
   let rec loop lbn = if lbn < n then if f lbn (ftree_read_block t ft lbn) then () else loop (lbn + 1) in
   loop 0
 
+(* The inode the name [s.[pos .. pos + len - 1]] maps to in the first of
+   [ft]'s blocks [lbn ..] that holds it, or -1. *)
+let rec dir_find_from t ft ~nblocks lbn s ~pos ~len =
+  if lbn >= nblocks then -1
+  else
+    let ino = Dir.find_sub (ftree_read_block t ft lbn) s ~pos ~len in
+    if ino >= 0 then ino else dir_find_from t ft ~nblocks (lbn + 1) s ~pos ~len
+
 let dir_lookup t dir_ino name =
   let ft = get_ftree t dir_ino in
-  let found = ref None in
-  dir_iter_blocks t ft (fun _ b ->
-      match Dir.find b name with
-      | Some ino ->
-        found := Some ino;
-        true
-      | None -> false);
-  !found
+  let ino =
+    dir_find_from t ft ~nblocks:(dir_nblocks ft.f_inode) 0 name ~pos:0 ~len:(String.length name)
+  in
+  if ino < 0 then None else Some ino
 
 let dir_entries t dir_ino =
   let ft = get_ftree t dir_ino in
@@ -323,7 +344,7 @@ let dir_add t dir_ino name ino =
     let lbn = dir_nblocks ft.f_inode in
     let b = Dir.empty_block () in
     if not (Dir.add b name ino) then err "directory entry too large";
-    ftree_write_block t ft lbn b;
+    ftree_write_block t ft lbn (Owned b);
     set_inode t ft
       { ft.f_inode with size = (lbn + 1) * Block.size; mtime = t.config.now () }
   end
@@ -349,18 +370,38 @@ let split_path path =
   if String.length path = 0 || path.[0] <> '/' then err "path %S is not absolute" path;
   String.split_on_char '/' path |> List.filter (fun c -> String.length c > 0)
 
+let rec component_end path n j =
+  if j < n && String.unsafe_get path j <> '/' then component_end path n (j + 1) else j
+
+(* The walk matches each component where it lies in [path], so it builds
+   no list and allocates nothing of its own; it reads the same blocks,
+   charges the same ops and raises the same errors as a walk over
+   [split_path]. *)
+let rec namei_from t path n ino i =
+  if i >= n then ino
+  else if String.unsafe_get path i = '/' then namei_from t path n ino (i + 1)
+  else begin
+    let j = component_end path n i in
+    charge_op t 1;
+    (* A loaded ftree is [read_inode] and [get_ftree] in one lookup. *)
+    let ft =
+      match Itbl.find t.ftrees ino with
+      | ft -> ft
+      | exception Not_found ->
+        if (read_inode t ino).Inode.kind <> Inode.Directory then
+          err "%S: not a directory" path;
+        get_ftree t ino
+    in
+    if ft.f_inode.Inode.kind <> Inode.Directory then err "%S: not a directory" path;
+    let next = dir_find_from t ft ~nblocks:(dir_nblocks ft.f_inode) 0 path ~pos:i ~len:(j - i) in
+    if next < 0 then err "%S: no such file or directory" path;
+    namei_from t path n next j
+  end
+
 let namei t path =
-  let rec walk ino = function
-    | [] -> ino
-    | comp :: rest ->
-      charge_op t 1;
-      let inode = read_inode t ino in
-      if inode.Inode.kind <> Inode.Directory then err "%S: not a directory" path;
-      (match dir_lookup t ino comp with
-      | Some next -> walk next rest
-      | None -> err "%S: no such file or directory" path)
-  in
-  walk Layout.root_ino (split_path path)
+  let n = String.length path in
+  if n = 0 || path.[0] <> '/' then err "path %S is not absolute" path;
+  namei_from t path n Layout.root_ino 1
 
 let namei_opt t path = try Some (namei t path) with Error _ -> None
 
@@ -405,11 +446,11 @@ let compute_protect t =
    indirect chain copy-on-write, and hand the finished inode to
    [write_slot]. *)
 let flush_ftree t ft ~write_slot =
-  if ft.f_data_dirty || ft.f_meta_dirty || Hashtbl.length ft.f_dirty > 0 then begin
+  if ft.f_data_dirty || ft.f_meta_dirty || Itbl.length ft.f_dirty > 0 then begin
     let nd = Layout.ndirect and ppb = Layout.ptrs_per_block in
     let dirty =
-      Hashtbl.fold (fun lbn b acc -> (lbn, b) :: acc) ft.f_dirty []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
+      Itbl.fold (fun lbn b acc -> (lbn, b) :: acc) ft.f_dirty []
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
     in
     List.iter
       (fun (lbn, data) ->
@@ -418,11 +459,12 @@ let flush_ftree t ft ~write_slot =
         if old <> Layout.no_block then free_block t old;
         let vbn = alloc_block t in
         ft.f_ptrs.(lbn) <- vbn;
-        (* the ftree lets go of its block here: [f_dirty] is reset below *)
-        Hashtbl.replace t.pending vbn (Bytes.unsafe_to_string data))
+        (* the ftree lets go of its block here: [f_dirty] is reset below;
+           a lent block goes as it was lent *)
+        Hashtbl.replace t.pending vbn (dirty_string data))
       dirty;
-    t.dirty_count <- t.dirty_count - Hashtbl.length ft.f_dirty;
-    Hashtbl.reset ft.f_dirty;
+    t.dirty_count <- t.dirty_count - Itbl.length ft.f_dirty;
+    Itbl.reset ft.f_dirty;
     let inode = ft.f_inode in
     let n = Inode.nblocks inode in
     let inode =
@@ -517,8 +559,8 @@ let cp_internal t ?capture () =
   flush_xattrs t;
   (* 1. user files and directories *)
   let users =
-    Hashtbl.fold (fun ino ft acc -> (ino, ft) :: acc) t.ftrees []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    Itbl.fold (fun ino ft acc -> (ino, ft) :: acc) t.ftrees []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   in
   List.iter (fun (ino, ft) -> flush_ftree t ft ~write_slot:(write_inode_slot t ino)) users;
   (* 2. the block-map file: free and reallocate every block now; contents
@@ -665,7 +707,7 @@ let mknod t path ~perms ~kind =
   in
   write_inode_slot t ino inode;
   let ft = ftree_of_inode t ~ino inode in
-  Hashtbl.replace t.ftrees ino ft;
+  Itbl.replace t.ftrees ino ft;
   dir_add t parent name ino;
   if kind = Inode.Directory then begin
     dir_add t ino "." ino;
@@ -705,8 +747,8 @@ let free_ftree_blocks t ft =
   List.iter (fun vbn -> free_block t vbn) ft.f_indirects;
   if ft.f_inode.Inode.xattr_vbn <> Layout.no_block then
     free_block t ft.f_inode.Inode.xattr_vbn;
-  t.dirty_count <- t.dirty_count - Hashtbl.length ft.f_dirty;
-  Hashtbl.reset ft.f_dirty
+  t.dirty_count <- t.dirty_count - Itbl.length ft.f_dirty;
+  Itbl.reset ft.f_dirty
 
 let drop_inode t ino =
   let ft = get_ftree t ino in
@@ -714,7 +756,7 @@ let drop_inode t ino =
     qtree_charge t ft.f_inode.Inode.qtree (-ft.f_inode.Inode.size);
   free_ftree_blocks t ft;
   let gen = ft.f_inode.Inode.gen in
-  Hashtbl.remove t.ftrees ino;
+  Itbl.remove t.ftrees ino;
   Hashtbl.remove t.xattr_dirty ino;
   write_inode_slot t ino { Inode.free with gen };
   Bitmap.clear t.ino_used ino
@@ -859,7 +901,7 @@ let symlink_internal t ~target path =
   let ft = get_ftree t ino in
   let b = Block.zero () in
   Bytes.blit_string target 0 b 0 (String.length target);
-  ftree_write_block t ft 0 b;
+  ftree_write_block t ft 0 (Owned b);
   set_inode t ft { ft.f_inode with size = String.length target }
 
 let symlink t ~target path =
@@ -877,31 +919,63 @@ let readlink t path =
 (* ------------------------------------------------------------------ *)
 (* File I/O                                                            *)
 
-let write_internal t path ~offset data =
+(* A cursor over the pieces of one write: [cur] is the piece being read
+   from [cpos] on, [rest] the pieces after it. *)
+type cursor = { mutable cur : string; mutable cpos : int; mutable rest : string list }
+
+(* Step past the consumed and empty pieces. *)
+let rec next_piece c =
+  if c.cpos = String.length c.cur then
+    match c.rest with
+    | p :: r ->
+      c.cur <- p;
+      c.cpos <- 0;
+      c.rest <- r;
+      next_piece c
+    | [] -> ()
+
+(* Copy the next [n] bytes of the pieces into [dst] at [dpos]. *)
+let rec copy_pieces c dst dpos n =
+  if n > 0 then begin
+    next_piece c;
+    let k = Stdlib.min n (String.length c.cur - c.cpos) in
+    Bytes.blit_string c.cur c.cpos dst dpos k;
+    c.cpos <- c.cpos + k;
+    copy_pieces c dst (dpos + k) (n - k)
+  end
+
+let write_internal t path ~offset pieces =
   alive t;
   if offset < 0 then err "negative offset";
   let ino = namei t path in
   let inode = read_inode t ino in
   if inode.Inode.kind <> Inode.Regular then err "%S: not a regular file" path;
   let ft = get_ftree t ino in
-  let len = String.length data in
+  let len = List.fold_left (fun n p -> n + String.length p) 0 pieces in
   let growth = Stdlib.max 0 (offset + len - ft.f_inode.Inode.size) in
   qtree_check t ft.f_inode.Inode.qtree growth;
   charge_op t 1;
   charge_write t len;
+  let c = { cur = ""; cpos = 0; rest = pieces } in
   let pos = ref 0 in
   while !pos < len do
     let abs = offset + !pos in
     let lbn = abs / Block.size in
     let boff = abs mod Block.size in
     let chunk = Stdlib.min (Block.size - boff) (len - !pos) in
-    if chunk = Block.size then begin
+    next_piece c;
+    if chunk = Block.size && c.cpos = 0 && String.length c.cur = Block.size then begin
+      (* a piece that is a whole aligned block is lent, not copied *)
+      ftree_write_block t ft lbn (Lent c.cur);
+      c.cpos <- Block.size
+    end
+    else if chunk = Block.size then begin
       (* a whole block: every byte is overwritten, so no zero fill *)
       let block = Bytes.create Block.size in
-      Bytes.blit_string data !pos block 0 chunk;
-      ftree_write_block t ft lbn block
+      copy_pieces c block 0 chunk;
+      ftree_write_block t ft lbn (Owned block)
     end
-    else Bytes.blit_string data !pos (ftree_own_block t ft lbn) boff chunk;
+    else copy_pieces c (ftree_own_block t ft lbn) boff chunk;
     pos := !pos + chunk
   done;
   let new_size = Stdlib.max ft.f_inode.Inode.size (offset + len) in
@@ -909,9 +983,11 @@ let write_internal t path ~offset data =
   set_inode t ft { ft.f_inode with size = new_size; mtime = t.config.now () };
   mutated t
 
-let write t path ~offset data =
-  write_internal t path ~offset data;
-  log_op t (Nvram.Write { path; offset; data })
+let writev t path ~offset pieces =
+  write_internal t path ~offset pieces;
+  log_op t (Nvram.Write { path; offset; data = pieces })
+
+let write t path ~offset data = writev t path ~offset [ data ]
 
 let read t path ~offset ~len =
   alive t;
@@ -949,8 +1025,8 @@ let truncate_internal t path ~size =
   qtree_charge t ft.f_inode.Inode.qtree (size - ft.f_inode.Inode.size);
   charge_op t 1;
   for lbn = new_n to old_n - 1 do
-    if Hashtbl.mem ft.f_dirty lbn then begin
-      Hashtbl.remove ft.f_dirty lbn;
+    if Itbl.mem ft.f_dirty lbn then begin
+      Itbl.remove ft.f_dirty lbn;
       t.dirty_count <- t.dirty_count - 1
     end;
     if lbn < Array.length ft.f_ptrs && ft.f_ptrs.(lbn) <> Layout.no_block then begin
@@ -1303,7 +1379,7 @@ let build t_vol config nvram info =
       f_ino = -1;
       f_inode = inode;
       f_ptrs = [||];
-      f_dirty = Hashtbl.create 16;
+      f_dirty = Itbl.create 16;
       f_indirects = [];
       f_meta_dirty = false;
       f_data_dirty = false;
@@ -1329,7 +1405,7 @@ let build t_vol config nvram info =
     snaps = info.Fsinfo.snaps;
     inode_file = dummy_ft info.Fsinfo.root;
     bmap_file = dummy_ft Inode.free;
-    ftrees = Hashtbl.create 64;
+    ftrees = Itbl.create 64;
     xattr_dirty = Hashtbl.create 8;
     ino_used = Bitmap.create info.Fsinfo.max_inodes;
     lru = Lru.create ~capacity:4096;
@@ -1391,7 +1467,7 @@ let mkfs ?config ?nvram vol =
   (* the root directory *)
   write_inode_slot t Layout.root_ino { root_dir with nlink = 2 };
   let root_ft = ftree_of_inode t ~ino:Layout.root_ino { root_dir with nlink = 2 } in
-  Hashtbl.replace t.ftrees Layout.root_ino root_ft;
+  Itbl.replace t.ftrees Layout.root_ino root_ft;
   dir_add t Layout.root_ino "." Layout.root_ino;
   dir_add t Layout.root_ino ".." Layout.root_ino;
   cp_internal t ();
@@ -1502,7 +1578,7 @@ let mount ?config ?nvram vol =
 
 let crash t =
   t.dead <- true;
-  Hashtbl.reset t.ftrees;
+  Itbl.reset t.ftrees;
   Hashtbl.reset t.xattr_dirty;
   Hashtbl.reset t.pending;
   Lru.clear t.lru
@@ -1649,3 +1725,8 @@ let fsck t =
 let fsck_repair t =
   let _, repairs = fsck_with t ~repair:true in
   repairs
+
+module Private = struct
+  let charge_op = charge_op
+  let dir_iter_blocks t dir_ino f = dir_iter_blocks t (get_ftree t dir_ino) f
+end

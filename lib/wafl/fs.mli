@@ -123,7 +123,26 @@ val readdir : t -> string -> (string * int) list
 
 (** {1 File I/O and attributes} *)
 
+val writev : t -> string -> offset:int -> string list -> unit
+(** [writev t path ~offset pieces] writes the pieces' concatenation at
+    [offset], as one operation: one [fs_op], the same write charge, and
+    one NVRAM entry carrying the pieces themselves.
+
+    Lending: a piece exactly {!Repro_block.Block.size} long that lands on
+    a block boundary is not copied. The file system keeps that very
+    string as the file's dirty block, logs it, and at the next
+    consistency point hands it to the volume, which keeps it too (see
+    {!Repro_block.Volume.write}). So a caller must lend only a string no
+    [Bytes] still aliases, and must never change it afterwards; it may
+    keep and read it freely, since the file system never changes a lent
+    block either. A later in-place edit of that block in the same
+    consistency point (a partial overwrite, truncation's tail zeroing)
+    first copies it. Every other piece is copied into blocks the file
+    system owns. *)
+
 val write : t -> string -> offset:int -> string -> unit
+(** [writev t path ~offset [data]]. *)
+
 val read : t -> string -> offset:int -> len:int -> string
 (** Reads past EOF are truncated; holes read as zeros. *)
 
@@ -240,3 +259,13 @@ val fsck_repair : t -> string list
 
 val inode_count : t -> int
 (** Allocated inodes (including the root directory and metadata files). *)
+
+(**/**)
+
+(** The steps a path walk is made of, for the test oracle of the in-place
+    walk only: charge [n] file-system ops, and visit a directory's blocks
+    in order, through the buffer cache, until [f lbn block] says stop. *)
+module Private : sig
+  val charge_op : t -> int -> unit
+  val dir_iter_blocks : t -> int -> (int -> string -> bool) -> unit
+end

@@ -1,7 +1,7 @@
 type op =
   | Create_file of { path : string; perms : int }
   | Mkdir of { path : string; perms : int }
-  | Write of { path : string; offset : int; data : string }
+  | Write of { path : string; offset : int; data : string list }
   | Truncate of { path : string; size : int }
   | Unlink of { path : string }
   | Rmdir of { path : string }
@@ -38,7 +38,8 @@ let op_size op =
   +
   match op with
   | Create_file { path; _ } | Mkdir { path; _ } -> String.length path + 4
-  | Write { path; data; _ } -> String.length path + String.length data + 12
+  | Write { path; data; _ } ->
+    List.fold_left (fun n p -> n + String.length p) (String.length path + 12) data
   | Truncate { path; _ } -> String.length path + 8
   | Unlink { path } | Rmdir { path } -> String.length path
   | Rename { src; dst } -> String.length src + String.length dst

@@ -14,7 +14,12 @@
 type op =
   | Create_file of { path : string; perms : int }
   | Mkdir of { path : string; perms : int }
-  | Write of { path : string; offset : int; data : string }
+  | Write of { path : string; offset : int; data : string list }
+      (** One write of the pieces' concatenation at [offset]. The pieces
+          are the very strings the writer passed to [Fs.writev], so the
+          log copies no data; the file system may hold the same strings
+          as blocks ([Fs.writev]'s lending). Its size is what one
+          concatenated piece would log. *)
   | Truncate of { path : string; size : int }
   | Unlink of { path : string }
   | Rmdir of { path : string }

@@ -11,11 +11,14 @@
    test, the byte-at-a-time bitmap set operations, the bit-at-a-time
    block-map file codec, the list-decoding directory block codec (Dir)
    and the writer-built inode slot (Inode) that WAFL now edits in place,
-   and the boxed-state splitmix generator with its per-byte content
-   loop. They live here, not in lib/, so the library keeps exactly one
-   path per module; the properties in test_util, test_sim, test_block,
-   test_tape, test_wafl, test_net and test_obs assert the library
-   computes the same function as its oracle. Like
+   the boxed-state splitmix generator with its per-byte content loop,
+   the split-list path walk (Namei) and the list-based LRU (Lru) that
+   WAFL now runs in place and without allocating, and logical restore's
+   concat-then-write run flush (Restore_run) that it now lends to
+   [Fs.writev]. They live here, not in lib/, so the library keeps
+   exactly one path per module; the properties in test_util, test_sim,
+   test_block, test_tape, test_wafl, test_dump, test_net and test_obs
+   assert the library computes the same function as its oracle. Like
    differential.ml, this module is linked into every test executable and
    is not itself a test. *)
 
@@ -808,4 +811,93 @@ module Prng = struct
     for i = off to off + len - 1 do
       Bytes.set b i (Char.chr (int t 256))
     done
+end
+
+(* -------------------------- namei, lru ------------------------------- *)
+
+(* The path walk as it was: split the path into a list of component
+   strings, then look each up with a closure over the directory's blocks.
+   The steps it is made of (one op charged per component, the blocks read
+   in order through the buffer cache) are the file system's own. *)
+module Namei = struct
+  module Fs = Repro_wafl.Fs
+  module Inode = Repro_wafl.Inode
+
+  let err fmt = Format.kasprintf (fun s -> raise (Fs.Error s)) fmt
+
+  let split_path path =
+    if String.length path = 0 || path.[0] <> '/' then err "path %S is not absolute" path;
+    String.split_on_char '/' path |> List.filter (fun c -> String.length c > 0)
+
+  let dir_lookup t dir_ino name =
+    let found = ref None in
+    Fs.Private.dir_iter_blocks t dir_ino (fun _ b ->
+        match Repro_wafl.Dir.find b name with
+        | Some ino ->
+          found := Some ino;
+          true
+        | None -> false);
+    !found
+
+  let namei t path =
+    let rec walk ino = function
+      | [] -> ino
+      | comp :: rest ->
+        Fs.Private.charge_op t 1;
+        let inode = Fs.getattr_ino t ino in
+        if inode.Inode.kind <> Inode.Directory then err "%S: not a directory" path;
+        (match dir_lookup t ino comp with
+        | Some next -> walk next rest
+        | None -> err "%S: no such file or directory" path)
+    in
+    walk Repro_wafl.Layout.root_ino (split_path path)
+end
+
+(* The bounded LRU map as a list, most recently used first. *)
+module Lru = struct
+  type ('k, 'v) t = { capacity : int; mutable items : ('k * 'v) list }
+
+  let create ~capacity = { capacity; items = [] }
+  let length t = List.length t.items
+  let mem t k = List.mem_assoc k t.items
+  let peek t k = List.assoc_opt k t.items
+
+  let find t k =
+    match List.assoc_opt k t.items with
+    | Some v ->
+      t.items <- (k, v) :: List.remove_assoc k t.items;
+      Some v
+    | None -> None
+
+  let remove t k = t.items <- List.remove_assoc k t.items
+
+  let add t k v =
+    t.items <- (k, v) :: List.remove_assoc k t.items;
+    if List.length t.items > t.capacity then
+      t.items <- List.filteri (fun i _ -> i < t.capacity) t.items
+end
+
+(* ------------------------- restore data path ------------------------- *)
+
+(* Logical restore's run flush as it was: join the run's blocks with
+   [String.concat] and write the join through [Fs.write], so every
+   restored byte was copied once more before the file system copied it
+   into its blocks. [Restore.apply_with] calls it in place of the
+   copy-free writer; it returns the bytes it wrote where it used to add
+   them to the restore's count itself. *)
+module Restore_run = struct
+  module Cost = Repro_sim.Cost
+  module Fs = Repro_wafl.Fs
+  module Spec = Repro_dump.Spec
+
+  let flush_run cpu fs path start_lbn (blocks : string list) (_ : int) =
+    match blocks with
+    | [] -> 0
+    | _ ->
+      let data = String.concat "" (List.rev blocks) in
+      Cost.charge cpu
+        (Float.of_int (String.length data)
+        *. Cost.f630.restore_write_per_byte);
+      Fs.write fs path ~offset:(start_lbn * Spec.data_block_size) data;
+      String.length data
 end

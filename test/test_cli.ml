@@ -138,6 +138,40 @@ let test_serve_rejects_bad_attachments () =
       checkb "store unchanged" true (String.equal before (read_file store)))
     [ [ "--drives"; "0" ]; [ "--bandwidth-mib"; "0" ] ]
 
+(* What a command prints on stderr ([Format.err_formatter], where
+   [error: …] lines go) while it runs, and its exit code. *)
+let with_stderr f =
+  let buf = Buffer.create 256 in
+  let saved = Format.pp_get_formatter_out_functions Format.err_formatter () in
+  Format.pp_print_flush Format.err_formatter ();
+  Format.pp_set_formatter_output_functions Format.err_formatter
+    (Buffer.add_substring buf) ignore;
+  let code =
+    Fun.protect f ~finally:(fun () ->
+        Format.pp_print_flush Format.err_formatter ();
+        Format.pp_set_formatter_out_functions Format.err_formatter saved)
+  in
+  (code, Buffer.contents buf)
+
+let test_serve_rejects_non_finite_link () =
+  let store = temp_store () in
+  let before = read_file store in
+  List.iter
+    (fun flags ->
+      let what = String.concat " " ("serve" :: flags) in
+      let code, err =
+        with_stderr (fun () -> backupctl ([ "serve"; store; "--host"; "v" ] @ flags))
+      in
+      Alcotest.(check int) (what ^ " exits 1") 1 code;
+      checkb (what ^ " says error:") true (starts_with ~prefix:"error:" err);
+      checkb "store unchanged" true (String.equal before (read_file store)))
+    [
+      [ "--latency-ms"; "inf" ];
+      [ "--latency-ms"; "nan" ];
+      [ "--bandwidth-mib"; "inf" ];
+      [ "--bandwidth-mib"; "nan" ];
+    ]
+
 let test_init_rejects_no_drives () =
   List.iter
     (fun argv ->
@@ -180,6 +214,8 @@ let () =
             test_drill_revives_and_resumes;
           Alcotest.test_case "serve rejects bad attachments" `Quick
             test_serve_rejects_bad_attachments;
+          Alcotest.test_case "serve rejects a non-finite link" `Quick
+            test_serve_rejects_non_finite_link;
           Alcotest.test_case "init rejects fewer than one drive" `Quick
             test_init_rejects_no_drives;
           Alcotest.test_case "verify fails on a damaged chain" `Quick

@@ -564,6 +564,227 @@ let test_dumpdates_levels () =
   Alcotest.(check (option (float 0.0))) "persisted" (Some 200.0)
     (Dumpdates.get dd2 ~label:"v" ~level:1)
 
+(* ------------------------- restore oracle ---------------------------- *)
+
+(* Logical restore lends each block it cuts out of a tape record to the
+   file system ([Fs.writev]) where it used to join the run and write the
+   join ([Oracle.Restore_run]). Random level-0 and level-1 streams go
+   into two file systems, each with NVRAM and a CPU to charge, one
+   through each path. They must end with the same volume image and the
+   same CPU charge to the bit; and a restore cut short at a random byte
+   of its stream must leave the same NVRAM log (each write the old write
+   cut into pieces) and, after a crash and a remount that replays it, the
+   same volume again. *)
+type rfile =
+  | R_empty
+  | R_block
+  | R_partial of int
+  | R_big of int * int
+  | R_sparse of (int * int) list
+  | R_symlink of int
+  | R_link of int
+
+type rchange =
+  | C_rename of int * int
+  | C_delete of int
+  | C_new of rfile
+  | C_overwrite of int * int * int
+  | C_truncate of int * int
+
+let gen_rfile =
+  QCheck2.Gen.(
+    frequency
+      [
+        (1, return R_empty);
+        (2, return R_block);
+        (2, map (fun n -> R_partial n) (int_range 1 4095));
+        (2, map2 (fun k t -> R_big (k, t)) (int_range 2 40) (int_bound 4095));
+        ( 2,
+          map (fun l -> R_sparse l)
+            (list_size (int_range 1 4) (pair (int_bound 60) (int_range 1 (20 * 4096)))) );
+        (1, map (fun n -> R_symlink n) (int_range 1 300));
+        (1, map (fun i -> R_link i) (int_bound 20));
+      ])
+
+let gen_restore_case =
+  QCheck2.Gen.(
+    let file = int_bound 20 in
+    quad
+      (list_size (int_range 1 10) (pair gen_rfile (int_bound 2)))
+      (list_size (int_range 0 8)
+         (frequency
+            [
+              (2, map2 (fun f d -> C_rename (f, d)) file (int_bound 2));
+              (2, map (fun f -> C_delete f) file);
+              (2, map (fun f -> C_new f) gen_rfile);
+              ( 2,
+                map3
+                  (fun f o l -> C_overwrite (f, o, l))
+                  file (int_bound 100_000) (int_range 1 20_000) );
+              (1, map2 (fun f n -> C_truncate (f, n)) file (int_bound 100_000));
+            ]))
+      (pair bool (int_bound 1000))
+      nat)
+
+let rdirs = [| "/data/d0"; "/data/d1"; "/data/d1/s" |]
+
+let noise seed len =
+  let b = Bytes.create len in
+  Repro_util.Prng.fill (Repro_util.Prng.create seed) b 0 len;
+  Bytes.unsafe_to_string b
+
+(* The source volume's level-0 and level-1 streams, each as its list of
+   tape records. *)
+let restore_streams (files, changes, _, seed) =
+  let fs, _ = make_fs ~blocks:8192 "src" in
+  List.iter (fun d -> ignore (Fs.mkdir fs d ~perms:0o755)) ("/data" :: Array.to_list rdirs);
+  let paths = ref [||] in
+  let attempt f = try f () with Fs.Error _ -> () in
+  let make i (spec, d) =
+    let path = Printf.sprintf "%s/f%d" rdirs.(d) i in
+    let regular () = ignore (Fs.create fs path ~perms:0o644) in
+    let write off len = Fs.write fs path ~offset:off (noise (seed + i + off) len) in
+    attempt (fun () ->
+        match spec with
+        | R_empty -> regular ()
+        | R_block ->
+          regular ();
+          write 0 4096
+        | R_partial n ->
+          regular ();
+          write 0 n
+        | R_big (k, tail) ->
+          regular ();
+          write 0 ((k * 4096) + tail)
+        | R_sparse ws ->
+          regular ();
+          List.iter (fun (lbn, len) -> write (lbn * 4096) len) ws
+        | R_symlink n -> Fs.symlink fs ~target:(String.make n 't') path
+        | R_link _ when Array.length !paths = 0 -> regular ()
+        | R_link j -> Fs.link fs (!paths).(j mod Array.length !paths) path);
+    paths := Array.append !paths [| path |]
+  in
+  List.iteri make files;
+  let dd = Dumpdates.create () in
+  let lib0 = tape_lib "t0" in
+  ignore (dump_to ~level:0 ~dumpdates:dd fs lib0 ~subtree:"/data" ~label:"data");
+  let nth i = (!paths).(i mod Array.length !paths) in
+  List.iteri
+    (fun k change ->
+      attempt (fun () ->
+          match change with
+          | C_rename (i, d) -> Fs.rename fs (nth i) (Printf.sprintf "%s/m%d" rdirs.(d) k)
+          | C_delete i -> Fs.unlink fs (nth i)
+          | C_new spec -> make (100 + k) (spec, k mod 3)
+          | C_overwrite (i, off, len) -> Fs.write fs (nth i) ~offset:off (noise (seed + k) len)
+          | C_truncate (i, size) -> Fs.truncate fs (nth i) ~size))
+    changes;
+  let lib1 = tape_lib "t1" in
+  ignore (dump_to ~level:1 ~dumpdates:dd fs lib1 ~subtree:"/data" ~label:"data");
+  let records lib =
+    let next = Tapeio.records lib in
+    let rec all acc = match next () with Some r -> all (r :: acc) | None -> List.rev acc in
+    all []
+  in
+  (records lib0, records lib1)
+
+(* The stream, ending after its first [cut] bytes. *)
+let stream_source ?(cut = max_int) records =
+  let rest = ref records and left = ref cut in
+  Tapeio.source_of (fun () ->
+      match !rest with
+      | r :: tl when !left > 0 ->
+        rest := tl;
+        let r = if String.length r > !left then String.sub r 0 !left else r in
+        left := !left - String.length r;
+        Some r
+      | _ -> None)
+
+type rtarget = {
+  t_fs : Fs.t ref;
+  t_vol : Volume.t;
+  t_cpu : Repro_sim.Resource.t;
+  t_nvram : Repro_wafl.Nvram.t;
+  t_config : Fs.config;
+  t_session : Restore.session;
+}
+
+let rtarget () =
+  let cpu = Repro_sim.Resource.create "cpu" in
+  let config = { (Fs.default_config ()) with Fs.cpu = Some cpu } in
+  let nvram = Repro_wafl.Nvram.create () in
+  let vol = Volume.create ~label:"dst" (Volume.small_geometry ~data_blocks:8192) in
+  let fs = Fs.mkfs ~config ~nvram vol in
+  { t_fs = ref fs; t_vol = vol; t_cpu = cpu; t_nvram = nvram; t_config = config;
+    t_session = Restore.session ~cpu ~fs ~target:"/r" () }
+
+let restore_both ?cut (mine, oracle) records =
+  let outcome f = match f () with r -> Ok r | exception e -> Error (Printexc.to_string e) in
+  let a = outcome (fun () -> Restore.apply mine.t_session (stream_source ?cut records)) in
+  let b =
+    outcome (fun () ->
+        Restore.apply_with ~write_run:Oracle.Restore_run.flush_run oracle.t_session
+          (stream_source ?cut records))
+  in
+  a = b
+
+let same_image a b =
+  let n = Volume.size_blocks a.t_vol in
+  let rec go vbn =
+    vbn >= n
+    || (String.equal (Volume.read a.t_vol vbn) (Volume.read b.t_vol vbn) && go (vbn + 1))
+  in
+  go 0
+  && Int64.equal
+       (Int64.bits_of_float (Repro_sim.Resource.busy a.t_cpu))
+       (Int64.bits_of_float (Repro_sim.Resource.busy b.t_cpu))
+
+(* The same log, but for each write's data: pieces, whose join is the
+   oracle's one string, and the same logged size. *)
+let same_log a b =
+  let ea = Repro_wafl.Nvram.entries_tagged a.t_nvram ~tag:(Fs.generation !(a.t_fs))
+  and eb = Repro_wafl.Nvram.entries_tagged b.t_nvram ~tag:(Fs.generation !(b.t_fs)) in
+  List.length ea = List.length eb
+  && List.for_all2
+       (fun x y ->
+         Repro_wafl.Nvram.op_size x = Repro_wafl.Nvram.op_size y
+         &&
+         match (x, y) with
+         | ( Repro_wafl.Nvram.Write { path; offset; data },
+             Repro_wafl.Nvram.Write { path = p; offset = o; data = [ d ] } ) ->
+           String.equal path p && offset = o && String.equal (String.concat "" data) d
+         | _ -> x = y)
+       ea eb
+
+let crash_and_remount t =
+  Fs.crash !(t.t_fs);
+  t.t_fs := Fs.mount ~config:t.t_config ~nvram:t.t_nvram t.t_vol
+
+let prop_restore_equals_oracle =
+  QCheck2.Test.make ~count:60 ~name:"restore: lent blocks = concat-and-write"
+    gen_restore_case (fun ((_, _, (cut_level1, cut_per_mille), _) as case) ->
+      let s0, s1 = restore_streams case in
+      (* whole streams *)
+      let pair = (rtarget (), rtarget ()) in
+      let whole =
+        restore_both pair s0
+        && same_image (fst pair) (snd pair)
+        && restore_both pair s1
+        && same_image (fst pair) (snd pair)
+      in
+      (* a stream cut short, a crash, and a remount replaying the log *)
+      let pair = (rtarget (), rtarget ()) in
+      let ok0 = if cut_level1 then restore_both pair s0 else true in
+      let cut_of records =
+        List.fold_left (fun n r -> n + String.length r) 0 records * cut_per_mille / 1000
+      in
+      let records = if cut_level1 then s1 else s0 in
+      let cut = restore_both ~cut:(cut_of records) pair records in
+      let logged = same_log (fst pair) (snd pair) in
+      crash_and_remount (fst pair);
+      crash_and_remount (snd pair);
+      whole && ok0 && cut && logged && same_image (fst pair) (snd pair))
+
 let suite =
   [
     ("full dump/restore round trip", `Quick, test_full_roundtrip);
@@ -591,4 +812,10 @@ let suite =
     ("dumpdates level logic", `Quick, test_dumpdates_levels);
   ]
 
-let () = Alcotest.run "dump" [ ("logical", suite) ]
+let () =
+  Alcotest.run "dump"
+    [
+      ("logical", suite);
+      ( "oracle",
+        [ QCheck_alcotest.to_alcotest ~long:false prop_restore_equals_oracle ] );
+    ]

@@ -135,6 +135,28 @@ let test_session_goodput_matches_model () =
         ~window_bytes:(512 * 1024) ();
     ]
 
+(* A link rate or latency that is not a finite number is refused with its
+   typed error: an infinite latency once attached a server whose every
+   transfer the model then timed as if the link were ordinary. *)
+let test_link_params_reject_non_finite () =
+  let same a b = Float.equal a b || (Float.is_nan a && Float.is_nan b) in
+  List.iter
+    (fun v ->
+      let name = Printf.sprintf "%g" v in
+      (match Link.params ~bandwidth_bytes_s:v () with
+      | _ -> Alcotest.failf "bandwidth %s accepted" name
+      | exception Link.Invalid (Link.Bad_bandwidth b) ->
+        checkb ("bandwidth " ^ name ^ " is Bad_bandwidth") true (same b v)
+      | exception Link.Invalid e ->
+        Alcotest.failf "bandwidth %s: %s" name (Link.error_message e));
+      match Link.params ~latency_s:v () with
+      | _ -> Alcotest.failf "latency %s accepted" name
+      | exception Link.Invalid (Link.Bad_latency l) ->
+        checkb ("latency " ^ name ^ " is Bad_latency") true (same l v)
+      | exception Link.Invalid e ->
+        Alcotest.failf "latency %s: %s" name (Link.error_message e))
+    [ Float.infinity; Float.neg_infinity; Float.nan ]
+
 let test_session_loss_recovery_deterministic () =
   (* a seeded lossy plan: every frame still arrives exactly once and in
      order, and the same seed reproduces the same retransmit count *)
@@ -481,6 +503,8 @@ let () =
           Alcotest.test_case "delivers in order" `Quick test_session_delivers;
           Alcotest.test_case "goodput matches model" `Quick
             test_session_goodput_matches_model;
+          Alcotest.test_case "non-finite link params rejected" `Quick
+            test_link_params_reject_non_finite;
           Alcotest.test_case "seeded loss recovery is deterministic" `Quick
             test_session_loss_recovery_deterministic;
           Alcotest.test_case "retransmit exhaustion is Transient" `Quick

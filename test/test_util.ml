@@ -492,6 +492,72 @@ let test_lru_replace () =
   checki "no duplicate" 1 (Lru.length l);
   Alcotest.(check (option string)) "updated" (Some "b") (Lru.find l 1)
 
+(* The node-linked LRU against the list one: under random adds, finds,
+   peeks and removes, every answer, every key's membership and the size
+   agree after each step; then filling it with fresh keys evicts in the
+   same order, which is the recency order. *)
+type lru_op = L_add of int * int | L_find of int | L_peek of int | L_remove of int
+
+let prop_lru_equals_list =
+  QCheck2.Test.make ~count:300 ~name:"lru: linked nodes = list oracle"
+    QCheck2.Gen.(
+      pair (int_range 1 5)
+        (list_size (int_range 0 60)
+           (let key = int_bound 7 in
+            frequency
+              [
+                (4, map2 (fun k v -> L_add (k, v)) key nat);
+                (3, map (fun k -> L_find k) key);
+                (1, map (fun k -> L_peek k) key);
+                (1, map (fun k -> L_remove k) key);
+              ])))
+    (fun (capacity, ops) ->
+      let l = Lru.create ~capacity and o = Oracle.Lru.create ~capacity in
+      let same () =
+        Lru.length l = Oracle.Lru.length o
+        && List.for_all (fun k -> Lru.mem l k = Oracle.Lru.mem o k) (List.init 8 Fun.id)
+      in
+      List.for_all
+        (fun op ->
+          let answer =
+            match op with
+            | L_add (k, v) ->
+              Lru.add l k v;
+              Oracle.Lru.add o k v;
+              true
+            | L_find k -> Lru.find l k = Oracle.Lru.find o k
+            | L_peek k -> Lru.peek l k = Oracle.Lru.peek o k
+            | L_remove k ->
+              Lru.remove l k;
+              Oracle.Lru.remove o k;
+              true
+          in
+          answer && same ())
+        ops
+      && List.for_all
+           (fun k ->
+             Lru.add l k 0;
+             Oracle.Lru.add o k 0;
+             same ())
+           (List.init capacity (fun i -> 100 + i)))
+
+let test_lru_hit_allocates_nothing () =
+  let l = Lru.create ~capacity:8 in
+  for k = 0 to 7 do
+    Lru.add l k (string_of_int k)
+  done;
+  let sink = ref 0 in
+  let count = function Some s -> sink := !sink + String.length s | None -> () in
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    count (Lru.find l (i land 7));
+    count (Lru.peek l ((i * 3) land 7))
+  done;
+  let words = Gc.minor_words () -. before in
+  checkb (Printf.sprintf "10k find + peek hits allocate nothing (%.0f words)" words) true
+    (words < 64.0);
+  ignore (Sys.opaque_identity !sink)
+
 (* ------------------------------- units ------------------------------- *)
 
 let test_units () =
@@ -628,7 +694,9 @@ let () =
           Alcotest.test_case "eviction order" `Quick test_lru_eviction;
           Alcotest.test_case "peek does not promote" `Quick test_lru_peek_no_promote;
           Alcotest.test_case "replace" `Quick test_lru_replace;
+          Alcotest.test_case "a hit allocates nothing" `Quick test_lru_hit_allocates_nothing;
         ] );
+      qsuite "lru properties" [ prop_lru_equals_list ];
       ("units", [ Alcotest.test_case "conversions" `Quick test_units ]);
       ( "atomic file",
         [

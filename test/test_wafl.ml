@@ -928,7 +928,14 @@ let prop_dir_codec_equals_oracle =
       outcome (fun () -> Dir.entries s) = outcome (fun () -> Oracle.Dir.entries block)
       && List.for_all
            (function
-             | Find n -> outcome (fun () -> Dir.find s n) = outcome (fun () -> Oracle.Dir.find block n)
+             | Find n ->
+               let find = outcome (fun () -> Dir.find s n) in
+               let sub =
+                 outcome (fun () ->
+                     let ino = Dir.find_sub s ("//" ^ n ^ "/x") ~pos:2 ~len:(String.length n) in
+                     if ino < 0 then None else Some ino)
+               in
+               find = outcome (fun () -> Oracle.Dir.find block n) && sub = find
              | Add (n, i) ->
                let added = outcome (fun () -> Oracle.Dir.add block n i) in
                outcome (fun () -> Dir.fits s n)
@@ -994,11 +1001,16 @@ let prop_inode_slot_equals_oracle =
 (* Stored blocks are shared, not copied: the volume keeps the string it
    is given and hands it back, the buffer cache and views hold it, and
    snapshots share it with the active file system. So nothing may edit a
-   stored block in place. Random operations, with snapshots, CPs, torn
-   fsinfo writes and remounts between them, must leave every earlier
-   snapshot's tree and every block string read earlier byte-identical. *)
+   stored block in place. Whole aligned blocks handed to [writev] are
+   lent the same way: the file system keeps the caller's string as the
+   dirty block, logs it, and stores it. Random operations, with partial
+   overwrites and truncations of lent blocks, snapshots, CPs, torn fsinfo
+   writes, remounts and crashes replayed from NVRAM between them, must
+   leave every earlier snapshot's tree, every block string read earlier
+   and every lent string byte-identical. *)
 type own_op =
   | O_write of int * int * string
+  | O_writev of int * int * int * int
   | O_trunc of int * int
   | O_create of int
   | O_unlink of int
@@ -1009,6 +1021,7 @@ type own_op =
   | O_cp
   | O_torn_cp
   | O_remount
+  | O_crash
   | O_hold of int
   | O_hold_file of int * int
 
@@ -1024,6 +1037,12 @@ let gen_own_ops =
                file (int_bound 20_000)
                (string_size ~gen:printable (int_range 1 9000)) );
            (1, map2 (fun f n -> O_trunc (f, n)) file (int_bound 20_000));
+           ( 3,
+             map3
+               (fun f (lbn, n) (tail, seed) -> O_writev (f, lbn, n, tail + (seed * 4096)))
+               file
+               (pair (int_bound 6) (int_range 1 5))
+               (pair (int_bound 3000) (int_bound 1000)) );
            (2, map (fun f -> O_create f) file);
            (1, map (fun f -> O_unlink f) file);
            (1, map2 (fun a b -> O_rename (a, b)) file file);
@@ -1033,6 +1052,7 @@ let gen_own_ops =
            (1, return O_cp);
            (1, return O_torn_cp);
            (1, return O_remount);
+           (1, return O_crash);
            (2, map (fun v -> O_hold v) (int_bound 600));
            (2, map2 (fun f l -> O_hold_file (f, l)) file (int_bound 4));
          ]))
@@ -1058,12 +1078,32 @@ let prop_stored_blocks_never_change =
   QCheck2.Test.make ~count:40 ~name:"ownership: snapshots and earlier reads never change"
     gen_own_ops (fun ops ->
       let vol = make_vol ~blocks:4096 () in
-      let fs = ref (Fs.mkfs vol) in
+      let nvram = Nvram.create () in
+      let fs = ref (Fs.mkfs ~nvram vol) in
       List.iter (fun d -> ignore (Fs.mkdir !fs (Printf.sprintf "/d%d" d) ~perms:0o755)) [ 0; 1; 2 ];
+      List.iter (fun f -> ignore (Fs.create !fs (own_path f) ~perms:0o644)) [ 0; 1; 2; 3 ];
       let snaps = ref [] and held = ref [] and nsnap = ref 0 in
       let hold s = held := (s, Bytes.to_string (Bytes.of_string s)) :: !held in
       let apply = function
         | O_write (f, off, data) -> Fs.write !fs (own_path f) ~offset:off data
+        | O_writev (f, lbn, n, tail_seed) -> (
+          (* [n] whole blocks, lent, then a partial piece copied; then,
+             in the same CP, an edit inside a lent block *)
+          let rng = Prng.create tail_seed in
+          let piece len =
+            let b = Bytes.create len in
+            Prng.fill rng b 0 len;
+            Bytes.unsafe_to_string b
+          in
+          let blocks = List.init n (fun _ -> piece 4096) in
+          List.iter hold blocks;
+          let path = own_path f in
+          Fs.writev !fs path ~offset:(lbn * 4096) (blocks @ [ piece (tail_seed mod 4096) ]);
+          let inside = ((lbn + (tail_seed mod n)) * 4096) + 1 + (tail_seed mod 4000) in
+          match tail_seed mod 3 with
+          | 0 -> Fs.truncate !fs path ~size:inside
+          | 1 -> Fs.write !fs path ~offset:inside (piece 50)
+          | _ -> ())
         | O_trunc (f, size) -> Fs.truncate !fs (own_path f) ~size
         | O_create f -> ignore (Fs.create !fs (own_path f) ~perms:0o644)
         | O_unlink f -> Fs.unlink !fs (own_path f)
@@ -1085,7 +1125,11 @@ let prop_stored_blocks_never_change =
         | O_remount ->
           Fs.cp !fs;
           Fs.crash !fs;
-          fs := Fs.mount vol
+          fs := Fs.mount ~nvram vol
+        | O_crash ->
+          (* no CP: the mount replays the NVRAM log, lent pieces and all *)
+          Fs.crash !fs;
+          fs := Fs.mount ~nvram vol
         | O_hold vbn ->
           (* the fsinfo pair too: a torn write must tear a copy *)
           hold (Volume.read vol (vbn mod 2));
@@ -1103,6 +1147,150 @@ let prop_stored_blocks_never_change =
           && List.for_all (fun (name, tree) -> snapshot_tree !fs name = tree) !snaps)
         ops
       && Fs.fsck !fs = Ok ())
+
+(* ---------------------------- path walks ----------------------------- *)
+
+(* The in-place walk against the split-list walk it replaced. Two file
+   systems get the same tree, a CP and a remount (so the walks read the
+   volume through a cold buffer cache); then each path is walked on one
+   by the file system and on the other by [Oracle.Namei]. The two must
+   agree on the inode or the error message, and leave the same CPU
+   charge and the same volume traffic behind. *)
+type tree_op = T_dir of int * int | T_file of int * int | T_fill of int * int
+
+type path_op =
+  | P_exact of int
+  | P_double of int
+  | P_trailing of int
+  | P_empty
+  | P_relative of int
+  | P_through of int
+  | P_missing of int
+  | P_long of int
+
+(* Short names collide often; 255-byte ones fill directory blocks. *)
+let tree_name i =
+  if i < 6 then String.make 1 (Char.chr (97 + i))
+  else String.make 254 'n' ^ string_of_int (i mod 10)
+
+let gen_namei_case =
+  QCheck2.Gen.(
+    let node = int_bound 40 and name = int_bound 12 in
+    pair
+      (list_size (int_range 1 30)
+         (frequency
+            [
+              (3, map2 (fun p n -> T_dir (p, n)) node name);
+              (4, map2 (fun p n -> T_file (p, n)) node name);
+              (1, map2 (fun p k -> T_fill (p, k)) node (int_range 1 40));
+            ]))
+      (list_size (int_range 1 40)
+         (let at = int_bound 1000 in
+          frequency
+            [
+              (4, map (fun i -> P_exact i) at);
+              (2, map (fun i -> P_double i) at);
+              (1, map (fun i -> P_trailing i) at);
+              (1, return P_empty);
+              (1, map (fun i -> P_relative i) at);
+              (2, map (fun i -> P_through i) at);
+              (2, map (fun i -> P_missing i) at);
+              (1, map (fun i -> P_long i) (int_bound 12));
+            ])))
+
+let prop_namei_equals_oracle =
+  QCheck2.Test.make ~count:60 ~name:"namei: in-place walk = split-list oracle" gen_namei_case
+    (fun (tree, probes) ->
+      let build () =
+        let cpu = Repro_sim.Resource.create "cpu" in
+        let config = { (Fs.default_config ()) with Fs.cpu = Some cpu } in
+        let vol = make_vol ~blocks:2048 () in
+        let fs = Fs.mkfs ~config vol in
+        let dirs = ref [ "/" ] and paths = ref [ "/" ] in
+        let under parent n = (if parent = "/" then "" else parent) ^ "/" ^ tree_name n in
+        let pick i = List.nth !dirs (i mod List.length !dirs) in
+        let add path l = l := !l @ [ path ] in
+        let attempt f = try f () with Fs.Error _ -> () in
+        List.iter
+          (function
+            | T_dir (p, n) ->
+              let path = under (pick p) n in
+              attempt (fun () ->
+                  ignore (Fs.mkdir fs path ~perms:0o755);
+                  add path dirs;
+                  add path paths)
+            | T_file (p, n) ->
+              let path = under (pick p) n in
+              attempt (fun () ->
+                  ignore (Fs.create fs path ~perms:0o644);
+                  add path paths)
+            | T_fill (p, k) ->
+              let dir = pick p in
+              for i = 1 to k do
+                let name = String.make 250 'f' ^ Printf.sprintf "%05d" i in
+                let path = (if dir = "/" then "" else dir) ^ "/" ^ name in
+                attempt (fun () ->
+                    ignore (Fs.create fs path ~perms:0o644);
+                    add path paths)
+              done)
+          tree;
+        Fs.cp fs;
+        Fs.crash fs;
+        let fs = Fs.mount ~config vol in
+        (fs, vol, cpu, Array.of_list !paths)
+      in
+      let fs, vol, cpu, paths = build () and ofs, ovol, ocpu, _ = build () in
+      let path_of = function
+        | P_exact i -> paths.(i mod Array.length paths)
+        | P_double i ->
+          String.concat "//" (String.split_on_char '/' paths.(i mod Array.length paths))
+        | P_trailing i -> paths.(i mod Array.length paths) ^ "/"
+        | P_empty -> ""
+        | P_relative i ->
+          let p = paths.(i mod Array.length paths) in
+          String.sub p 1 (String.length p - 1)
+        | P_through i ->
+          let p = paths.(i mod Array.length paths) in
+          (if p = "/" then "" else p) ^ "/x/y"
+        | P_missing i ->
+          let p = paths.(i mod Array.length paths) in
+          (if p = "/" then "" else p) ^ "/missing"
+        | P_long n -> "/" ^ tree_name n ^ if n mod 2 = 0 then "x" else ""
+      in
+      let result f = match f () with v -> Ok v | exception Fs.Error m -> Error m in
+      let traffic v c =
+        (Volume.bytes_moved v, Volume.seeks v, Int64.bits_of_float (Repro_sim.Resource.busy c))
+      in
+      List.for_all
+        (fun probe ->
+          let path = path_of probe in
+          let mine = result (fun () -> Fs.getattr fs path) and lookup = Fs.lookup fs path in
+          let theirs = result (fun () -> Fs.getattr_ino ofs (Oracle.Namei.namei ofs path)) in
+          let olookup = try Some (Oracle.Namei.namei ofs path) with Fs.Error _ -> None in
+          mine = theirs && lookup = olookup && traffic vol cpu = traffic ovol ocpu)
+        probes)
+
+(* A [writev] of whole aligned blocks keeps the caller's strings: it
+   allocates nothing block-sized, where a copy would take a block per
+   piece. *)
+let test_writev_lends_whole_blocks () =
+  let fs, _ = make_fs () in
+  ignore (Fs.create fs "/f" ~perms:0o644);
+  let pieces = List.init 16 (fun i -> String.make 4096 (Char.chr (65 + i))) in
+  Fs.writev fs "/f" ~offset:0 pieces;
+  (* windows as in the block-map codec test below *)
+  let window n =
+    Gc.full_major ();
+    let before = Gc.allocated_bytes () in
+    for _ = 1 to n do
+      Fs.writev fs "/f" ~offset:0 pieces
+    done;
+    Gc.minor ();
+    Gc.allocated_bytes () -. before
+  in
+  let per_call = (window 50 -. window 0) /. 50.0 in
+  checkb (Printf.sprintf "%.0f bytes per 16-block writev" per_call) true (per_call < 4096.0);
+  checks "content" (String.concat "" pieces) (Fs.read fs "/f" ~offset:0 ~len:(16 * 4096))
 
 let test_blockmap_codec_allocates_only_the_block () =
   let t = Blockmap.create ~nblocks:3000 in
@@ -1140,8 +1328,13 @@ let () =
           QCheck_alcotest.to_alcotest ~long:false prop_blockmap_codec_equals_oracle;
           QCheck_alcotest.to_alcotest ~long:false prop_dir_codec_equals_oracle;
           QCheck_alcotest.to_alcotest ~long:false prop_inode_slot_equals_oracle;
+          QCheck_alcotest.to_alcotest ~long:false prop_namei_equals_oracle;
         ] );
-      ("ownership", [ QCheck_alcotest.to_alcotest ~long:false prop_stored_blocks_never_change ]);
+      ( "ownership",
+        [
+          QCheck_alcotest.to_alcotest ~long:false prop_stored_blocks_never_change;
+          Alcotest.test_case "writev lends whole blocks" `Quick test_writev_lends_whole_blocks;
+        ] );
       ( "blockmap",
         [
           Alcotest.test_case "codec allocates only the block" `Quick
