@@ -69,22 +69,22 @@ let charge t ~op dbn nbytes =
 (* A plane-scheduled death surfaces exactly like an operator-called
    {!fail}: the disk enters its failed state and raises [Disk_failed], so
    RAID's degraded paths take over. *)
-let hook t f =
-  try f () with
-  | Repro_fault.Fault.Drive_dead _ ->
-    t.is_failed <- true;
-    raise (Disk_failed t.label)
+let died t =
+  t.is_failed <- true;
+  raise (Disk_failed t.label)
 
 let read t dbn =
   check_access t dbn;
-  hook t (fun () -> Repro_fault.Fault.on_disk_read ~device:t.label ~addr:dbn);
+  (try Repro_fault.Fault.on_disk_read ~device:t.label ~addr:dbn
+   with Repro_fault.Fault.Drive_dead _ -> died t);
   charge t ~op:"disk.read" dbn Block.size;
   t.data.(dbn)
 
 let write t dbn b =
   Block.check b;
   check_access t dbn;
-  hook t (fun () -> Repro_fault.Fault.on_disk_write ~device:t.label ~addr:dbn);
+  (try Repro_fault.Fault.on_disk_write ~device:t.label ~addr:dbn
+   with Repro_fault.Fault.Drive_dead _ -> died t);
   charge t ~op:"disk.write" dbn Block.size;
   t.data.(dbn) <- b
 

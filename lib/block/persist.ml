@@ -9,23 +9,18 @@ let write w vol =
   Serde.write_u16 w g.Volume.groups;
   Serde.write_u16 w g.Volume.disks_per_group;
   Serde.write_u32 w g.Volume.blocks_per_disk;
-  Serde.write_u64 w (Int64.bits_of_float g.Volume.disk.Disk.seek_ms);
-  Serde.write_u64 w (Int64.bits_of_float g.Volume.disk.Disk.transfer_mb_s);
+  Serde.write_float w g.Volume.disk.Disk.seek_ms;
+  Serde.write_float w g.Volume.disk.Disk.transfer_mb_s;
   let nonzero = ref [] in
-  let count = ref 0 in
   for vbn = 0 to Volume.size_blocks vol - 1 do
     let b = Volume.read vol vbn in
-    if not (Block.is_zero b) then begin
-      nonzero := (vbn, b) :: !nonzero;
-      incr count
-    end
+    if not (Block.is_zero b) then nonzero := (vbn, b) :: !nonzero
   done;
-  Serde.write_u32 w !count;
-  List.iter
-    (fun (vbn, b) ->
+  Serde.write_list Serde.U32
+    (fun w (vbn, b) ->
       Serde.write_u32 w vbn;
       Serde.write_fixed w b)
-    (List.rev !nonzero)
+    w (List.rev !nonzero)
 
 let read r =
   Serde.expect_magic r magic;
@@ -33,17 +28,18 @@ let read r =
   let groups = Serde.read_u16 r in
   let disks_per_group = Serde.read_u16 r in
   let blocks_per_disk = Serde.read_u32 r in
-  let seek_ms = Int64.float_of_bits (Serde.read_u64 r) in
-  let transfer_mb_s = Int64.float_of_bits (Serde.read_u64 r) in
+  let seek_ms = Serde.read_float r in
+  let transfer_mb_s = Serde.read_float r in
   let disk = { Disk.blocks = blocks_per_disk; seek_ms; transfer_mb_s } in
   let vol =
     Volume.create ~label (Volume.geometry ~groups ~disks_per_group ~disk ~blocks_per_disk ())
   in
-  let count = Serde.read_u32 r in
   let blocks =
-    List.init count (fun _ ->
+    Serde.read_list Serde.U32
+      (fun r ->
         let vbn = Serde.read_u32 r in
         (vbn, Serde.read_fixed r Block.size))
+      r
   in
   Volume.write_batch vol blocks;
   Volume.reset_stats vol;

@@ -68,6 +68,9 @@ let handle f =
   | Fleet.Spec.Invalid e ->
     Format.eprintf "error: %s@." (Fleet.Spec.error_message e);
     1
+  | Fault.Invalid_spec m ->
+    Format.eprintf "error: %s@." m;
+    1
   | Slo.Parse_error { line; msg } ->
     Format.eprintf "error: SLO rules line %d: %s@." line msg;
     1

@@ -123,56 +123,45 @@ let encode t =
   let open Repro_util.Serde in
   let w = writer () in
   write_u32 w t.next_id;
-  let items = entries t in
-  write_u32 w (List.length items);
-  List.iter
-    (fun e ->
+  write_list U32
+    (fun w e ->
       write_u32 w e.id;
       write_u8 w (strategy_byte e.strategy);
       write_string w e.label;
       write_u8 w e.level;
-      write_u64 w (Int64.bits_of_float e.date);
+      write_float w e.date;
       write_int w e.bytes;
       write_u16 w e.drive;
-      write_u16 w (List.length e.streams);
-      List.iter (fun s -> write_u16 w s) e.streams;
-      write_u16 w (List.length e.part_drives);
-      List.iter (fun d -> write_u16 w d) e.part_drives;
-      write_u16 w (List.length e.part_hosts);
-      List.iter (fun h -> write_string w h) e.part_hosts;
-      write_u16 w (List.length e.media);
-      List.iter (fun m -> write_string w m) e.media;
+      write_list U16 write_u16 w e.streams;
+      write_list U16 write_u16 w e.part_drives;
+      write_list U16 write_string w e.part_hosts;
+      write_list U16 write_string w e.media;
       write_string w e.snapshot;
       write_string w e.base_snapshot;
       write_u32 w e.degraded)
-    items;
-  let cks = checkpoints t in
-  write_u16 w (List.length cks);
-  List.iter
-    (fun ck ->
+    w (entries t);
+  write_list U16
+    (fun w ck ->
       write_u8 w (strategy_byte ck.ck_strategy);
       write_string w ck.ck_label;
       write_u8 w ck.ck_level;
-      write_u64 w (Int64.bits_of_float ck.ck_date);
+      write_float w ck.ck_date;
       write_string w ck.ck_subtree;
       write_u16 w ck.ck_drive;
-      write_u16 w (List.length ck.ck_drives);
-      List.iter (fun d -> write_u16 w d) ck.ck_drives;
+      write_list U16 write_u16 w ck.ck_drives;
       write_u16 w ck.ck_parts;
       write_string w ck.ck_snapshot;
       write_string w ck.ck_base_snapshot;
-      write_u16 w (List.length ck.ck_media);
-      List.iter (fun m -> write_string w m) ck.ck_media;
-      write_u16 w (List.length ck.ck_done);
-      List.iter
-        (fun d ->
+      write_list U16 write_string w ck.ck_media;
+      write_list U16
+        (fun w d ->
           write_u16 w d.part;
           write_u16 w d.stream;
           write_u16 w d.drive;
           write_int w d.bytes;
           write_u32 w d.degraded)
-        ck.ck_done)
-    cks;
+        w ck.ck_done)
+    w (checkpoints t);
   contents w
 
 let decode ?(version = 4) s =
@@ -181,37 +170,31 @@ let decode ?(version = 4) s =
     invalid_arg (Printf.sprintf "Catalog.decode: unknown layout v%d" version);
   let r = reader s in
   let next_id = read_u32 r in
-  let n = read_u32 r in
   let items =
-    List.init n (fun _ ->
+    read_list U32
+      (fun r ->
         let id = read_u32 r in
         let strategy = strategy_of_byte (read_u8 r) in
         let label = read_string r in
         let level = read_u8 r in
-        let date = Int64.float_of_bits (read_u64 r) in
+        let date = read_float r in
         let bytes = read_int r in
         let drive = read_u16 r in
-        let nstreams = read_u16 r in
-        let streams = List.init nstreams (fun _ -> read_u16 r) in
+        let streams = read_list U16 read_u16 r in
         let part_drives =
-          if version >= 3 then
-            let ndrives = read_u16 r in
-            List.init ndrives (fun _ -> read_u16 r)
+          if version >= 3 then read_list U16 read_u16 r
           else
             (* v2 predates multi-drive part placement: every stream of an
                entry lived on its single recorded drive. *)
             List.map (fun _ -> drive) streams
         in
         let part_hosts =
-          if version >= 4 then
-            let nhosts = read_u16 r in
-            List.init nhosts (fun _ -> read_string r)
+          if version >= 4 then read_list U16 read_string r
           else
             (* Pre-network catalogs only knew locally attached drives. *)
             List.map (fun _ -> "") streams
         in
-        let nmedia = read_u16 r in
-        let media = List.init nmedia (fun _ -> read_string r) in
+        let media = read_list U16 read_string r in
         let snapshot = read_string r in
         let base_snapshot = read_string r in
         let degraded = read_u32 r in
@@ -233,36 +216,32 @@ let decode ?(version = 4) s =
           base_snapshot;
           degraded;
         })
+      r
   in
-  let ncks = read_u16 r in
   let cks =
-    List.init ncks (fun _ ->
+    read_list U16
+      (fun r ->
         let ck_strategy = strategy_of_byte (read_u8 r) in
         let ck_label = read_string r in
         let ck_level = read_u8 r in
-        let ck_date = Int64.float_of_bits (read_u64 r) in
+        let ck_date = read_float r in
         let ck_subtree = read_string r in
         let ck_drive = read_u16 r in
-        let ck_drives =
-          if version >= 3 then
-            let nds = read_u16 r in
-            List.init nds (fun _ -> read_u16 r)
-          else []
-        in
+        let ck_drives = if version >= 3 then read_list U16 read_u16 r else [] in
         let ck_parts = read_u16 r in
         let ck_snapshot = read_string r in
         let ck_base_snapshot = read_string r in
-        let nmedia = read_u16 r in
-        let ck_media = List.init nmedia (fun _ -> read_string r) in
-        let ndone = read_u16 r in
+        let ck_media = read_list U16 read_string r in
         let ck_done =
-          List.init ndone (fun _ ->
+          read_list U16
+            (fun r ->
               let part = read_u16 r in
               let stream = read_u16 r in
               let drive = if version >= 3 then read_u16 r else ck_drive in
               let bytes = read_int r in
               let degraded = read_u32 r in
               { part; stream; drive; bytes; degraded })
+            r
         in
         {
           ck_strategy;
@@ -278,5 +257,6 @@ let decode ?(version = 4) s =
           ck_media;
           ck_done;
         })
+      r
   in
   { next_id; items = List.rev items; checkpoints = List.rev cks }

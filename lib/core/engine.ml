@@ -38,6 +38,10 @@ let io_model =
     image_read_bytes_s = 100e6;
     logical_write_bytes_s = 23.4e6;
     image_write_bytes_s = 100e6;
+    (* Serialization latency per file creation on the restore path: the
+       synchronous request/response cost that keeps the paper's "creating
+       files" stage from being CPU-saturated. The paper tables
+       ([Experiment]) charge the same figure. *)
     restore_create_latency_s = 0.0025;
   }
 
@@ -819,70 +823,50 @@ let verify_logical t ~label ~fs ~target =
 let save w t =
   let open Repro_util.Serde in
   write_fixed w "RENG4";
-  write_u16 w (List.length t.links);
-  List.iter (fun (_, l) -> Link.save w l) t.links;
-  write_u16 w (Array.length t.atts);
-  Array.iter
-    (fun a ->
+  write_list U16 (fun w (_, l) -> Link.save w l) w t.links;
+  write_array U16
+    (fun w a ->
       write_string w a.att_host;
       Library.save w a.att_lib)
-    t.atts;
-  Array.iter (fun s -> write_u32 w s) t.streams;
+    w t.atts;
+  Array.iter (write_u32 w) t.streams;
   write_string w (Dumpdates.encode t.dd);
   write_string w (Catalog.encode t.cat);
   write_u32 w t.snap_seq
 
+(* RENG2 and RENG3 predate the network: no links, every stacker cabled
+   to the backup host. The catalog layout follows the generation. *)
 let load ?clock r ~fs =
   let open Repro_util.Serde in
-  let mk ~atts ~links ~streams ~dd ~cat ~snap_seq =
-    {
-      e_fs = fs;
-      atts;
-      links;
-      sessions = [];
-      dd;
-      cat;
-      clock;
-      streams;
-      snap_seq;
-      stats = None;
-    }
+  let version =
+    match read_fixed r 5 with
+    | "RENG2" -> 2
+    | "RENG3" -> 3
+    | "RENG4" -> 4
+    | m -> raise (Corrupt (Printf.sprintf "unknown engine store generation %S" m))
   in
-  match read_fixed r 5 with
-  | ("RENG2" | "RENG3") as generation ->
-    (* Pre-network stores: every stacker was cabled to the backup host,
-       and RENG2 additionally predates per-part drive placement. *)
-    let nlibs = read_u16 r in
-    let libs = Array.init nlibs (fun _ -> Library.load r) in
-    let streams = Array.init nlibs (fun _ -> read_u32 r) in
-    let dd = Dumpdates.decode (read_string r) in
-    let version = if String.equal generation "RENG2" then 2 else 3 in
-    let cat = Catalog.decode ~version (read_string r) in
-    let snap_seq = read_u32 r in
-    mk
-      ~atts:(Array.map (fun l -> { att_lib = l; att_host = "" }) libs)
-      ~links:[] ~streams ~dd ~cat ~snap_seq
-  | "RENG4" ->
-    let nlinks = read_u16 r in
-    let links =
-      List.init nlinks (fun _ ->
+  let links =
+    if version < 4 then []
+    else
+      read_list U16
+        (fun r ->
           let l = Link.load r in
           (Link.label l, l))
-    in
-    let natts = read_u16 r in
-    let atts =
-      Array.init natts (fun _ ->
-          let att_host = read_string r in
-          let att_lib = Library.load r in
-          { att_lib; att_host })
-    in
-    let streams = Array.init natts (fun _ -> read_u32 r) in
-    let dd = Dumpdates.decode (read_string r) in
-    let cat = Catalog.decode (read_string r) in
-    let snap_seq = read_u32 r in
-    mk ~atts ~links ~streams ~dd ~cat ~snap_seq
-  | m ->
-    raise (Corrupt (Printf.sprintf "unknown engine store generation %S" m))
+        r
+  in
+  let atts =
+    read_array U16
+      (fun r ->
+        let att_host = if version < 4 then "" else read_string r in
+        { att_host; att_lib = Library.load r })
+      r
+  in
+  let streams = Array.map (fun _ -> read_u32 r) atts in
+  let dd = Dumpdates.decode (read_string r) in
+  let cat = Catalog.decode ~version (read_string r) in
+  let snap_seq = read_u32 r in
+  { e_fs = fs; atts; links; sessions = []; dd; cat; clock; streams; snap_seq;
+    stats = None }
 
 let verify_physical t ~label =
   match Catalog.restore_chain t.cat ~label ~strategy:Strategy.Physical with

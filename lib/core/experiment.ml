@@ -29,11 +29,6 @@ let groups = 3
 let disks_per_group = 11
 let auto_cp_ops = 20_000
 
-(* Serialization latency per file creation on the restore path: the
-   synchronous request/response cost that keeps the paper's "creating
-   files" stage from being CPU-saturated. *)
-let create_latency_s = 0.0025
-
 (* The single-stream read pipeline of the files phase: dump reads one
    file at a time, so each file costs an unhidden positioning latency
    and its bytes stream at roughly one spindle's rate boosted by
@@ -225,7 +220,8 @@ let run_basic ?(tapes = 1) cfg =
         in
         let stages =
           Instrument.add_demand stages ~stage:"creating files"
-            (Instrument.demand serial (Float.of_int creates *. create_latency_s))
+            (Instrument.demand serial
+               (Float.of_int creates *. Engine.io_model.Engine.restore_create_latency_s))
         in
         { Instrument.stream_label = Printf.sprintf "lrest%d" i; stages })
   in

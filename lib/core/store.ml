@@ -13,13 +13,7 @@ let save ~path engine =
   Repro_util.Atomic_file.write path (fun oc -> output_string oc (Serde.contents w))
 
 let load ~path =
-  let ic = open_in_bin path in
-  let data =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let r = Serde.reader data in
+  let r = Serde.reader (In_channel.with_open_bin path In_channel.input_all) in
   Serde.expect_magic r magic;
   let fs = Fs.mount (Persist.read r) in
   Engine.load r ~fs

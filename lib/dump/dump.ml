@@ -83,13 +83,12 @@ let emit_file_header sink ~ino ~inode ~xattrs ~nblocks ~present =
    followed by the inode number" (paper §3). *)
 let canonical_dir_content entries =
   let w = Serde.writer () in
-  Serde.write_u32 w (List.length entries);
-  List.iter
-    (fun (name, ino) ->
+  Serde.write_list Serde.U32
+    (fun w (name, ino) ->
       Serde.write_u32 w ino;
       Serde.write_u8 w (String.length name);
       Serde.write_fixed w name)
-    entries;
+    w entries;
   Serde.contents w
 
 let run ?(level = 0) ?dumpdates ?(record = true) ?(exclude = Filter.none) ?cpu

@@ -23,24 +23,23 @@ let encode t =
   let items =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) t [] |> List.sort compare
   in
-  write_u32 w (List.length items);
-  List.iter
-    (fun ((label, level), date) ->
+  write_list U32
+    (fun w ((label, level), date) ->
       write_string w label;
       write_u8 w level;
-      write_u64 w (Int64.bits_of_float date))
-    items;
+      write_float w date)
+    w items;
   contents w
 
 let decode s =
   let open Repro_util.Serde in
-  let r = reader s in
-  let n = read_u32 r in
   let t = create () in
-  for _ = 1 to n do
-    let label = read_string r in
-    let level = read_u8 r in
-    let date = Int64.float_of_bits (read_u64 r) in
-    Hashtbl.replace t (label, level) date
-  done;
+  List.iter
+    (fun (key, date) -> Hashtbl.replace t key date)
+    (read_list U32
+       (fun r ->
+         let label = read_string r in
+         let level = read_u8 r in
+         ((label, level), read_float r))
+       (reader s));
   t

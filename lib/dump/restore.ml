@@ -40,22 +40,17 @@ let save_session s =
   write_string w s.target;
   write_u32 w (s.root_ino land 0xffffffff);
   write_u32 w s.applied;
-  write_u32 w (Hashtbl.length s.tree);
+  write_count U32 w (Hashtbl.length s.tree);
   Hashtbl.iter
     (fun ino entries ->
       write_u32 w ino;
-      write_u32 w (List.length entries);
-      List.iter
-        (fun (name, child) ->
+      write_list U32
+        (fun w (name, child) ->
           write_string w name;
           write_u32 w child)
-        entries)
+        w entries)
     s.tree;
-  (match s.prior_usage with
-  | Some u ->
-    write_bool w true;
-    Bitmap.write w u
-  | None -> write_bool w false);
+  write_option Bitmap.write w s.prior_usage;
   contents w
 
 let load_session ?cpu ~fs blob =
@@ -65,20 +60,20 @@ let load_session ?cpu ~fs blob =
   let target = read_string r in
   let root_ino_raw = read_u32 r in
   let applied = read_u32 r in
-  let ndirs = read_u32 r in
+  let ndirs = read_count U32 r in
   let tree = Hashtbl.create (Stdlib.max 16 ndirs) in
   for _ = 1 to ndirs do
     let ino = read_u32 r in
-    let n = read_u32 r in
     let entries =
-      List.init n (fun _ ->
+      read_list U32
+        (fun r ->
           let name = read_string r in
-          let child = read_u32 r in
-          (name, child))
+          (name, read_u32 r))
+        r
     in
     Hashtbl.replace tree ino entries
   done;
-  let prior_usage = if read_bool r then Some (Bitmap.read r) else None in
+  let prior_usage = read_option Bitmap.read r in
   {
     rfs = fs;
     target;
@@ -163,13 +158,12 @@ let skip_data src fr =
   if n > 0 then ignore (Tapeio.input src (n * Spec.data_block_size))
 
 let parse_dir_content content =
-  let r = Serde.reader content in
-  let n = Serde.read_u32 r in
-  List.init n (fun _ ->
+  Serde.read_list Serde.U32
+    (fun r ->
       let ino = Serde.read_u32 r in
       let len = Serde.read_u8 r in
-      let name = Serde.read_fixed r len in
-      (name, ino))
+      (Serde.read_fixed r len, ino))
+    (Serde.reader content)
 
 (* Read the front matter: tape header, both maps, and the directory
    records. Returns the pending first regular-file record (if any). *)

@@ -74,8 +74,8 @@ let encode h =
   | Tape { level; dump_date; base_date; label; root_ino; max_inodes } ->
     write_u8 w t_tape;
     write_u8 w level;
-    write_u64 w (Int64.bits_of_float dump_date);
-    write_u64 w (Int64.bits_of_float base_date);
+    write_float w dump_date;
+    write_float w base_date;
     write_string w label;
     write_u32 w root_ino;
     write_u32 w max_inodes
@@ -117,8 +117,8 @@ let decode s =
         let t = read_u8 r in
         if t = t_tape then begin
           let level = read_u8 r in
-          let dump_date = Int64.float_of_bits (read_u64 r) in
-          let base_date = Int64.float_of_bits (read_u64 r) in
+          let dump_date = read_float r in
+          let base_date = read_float r in
           let label = read_string r in
           let root_ino = read_u32 r in
           let max_inodes = read_u32 r in

@@ -87,7 +87,36 @@ let state p device =
     Hashtbl.add p.by_device device s;
     s
 
+exception Invalid_spec of string
+
+(* Each bound is read off the spec's hook: addresses and records are
+   indices from 0 up, a probability is compared with a draw from [0, 1),
+   a budget is spent one fault at a time, and a countdown below 0 is the
+   "nothing scheduled" sentinel. A flap is the exception: its hook drops
+   frames while its countdown is negative, so any [after_frames] fires. *)
+let check spec =
+  let refuse device =
+    Printf.ksprintf (fun why ->
+        raise (Invalid_spec (Printf.sprintf "fault spec on %s: %s" device why)))
+  in
+  match spec with
+  | Latent_sector_error { device; addr = v }
+  | Tape_hard_error { device; record = v }
+  | Disk_death { device; after_ios = v }
+  | Tape_drive_death { device; after_records = v }
+  | Nvram_loss { device; after_ops = v }
+  | Link_partition { device; after_frames = v } ->
+    if v < 0 then refuse device "address or countdown %d is negative" v
+  | Tape_soft_errors { device; failures = n; _ } | Link_flap { device; down_frames = n; _ } ->
+    if n < 1 then refuse device "count %d is below 1" n
+  | Flaky_reads { device; failures = n; prob } | Packet_loss { device; losses = n; prob } ->
+    if n < 1 then refuse device "count %d is below 1" n
+    else if not (prob > 0.0 && prob <= 1.0) then
+      refuse device "probability %g is not in (0, 1]" prob
+  | Torn_fsinfo_write _ -> ()
+
 let plan ?(seed = 0) specs =
+  List.iter check specs;
   let p =
     {
       p_specs = specs;
@@ -127,26 +156,10 @@ let plan ?(seed = 0) specs =
         s.loss_left <- s.loss_left + losses;
         s.loss_prob <- prob
       | Link_flap { device; after_frames; down_frames } ->
-        (* A flap of zero (or negative) duration would sit in the plan
-           and never drop a frame; refuse it up front. *)
-        if down_frames <= 0 then
-          invalid_arg
-            (Printf.sprintf
-               "Fault.plan: link-flap on %s with down_frames <= 0 never \
-                fires"
-               device);
         let s = state p device in
         s.flap_countdown <- after_frames;
         s.flap_left <- down_frames
       | Link_partition { device; after_frames } ->
-        (* A negative countdown is the disarmed sentinel: such a spec
-           would silently never partition the link. *)
-        if after_frames < 0 then
-          invalid_arg
-            (Printf.sprintf
-               "Fault.plan: net-partition on %s with after_frames < 0 \
-                never fires"
-               device);
         (state p device).partition_countdown <- after_frames)
     specs;
   p

@@ -74,23 +74,26 @@ type spec =
       (** After [after_frames] further frame sends on link [device], the
           link goes down for the next [down_frames] sends (all dropped),
           then comes back. One-shot — a burst loss the transport rides
-          out. [down_frames <= 0] is rejected by {!plan}. *)
+          out. *)
   | Link_partition of { device : string; after_frames : int }
       (** After [after_frames] further frame sends, link [device]
           partitions hard: that send and every later one raises
           {!Partitioned} until {!revive} heals the link. The network
-          analogue of {!Tape_drive_death}. [after_frames < 0] is
-          rejected by {!plan}. *)
+          analogue of {!Tape_drive_death}. *)
 
 type plane
 (** A compiled plan plus its journal and counters. *)
 
+exception Invalid_spec of string
+(** A spec that could never fire, with the reason. *)
+
 val plan : ?seed:int -> spec list -> plane
 (** Compile a plan. [seed] (default 0) drives the probabilistic specs.
-    Raises [Invalid_argument] on a spec that could never fire — a
-    {!Link_flap} of zero duration or a {!Link_partition} with a negative
-    countdown — so a typo'd drill fails at plan time, not by silently
-    injecting nothing. *)
+    Raises {!Invalid_spec} on a spec that could never fire — a
+    probability that is NaN or outside (0, 1], a failure, loss or
+    down-frame count below 1, a negative address, record or countdown
+    (except a {!Link_flap}'s, which then starts at once) — so a typo'd
+    drill fails at plan time, not by silently injecting nothing. *)
 
 (** {1 Arming}
 

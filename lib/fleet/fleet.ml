@@ -490,15 +490,11 @@ module Status = struct
   let empty spec = { st_digest = Spec.digest spec; st_completed = [] }
   let magic = "FLT1"
 
-  let write_float w f = Serde.write_u64 w (Int64.bits_of_float f)
-  let read_float r = Int64.float_of_bits (Serde.read_u64 r)
-
   let save w t =
     Serde.write_fixed w magic;
     Serde.write_u32 w t.st_digest;
-    Serde.write_u32 w (List.length t.st_completed);
-    List.iter
-      (fun c ->
+    Serde.write_list Serde.U32
+      (fun w c ->
         Serde.write_string w c.c_volume;
         Serde.write_string w c.c_tenant;
         Serde.write_string w c.c_host;
@@ -506,16 +502,16 @@ module Status = struct
         Serde.write_int w c.c_tape_bytes;
         Serde.write_u32 w c.c_tape_crc;
         Serde.write_string w c.c_drive;
-        write_float w c.c_started;
-        write_float w c.c_finished)
-      t.st_completed
+        Serde.write_float w c.c_started;
+        Serde.write_float w c.c_finished)
+      w t.st_completed
 
   let load r =
     Serde.expect_magic r magic;
     let digest = Serde.read_u32 r in
-    let n = Serde.read_u32 r in
     let completed =
-      List.init n (fun _ ->
+      Serde.read_list Serde.U32
+        (fun r ->
           let c_volume = Serde.read_string r in
           let c_tenant = Serde.read_string r in
           let c_host = Serde.read_string r in
@@ -523,8 +519,8 @@ module Status = struct
           let c_tape_bytes = Serde.read_int r in
           let c_tape_crc = Serde.read_u32 r in
           let c_drive = Serde.read_string r in
-          let c_started = read_float r in
-          let c_finished = read_float r in
+          let c_started = Serde.read_float r in
+          let c_finished = Serde.read_float r in
           {
             c_volume;
             c_tenant;
@@ -536,6 +532,7 @@ module Status = struct
             c_started;
             c_finished;
           })
+        r
     in
     { st_digest = digest; st_completed = completed }
 

@@ -26,7 +26,7 @@ let encode_header h =
   write_string w h.base_name;
   write_u32 w h.volume_blocks;
   write_u32 w h.block_count;
-  write_u64 w (Int64.bits_of_float h.dump_date);
+  write_float w h.dump_date;
   write_u32 w h.generation;
   let body = contents w in
   let crc = Crc32.string body in
@@ -54,7 +54,7 @@ let decode_header r =
   let base_name = read_string r in
   let volume_blocks = read_u32 r in
   let block_count = read_u32 r in
-  let dump_date = Int64.float_of_bits (read_u64 r) in
+  let dump_date = read_float r in
   let generation = read_u32 r in
   { kind; snap_name; base_name; volume_blocks; block_count; dump_date; generation }
 

@@ -100,8 +100,8 @@ let model_goodput p =
 let save w t =
   Serde.write_fixed w "RLNK1";
   Serde.write_string w t.l_label;
-  Serde.write_u64 w (Int64.bits_of_float t.p.bandwidth_bytes_s);
-  Serde.write_u64 w (Int64.bits_of_float t.p.latency_s);
+  Serde.write_float w t.p.bandwidth_bytes_s;
+  Serde.write_float w t.p.latency_s;
   Serde.write_u32 w t.p.mtu_bytes;
   Serde.write_u32 w t.p.window_bytes;
   Serde.write_u16 w t.p.max_retransmits
@@ -109,8 +109,8 @@ let save w t =
 let load r =
   Serde.expect_magic r "RLNK1";
   let label = Serde.read_string r in
-  let bandwidth_bytes_s = Int64.float_of_bits (Serde.read_u64 r) in
-  let latency_s = Int64.float_of_bits (Serde.read_u64 r) in
+  let bandwidth_bytes_s = Serde.read_float r in
+  let latency_s = Serde.read_float r in
   let mtu_bytes = Serde.read_u32 r in
   let window_bytes = Serde.read_u32 r in
   let max_retransmits = Serde.read_u16 r in

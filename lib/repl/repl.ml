@@ -620,18 +620,6 @@ let status t =
 let magic = "RPL1"
 let version = 1
 
-let write_float w f = Serde.write_u64 w (Int64.bits_of_float f)
-let read_float r = Int64.float_of_bits (Serde.read_u64 r)
-
-let write_opt w = function
-  | None -> Serde.write_bool w false
-  | Some s ->
-    Serde.write_bool w true;
-    Serde.write_string w s
-
-let read_opt r =
-  if Serde.read_bool r then Some (Serde.read_string r) else None
-
 let state_tag = function
   | Uninitialized -> 0
   | Syncing -> 1
@@ -653,14 +641,13 @@ let save w t =
   Serde.write_string w t.origin;
   Serde.write_string w t.root;
   Serde.write_int w t.seq;
-  write_float w (Clock.now t.clock);
-  Serde.write_u32 w (List.length t.nodes);
-  List.iter
-    (fun n ->
+  Serde.write_float w (Clock.now t.clock);
+  Serde.write_list Serde.U32
+    (fun w n ->
       Serde.write_string w n.n_name;
       Serde.write_u8 w (state_tag n.n_state);
-      write_opt w n.n_last;
-      write_opt w n.n_divergence;
+      Serde.write_option Serde.write_string w n.n_last;
+      Serde.write_option Serde.write_string w n.n_divergence;
       match n.n_backing with
       | Live _ -> Serde.write_u8 w 0
       | Owned o ->
@@ -668,32 +655,24 @@ let save w t =
         (* a cached mount may hold dirty state; flush it first *)
         (match o.ofs with Some f -> Fs.cp f | None -> ());
         Persist.write w o.ovol)
-    t.nodes;
-  Serde.write_u32 w (List.length t.edges);
-  List.iter
-    (fun e ->
+    w t.nodes;
+  Serde.write_list Serde.U32
+    (fun w e ->
       Serde.write_string w e.e_up;
       Serde.write_string w e.e_down;
       Link.save w e.e_link;
-      write_float w e.e_interval_s;
-      write_float w e.e_next_due)
-    t.edges;
+      Serde.write_float w e.e_interval_s;
+      Serde.write_float w e.e_next_due)
+    w t.edges;
   let snaps =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.snap_times []
     |> List.sort compare
   in
-  Serde.write_u32 w (List.length snaps);
-  List.iter
-    (fun (k, v) ->
+  Serde.write_list Serde.U32
+    (fun w (k, v) ->
       Serde.write_string w k;
-      write_float w v)
-    snaps
-
-(* [List.init]'s application order is unspecified; reading a cursor
-   needs left-to-right. *)
-let read_list n f =
-  let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (f () :: acc) in
-  go n []
+      Serde.write_float w v)
+    w snaps
 
 let load r ~primary_fs =
   Serde.expect_magic r magic;
@@ -703,56 +682,46 @@ let load r ~primary_fs =
   let origin = Serde.read_string r in
   let root = Serde.read_string r in
   let seq = Serde.read_int r in
-  let now = read_float r in
+  let now = Serde.read_float r in
   let clock = Clock.create () in
   Clock.advance_to clock now;
-  let nnodes = Serde.read_u32 r in
   let nodes =
-    read_list nnodes (fun () ->
-        let name = Serde.read_string r in
-        let st = state_of_tag (Serde.read_u8 r) in
-        let last = read_opt r in
-        let div = read_opt r in
-        let backing =
+    Serde.read_list Serde.U32
+      (fun r ->
+        let n_name = Serde.read_string r in
+        let n_state = state_of_tag (Serde.read_u8 r) in
+        let n_last = Serde.read_option Serde.read_string r in
+        let n_divergence = Serde.read_option Serde.read_string r in
+        let n_backing =
           match Serde.read_u8 r with
           | 0 ->
-            if name <> origin then
+            if n_name <> origin then
               raise (Serde.Corrupt "RPL1: live node is not the origin");
             Live { lfs = primary_fs }
           | 1 -> Owned { ovol = Persist.read r; ofs = None }
           | n ->
             raise (Serde.Corrupt (Printf.sprintf "RPL1: bad backing %d" n))
         in
-        {
-          n_name = name;
-          n_state = st;
-          n_last = last;
-          n_divergence = div;
-          n_backing = backing;
-        })
+        { n_name; n_state; n_last; n_divergence; n_backing })
+      r
   in
-  let nedges = Serde.read_u32 r in
   let edges =
-    read_list nedges (fun () ->
-        let up = Serde.read_string r in
-        let down = Serde.read_string r in
-        let link = Link.load r in
-        let interval = read_float r in
-        let due = read_float r in
-        {
-          e_up = up;
-          e_down = down;
-          e_link = link;
-          e_session = None;
-          e_interval_s = interval;
-          e_next_due = due;
-        })
+    Serde.read_list Serde.U32
+      (fun r ->
+        let e_up = Serde.read_string r in
+        let e_down = Serde.read_string r in
+        let e_link = Link.load r in
+        let e_interval_s = Serde.read_float r in
+        let e_next_due = Serde.read_float r in
+        { e_up; e_down; e_link; e_session = None; e_interval_s; e_next_due })
+      r
   in
   let snap_times = Hashtbl.create 16 in
-  let nsnaps = Serde.read_u32 r in
-  for _ = 1 to nsnaps do
-    let k = Serde.read_string r in
-    let v = read_float r in
-    Hashtbl.replace snap_times k v
-  done;
+  List.iter
+    (fun (k, v) -> Hashtbl.replace snap_times k v)
+    (Serde.read_list Serde.U32
+       (fun r ->
+         let k = Serde.read_string r in
+         (k, Serde.read_float r))
+       r);
   { clock; origin; root; nodes; edges; snap_times; seq }

@@ -1,7 +1,7 @@
 type t = {
   label : string;
   tape : Tape.t;
-  mutable blanks : Tape.media list;
+  mutable blanks : int; (* blank cartridges left in the magazine *)
   mutable written : Tape.media array; (* cartridges in write order *)
   mutable read_pos : int; (* index into [written] during restore *)
   mutable changes : int;
@@ -11,11 +11,8 @@ let media_change_seconds = 120.0
 
 let create ?params ?(slots = 8) ~label () =
   if slots <= 0 then invalid_arg "Library.create";
-  let blanks =
-    List.init slots (fun i ->
-        Tape.blank_media ~label:(Printf.sprintf "%s.t%02d" label i))
-  in
-  { label; tape = Tape.create ?params ~label (); blanks; written = [||]; read_pos = 0; changes = 0 }
+  let tape = Tape.create ?params ~label () in
+  { label; tape; blanks = slots; written = [||]; read_pos = 0; changes = 0 }
 
 let drive t = t.tape
 
@@ -24,14 +21,20 @@ let swap_in t m =
   t.changes <- t.changes + 1;
   Tape.load t.tape m
 
+(* Cartridges are labelled in magazine order: the next blank is number
+   [Array.length t.written]. *)
 let load_next t =
-  match t.blanks with
-  | [] -> false
-  | m :: rest ->
-    t.blanks <- rest;
+  if t.blanks = 0 then false
+  else begin
+    let m =
+      Tape.blank_media
+        ~label:(Printf.sprintf "%s.t%02d" t.label (Array.length t.written))
+    in
+    t.blanks <- t.blanks - 1;
     t.written <- Array.append t.written [| m |];
     swap_in t m;
     true
+  end
 
 let used_media t = Array.to_list t.written
 
@@ -78,29 +81,20 @@ let save w t =
   write_fixed w "RLIB1";
   write_string w t.label;
   let p = Tape.params_of t.tape in
-  write_u64 w (Int64.bits_of_float p.Tape.native_mb_s);
-  write_u64 w (Int64.bits_of_float p.Tape.compression);
+  write_float w p.Tape.native_mb_s;
+  write_float w p.Tape.compression;
   write_int w p.Tape.capacity_bytes;
-  write_u16 w (List.length t.blanks);
-  write_u16 w (Array.length t.written);
-  Array.iter (fun m -> Tape.write_media w m) t.written
+  write_u16 w t.blanks;
+  write_array U16 Tape.write_media w t.written
 
 let load r =
   let open Repro_util.Serde in
   expect_magic r "RLIB1";
   let label = read_string r in
-  let native_mb_s = Int64.float_of_bits (read_u64 r) in
-  let compression = Int64.float_of_bits (read_u64 r) in
+  let native_mb_s = read_float r in
+  let compression = read_float r in
   let capacity_bytes = read_int r in
   let params = Tape.params ~native_mb_s ~compression ~capacity_bytes () in
-  let nblanks = read_u16 r in
-  let nwritten = read_u16 r in
-  let written = Array.init nwritten (fun _ -> Tape.read_media r) in
-  let t = create ~params ~slots:1 ~label () in
-  (* blank labels continue after the written cartridges *)
-  t.blanks <-
-    List.init nblanks (fun i ->
-        Tape.blank_media ~label:(Printf.sprintf "%s.t%02d" label (nwritten + i)));
-  t.written <- written;
-  t.read_pos <- 0;
-  t
+  let blanks = read_u16 r in
+  let written = read_array U16 Tape.read_media r in
+  { (create ~params ~label ()) with blanks; written }

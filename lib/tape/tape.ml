@@ -66,7 +66,7 @@ let write_media w m =
   let open Repro_util.Serde in
   write_fixed w "RMED1";
   write_string w m.mlabel;
-  write_u32 w m.nitems;
+  write_count U32 w m.nitems;
   write_int w m.stored_bytes;
   for i = 0 to m.nitems - 1 do
     match m.items.(i) with
@@ -80,7 +80,7 @@ let read_media r =
   let open Repro_util.Serde in
   expect_magic r "RMED1";
   let mlabel = read_string r in
-  let nitems = read_u32 r in
+  let nitems = read_count U32 r in
   let stored_bytes = read_int r in
   let items =
     Array.init nitems (fun _ ->

@@ -34,6 +34,27 @@ let write_string w s =
 
 let write_fixed w s = Buffer.add_string w s
 let write_bytes w b = Buffer.add_bytes w b
+let write_float w f = write_u64 w (Int64.bits_of_float f)
+
+let write_option f w = function
+  | None -> write_bool w false
+  | Some v ->
+    write_bool w true;
+    f w v
+
+type count = U8 | U16 | U32
+
+let write_count c w n =
+  match c with U8 -> write_u8 w n | U16 -> write_u16 w n | U32 -> write_u32 w n
+
+let write_list c f w l =
+  write_count c w (List.length l);
+  List.iter (f w) l
+
+let write_array c f w a =
+  write_count c w (Array.length a);
+  Array.iter (f w) a
+
 let writer_length w = Buffer.length w
 let clear w = Buffer.clear w
 let contents w = Buffer.contents w
@@ -92,6 +113,22 @@ let read_string r =
 
 let remaining r = String.length r.data - r.pos
 let at_end r = remaining r = 0
+let read_float r = Int64.float_of_bits (read_u64 r)
+let read_option f r = if read_bool r then Some (f r) else None
+
+let read_count c r =
+  let n = match c with U8 -> read_u8 r | U16 -> read_u16 r | U32 -> read_u32 r in
+  if n > remaining r then
+    corrupt "count %d exceeds the %d bytes left at offset %d" n (remaining r) r.pos;
+  n
+
+let read_list c f r =
+  let n = read_count c r in
+  List.init n (fun _ -> f r)
+
+let read_array c f r =
+  let n = read_count c r in
+  Array.init n (fun _ -> f r)
 
 let expect_magic r m =
   let got = read_fixed r (String.length m) in

@@ -38,6 +38,21 @@ val write_fixed : writer -> string -> unit
 
 val write_bytes : writer -> bytes -> unit
 
+val write_float : writer -> float -> unit
+(** IEEE-754 bits as a little-endian u64. *)
+
+val write_option : (writer -> 'a -> unit) -> writer -> 'a option -> unit
+(** A bool tag, then the value if [Some]. *)
+
+type count = U8 | U16 | U32  (** the width of a count prefix *)
+
+val write_count : count -> writer -> int -> unit
+
+val write_list : count -> (writer -> 'a -> unit) -> writer -> 'a list -> unit
+(** The count, then each item in order. *)
+
+val write_array : count -> (writer -> 'a -> unit) -> writer -> 'a array -> unit
+
 val writer_length : writer -> int
 val contents : writer -> string
 
@@ -60,6 +75,19 @@ val read_bool : reader -> bool
 val read_string : reader -> string
 val read_fixed : reader -> int -> string
 val at_end : reader -> bool
+val read_float : reader -> float
+val read_option : (reader -> 'a) -> reader -> 'a option
+
+val read_count : count -> reader -> int
+(** Reads a count and raises [Corrupt] if it exceeds the bytes left in
+    the input. Every persisted item takes at least one byte, so a decoder
+    that sizes a list, array or table only by such a count allocates at
+    most a constant factor of its input. *)
+
+val read_list : count -> (reader -> 'a) -> reader -> 'a list
+(** A checked count, then that many items read left to right. *)
+
+val read_array : count -> (reader -> 'a) -> reader -> 'a array
 val expect_magic : reader -> string -> unit
 (** [expect_magic r m] reads [String.length m] bytes and raises [Corrupt]
     unless they equal [m]. *)

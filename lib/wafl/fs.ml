@@ -1,4 +1,5 @@
 module Bitmap = Repro_util.Bitmap
+module Serde = Repro_util.Serde
 module Block = Repro_block.Block
 module Volume = Repro_block.Volume
 module Resource = Repro_sim.Resource
@@ -517,6 +518,22 @@ let flush_ftree t ft ~write_slot =
     write_slot inode
   end
 
+let encode_xattrs attrs =
+  let w = Serde.writer () in
+  Serde.write_list Serde.U16
+    (fun w (k, v) ->
+      Serde.write_string w k;
+      Serde.write_string w v)
+    w attrs;
+  Serde.contents w
+
+let decode_xattrs block =
+  Serde.read_list Serde.U16
+    (fun r ->
+      let k = Serde.read_string r in
+      (k, Serde.read_string r))
+    (Serde.reader block)
+
 let flush_xattrs t =
   let items = Hashtbl.fold (fun ino l acc -> (ino, l) :: acc) t.xattr_dirty [] in
   let items = List.sort compare items in
@@ -528,17 +545,11 @@ let flush_xattrs t =
       let vbn =
         if attrs = [] then Layout.no_block
         else begin
-          let open Repro_util.Serde in
-          let w = writer ~initial_size:4096 () in
-          write_u16 w (List.length attrs);
-          List.iter
-            (fun (k, v) ->
-              write_string w k;
-              write_string w v)
-            attrs;
-          if writer_length w > Block.size then err "xattrs of inode %d overflow a block" ino;
+          let image = encode_xattrs attrs in
+          if String.length image > Block.size then
+            err "xattrs of inode %d overflow a block" ino;
           let b = Block.zero () in
-          Bytes.blit_string (contents w) 0 b 0 (writer_length w);
+          Bytes.blit_string image 0 b 0 (String.length image);
           let vbn = alloc_block t in
           Hashtbl.replace t.pending vbn (Bytes.unsafe_to_string b);
           vbn
@@ -1084,15 +1095,7 @@ let load_xattrs t ino =
   | None ->
     let inode = read_inode t ino in
     if inode.Inode.xattr_vbn = Layout.no_block then []
-    else begin
-      let open Repro_util.Serde in
-      let r = reader (vol_read t inode.Inode.xattr_vbn) in
-      let n = read_u16 r in
-      List.init n (fun _ ->
-          let k = read_string r in
-          let v = read_string r in
-          (k, v))
-    end
+    else decode_xattrs (vol_read t inode.Inode.xattr_vbn)
 
 let set_xattr_internal t path ~name ~value =
   alive t;
@@ -1336,15 +1339,7 @@ module View = struct
   let xattrs v ino =
     let inode = getattr v ino in
     if inode.Inode.xattr_vbn = Layout.no_block then []
-    else begin
-      let open Repro_util.Serde in
-      let r = reader (vread v.vt inode.Inode.xattr_vbn) in
-      let n = read_u16 r in
-      List.init n (fun _ ->
-          let k = read_string r in
-          let v = read_string r in
-          (k, v))
-    end
+    else decode_xattrs (vread v.vt inode.Inode.xattr_vbn)
 
   let lookup v path =
     let rec walk ino = function

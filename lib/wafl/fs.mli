@@ -165,6 +165,12 @@ val remove_xattr : t -> string -> name:string -> unit
 
 val xattrs : t -> string -> (string * string) list
 
+val encode_xattrs : (string * string) list -> string
+(** The attribute block before its zero padding (docs/FORMATS.md §4). *)
+
+val decode_xattrs : string -> (string * string) list
+(** Raises [Repro_util.Serde.Corrupt] on malformed input. *)
+
 (** {1 Quota trees} *)
 
 val qtree_create : t -> string -> perms:int -> int

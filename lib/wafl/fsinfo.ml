@@ -22,28 +22,26 @@ let encode t =
   let open Repro_util.Serde in
   let w = writer ~initial_size:4096 () in
   write_fixed w Layout.fsinfo_magic;
-  write_u64 w (Int64.of_int t.generation);
-  write_u64 w (Int64.bits_of_float t.cp_time);
+  write_int w t.generation;
+  write_float w t.cp_time;
   write_u32 w t.volume_blocks;
   write_u32 w t.max_inodes;
   write_u32 w t.next_snap_id;
   write_u32 w t.next_qtree;
-  write_u16 w (List.length t.qtree_limits);
-  List.iter
-    (fun (qid, limit) ->
+  write_list U16
+    (fun w (qid, limit) ->
       write_u16 w qid;
-      write_u64 w (Int64.of_int limit))
-    t.qtree_limits;
+      write_int w limit)
+    w t.qtree_limits;
   Inode.write w t.root;
-  write_u8 w (List.length t.snaps);
-  List.iter
-    (fun s ->
+  write_list U8
+    (fun w s ->
       write_u32 w s.snap_id;
       write_u8 w s.plane;
       write_string w s.snap_name;
-      write_u64 w (Int64.bits_of_float s.created);
+      write_float w s.created;
       Inode.write w s.snap_root)
-    t.snaps;
+    w t.snaps;
   let body = contents w in
   if String.length body + 4 > 4096 then invalid_arg "Fsinfo.encode: overflow";
   let b = Bytes.make 4096 '\000' in
@@ -64,29 +62,30 @@ let decode b =
       try
         let r = reader b in
         expect_magic r Layout.fsinfo_magic;
-        let generation = Int64.to_int (read_u64 r) in
-        let cp_time = Int64.float_of_bits (read_u64 r) in
+        let generation = read_int r in
+        let cp_time = read_float r in
         let volume_blocks = read_u32 r in
         let max_inodes = read_u32 r in
         let next_snap_id = read_u32 r in
         let next_qtree = read_u32 r in
-        let nlimits = read_u16 r in
         let qtree_limits =
-          List.init nlimits (fun _ ->
+          read_list U16
+            (fun r ->
               let qid = read_u16 r in
-              let limit = Int64.to_int (read_u64 r) in
-              (qid, limit))
+              (qid, read_int r))
+            r
         in
         let root = Inode.read r in
-        let nsnaps = read_u8 r in
         let snaps =
-          List.init nsnaps (fun _ ->
+          read_list U8
+            (fun r ->
               let snap_id = read_u32 r in
               let plane = read_u8 r in
               let snap_name = read_string r in
-              let created = Int64.float_of_bits (read_u64 r) in
+              let created = read_float r in
               let snap_root = Inode.read r in
               { snap_id; plane; snap_name; created; snap_root })
+            r
         in
         Some
           {

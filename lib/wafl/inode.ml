@@ -73,9 +73,9 @@ let write w t =
   write_u32 w t.uid;
   write_u32 w t.gid;
   write_u64 w (Int64.of_int t.size);
-  write_u64 w (Int64.bits_of_float t.atime);
-  write_u64 w (Int64.bits_of_float t.mtime);
-  write_u64 w (Int64.bits_of_float t.ctime);
+  write_float w t.atime;
+  write_float w t.mtime;
+  write_float w t.ctime;
   write_u32 w t.gen;
   write_u16 w t.qtree;
   write_u16 w t.dos_flags;
@@ -92,9 +92,9 @@ let read r =
   let uid = read_u32 r in
   let gid = read_u32 r in
   let size = Int64.to_int (read_u64 r) in
-  let atime = Int64.float_of_bits (read_u64 r) in
-  let mtime = Int64.float_of_bits (read_u64 r) in
-  let ctime = Int64.float_of_bits (read_u64 r) in
+  let atime = read_float r in
+  let mtime = read_float r in
+  let ctime = read_float r in
   let gen = read_u32 r in
   let qtree = read_u16 r in
   let dos_flags = read_u16 r in

@@ -172,6 +172,23 @@ let test_serve_rejects_non_finite_link () =
       [ "--bandwidth-mib"; "nan" ];
     ]
 
+(* A fault spec that can never fire is refused before the backup runs;
+   these two argv once escaped as [Invalid_argument] (exit 125). *)
+let test_backup_rejects_never_firing_fault () =
+  let store = temp_store () in
+  let before = read_file store in
+  List.iter
+    (fun spec ->
+      let what = "backup --inject " ^ spec in
+      let code, err =
+        with_stderr (fun () ->
+            backupctl [ "backup"; store; "--strategy"; "logical"; "--inject"; spec ])
+      in
+      Alcotest.(check int) (what ^ " exits 1") 1 code;
+      checkb (what ^ " says error:") true (starts_with ~prefix:"error:" err);
+      checkb "store unchanged" true (String.equal before (read_file store)))
+    [ "net-flap:v:1:0"; "net-partition:v:-1" ]
+
 let test_init_rejects_no_drives () =
   List.iter
     (fun argv ->
@@ -216,6 +233,8 @@ let () =
             test_serve_rejects_bad_attachments;
           Alcotest.test_case "serve rejects a non-finite link" `Quick
             test_serve_rejects_non_finite_link;
+          Alcotest.test_case "backup rejects a never-firing fault" `Quick
+            test_backup_rejects_never_firing_fault;
           Alcotest.test_case "init rejects fewer than one drive" `Quick
             test_init_rejects_no_drives;
           Alcotest.test_case "verify fails on a damaged chain" `Quick

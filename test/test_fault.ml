@@ -661,15 +661,58 @@ let prop_single_fault_leaves_source_intact =
 (* A spec that can never fire is a planning mistake, rejected up front
    rather than silently armed. *)
 let test_plan_rejects_never_firing () =
-  (match Fault.plan [ Fault.Link_partition { device = "x"; after_frames = -1 } ] with
-  | _ -> Alcotest.fail "negative partition countdown accepted"
-  | exception Invalid_argument _ -> ());
-  (match Fault.plan [ Fault.Link_flap { device = "x"; after_frames = 4; down_frames = 0 } ] with
-  | _ -> Alcotest.fail "zero-length flap accepted"
-  | exception Invalid_argument _ -> ());
+  let refused spec =
+    match Fault.plan [ spec ] with
+    | _ -> Alcotest.fail "never-firing spec accepted"
+    | exception Fault.Invalid_spec _ -> ()
+  in
+  let d = "x" in
+  List.iter refused
+    [
+      Fault.Latent_sector_error { device = d; addr = -1 };
+      Fault.Flaky_reads { device = d; failures = 3; prob = Float.nan };
+      Fault.Flaky_reads { device = d; failures = 3; prob = 0.0 };
+      Fault.Flaky_reads { device = d; failures = 3; prob = 1.5 };
+      Fault.Flaky_reads { device = d; failures = 0; prob = 0.5 };
+      Fault.Flaky_reads { device = d; failures = -2; prob = 0.5 };
+      Fault.Disk_death { device = d; after_ios = -1 };
+      Fault.Tape_soft_errors { device = d; op = `Read; failures = 0 };
+      Fault.Tape_soft_errors { device = d; op = `Write; failures = -1 };
+      Fault.Tape_hard_error { device = d; record = -1 };
+      Fault.Tape_drive_death { device = d; after_records = -1 };
+      Fault.Nvram_loss { device = d; after_ops = -1 };
+      Fault.Packet_loss { device = d; losses = 3; prob = Float.nan };
+      Fault.Packet_loss { device = d; losses = 3; prob = -0.5 };
+      Fault.Packet_loss { device = d; losses = 0; prob = 0.5 };
+      Fault.Link_flap { device = d; after_frames = 4; down_frames = 0 };
+      Fault.Link_partition { device = d; after_frames = -1 };
+    ];
+  (* one bad spec refuses the whole plan *)
+  (match
+     Fault.plan
+       [
+         Fault.Torn_fsinfo_write { device = d };
+         Fault.Nvram_loss { device = d; after_ops = -1 };
+       ]
+   with
+  | _ -> Alcotest.fail "plan with one never-firing spec accepted"
+  | exception Fault.Invalid_spec _ -> ());
   (* the boundary cases that do fire are still accepted *)
-  ignore (Fault.plan [ Fault.Link_partition { device = "x"; after_frames = 0 } ]);
-  ignore (Fault.plan [ Fault.Link_flap { device = "x"; after_frames = -1; down_frames = 1 } ])
+  ignore
+    (Fault.plan
+       [
+         Fault.Latent_sector_error { device = d; addr = 0 };
+         Fault.Flaky_reads { device = d; failures = 1; prob = 1.0 };
+         Fault.Disk_death { device = d; after_ios = 0 };
+         Fault.Tape_soft_errors { device = d; op = `Read; failures = 1 };
+         Fault.Tape_hard_error { device = d; record = 0 };
+         Fault.Tape_drive_death { device = d; after_records = 0 };
+         Fault.Nvram_loss { device = d; after_ops = 0 };
+         Fault.Torn_fsinfo_write { device = d };
+         Fault.Packet_loss { device = d; losses = 1; prob = Float.min_float };
+         Fault.Link_partition { device = d; after_frames = 0 };
+         Fault.Link_flap { device = d; after_frames = -1; down_frames = 1 };
+       ])
 
 (* Identical fault-plan seeds against identical systems reproduce the
    journal and the retry counts exactly. *)
