@@ -22,6 +22,14 @@ let write w vol =
       Serde.write_fixed w b)
     w (List.rev !nonzero)
 
+let corrupt fmt = Printf.ksprintf (fun s -> raise (Serde.Corrupt ("RVOL1: " ^ s))) fmt
+
+let rec check_vbns size = function
+  | [] -> ()
+  | (vbn, _) :: rest ->
+    if vbn >= size then corrupt "vbn %d outside %d blocks" vbn size;
+    check_vbns size rest
+
 let read r =
   Serde.expect_magic r magic;
   let label = Serde.read_string r in
@@ -30,10 +38,16 @@ let read r =
   let blocks_per_disk = Serde.read_u32 r in
   let seek_ms = Serde.read_float r in
   let transfer_mb_s = Serde.read_float r in
+  if not (Float.is_finite seek_ms && seek_ms >= 0.0) then corrupt "seek time %h ms" seek_ms;
+  if not (Float.is_finite transfer_mb_s && transfer_mb_s > 0.0) then
+    corrupt "transfer rate %h MB/s" transfer_mb_s;
   let disk = { Disk.blocks = blocks_per_disk; seek_ms; transfer_mb_s } in
-  let vol =
-    Volume.create ~label (Volume.geometry ~groups ~disks_per_group ~disk ~blocks_per_disk ())
+  let geometry =
+    try Volume.geometry ~groups ~disks_per_group ~disk ~blocks_per_disk ()
+    with Invalid_argument _ ->
+      corrupt "geometry %d groups x %d disks x %d blocks" groups disks_per_group blocks_per_disk
   in
+  let vol = Volume.create ~label geometry in
   let blocks =
     Serde.read_list Serde.U32
       (fun r ->
@@ -41,6 +55,7 @@ let read r =
         (vbn, Serde.read_fixed r Block.size))
       r
   in
+  check_vbns (Volume.size_blocks vol) blocks;
   Volume.write_batch vol blocks;
   Volume.reset_stats vol;
   vol

@@ -9,4 +9,7 @@
 
 val write : Repro_util.Serde.writer -> Volume.t -> unit
 val read : Repro_util.Serde.reader -> Volume.t
-(** Raises [Serde.Corrupt] on malformed input. *)
+(** Raises [Serde.Corrupt] on malformed input, including a geometry
+    {!Volume.geometry} refuses, a seek time or transfer rate that is not
+    finite (or is negative, or a rate of zero) and a block number outside
+    the geometry. *)

@@ -94,7 +94,12 @@ let load r =
   let native_mb_s = read_float r in
   let compression = read_float r in
   let capacity_bytes = read_int r in
-  let params = Tape.params ~native_mb_s ~compression ~capacity_bytes () in
+  if not (Float.is_finite native_mb_s && Float.is_finite compression) then
+    raise (Corrupt "RLIB1: drive parameter not finite");
+  let params =
+    try Tape.params ~native_mb_s ~compression ~capacity_bytes ()
+    with Invalid_argument _ -> raise (Corrupt "RLIB1: drive parameter not positive")
+  in
   let blanks = read_u16 r in
   let written = read_array U16 Tape.read_media r in
   { (create ~params ~label ()) with blanks; written }

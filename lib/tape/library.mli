@@ -45,6 +45,7 @@ val save : Repro_util.Serde.writer -> t -> unit
     count of remaining blanks. *)
 
 val load : Repro_util.Serde.reader -> t
-(** Raises [Serde.Corrupt] on malformed input. The loaded stacker has no
+(** Raises [Serde.Corrupt] on malformed input, including a drive
+    parameter that is not finite or not positive. The loaded stacker has no
     cartridge in the drive; reading starts with {!rewind_to_start}, new
     writes with {!load_next}. *)

@@ -5,7 +5,7 @@ let dlt7000 =
 
 let params ?(native_mb_s = 5.0) ?(compression = 1.7)
     ?(capacity_bytes = 35_000_000_000) () =
-  if native_mb_s <= 0.0 || compression <= 0.0 || capacity_bytes <= 0 then
+  if not (native_mb_s > 0.0 && compression > 0.0) || capacity_bytes <= 0 then
     invalid_arg "Tape.params";
   { native_mb_s; compression; capacity_bytes }
 

@@ -25,6 +25,8 @@ val dlt7000 : params
 
 val params :
   ?native_mb_s:float -> ?compression:float -> ?capacity_bytes:int -> unit -> params
+(** Raises [Invalid_argument] unless every value is positive (a NaN is
+    not). *)
 
 type media
 (** A removable cartridge. *)

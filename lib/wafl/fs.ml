@@ -270,10 +270,9 @@ let get_ftree t ino =
       Itbl.add t.ftrees ino ft;
       ft
 
-let set_inode t ft inode =
+let set_inode ft inode =
   ft.f_inode <- inode;
-  ft.f_meta_dirty <- true;
-  ignore t
+  ft.f_meta_dirty <- true
 
 (* ------------------------------------------------------------------ *)
 (* Quota-tree accounting: file-data bytes per qtree id                 *)
@@ -299,10 +298,8 @@ let qtree_check t qid growth =
 (* ------------------------------------------------------------------ *)
 (* Directories                                                         *)
 
-let dir_nblocks inode = Inode.nblocks inode
-
 let dir_iter_blocks t ft f =
-  let n = dir_nblocks ft.f_inode in
+  let n = Inode.nblocks ft.f_inode in
   let rec loop lbn = if lbn < n then if f lbn (ftree_read_block t ft lbn) then () else loop (lbn + 1) in
   loop 0
 
@@ -316,8 +313,9 @@ let rec dir_find_from t ft ~nblocks lbn s ~pos ~len =
 
 let dir_lookup t dir_ino name =
   let ft = get_ftree t dir_ino in
+  if ft.f_inode.Inode.kind <> Inode.Directory then err "inode %d: not a directory" dir_ino;
   let ino =
-    dir_find_from t ft ~nblocks:(dir_nblocks ft.f_inode) 0 name ~pos:0 ~len:(String.length name)
+    dir_find_from t ft ~nblocks:(Inode.nblocks ft.f_inode) 0 name ~pos:0 ~len:(String.length name)
   in
   if ino < 0 then None else Some ino
 
@@ -328,6 +326,10 @@ let dir_entries t dir_ino =
       acc := !acc @ Dir.entries b;
       false);
   !acc
+
+(* The entries other than "." and "..". *)
+let named entries =
+  List.filter (fun (n, _) -> not (String.equal n "." || String.equal n "..")) entries
 
 (* Edit the first block [pick] accepts, in place; whether one did. *)
 let dir_edit t ft pick edit =
@@ -342,14 +344,14 @@ let dir_add t dir_ino name ino =
   let ft = get_ftree t dir_ino in
   let placed = dir_edit t ft (fun b -> Dir.fits b name) (fun b -> Dir.add b name ino) in
   if not placed then begin
-    let lbn = dir_nblocks ft.f_inode in
+    let lbn = Inode.nblocks ft.f_inode in
     let b = Dir.empty_block () in
     if not (Dir.add b name ino) then err "directory entry too large";
     ftree_write_block t ft lbn (Owned b);
-    set_inode t ft
+    set_inode ft
       { ft.f_inode with size = (lbn + 1) * Block.size; mtime = t.config.now () }
   end
-  else set_inode t ft { ft.f_inode with mtime = t.config.now () }
+  else set_inode ft { ft.f_inode with mtime = t.config.now () }
 
 let has name b = Option.is_some (Dir.find b name)
 
@@ -357,7 +359,7 @@ let dir_remove t dir_ino name =
   let ft = get_ftree t dir_ino in
   if not (dir_edit t ft (has name) (fun b -> Dir.remove b name)) then
     err "no such directory entry %S" name;
-  set_inode t ft { ft.f_inode with mtime = t.config.now () }
+  set_inode ft { ft.f_inode with mtime = t.config.now () }
 
 let dir_replace t dir_ino name ino =
   let ft = get_ftree t dir_ino in
@@ -394,7 +396,7 @@ let rec namei_from t path n ino i =
         get_ftree t ino
     in
     if ft.f_inode.Inode.kind <> Inode.Directory then err "%S: not a directory" path;
-    let next = dir_find_from t ft ~nblocks:(dir_nblocks ft.f_inode) 0 path ~pos:i ~len:(j - i) in
+    let next = dir_find_from t ft ~nblocks:(Inode.nblocks ft.f_inode) 0 path ~pos:i ~len:(j - i) in
     if next < 0 then err "%S: no such file or directory" path;
     namei_from t path n next j
   end
@@ -405,6 +407,16 @@ let namei t path =
   namei_from t path n Layout.root_ino 1
 
 let namei_opt t path = try Some (namei t path) with Error _ -> None
+
+(* Whether directory [dir] is [ino] or lies below it, up its ".." chain.
+   The blocks it reads are the ones the walk to [dir] has just cached. *)
+let rec below t dir ~ino =
+  dir = ino
+  || dir <> Layout.root_ino
+     &&
+     let ft = get_ftree t dir in
+     let up = dir_find_from t ft ~nblocks:(Inode.nblocks ft.f_inode) 0 ".." ~pos:0 ~len:2 in
+     up >= 0 && below t up ~ino
 
 let split_parent path =
   match List.rev (split_path path) with
@@ -555,7 +567,7 @@ let flush_xattrs t =
           vbn
         end
       in
-      set_inode t ft { ft.f_inode with xattr_vbn = vbn })
+      set_inode ft { ft.f_inode with xattr_vbn = vbn })
     items;
   Hashtbl.reset t.xattr_dirty
 
@@ -563,7 +575,7 @@ type capture = { cap_name : string; cap_plane : int }
 
 let p_cp = Repro_prof.Prof.probe "wafl.cp"
 
-let cp_internal t ?capture () =
+let take_cp t ?capture () =
   Repro_prof.Prof.with_probe p_cp @@ fun () ->
   alive t;
   (* 0. extended attributes (dirties inodes) *)
@@ -657,27 +669,26 @@ let cp_internal t ?capture () =
   t.ops_since_cp <- 0;
   t.dirty_count <- 0
 
-let cp t = cp_internal t ()
+let cp t = take_cp t ()
 
 (* ------------------------------------------------------------------ *)
 (* Operation logging and auto-CP                                       *)
 
 let log_op t op =
-  if not t.replaying then
-    match t.nvram with
-    | None -> ()
-    | Some nv -> (
-      charge_nvram t (Nvram.op_size op);
-      match Nvram.append nv ~tag:t.gen op with
-      | true -> ()
-      | false ->
-        (* NVRAM full: commit, which clears the log, then retry. *)
-        cp_internal t ();
-        if not (Nvram.append nv ~tag:t.gen op) then err "operation too large for NVRAM"
-      | exception Nvram.Failed label ->
-        (* Fail-stop: an unprotected mutation must not pretend to be
-           logged. The filer runs read-only until the NVRAM is replaced. *)
-        err "NVRAM %s has failed: operation not logged" label)
+  match t.nvram with
+  | None -> ()
+  | Some nv -> (
+    charge_nvram t (Nvram.op_size op);
+    match Nvram.append nv ~tag:t.gen op with
+    | true -> ()
+    | false ->
+      (* NVRAM full: commit, which clears the log, then retry. *)
+      take_cp t ();
+      if not (Nvram.append nv ~tag:t.gen op) then err "operation too large for NVRAM"
+    | exception Nvram.Failed label ->
+      (* Fail-stop: an unprotected mutation must not pretend to be
+         logged. The filer runs read-only until the NVRAM is replaced. *)
+      err "NVRAM %s has failed: operation not logged" label)
 
 let mutated t =
   t.ops_since_cp <- t.ops_since_cp + 1;
@@ -685,7 +696,7 @@ let mutated t =
     (not t.replaying)
     && t.config.auto_cp_ops > 0
     && t.ops_since_cp >= t.config.auto_cp_ops
-  then cp_internal t ()
+  then take_cp t ()
 
 (* ------------------------------------------------------------------ *)
 (* Namespace operations                                                *)
@@ -697,6 +708,10 @@ let getattr_ino t ino =
 let lookup t path =
   alive t;
   namei_opt t path
+
+let getattr t path =
+  alive t;
+  read_inode t (namei t path)
 
 let mknod t path ~perms ~kind =
   alive t;
@@ -723,31 +738,9 @@ let mknod t path ~perms ~kind =
   if kind = Inode.Directory then begin
     dir_add t ino "." ino;
     dir_add t ino ".." parent;
-    set_inode t ft { ft.f_inode with nlink = 2 }
+    set_inode ft { ft.f_inode with nlink = 2 }
   end;
-  mutated t;
   ino
-
-let create t path ~perms =
-  let ino = mknod t path ~perms ~kind:Inode.Regular in
-  log_op t (Nvram.Create_file { path; perms });
-  ino
-
-let mkdir t path ~perms =
-  let ino = mknod t path ~perms ~kind:Inode.Directory in
-  log_op t (Nvram.Mkdir { path; perms });
-  ino
-
-let rec mkdir_p t path =
-  if lookup t path = None then begin
-    mkdir_parents t path;
-    ignore (mkdir t path ~perms:0o755)
-  end
-
-and mkdir_parents t path =
-  match String.rindex_opt path '/' with
-  | None | Some 0 -> ()
-  | Some i -> mkdir_p t (String.sub path 0 i)
 
 let free_ftree_blocks t ft =
   Array.iteri
@@ -778,157 +771,17 @@ let unlink_ref t ~parent ~name ~ino =
   dir_remove t parent name;
   let ft = get_ftree t ino in
   if ft.f_inode.Inode.nlink > 1 then
-    set_inode t ft
+    set_inode ft
       { ft.f_inode with nlink = ft.f_inode.Inode.nlink - 1; ctime = t.config.now () }
   else drop_inode t ino
 
-let unlink_internal t path =
-  alive t;
-  let parent_path, name = split_parent path in
-  let parent = namei t parent_path in
-  let ino =
-    match dir_lookup t parent name with
-    | Some i -> i
-    | None -> err "%S: no such file" path
-  in
-  let inode = read_inode t ino in
-  (match inode.Inode.kind with
-  | Inode.Regular | Inode.Symlink -> ()
-  | Inode.Directory | Inode.Free -> err "%S: not a file" path);
-  charge_op t 3;
-  unlink_ref t ~parent ~name ~ino;
-  mutated t
-
-let unlink t path =
-  unlink_internal t path;
-  log_op t (Nvram.Unlink { path })
-
-let rmdir_internal t path =
-  alive t;
-  let parent_path, name = split_parent path in
-  let parent = namei t parent_path in
-  let ino =
-    match dir_lookup t parent name with
-    | Some i -> i
-    | None -> err "%S: no such directory" path
-  in
-  let inode = read_inode t ino in
-  if inode.Inode.kind <> Inode.Directory then err "%S: not a directory" path;
-  let entries =
-    List.filter
-      (fun (n, _) -> not (String.equal n "." || String.equal n ".."))
-      (dir_entries t ino)
-  in
-  if entries <> [] then err "%S: directory not empty" path;
-  charge_op t 3;
-  dir_remove t parent name;
-  drop_inode t ino;
-  mutated t
-
-let rmdir t path =
-  rmdir_internal t path;
-  log_op t (Nvram.Rmdir { path })
-
-let readdir t path =
-  alive t;
-  let ino = namei t path in
-  let inode = read_inode t ino in
-  if inode.Inode.kind <> Inode.Directory then err "%S: not a directory" path;
-  charge_op t 1;
-  List.filter
-    (fun (n, _) -> not (String.equal n "." || String.equal n ".."))
-    (dir_entries t ino)
-
-(* [Exit] implements the early return of the same-inode-destination case. *)
-let rec rename_internal t src dst = try rename_body t src dst with Exit -> ()
-
-and rename_body t src dst =
-  alive t;
-  let sparent_path, sname = split_parent src in
-  let dparent_path, dname = split_parent dst in
-  let sparent = namei t sparent_path in
-  let dparent = namei t dparent_path in
-  let ino =
-    match dir_lookup t sparent sname with
-    | Some i -> i
-    | None -> err "%S: no such file" src
-  in
-  charge_op t 4;
-  let same_entry = sparent = dparent && String.equal sname dname in
-  (match dir_lookup t dparent dname with
-  | Some existing when existing = ino ->
-    (* Destination is already a link to the same file: POSIX says the
-       source name simply goes away (no-op if it IS the source name). *)
-    if not same_entry then begin
-      unlink_ref t ~parent:sparent ~name:sname ~ino;
-      mutated t
-    end;
-    raise Exit
-  | Some existing ->
-    let einode = read_inode t existing in
-    (match einode.Inode.kind with
-    | Inode.Regular | Inode.Symlink ->
-      unlink_ref t ~parent:dparent ~name:dname ~ino:existing
-    | Inode.Directory -> err "%S: destination is a directory" dst
-    | Inode.Free -> err "%S: dangling entry" dst)
-  | None -> ());
-  dir_remove t sparent sname;
-  dir_add t dparent dname ino;
-  let inode = read_inode t ino in
-  if inode.Inode.kind = Inode.Directory && sparent <> dparent then
-    dir_replace t ino ".." dparent;
-  mutated t
-
-let rename t src dst =
-  rename_internal t src dst;
-  log_op t (Nvram.Rename { src; dst })
-
-let link_internal t existing path =
-  alive t;
-  let ino = namei t existing in
-  let inode = read_inode t ino in
-  if inode.Inode.kind <> Inode.Regular then
-    err "%S: hard links to directories are not allowed" existing;
-  let parent_path, name = split_parent path in
-  if String.length name > Layout.max_name_len then err "name too long";
-  let parent = namei t parent_path in
-  if dir_lookup t parent name <> None then err "%S: file exists" path;
-  charge_op t 3;
-  dir_add t parent name ino;
-  let ft = get_ftree t ino in
-  set_inode t ft
-    { ft.f_inode with nlink = ft.f_inode.Inode.nlink + 1; ctime = t.config.now () };
-  mutated t
-
-let link t existing path =
-  link_internal t existing path;
-  log_op t (Nvram.Link { existing; path })
-
-let symlink_internal t ~target path =
-  alive t;
-  if String.length target = 0 || String.length target > Block.size then
-    err "bad symlink target";
-  let ino = mknod t path ~perms:0o777 ~kind:Inode.Symlink in
-  let ft = get_ftree t ino in
-  let b = Block.zero () in
-  Bytes.blit_string target 0 b 0 (String.length target);
-  ftree_write_block t ft 0 (Owned b);
-  set_inode t ft { ft.f_inode with size = String.length target }
-
-let symlink t ~target path =
-  symlink_internal t ~target path;
-  log_op t (Nvram.Symlink { target; path })
-
-let readlink t path =
+let update_inode t path f =
   alive t;
   let ino = namei t path in
   let ft = get_ftree t ino in
-  if ft.f_inode.Inode.kind <> Inode.Symlink then err "%S: not a symlink" path;
   charge_op t 1;
-  String.sub (ftree_read_block t ft 0) 0 ft.f_inode.Inode.size
-
-(* ------------------------------------------------------------------ *)
-(* File I/O                                                            *)
+  set_inode ft (f ft.f_inode);
+  mutated t
 
 (* A cursor over the pieces of one write: [cur] is the piece being read
    from [cpos] on, [rest] the pieces after it. *)
@@ -955,50 +808,316 @@ let rec copy_pieces c dst dpos n =
     copy_pieces c dst (dpos + k) (n - k)
   end
 
-let write_internal t path ~offset pieces =
+let load_xattrs t ino =
+  match Hashtbl.find_opt t.xattr_dirty ino with
+  | Some l -> l
+  | None ->
+    let inode = read_inode t ino in
+    if inode.Inode.xattr_vbn = Layout.no_block then []
+    else decode_xattrs (vol_read t inode.Inode.xattr_vbn)
+
+(* The length of [encode_xattrs attrs], without encoding: a u16 count,
+   then a u32-prefixed name and value per attribute (FORMATS.md §4). *)
+let xattrs_size attrs =
+  List.fold_left (fun n (k, v) -> n + 8 + String.length k + String.length v) 2 attrs
+
+(* ------------------------------------------------------------------ *)
+(* The mutation interpreter                                            *)
+
+(* The one body of every logged mutation: a live call runs its op here
+   and then logs it, and mount replays the log through here. The result
+   is the inode a [Create_file] or [Mkdir] made; -1 for any other op. *)
+let apply t (op : Nvram.op) =
+  match op with
+  | Create_file { path; perms } ->
+    let ino = mknod t path ~perms ~kind:Inode.Regular in
+    mutated t;
+    ino
+  | Mkdir { path; perms } ->
+    let ino = mknod t path ~perms ~kind:Inode.Directory in
+    mutated t;
+    ino
+  | Write { path; offset; data = pieces } ->
+    alive t;
+    if offset < 0 then err "negative offset";
+    let ino = namei t path in
+    let inode = read_inode t ino in
+    if inode.Inode.kind <> Inode.Regular then err "%S: not a regular file" path;
+    let ft = get_ftree t ino in
+    let len = List.fold_left (fun n p -> n + String.length p) 0 pieces in
+    let growth = Stdlib.max 0 (offset + len - ft.f_inode.Inode.size) in
+    qtree_check t ft.f_inode.Inode.qtree growth;
+    charge_op t 1;
+    charge_write t len;
+    let c = { cur = ""; cpos = 0; rest = pieces } in
+    let pos = ref 0 in
+    while !pos < len do
+      let abs = offset + !pos in
+      let lbn = abs / Block.size in
+      let boff = abs mod Block.size in
+      let chunk = Stdlib.min (Block.size - boff) (len - !pos) in
+      next_piece c;
+      if chunk = Block.size && c.cpos = 0 && String.length c.cur = Block.size then begin
+        (* a piece that is a whole aligned block is lent, not copied *)
+        ftree_write_block t ft lbn (Lent c.cur);
+        c.cpos <- Block.size
+      end
+      else if chunk = Block.size then begin
+        (* a whole block: every byte is overwritten, so no zero fill *)
+        let block = Bytes.create Block.size in
+        copy_pieces c block 0 chunk;
+        ftree_write_block t ft lbn (Owned block)
+      end
+      else copy_pieces c (ftree_own_block t ft lbn) boff chunk;
+      pos := !pos + chunk
+    done;
+    let new_size = Stdlib.max ft.f_inode.Inode.size (offset + len) in
+    qtree_charge t ft.f_inode.Inode.qtree growth;
+    set_inode ft { ft.f_inode with size = new_size; mtime = t.config.now () };
+    mutated t;
+    -1
+  | Truncate { path; size } ->
+    alive t;
+    if size < 0 then err "negative size";
+    let ino = namei t path in
+    let inode = read_inode t ino in
+    if inode.Inode.kind <> Inode.Regular then err "%S: not a regular file" path;
+    let ft = get_ftree t ino in
+    let old_n = Inode.nblocks ft.f_inode in
+    let new_n = Block.blocks_for size in
+    qtree_check t ft.f_inode.Inode.qtree (size - ft.f_inode.Inode.size);
+    qtree_charge t ft.f_inode.Inode.qtree (size - ft.f_inode.Inode.size);
+    charge_op t 1;
+    for lbn = new_n to old_n - 1 do
+      if Itbl.mem ft.f_dirty lbn then begin
+        Itbl.remove ft.f_dirty lbn;
+        t.dirty_count <- t.dirty_count - 1
+      end;
+      if lbn < Array.length ft.f_ptrs && ft.f_ptrs.(lbn) <> Layout.no_block then begin
+        free_block t ft.f_ptrs.(lbn);
+        ft.f_ptrs.(lbn) <- Layout.no_block
+      end
+    done;
+    if new_n > 0 && size mod Block.size <> 0 && size < ft.f_inode.Inode.size then begin
+      (* Zero the tail of the final partial block so later extension reads
+         zeros, not stale bytes. *)
+      let lbn = new_n - 1 in
+      let keep = size mod Block.size in
+      Bytes.fill (ftree_own_block t ft lbn) keep (Block.size - keep) '\000'
+    end;
+    ft.f_data_dirty <- true;
+    set_inode ft { ft.f_inode with size; mtime = t.config.now () };
+    mutated t;
+    -1
+  | Unlink { path } ->
+    alive t;
+    let parent_path, name = split_parent path in
+    let parent = namei t parent_path in
+    let ino =
+      match dir_lookup t parent name with Some i -> i | None -> err "%S: no such file" path
+    in
+    (match (read_inode t ino).Inode.kind with
+    | Inode.Regular | Inode.Symlink -> ()
+    | Inode.Directory | Inode.Free -> err "%S: not a file" path);
+    charge_op t 3;
+    unlink_ref t ~parent ~name ~ino;
+    mutated t;
+    -1
+  | Rmdir { path } ->
+    alive t;
+    let parent_path, name = split_parent path in
+    let parent = namei t parent_path in
+    let ino =
+      match dir_lookup t parent name with
+      | Some i -> i
+      | None -> err "%S: no such directory" path
+    in
+    if (read_inode t ino).Inode.kind <> Inode.Directory then
+      err "%S: not a directory" path;
+    if named (dir_entries t ino) <> [] then err "%S: directory not empty" path;
+    charge_op t 3;
+    dir_remove t parent name;
+    drop_inode t ino;
+    mutated t;
+    -1
+  | Rename { src; dst } ->
+    alive t;
+    let sparent_path, sname = split_parent src in
+    let dparent_path, dname = split_parent dst in
+    let sparent = namei t sparent_path in
+    let dparent = namei t dparent_path in
+    let ino =
+      match dir_lookup t sparent sname with Some i -> i | None -> err "%S: no such file" src
+    in
+    charge_op t 4;
+    (match dir_lookup t dparent dname with
+    | Some existing when existing = ino ->
+      (* Destination is already a link to the same file: POSIX says the
+         source name simply goes away (no-op if it IS the source name). *)
+      if not (sparent = dparent && String.equal sname dname) then begin
+        unlink_ref t ~parent:sparent ~name:sname ~ino;
+        mutated t
+      end
+    | existing ->
+      (* a directory moved below itself would be cut off from the root *)
+      if sparent <> dparent && below t dparent ~ino then
+        err "%S: would move %S below itself" dst src;
+      (match existing with
+      | Some existing -> (
+        match (read_inode t existing).Inode.kind with
+        | Inode.Regular | Inode.Symlink ->
+          unlink_ref t ~parent:dparent ~name:dname ~ino:existing
+        | Inode.Directory -> err "%S: destination is a directory" dst
+        | Inode.Free -> err "%S: dangling entry" dst)
+      | None -> ());
+      dir_remove t sparent sname;
+      dir_add t dparent dname ino;
+      if (read_inode t ino).Inode.kind = Inode.Directory && sparent <> dparent then
+        dir_replace t ino ".." dparent;
+      mutated t);
+    -1
+  | Link { existing; path } ->
+    alive t;
+    let ino = namei t existing in
+    if (read_inode t ino).Inode.kind <> Inode.Regular then
+      err "%S: hard links to directories are not allowed" existing;
+    let parent_path, name = split_parent path in
+    if String.length name > Layout.max_name_len then err "name too long";
+    let parent = namei t parent_path in
+    if dir_lookup t parent name <> None then err "%S: file exists" path;
+    charge_op t 3;
+    dir_add t parent name ino;
+    let ft = get_ftree t ino in
+    set_inode ft
+      { ft.f_inode with nlink = ft.f_inode.Inode.nlink + 1; ctime = t.config.now () };
+    mutated t;
+    -1
+  | Symlink { target; path } ->
+    alive t;
+    if String.length target = 0 || String.length target > Block.size then
+      err "bad symlink target";
+    let ino = mknod t path ~perms:0o777 ~kind:Inode.Symlink in
+    let ft = get_ftree t ino in
+    let b = Block.zero () in
+    Bytes.blit_string target 0 b 0 (String.length target);
+    ftree_write_block t ft 0 (Owned b);
+    set_inode ft { ft.f_inode with size = String.length target };
+    (* counted once the link is whole, so an auto-CP cannot split it *)
+    mutated t;
+    -1
+  | Set_xattr { path; name; value } ->
+    alive t;
+    let ino = namei t path in
+    let attrs = List.remove_assoc name (load_xattrs t ino) @ [ (name, value) ] in
+    if xattrs_size attrs > Block.size then
+      err "%S: xattrs would overflow a %d-byte block" path Block.size;
+    charge_op t 1;
+    charge_write t (String.length name + String.length value);
+    Hashtbl.replace t.xattr_dirty ino attrs;
+    (* ensure the ftree is loaded so the CP path flushes the inode *)
+    ignore (get_ftree t ino);
+    mutated t;
+    -1
+  | Remove_xattr { path; name } ->
+    alive t;
+    let ino = namei t path in
+    charge_op t 1;
+    let attrs = load_xattrs t ino in
+    if List.mem_assoc name attrs then begin
+      Hashtbl.replace t.xattr_dirty ino (List.remove_assoc name attrs);
+      ignore (get_ftree t ino);
+      mutated t
+    end;
+    -1
+  | Set_dos_flags { path; flags } ->
+    update_inode t path (fun i -> { i with dos_flags = flags });
+    -1
+  | Set_perms { path; perms } ->
+    update_inode t path (fun i -> { i with perms });
+    -1
+  | Set_owner { path; uid; gid } ->
+    update_inode t path (fun i -> { i with uid; gid });
+    -1
+  | Set_qtree { path; qtree } ->
+    (* Ids are never handed out twice, also after a replayed
+       [qtree_create]. *)
+    t.next_qtree <- Stdlib.max t.next_qtree (qtree + 1);
+    (* moving a tree root between qtrees moves its accounted bytes *)
+    let attr = getattr t path in
+    if attr.Inode.kind = Inode.Regular then begin
+      qtree_charge t attr.Inode.qtree (-attr.Inode.size);
+      qtree_charge t qtree attr.Inode.size
+    end;
+    update_inode t path (fun i -> { i with qtree });
+    -1
+  | Set_qtree_limit { path; limit } ->
+    let qtree = (getattr t path).Inode.qtree in
+    if qtree = 0 then err "%S is not in a quota tree" path;
+    (match limit with
+    | Some l when l >= 0 -> Hashtbl.replace t.qtree_limits qtree l
+    | Some _ -> err "negative quota limit"
+    | None -> Hashtbl.remove t.qtree_limits qtree);
+    mutated t;
+    -1
+
+(* A live mutation: run it, then log it. *)
+let perform t op =
+  let ino = apply t op in
+  log_op t op;
+  ino
+
+let run t op = ignore (perform t op : int)
+
+(* ------------------------------------------------------------------ *)
+(* Public mutators and queries                                         *)
+
+let create t path ~perms = perform t (Nvram.Create_file { path; perms })
+let mkdir t path ~perms = perform t (Nvram.Mkdir { path; perms })
+
+let rec mkdir_p t path =
+  if lookup t path = None then begin
+    mkdir_parents t path;
+    ignore (mkdir t path ~perms:0o755)
+  end
+
+and mkdir_parents t path =
+  match String.rindex_opt path '/' with
+  | None | Some 0 -> ()
+  | Some i -> mkdir_p t (String.sub path 0 i)
+
+let unlink t path = run t (Nvram.Unlink { path })
+let rmdir t path = run t (Nvram.Rmdir { path })
+let rename t src dst = run t (Nvram.Rename { src; dst })
+let link t existing path = run t (Nvram.Link { existing; path })
+let symlink t ~target path = run t (Nvram.Symlink { target; path })
+let writev t path ~offset pieces = run t (Nvram.Write { path; offset; data = pieces })
+let write t path ~offset data = writev t path ~offset [ data ]
+let truncate t path ~size = run t (Nvram.Truncate { path; size })
+let set_perms t path ~perms = run t (Nvram.Set_perms { path; perms })
+let set_owner t path ~uid ~gid = run t (Nvram.Set_owner { path; uid; gid })
+let set_dos_flags t path ~flags = run t (Nvram.Set_dos_flags { path; flags })
+
+(* Not logged: a crash before the next CP loses it. *)
+let set_times t path ~mtime = update_inode t path (fun i -> { i with mtime })
+
+let set_xattr t path ~name ~value = run t (Nvram.Set_xattr { path; name; value })
+let remove_xattr t path ~name = run t (Nvram.Remove_xattr { path; name })
+
+let readdir t path =
   alive t;
-  if offset < 0 then err "negative offset";
   let ino = namei t path in
   let inode = read_inode t ino in
-  if inode.Inode.kind <> Inode.Regular then err "%S: not a regular file" path;
-  let ft = get_ftree t ino in
-  let len = List.fold_left (fun n p -> n + String.length p) 0 pieces in
-  let growth = Stdlib.max 0 (offset + len - ft.f_inode.Inode.size) in
-  qtree_check t ft.f_inode.Inode.qtree growth;
+  if inode.Inode.kind <> Inode.Directory then err "%S: not a directory" path;
   charge_op t 1;
-  charge_write t len;
-  let c = { cur = ""; cpos = 0; rest = pieces } in
-  let pos = ref 0 in
-  while !pos < len do
-    let abs = offset + !pos in
-    let lbn = abs / Block.size in
-    let boff = abs mod Block.size in
-    let chunk = Stdlib.min (Block.size - boff) (len - !pos) in
-    next_piece c;
-    if chunk = Block.size && c.cpos = 0 && String.length c.cur = Block.size then begin
-      (* a piece that is a whole aligned block is lent, not copied *)
-      ftree_write_block t ft lbn (Lent c.cur);
-      c.cpos <- Block.size
-    end
-    else if chunk = Block.size then begin
-      (* a whole block: every byte is overwritten, so no zero fill *)
-      let block = Bytes.create Block.size in
-      copy_pieces c block 0 chunk;
-      ftree_write_block t ft lbn (Owned block)
-    end
-    else copy_pieces c (ftree_own_block t ft lbn) boff chunk;
-    pos := !pos + chunk
-  done;
-  let new_size = Stdlib.max ft.f_inode.Inode.size (offset + len) in
-  qtree_charge t ft.f_inode.Inode.qtree growth;
-  set_inode t ft { ft.f_inode with size = new_size; mtime = t.config.now () };
-  mutated t
+  named (dir_entries t ino)
 
-let writev t path ~offset pieces =
-  write_internal t path ~offset pieces;
-  log_op t (Nvram.Write { path; offset; data = pieces })
-
-let write t path ~offset data = writev t path ~offset [ data ]
+let readlink t path =
+  alive t;
+  let ino = namei t path in
+  let ft = get_ftree t ino in
+  if ft.f_inode.Inode.kind <> Inode.Symlink then err "%S: not a symlink" path;
+  charge_op t 1;
+  String.sub (ftree_read_block t ft 0) 0 ft.f_inode.Inode.size
 
 let read t path ~offset ~len =
   alive t;
@@ -1023,114 +1142,10 @@ let read t path ~offset ~len =
   done;
   Bytes.unsafe_to_string out
 
-let truncate_internal t path ~size =
-  alive t;
-  if size < 0 then err "negative size";
-  let ino = namei t path in
-  let inode = read_inode t ino in
-  if inode.Inode.kind <> Inode.Regular then err "%S: not a regular file" path;
-  let ft = get_ftree t ino in
-  let old_n = Inode.nblocks ft.f_inode in
-  let new_n = Block.blocks_for size in
-  qtree_check t ft.f_inode.Inode.qtree (size - ft.f_inode.Inode.size);
-  qtree_charge t ft.f_inode.Inode.qtree (size - ft.f_inode.Inode.size);
-  charge_op t 1;
-  for lbn = new_n to old_n - 1 do
-    if Itbl.mem ft.f_dirty lbn then begin
-      Itbl.remove ft.f_dirty lbn;
-      t.dirty_count <- t.dirty_count - 1
-    end;
-    if lbn < Array.length ft.f_ptrs && ft.f_ptrs.(lbn) <> Layout.no_block then begin
-      free_block t ft.f_ptrs.(lbn);
-      ft.f_ptrs.(lbn) <- Layout.no_block
-    end
-  done;
-  if new_n > 0 && size mod Block.size <> 0 && size < ft.f_inode.Inode.size then begin
-    (* Zero the tail of the final partial block so later extension reads
-       zeros, not stale bytes. *)
-    let lbn = new_n - 1 in
-    let keep = size mod Block.size in
-    Bytes.fill (ftree_own_block t ft lbn) keep (Block.size - keep) '\000'
-  end;
-  ft.f_data_dirty <- true;
-  set_inode t ft { ft.f_inode with size; mtime = t.config.now () };
-  mutated t
-
-let truncate t path ~size =
-  truncate_internal t path ~size;
-  log_op t (Nvram.Truncate { path; size })
-
-let getattr t path =
-  alive t;
-  read_inode t (namei t path)
-
-let update_inode t path f =
-  alive t;
-  let ino = namei t path in
-  let ft = get_ftree t ino in
-  charge_op t 1;
-  set_inode t ft (f ft.f_inode);
-  mutated t
-
-let set_perms t path ~perms =
-  update_inode t path (fun i -> { i with perms });
-  log_op t (Nvram.Set_perms { path; perms })
-
-let set_owner t path ~uid ~gid =
-  update_inode t path (fun i -> { i with uid; gid });
-  log_op t (Nvram.Set_owner { path; uid; gid })
-
-let set_dos_flags t path ~flags =
-  update_inode t path (fun i -> { i with dos_flags = flags });
-  log_op t (Nvram.Set_dos_flags { path; flags })
-
-let set_times t path ~mtime = update_inode t path (fun i -> { i with mtime })
-
-(* ------------------------------------------------------------------ *)
-(* Extended attributes                                                 *)
-
-let load_xattrs t ino =
-  match Hashtbl.find_opt t.xattr_dirty ino with
-  | Some l -> l
-  | None ->
-    let inode = read_inode t ino in
-    if inode.Inode.xattr_vbn = Layout.no_block then []
-    else decode_xattrs (vol_read t inode.Inode.xattr_vbn)
-
-let set_xattr_internal t path ~name ~value =
-  alive t;
-  let ino = namei t path in
-  charge_op t 1;
-  charge_write t (String.length name + String.length value);
-  let attrs = List.remove_assoc name (load_xattrs t ino) @ [ (name, value) ] in
-  Hashtbl.replace t.xattr_dirty ino attrs;
-  (* ensure the ftree is loaded so the CP path flushes the inode *)
-  ignore (get_ftree t ino);
-  mutated t
-
-let set_xattr t path ~name ~value =
-  set_xattr_internal t path ~name ~value;
-  log_op t (Nvram.Set_xattr { path; name; value })
-
 let get_xattr t path ~name =
   alive t;
   let ino = namei t path in
   List.assoc_opt name (load_xattrs t ino)
-
-let remove_xattr_internal t path ~name =
-  alive t;
-  let ino = namei t path in
-  charge_op t 1;
-  let attrs = load_xattrs t ino in
-  if List.mem_assoc name attrs then begin
-    Hashtbl.replace t.xattr_dirty ino (List.remove_assoc name attrs);
-    ignore (get_ftree t ino);
-    mutated t
-  end
-
-let remove_xattr t path ~name =
-  remove_xattr_internal t path ~name;
-  log_op t (Nvram.Remove_xattr { path; name })
 
 let xattrs t path =
   alive t;
@@ -1139,24 +1154,10 @@ let xattrs t path =
 (* ------------------------------------------------------------------ *)
 (* Quota trees                                                         *)
 
-let set_qtree_internal t path ~qtree =
-  (* moving a tree root between qtrees moves its accounted bytes *)
-  let attr = getattr t path in
-  if attr.Inode.kind = Inode.Regular then begin
-    qtree_charge t attr.Inode.qtree (-attr.Inode.size);
-    qtree_charge t qtree attr.Inode.size
-  end;
-  update_inode t path (fun i -> { i with qtree })
-
-let set_qtree t path ~qtree =
-  set_qtree_internal t path ~qtree;
-  log_op t (Nvram.Set_qtree { path; qtree })
-
 let qtree_create t path ~perms =
   let _ino = mkdir t path ~perms in
   let id = t.next_qtree in
-  t.next_qtree <- t.next_qtree + 1;
-  set_qtree t path ~qtree:id;
+  run t (Nvram.Set_qtree { path; qtree = id });
   id
 
 let qtree_of t path = (getattr t path).Inode.qtree
@@ -1165,21 +1166,7 @@ let qtree_usage t ~qtree =
   match Hashtbl.find_opt t.qtree_used qtree with Some r -> !r | None -> 0
 
 let qtree_limit t ~qtree = Hashtbl.find_opt t.qtree_limits qtree
-
-let set_qtree_limit_internal t path ~limit =
-  let qtree = (getattr t path).Inode.qtree in
-  if qtree = 0 then err "%S is not in a quota tree" path;
-  (match limit with
-  | Some l when l >= 0 -> Hashtbl.replace t.qtree_limits qtree l
-  | Some _ -> err "negative quota limit"
-  | None -> Hashtbl.remove t.qtree_limits qtree);
-  mutated t
-
-let set_qtree_limit t path ~limit =
-  set_qtree_limit_internal t path ~limit;
-  log_op t
-    (Nvram.Set_qtree_limit
-       { path; limit = (match limit with Some l -> l | None -> -1) })
+let set_qtree_limit t path ~limit = run t (Nvram.Set_qtree_limit { path; limit })
 
 let qtree_limit_list t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.qtree_limits []
@@ -1206,7 +1193,7 @@ let snapshot_create t name =
     in
     pick 1
   in
-  cp_internal t ~capture:{ cap_name = name; cap_plane = plane } ()
+  take_cp t ~capture:{ cap_name = name; cap_plane = plane } ()
 
 let snapshot_delete t name =
   alive t;
@@ -1216,7 +1203,7 @@ let snapshot_delete t name =
     t.snaps <-
       List.filter (fun (s : Fsinfo.snap_entry) -> s.snap_id <> entry.snap_id) t.snaps;
     Blockmap.clear_plane t.bmap entry.plane;
-    cp_internal t ()
+    take_cp t ()
 
 let snapshots t =
   List.map
@@ -1334,7 +1321,7 @@ module View = struct
       in
       acc := !acc @ Dir.entries b
     done;
-    List.filter (fun (n, _) -> not (String.equal n "." || String.equal n "..")) !acc
+    named !acc
 
   let xattrs v ino =
     let inode = getattr v ino in
@@ -1354,7 +1341,7 @@ end
 
 let active_view t =
   alive t;
-  cp_internal t ();
+  take_cp t ();
   View.make t t.root
 
 let snapshot_view t name =
@@ -1465,7 +1452,7 @@ let mkfs ?config ?nvram vol =
   Itbl.replace t.ftrees Layout.root_ino root_ft;
   dir_add t Layout.root_ino "." Layout.root_ino;
   dir_add t Layout.root_ino ".." Layout.root_ino;
-  cp_internal t ();
+  take_cp t ();
   t
 
 let read_fsinfo vol =
@@ -1477,27 +1464,6 @@ let read_fsinfo vol =
   | Some a, None -> Some a
   | None, Some b -> Some b
   | None, None -> None
-
-let replay_op t op =
-  match op with
-  | Nvram.Create_file { path; perms } -> ignore (mknod t path ~perms ~kind:Inode.Regular)
-  | Nvram.Mkdir { path; perms } -> ignore (mknod t path ~perms ~kind:Inode.Directory)
-  | Nvram.Write { path; offset; data } -> write_internal t path ~offset data
-  | Nvram.Truncate { path; size } -> truncate_internal t path ~size
-  | Nvram.Unlink { path } -> unlink_internal t path
-  | Nvram.Rmdir { path } -> rmdir_internal t path
-  | Nvram.Rename { src; dst } -> rename_internal t src dst
-  | Nvram.Link { existing; path } -> link_internal t existing path
-  | Nvram.Symlink { target; path } -> symlink_internal t ~target path
-  | Nvram.Set_xattr { path; name; value } -> set_xattr_internal t path ~name ~value
-  | Nvram.Remove_xattr { path; name } -> remove_xattr_internal t path ~name
-  | Nvram.Set_dos_flags { path; flags } ->
-    update_inode t path (fun i -> { i with dos_flags = flags })
-  | Nvram.Set_perms { path; perms } -> update_inode t path (fun i -> { i with perms })
-  | Nvram.Set_owner { path; uid; gid } -> update_inode t path (fun i -> { i with uid; gid })
-  | Nvram.Set_qtree { path; qtree } -> set_qtree_internal t path ~qtree
-  | Nvram.Set_qtree_limit { path; limit } ->
-    set_qtree_limit_internal t path ~limit:(if limit < 0 then None else Some limit)
 
 let mount ?config ?nvram vol =
   let config = match config with Some c -> c | None -> default_config () in
@@ -1563,10 +1529,10 @@ let mount ?config ?nvram vol =
       if ops <> [] then begin
         t.replaying <- true;
         List.iter
-          (fun op -> try replay_op t op with Error _ -> () (* idempotent replay *))
+          (fun op -> try ignore (apply t op : int) with Error _ -> () (* idempotent replay *))
           ops;
         t.replaying <- false;
-        cp_internal t ()
+        take_cp t ()
       end
     | None -> ());
     t
@@ -1602,7 +1568,7 @@ let inode_count t = Bitmap.count t.ino_used
 
 let fsck_with t ~repair =
   alive t;
-  cp_internal t ();
+  take_cp t ();
   let repairs = ref [] in
   let repaired fmt = Format.kasprintf (fun m -> repairs := m :: !repairs) fmt in
   let problems = ref [] in
@@ -1702,13 +1668,13 @@ let fsck_with t ~repair =
           count;
         if repair then begin
           let ft = get_ftree t ino in
-          set_inode t ft { ft.f_inode with nlink = count };
+          set_inode ft { ft.f_inode with nlink = count };
           write_inode_slot t ino ft.f_inode;
           repaired "fixed nlink of inode %d to %d" ino count
         end
       end)
     refs;
-  if repair && !repairs <> [] then cp_internal t ();
+  if repair && !repairs <> [] then take_cp t ();
   let problems = List.rev !problems and repairs = List.rev !repairs in
   (problems, repairs)
 

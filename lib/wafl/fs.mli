@@ -15,8 +15,10 @@
       leaves the most recent CP intact.
     - Snapshots duplicate the root data structure and capture plane 0 of
       the block map into the snapshot's plane, all inside a single CP.
-    - An attached {!Nvram.t} logs operations since the last CP and is
-      replayed at mount.
+    - An attached {!Nvram.t} logs each mutation since the last CP as the
+      {!Nvram.op} that describes it, and mount replays the log through the
+      very code that ran each op live. {!set_times} is not logged: a crash
+      before the next CP loses it.
 
     Paths are slash-separated, rooted at ["/"]. The file system is
     single-writer (one simulated filer). *)
@@ -103,7 +105,8 @@ val rmdir : t -> string -> unit
 val rename : t -> string -> string -> unit
 (** Atomic; replaces an existing destination file (if the destination is
     another name for the same file, the source name is simply removed, as
-    POSIX specifies). *)
+    POSIX specifies). Raises [Error] if the destination lies below the
+    source. *)
 
 val link : t -> string -> string -> unit
 (** [link t existing path]: a hard link — another name for the same
@@ -153,11 +156,13 @@ val set_perms : t -> string -> perms:int -> unit
 val set_owner : t -> string -> uid:int -> gid:int -> unit
 val set_dos_flags : t -> string -> flags:int -> unit
 val set_times : t -> string -> mtime:float -> unit
+(** Not logged in NVRAM: a crash before the next CP loses the stamp. *)
 
 val set_xattr : t -> string -> name:string -> value:string -> unit
 (** Extended attributes: the multi-protocol extras (DOS 8.3 name, NT ACL)
     the NetApp dump carries as format extensions. Stored in one 4 KB block
-    per file; total must fit. *)
+    per file: a value that would outgrow it raises [Error] at the call,
+    which after its path walk charges, changes and logs nothing. *)
 
 val get_xattr : t -> string -> name:string -> string option
 val remove_xattr : t -> string -> name:string -> unit

@@ -14,7 +14,7 @@ type op =
   | Set_perms of { path : string; perms : int }
   | Set_owner of { path : string; uid : int; gid : int }
   | Set_qtree of { path : string; qtree : int }
-  | Set_qtree_limit of { path : string; limit : int }
+  | Set_qtree_limit of { path : string; limit : int option }
 
 exception Failed of string
 

@@ -951,6 +951,68 @@ let test_claimed_counts_refused () =
         fun s -> ignore (Restore.load_session ~fs:(Lazy.force session_fs) s) );
     ]
 
+(* Decoded values a constructor would refuse are damage too: each image
+   below is well formed byte for byte, but names a block outside its
+   volume, a geometry Volume.geometry refuses, or a disk or drive rate no
+   device can have. Each must be [Serde.Corrupt], never
+   [Invalid_argument] or a silent load. *)
+let rvol1 ?(groups = 1) ?(disks = 3) ?(blocks = 10) ?(seek = 8.0) ?(rate = 10.0)
+    ?(vbn = 5) () =
+  let w = Serde.writer () in
+  Serde.write_fixed w "RVOL1";
+  Serde.write_string w "v";
+  Serde.write_u16 w groups;
+  Serde.write_u16 w disks;
+  Serde.write_u32 w blocks;
+  Serde.write_float w seek;
+  Serde.write_float w rate;
+  Serde.write_list Serde.U32
+    (fun w vbn ->
+      Serde.write_u32 w vbn;
+      Serde.write_fixed w (String.make Repro_block.Block.size 'x'))
+    w [ vbn ];
+  Serde.contents w
+
+let rlib1_drive ?(rate = 5.0) ?(compression = 1.7) ?(capacity = 1_000_000) () =
+  let w = Serde.writer () in
+  Serde.write_fixed w "RLIB1";
+  Serde.write_string w "L";
+  Serde.write_float w rate;
+  Serde.write_float w compression;
+  Serde.write_int w capacity;
+  Serde.write_u16 w 8;
+  Serde.write_u16 w 0;
+  Serde.contents w
+
+let test_values_refused () =
+  let read_vol s = ignore (Persist.read (Serde.reader s)) in
+  let read_lib s = ignore (Library.load (Serde.reader s)) in
+  read_vol (rvol1 ());
+  read_lib (rlib1_drive ());
+  List.iter
+    (fun (name, decode, img) ->
+      match decode img with
+      | () -> Alcotest.failf "%s: loaded" name
+      | exception Serde.Corrupt _ -> ()
+      | exception e -> Alcotest.failf "%s: %s" name (Printexc.to_string e))
+    [
+      ("RVOL1 vbn 0x7ffffff0", read_vol, rvol1 ~vbn:0x7ffffff0 ());
+      ("RVOL1 vbn one past the end", read_vol, rvol1 ~vbn:20 ());
+      ("RVOL1 two disks per group", read_vol, rvol1 ~disks:2 ());
+      ("RVOL1 no groups", read_vol, rvol1 ~groups:0 ());
+      ("RVOL1 no blocks per disk", read_vol, rvol1 ~blocks:0 ());
+      ("RVOL1 NaN seek", read_vol, rvol1 ~seek:Float.nan ());
+      ("RVOL1 negative seek", read_vol, rvol1 ~seek:(-1.0) ());
+      ("RVOL1 infinite rate", read_vol, rvol1 ~rate:Float.infinity ());
+      ("RVOL1 zero rate", read_vol, rvol1 ~rate:0.0 ());
+      ("RLIB1 rate -5.0", read_lib, rlib1_drive ~rate:(-5.0) ());
+      ("RLIB1 NaN rate", read_lib, rlib1_drive ~rate:Float.nan ());
+      ("RLIB1 infinite compression", read_lib, rlib1_drive ~compression:Float.infinity ());
+      ("RLIB1 zero capacity", read_lib, rlib1_drive ~capacity:0 ());
+    ];
+  Alcotest.check_raises "Tape.params refuses NaN" (Invalid_argument "Tape.params")
+    (fun () -> ignore (Tape.params ~native_mb_s:Float.nan ()))
+
 (* ------------------------- pipeline conservation ---------------------- *)
 
 module Instrument = Repro_backup.Instrument
@@ -1032,5 +1094,7 @@ let () =
             Alcotest.test_case "RENG3 and v2 fixture" `Quick test_reng3_by_hand;
             Alcotest.test_case "claimed counts refused" `Quick
               test_claimed_counts_refused;
+            Alcotest.test_case "refused values are Corrupt" `Quick
+              test_values_refused;
           ] );
     ]

@@ -1318,6 +1318,386 @@ let test_blockmap_codec_allocates_only_the_block () =
   checkb (Printf.sprintf "%.0f bytes per encode + load" per_call) true (per_call <= 4096.0 +. 16.0);
   checkb "round trip" true (String.equal block (Blockmap.encode_file_block t 1))
 
+(* ------------------------------------------------------------------ *)
+(* NVRAM replay: every logged op replays to its live result            *)
+
+(* A sequence of calls drawing every [Nvram.op] constructor over a small
+   namespace, so many calls meet the names earlier ones made (and some
+   fail, which logs nothing). [Set_qtree] is logged only by
+   [Fs.qtree_create], so that is the call it stands for. *)
+type step = Call of Nvram.op | Cp
+
+(* Names each kind of call mostly draws from; one draw in six takes any
+   name, so calls also meet the wrong kind of file. *)
+let replay_dirs = [| "/a"; "/b"; "/a/c"; "/q"; "/r" |]
+let replay_files = [| "/f"; "/g"; "/a/f"; "/a/g"; "/a/c/h"; "/b/f"; "/q/f"; "/r/f" |]
+let replay_fresh = [| "/n"; "/a/n"; "/a/c/n"; "/q/n" |]
+let replay_paths = Array.concat [ replay_dirs; replay_files; replay_fresh; [| "/s"; "/a/s" |] ]
+
+let show_step = function
+  | Cp -> "cp"
+  | Call op -> (
+    let open Printf in
+    match op with
+    | Nvram.Create_file { path; perms } -> sprintf "create %s %o" path perms
+    | Mkdir { path; perms } -> sprintf "mkdir %s %o" path perms
+    | Write { path; offset; data } ->
+      sprintf "write %s @%d [%s]" path offset
+        (String.concat ";" (List.map (fun p -> string_of_int (String.length p)) data))
+    | Truncate { path; size } -> sprintf "truncate %s %d" path size
+    | Unlink { path } -> sprintf "unlink %s" path
+    | Rmdir { path } -> sprintf "rmdir %s" path
+    | Rename { src; dst } -> sprintf "rename %s %s" src dst
+    | Link { existing; path } -> sprintf "link %s %s" existing path
+    | Symlink { target; path } -> sprintf "symlink %S %s" target path
+    | Set_xattr { path; name; value } ->
+      sprintf "set_xattr %s %s (%d bytes)" path name (String.length value)
+    | Remove_xattr { path; name } -> sprintf "remove_xattr %s %s" path name
+    | Set_dos_flags { path; flags } -> sprintf "dos_flags %s %x" path flags
+    | Set_perms { path; perms } -> sprintf "perms %s %o" path perms
+    | Set_owner { path; uid; gid } -> sprintf "owner %s %d:%d" path uid gid
+    | Set_qtree { path; _ } -> sprintf "qtree_create %s" path
+    | Set_qtree_limit { path; limit } ->
+      sprintf "qtree_limit %s %s" path
+        (match limit with Some l -> string_of_int l | None -> "none"))
+
+let gen_step =
+  let open QCheck2.Gen in
+  let from names = frequency [ (5, oneofa names); (1, oneofa replay_paths) ] in
+  let dir = from replay_dirs and file = from replay_files in
+  let fresh = frequency [ (2, from replay_fresh); (1, file) ] in
+  let bytes n seed = String.init n (fun i -> Char.chr ((seed + (i * 7)) land 0xff)) in
+  (* whole aligned blocks are lent, other pieces copied *)
+  let piece = map2 bytes (oneofl [ 0; 1; 100; 4096; 5000 ]) nat in
+  let xattr_name = oneofl [ "dos"; "acl"; "x" ] in
+  let call =
+    frequency
+      [
+        (2, map2 (fun path perms -> Nvram.Create_file { path; perms }) file (int_bound 0o777));
+        (1, map2 (fun path perms -> Nvram.Mkdir { path; perms }) dir (int_bound 0o777));
+        ( 4,
+          map3
+            (fun path offset data -> Nvram.Write { path; offset; data })
+            file
+            (oneofl [ 0; 10; 4096; 4000; 20_000 ])
+            (list_size (int_range 1 3) piece) );
+        ( 1,
+          map2
+            (fun path size -> Nvram.Truncate { path; size })
+            file
+            (oneofl [ 0; 10; 4096; 5000; 30_000 ]) );
+        (1, map (fun path -> Nvram.Unlink { path }) (oneofl [ "/f"; "/g"; "/a/f"; "/s" ]));
+        (1, map (fun path -> Nvram.Rmdir { path }) dir);
+        ( 1,
+          oneof
+            [
+              map2 (fun src dst -> Nvram.Rename { src; dst }) (from replay_fresh) fresh;
+              map2 (fun src dst -> Nvram.Rename { src; dst }) file fresh;
+              map2 (fun src dst -> Nvram.Rename { src; dst }) dir dir;
+            ] );
+        (1, map2 (fun existing path -> Nvram.Link { existing; path }) file fresh);
+        ( 1,
+          map2
+            (fun target path -> Nvram.Symlink { target; path })
+            (oneofl [ ""; "/f"; "../a/c"; String.make 200 't' ])
+            (from [| "/s"; "/a/s" |]) );
+        ( 2,
+          map3
+            (fun path name (n, seed) -> Nvram.Set_xattr { path; name; value = bytes n seed })
+            file xattr_name
+            (pair (oneofl [ 0; 10; 1000; 2500; 5000 ]) nat) );
+        (1, map2 (fun path name -> Nvram.Remove_xattr { path; name }) file xattr_name);
+        (1, map2 (fun path flags -> Nvram.Set_dos_flags { path; flags }) file (int_bound 0xff));
+        (1, map2 (fun path perms -> Nvram.Set_perms { path; perms }) file (int_bound 0o777));
+        ( 1,
+          map3
+            (fun path uid gid -> Nvram.Set_owner { path; uid; gid })
+            file (int_bound 1000) (int_bound 1000) );
+        (1, map (fun path -> Nvram.Set_qtree { path; qtree = 0 }) dir);
+        ( 1,
+          map2
+            (fun path limit -> Nvram.Set_qtree_limit { path; limit })
+            (from [| "/q"; "/q/f"; "/r"; "/r/f" |])
+            (oneofl [ None; Some 0; Some 6000; Some 100_000; Some (-1) ]) );
+      ]
+  in
+  frequency [ (30, map (fun op -> Call op) call); (1, pure Cp) ]
+
+(* Every sequence starts by making some of the names, a quota tree among
+   them, so the drawn calls find files to work on. *)
+let replay_prologue =
+  List.map
+    (fun op -> Call op)
+    [
+      Nvram.Mkdir { path = "/a"; perms = 0o755 };
+      Mkdir { path = "/a/c"; perms = 0o755 };
+      Set_qtree { path = "/q"; qtree = 0 };
+      Create_file { path = "/f"; perms = 0o644 };
+      Create_file { path = "/a/f"; perms = 0o644 };
+      Create_file { path = "/q/f"; perms = 0o644 };
+      Write { path = "/q/f"; offset = 0; data = [ String.make 5000 'q' ] };
+    ]
+
+(* Run one step, and what it answered: the inode or qtree id a call
+   returns, or the error it raised. *)
+let run_step fs step =
+  try
+    match step with
+    | Cp ->
+      Fs.cp fs;
+      "ok"
+    | Call op -> (
+      match op with
+      | Nvram.Create_file { path; perms } -> string_of_int (Fs.create fs path ~perms)
+      | Mkdir { path; perms } -> string_of_int (Fs.mkdir fs path ~perms)
+      | Write { path; offset; data } ->
+        Fs.writev fs path ~offset data;
+        "ok"
+      | Truncate { path; size } ->
+        Fs.truncate fs path ~size;
+        "ok"
+      | Unlink { path } ->
+        Fs.unlink fs path;
+        "ok"
+      | Rmdir { path } ->
+        Fs.rmdir fs path;
+        "ok"
+      | Rename { src; dst } ->
+        Fs.rename fs src dst;
+        "ok"
+      | Link { existing; path } ->
+        Fs.link fs existing path;
+        "ok"
+      | Symlink { target; path } ->
+        Fs.symlink fs ~target path;
+        "ok"
+      | Set_xattr { path; name; value } ->
+        Fs.set_xattr fs path ~name ~value;
+        "ok"
+      | Remove_xattr { path; name } ->
+        Fs.remove_xattr fs path ~name;
+        "ok"
+      | Set_dos_flags { path; flags } ->
+        Fs.set_dos_flags fs path ~flags;
+        "ok"
+      | Set_perms { path; perms } ->
+        Fs.set_perms fs path ~perms;
+        "ok"
+      | Set_owner { path; uid; gid } ->
+        Fs.set_owner fs path ~uid ~gid;
+        "ok"
+      | Set_qtree { path; _ } -> string_of_int (Fs.qtree_create fs path ~perms:0o755)
+      | Set_qtree_limit { path; limit } ->
+        Fs.set_qtree_limit fs path ~limit;
+        "ok")
+  with Fs.Error e -> "error: " ^ e
+
+(* What Compare.trees leaves out: each path's qtree, each qtree's usage,
+   and the limits table. *)
+let qtree_state fs =
+  let qtrees =
+    Array.to_list replay_paths
+    |> List.map (fun p ->
+           match Fs.qtree_of fs p with q -> string_of_int q | exception Fs.Error _ -> "-")
+  in
+  let usage = List.init 6 (fun q -> string_of_int (Fs.qtree_usage fs ~qtree:q)) in
+  let limits =
+    List.sort compare (Fs.qtree_limit_list fs)
+    |> List.map (fun (q, l) -> Printf.sprintf "%d=%d" q l)
+  in
+  String.concat " " (qtrees @ [ "|" ] @ usage @ [ "|" ] @ limits)
+
+let same_state ~what ref_fs vic_fs =
+  (match Repro_workload.Compare.trees ~src:(ref_fs, "/") ~dst:(vic_fs, "/") () with
+  | Ok () -> ()
+  | Error d -> QCheck2.Test.fail_reportf "%s: %s" what (String.concat "; " d));
+  let a = qtree_state ref_fs and b = qtree_state vic_fs in
+  if a <> b then QCheck2.Test.fail_reportf "%s: qtrees %s vs %s" what a b;
+  match Fs.fsck vic_fs with
+  | Ok () -> ()
+  | Error p -> QCheck2.Test.fail_reportf "%s: fsck: %s" what (String.concat "; " p)
+
+(* The victim runs the steps up to [crash], loses power, and mounts with
+   its NVRAM; it must then equal a reference that never crashed (times
+   aside, which Compare.trees leaves out), and go on answering every
+   later call as the reference does. An auto-CP every few ops makes some
+   crashes land right after one. *)
+let prop_replay_equals_live =
+  QCheck2.Test.make ~count:300 ~name:"replay: every logged op replays to its live result"
+    ~print:(fun (steps, crash, auto) ->
+      Printf.sprintf "auto_cp_ops %d, crash after %d:\n%s" auto crash
+        (String.concat "\n" (List.map show_step steps)))
+    QCheck2.Gen.(
+      let* steps = map (( @ ) replay_prologue) (list_size (int_range 1 60) gen_step) in
+      let+ crash = int_bound (List.length steps) and+ auto = oneofl [ 0; 20 ] in
+      (steps, crash, auto))
+    (fun (steps, crash, auto) ->
+      let config () = { (Fs.default_config ()) with Fs.auto_cp_ops = auto } in
+      let ref_fs = Fs.mkfs ~config:(config ()) (make_vol ~blocks:2048 ()) in
+      let vol = make_vol ~blocks:2048 () in
+      let nvram = Nvram.create () in
+      let vic = ref (Fs.mkfs ~config:(config ()) ~nvram vol) in
+      List.iteri
+        (fun i step ->
+          if i = crash then begin
+            Fs.crash !vic;
+            vic := Fs.mount ~config:(config ()) ~nvram vol;
+            same_state ~what:"after replay" ref_fs !vic
+          end;
+          let a = run_step ref_fs step and b = run_step !vic step in
+          if a <> b then
+            QCheck2.Test.fail_reportf "step %d (%s): %s vs %s" i (show_step step) a b)
+        steps;
+      same_state ~what:"at the end" ref_fs !vic;
+      true)
+
+(* After a live call, the log's newest entry is exactly the op that call
+   describes. Each case sets up what its call needs first. *)
+let last_entry_cases =
+  let setup fs =
+    ignore (Fs.mkdir fs "/d" ~perms:0o755);
+    ignore (Fs.create fs "/f" ~perms:0o644);
+    Fs.write fs "/f" ~offset:0 "data";
+    Fs.set_xattr fs "/f" ~name:"acl" ~value:"v";
+    ignore (Fs.qtree_create fs "/q" ~perms:0o755)
+  in
+  let case name op call =
+    Alcotest.test_case ("logs " ^ name) `Quick (fun () ->
+        let nvram = Nvram.create () in
+        let fs = Fs.mkfs ~nvram (make_vol ()) in
+        setup fs;
+        call fs;
+        match List.rev (Nvram.entries_tagged nvram ~tag:(Fs.generation fs)) with
+        | last :: _ ->
+          checks "last entry" (show_step (Call op)) (show_step (Call last));
+          checkb "equal op" true (last = op)
+        | [] -> Alcotest.fail "nothing logged")
+  in
+  let pieces = [ String.make 4096 'a'; "tail" ] in
+  [
+    case "Create_file" (Nvram.Create_file { path = "/n"; perms = 0o600 }) (fun fs ->
+        ignore (Fs.create fs "/n" ~perms:0o600));
+    case "Mkdir" (Nvram.Mkdir { path = "/m"; perms = 0o700 }) (fun fs ->
+        ignore (Fs.mkdir fs "/m" ~perms:0o700));
+    case "Write" (Nvram.Write { path = "/f"; offset = 4096; data = pieces }) (fun fs ->
+        Fs.writev fs "/f" ~offset:4096 pieces);
+    case "Truncate" (Nvram.Truncate { path = "/f"; size = 2 }) (fun fs ->
+        Fs.truncate fs "/f" ~size:2);
+    case "Unlink" (Nvram.Unlink { path = "/f" }) (fun fs -> Fs.unlink fs "/f");
+    case "Rmdir" (Nvram.Rmdir { path = "/d" }) (fun fs -> Fs.rmdir fs "/d");
+    case "Rename" (Nvram.Rename { src = "/f"; dst = "/d/f" }) (fun fs ->
+        Fs.rename fs "/f" "/d/f");
+    case "Link" (Nvram.Link { existing = "/f"; path = "/l" }) (fun fs ->
+        Fs.link fs "/f" "/l");
+    case "Symlink" (Nvram.Symlink { target = "f"; path = "/s" }) (fun fs ->
+        Fs.symlink fs ~target:"f" "/s");
+    case "Set_xattr" (Nvram.Set_xattr { path = "/f"; name = "dos"; value = "F~1" })
+      (fun fs -> Fs.set_xattr fs "/f" ~name:"dos" ~value:"F~1");
+    case "Remove_xattr" (Nvram.Remove_xattr { path = "/f"; name = "acl" }) (fun fs ->
+        Fs.remove_xattr fs "/f" ~name:"acl");
+    case "Set_dos_flags" (Nvram.Set_dos_flags { path = "/f"; flags = 0x21 }) (fun fs ->
+        Fs.set_dos_flags fs "/f" ~flags:0x21);
+    case "Set_perms" (Nvram.Set_perms { path = "/f"; perms = 0o400 }) (fun fs ->
+        Fs.set_perms fs "/f" ~perms:0o400);
+    case "Set_owner" (Nvram.Set_owner { path = "/f"; uid = 7; gid = 8 }) (fun fs ->
+        Fs.set_owner fs "/f" ~uid:7 ~gid:8);
+    case "Set_qtree" (Nvram.Set_qtree { path = "/r"; qtree = 2 }) (fun fs ->
+        checki "second qtree id" 2 (Fs.qtree_create fs "/r" ~perms:0o755));
+    case "Set_qtree_limit" (Nvram.Set_qtree_limit { path = "/q"; limit = Some 9 })
+      (fun fs -> Fs.set_qtree_limit fs "/q" ~limit:(Some 9));
+  ]
+
+(* An attribute block that would outgrow its 4 KB block is refused at the
+   call, before anything is charged, changed or logged; the volume then
+   commits and, after a crash, mounts with its log. *)
+let test_oversized_xattr_refused () =
+  let nvram = Nvram.create () in
+  let vol = make_vol () in
+  let fs = Fs.mkfs ~nvram vol in
+  ignore (Fs.create fs "/f" ~perms:0o644);
+  Fs.set_xattr fs "/f" ~name:"acl" ~value:"v";
+  let logged () = List.length (Nvram.entries_tagged nvram ~tag:(Fs.generation fs)) in
+  let before = logged () in
+  (match Fs.set_xattr fs "/f" ~name:"big" ~value:(String.make 5000 'x') with
+  | () -> Alcotest.fail "a 5000-byte value was accepted"
+  | exception Fs.Error _ -> ());
+  checki "nothing logged" before (logged ());
+  Alcotest.(check (list (pair string string))) "attributes kept" [ ("acl", "v") ]
+    (Fs.xattrs fs "/f");
+  (* the largest value that fits: 2 + (8 + 3 + 1) + (8 + 3 + n) = 4096 *)
+  let fits = 4096 - 2 - 12 - 11 in
+  Fs.set_xattr fs "/f" ~name:"max" ~value:(String.make fits 'y');
+  (match Fs.set_xattr fs "/f" ~name:"max" ~value:(String.make (fits + 1) 'y') with
+  | () -> Alcotest.fail "one byte over a block was accepted"
+  | exception Fs.Error _ -> ());
+  checki "encoded size" 4096
+    (String.length (Fs.encode_xattrs (Fs.xattrs fs "/f")));
+  Fs.crash fs;
+  let fs = Fs.mount ~nvram vol in
+  checki "replayed value" fits
+    (String.length (Option.get (Fs.get_xattr fs "/f" ~name:"max")));
+  Fs.cp fs;
+  fsck_clean fs
+
+(* Defects the replay property found, one case each. *)
+let test_qtree_ids_survive_replay () =
+  let nvram = Nvram.create () in
+  let vol = make_vol () in
+  let fs = Fs.mkfs ~nvram vol in
+  checki "first id" 1 (Fs.qtree_create fs "/q1" ~perms:0o755);
+  Fs.crash fs;
+  let fs = Fs.mount ~nvram vol in
+  checki "replayed id" 1 (Fs.qtree_of fs "/q1");
+  checki "next id" 2 (Fs.qtree_create fs "/q2" ~perms:0o755)
+
+let test_symlink_whole_across_auto_cp () =
+  let config = { (Fs.default_config ()) with Fs.auto_cp_ops = 3 } in
+  let nvram = Nvram.create () in
+  let vol = make_vol () in
+  let fs = Fs.mkfs ~config ~nvram vol in
+  ignore (Fs.create fs "/a" ~perms:0o644);
+  ignore (Fs.create fs "/b" ~perms:0o644);
+  (* the third mutation takes an auto-CP: it must hold the whole link *)
+  Fs.symlink fs ~target:"/a" "/s";
+  Fs.crash fs;
+  let fs = Fs.mount ~config ~nvram vol in
+  checks "target" "/a" (Fs.readlink fs "/s");
+  fsck_clean fs
+
+let test_rename_below_itself_refused () =
+  let fs, _ = make_fs () in
+  ignore (Fs.mkdir fs "/a" ~perms:0o755);
+  ignore (Fs.mkdir fs "/a/c" ~perms:0o755);
+  List.iter
+    (fun dst ->
+      match Fs.rename fs "/a" dst with
+      | () -> Alcotest.failf "rename /a %s accepted" dst
+      | exception Fs.Error _ -> ())
+    [ "/a/x"; "/a/c/x"; "/a/c/../x" ];
+  Fs.rename fs "/a/c" "/c";
+  Fs.rename fs "/a" "/c/a";
+  checkb "moved" true (Fs.lookup fs "/c/a" <> None);
+  fsck_clean fs
+
+let test_file_is_no_parent () =
+  let fs, _ = make_fs () in
+  ignore (Fs.create fs "/f" ~perms:0o644);
+  ignore (Fs.create fs "/g" ~perms:0o644);
+  Fs.write fs "/f" ~offset:0 (String.make 100 'z');
+  List.iter
+    (fun (what, call) ->
+      match call () with
+      | () -> Alcotest.failf "%s accepted" what
+      | exception Fs.Error _ -> ())
+    [
+      ("unlink /f/x", fun () -> Fs.unlink fs "/f/x");
+      ("rmdir /f/x", fun () -> Fs.rmdir fs "/f/x");
+      ("link /g /f/x", fun () -> Fs.link fs "/g" "/f/x");
+      ("rename /g /f/x", fun () -> Fs.rename fs "/g" "/f/x");
+    ];
+  checks "file kept" (String.make 100 'z') (Fs.read fs "/f" ~offset:0 ~len:200);
+  fsck_clean fs
+
 let () =
   Alcotest.run "wafl"
     [
@@ -1340,4 +1720,16 @@ let () =
           Alcotest.test_case "codec allocates only the block" `Quick
             test_blockmap_codec_allocates_only_the_block;
         ] );
+      ( "replay",
+        QCheck_alcotest.to_alcotest ~long:false prop_replay_equals_live
+        :: Alcotest.test_case "oversized xattr refused at the call" `Quick
+             test_oversized_xattr_refused
+        :: Alcotest.test_case "qtree ids survive replay" `Quick
+             test_qtree_ids_survive_replay
+        :: Alcotest.test_case "symlink whole across an auto-CP" `Quick
+             test_symlink_whole_across_auto_cp
+        :: Alcotest.test_case "rename below itself refused" `Quick
+             test_rename_below_itself_refused
+        :: Alcotest.test_case "a file is no parent" `Quick test_file_is_no_parent
+        :: last_entry_cases );
     ]
