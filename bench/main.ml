@@ -43,6 +43,8 @@ module Image_restore = Repro_image.Image_restore
 module Generator = Repro_workload.Generator
 module Ager = Repro_workload.Ager
 module Bitmap = Repro_util.Bitmap
+module Crc32 = Repro_util.Crc32
+module Block = Repro_block.Block
 module Fault = Repro_fault.Fault
 module Retry = Repro_fault.Retry
 module Obs = Repro_obs.Obs
@@ -1222,6 +1224,28 @@ let run_speed ?(volumes = 100) () =
   let on_overhead = paired_ratio ~reps:8 ~iters:30 dump_once armed_dump in
   say "  profiling-on overhead (Table 2 dump pass): %6.2f %%  (reported, not gated)"
     on_overhead;
+  (* The per-byte kernels this build runs: which CRC-32 kernel the CPU
+     probe chose, and the host cost of it and of the parity xor on a
+     64 KiB buffer, best of five batches. Reported, not gated: a
+     host-speed figure then names the code it measured. *)
+  let ns_per_byte f =
+    let n = 65536 and reps = 200 in
+    let best = ref infinity in
+    for _ = 1 to 5 do
+      let t0 = Unix.gettimeofday () in
+      for _ = 1 to reps do
+        f ()
+      done;
+      best := Float.min !best ((Unix.gettimeofday () -. t0) /. Float.of_int (n * reps))
+    done;
+    !best *. 1e9
+  in
+  let kbuf = String.init 65536 (fun i -> Char.unsafe_chr ((i * 131) land 0xff)) in
+  let kdst = Bytes.make 65536 '\000' in
+  let crc_ns = ns_per_byte (fun () -> ignore (Sys.opaque_identity (Crc32.string kbuf))) in
+  let xor_ns = ns_per_byte (fun () -> Block.xor_into kdst kbuf) in
+  say "  per-byte kernels (64 KiB):   crc32 %s %.3f ns/B, parity xor %.3f ns/B"
+    Crc32.kernel crc_ns xor_ns;
   (* (a) ratio gate against the committed wall-clock baseline *)
   let ratio_budget =
     match Sys.getenv_opt "BENCH_SPEED_RATIO" with
@@ -1287,13 +1311,13 @@ let run_speed ?(volumes = 100) () =
   in
   write_file "BENCH_speed.json"
     (Printf.sprintf
-       {|{"bench":"speed","seed":%d,"data_bytes":%d,"parts":%d,"fleet_volumes":%d,"scenarios":[%s,%s,%s],"profiling_off_overhead_pct":%.6g,"off_budget_pct":%.6g,"profiling_on_overhead_pct":%.6g,"ratio_budget":%.6g,"pass":%b}
+       {|{"bench":"speed","seed":%d,"data_bytes":%d,"parts":%d,"fleet_volumes":%d,"scenarios":[%s,%s,%s],"kernels":{"crc32":%S,"crc32_ns_per_byte":%.6g,"xor_ns_per_byte":%.6g},"profiling_off_overhead_pct":%.6g,"off_budget_pct":%.6g,"profiling_on_overhead_pct":%.6g,"ratio_budget":%.6g,"pass":%b}
 |}
        seed bytes parts volumes
        (scenario single "single_volume" "tape_bytes_per_s")
        (scenario multi "multi_remote" "events_per_s")
        (scenario fleet "fleet" "events_per_s")
-       off_overhead off_budget on_overhead ratio_budget ok);
+       Crc32.kernel crc_ns xor_ns off_overhead off_budget on_overhead ratio_budget ok);
   say "  [BENCH_speed.json written]@.";
   ok
 

@@ -17,6 +17,15 @@ let is_zero b =
   done;
   !i = n
 
+external xor_unchecked : bytes -> string -> unit = "repro_block_xor" [@@noalloc]
+
+let xor_into dst src =
+  if String.length src < Bytes.length dst then
+    invalid_arg
+      (Printf.sprintf "Block.xor_into: source is %d bytes, destination %d"
+         (String.length src) (Bytes.length dst));
+  xor_unchecked dst src
+
 let check b =
   if String.length b <> size then
     invalid_arg

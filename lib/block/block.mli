@@ -25,6 +25,11 @@ val zeros : string
 
 val is_zero : string -> bool
 
+val xor_into : bytes -> string -> unit
+(** [xor_into dst src] sets [dst] to [dst xor src] over [dst]'s length:
+    the RAID parity kernel, in C (block_stubs.c). Raises
+    [Invalid_argument] if [src] is shorter than [dst]. *)
+
 val check : string -> unit
 (** Raises [Invalid_argument] unless the buffer is exactly one block. *)
 

@@ -32,25 +32,11 @@ let stripe_of_gbn t gbn =
     invalid_arg (Printf.sprintf "Raid %s: gbn %d out of range" t.label gbn);
   (gbn / data_disks t, gbn mod data_disks t)
 
-(* [dst <- dst xor src], eight bytes at a time. *)
-let xor_into dst src =
-  let full = Bytes.length dst land lnot 7 in
-  let i = ref 0 in
-  while !i < full do
-    Bytes.set_int64_le dst !i
-      (Int64.logxor (Bytes.get_int64_le dst !i) (String.get_int64_le src !i));
-    i := !i + 8
-  done;
-  for j = full to Bytes.length dst - 1 do
-    Bytes.set dst j
-      (Char.unsafe_chr (Char.code (Bytes.get dst j) lxor Char.code (String.get src j)))
-  done
-
 (* A fresh [a xor b xor c]. *)
 let xor3 a b c =
   let r = Bytes.of_string a in
-  xor_into r b;
-  xor_into r c;
+  Block.xor_into r b;
+  Block.xor_into r c;
   Bytes.unsafe_to_string r
 
 (* Blocks are immutable strings (see {!Block}): this module reads stored
@@ -63,7 +49,7 @@ let xor3 a b c =
 let reconstruct t ~missing stripe =
   let acc = Block.zero () in
   Array.iteri
-    (fun i d -> if i <> missing then xor_into acc (Disk.read d stripe))
+    (fun i d -> if i <> missing then Block.xor_into acc (Disk.read d stripe))
     t.disks;
   Bytes.unsafe_to_string acc
 
@@ -129,7 +115,7 @@ let rec write t gbn b =
        surviving data disks. *)
     let parity = Bytes.of_string b in
     for i = 0 to data_disks t - 1 do
-      if i <> di then xor_into parity (Disk.read t.disks.(i) stripe)
+      if i <> di then Block.xor_into parity (Disk.read t.disks.(i) stripe)
     done;
     Disk.write parity_disk stripe (Bytes.unsafe_to_string parity)
   | false, true -> Disk.write data_disk stripe b
@@ -141,7 +127,7 @@ let write_stripe t stripe data =
   if stripe < 0 || stripe >= stripes t then invalid_arg "Raid.write_stripe: bad stripe";
   Array.iter Block.check data;
   let parity = Block.zero () in
-  Array.iter (fun b -> xor_into parity b) data;
+  Array.iter (fun b -> Block.xor_into parity b) data;
   Array.iteri
     (fun i b -> if not (Disk.failed t.disks.(i)) then Disk.write t.disks.(i) stripe b)
     data;
@@ -160,7 +146,7 @@ let parity_consistent t =
   let ok = ref true in
   for stripe = 0 to stripes t - 1 do
     let acc = Block.zero () in
-    Array.iter (fun d -> xor_into acc (Disk.read d stripe)) t.disks;
+    Array.iter (fun d -> Block.xor_into acc (Disk.read d stripe)) t.disks;
     if not (Block.is_zero (Bytes.unsafe_to_string acc)) then ok := false
   done;
   !ok

@@ -140,7 +140,8 @@ let fs t ~name = fs_of (node t name)
 let volume t ~name = volume_of (node t name)
 
 let add_replica t ?params ?(interval_s = 0.0) ~upstream ~name () =
-  if interval_s < 0.0 then errorf "replication: negative interval for %s" name;
+  if not (Float.is_finite interval_s && interval_s >= 0.0) then
+    errorf "replication: interval for %s must be finite and >= 0, not %g" name interval_s;
   if List.exists (fun n -> n.n_name = name) t.nodes then
     errorf "replication: duplicate node %s" name;
   let up = node t upstream in
@@ -378,23 +379,37 @@ let sync t ~name =
   | Some e -> catch_up t e
 
 let run_until t horizon =
-  let failures = ref [] in
+  let failures = ref [] and stalled = ref [] in
   let rec loop () =
     let due =
-      List.filter (fun e -> e.e_next_due <= horizon) t.edges
+      List.filter
+        (fun e -> e.e_next_due <= horizon && not (List.memq e !stalled))
+        t.edges
       |> List.sort (fun a b ->
              compare (a.e_next_due, a.e_down) (b.e_next_due, b.e_down))
     in
     match due with
     | [] -> ()
     | e :: _ ->
-      if Clock.now t.clock < e.e_next_due then
-        Clock.advance_to t.clock e.e_next_due;
-      e.e_next_due <- e.e_next_due +. e.e_interval_s;
+      let at = e.e_next_due in
+      if Clock.now t.clock < at then Clock.advance_to t.clock at;
+      e.e_next_due <- at +. e.e_interval_s;
       (try
          if e.e_up = t.root then ignore (checkpoint t);
          ignore (catch_up t e)
        with ex -> failures := (e.e_down, ex) :: !failures);
+      (* An interval below the float spacing at [at] leaves the edge due
+         at [at] for ever: fire it no more in this call. *)
+      if e.e_next_due <= at then begin
+        stalled := e :: !stalled;
+        failures :=
+          ( e.e_down,
+            Error
+              (Printf.sprintf
+                 "replication: schedule of %s stalls at %.17g s (interval %g s)"
+                 e.e_down at e.e_interval_s) )
+          :: !failures
+      end;
       loop ()
   in
   loop ();
@@ -712,6 +727,9 @@ let load r ~primary_fs =
         let e_down = Serde.read_string r in
         let e_link = Link.load r in
         let e_interval_s = Serde.read_float r in
+        if not (Float.is_finite e_interval_s && e_interval_s >= 0.0) then
+          raise
+            (Serde.Corrupt (Printf.sprintf "RPL1: bad interval %g for %s" e_interval_s e_down));
         let e_next_due = Serde.read_float r in
         { e_up; e_down; e_link; e_session = None; e_interval_s; e_next_due })
       r

@@ -105,8 +105,8 @@ val add_replica :
     [name]. The replica's volume clones the upstream's geometry and is
     labelled [name]. [interval_s] puts the edge on the schedule (first
     due one interval from now); 0 (the default) means manual-only.
-    Raises {!Error} on a duplicate name, an unknown upstream, or a
-    negative interval. *)
+    Raises {!Error} on a duplicate name, an unknown upstream, or an
+    interval that is negative or not finite. *)
 
 val clock : t -> Repro_sim.Clock.t
 val primary : t -> string
@@ -141,7 +141,10 @@ val run_until : t -> float -> (string * exn) list
     a fresh {!checkpoint} first — and advance the clock. A failing edge
     (partition, dead drive, divergence) is recorded, its schedule slot
     advances, and the storm moves on; the returned [(replica, exn)]
-    list is what broke, in firing order. *)
+    list is what broke, in firing order. An edge whose due time no
+    longer advances (an interval below the float spacing of the clock
+    there) fires once and is then reported as an {!Error} failure
+    instead of firing again. *)
 
 val lag_s : t -> name:string -> float
 (** Replication lag: age of the newest primary checkpoint the node does
@@ -186,4 +189,5 @@ val save : Repro_util.Serde.writer -> t -> unit
     engine store holds it) and is not serialized. *)
 
 val load : Repro_util.Serde.reader -> primary_fs:Fs.t -> t
-(** Raises [Serde.Corrupt] on bad magic or an unknown version. *)
+(** Raises [Serde.Corrupt] on bad magic, an unknown version, or a
+    schedule interval that is negative or not finite. *)

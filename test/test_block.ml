@@ -253,7 +253,30 @@ let prop_is_zero_equals_oracle =
       Option.iter (fun (i, v) -> Bytes.set b i (Char.chr v)) poke;
       Block.is_zero (Bytes.to_string b) = Oracle.Raid_xor.is_zero b)
 
-(* RAID parity is xored a 64-bit word at a time and small writes xor
+(* Block.xor_into, the parity kernel in C, equals the bytewise oracle
+   (Oracle.Raid_xor.xor_into) at every length, a whole block and the
+   words' ragged tails included. A source longer than the destination is
+   read only over the destination's length. *)
+let prop_xor_into_equals_oracle =
+  QCheck2.Test.make ~count:300 ~name:"block: xor_into = bytewise oracle"
+    QCheck2.Gen.(
+      let* n = oneof [ int_range 0 100; return Block.size; int_range 0 10_000 ] in
+      triple (string_size (return n)) (string_size (return n)) (int_bound 16))
+    (fun (d, s, extra) ->
+      let src = s ^ String.make extra '\xff' in
+      let got = Bytes.of_string d and want = Bytes.of_string d in
+      Block.xor_into got src;
+      Oracle.Raid_xor.xor_into want (Bytes.of_string s);
+      Bytes.equal got want)
+
+let test_xor_into_refuses_short_source () =
+  let dst = Bytes.make 16 'a' in
+  (match Block.xor_into dst (String.make 15 'b') with
+  | () -> Alcotest.fail "a 15-byte source was xored into 16 bytes"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check string) "destination untouched" (String.make 16 'a') (Bytes.to_string dst)
+
+(* RAID parity is xored by Block.xor_into and small writes xor
    old parity, old data and new data straight off the disks. After any
    mix of small and full-stripe writes, every live parity block must be
    the bytewise oracle xor (Oracle.Raid_xor) of the stripe's intended
@@ -373,6 +396,12 @@ let () =
         ] );
       ( "volume properties",
         [ QCheck_alcotest.to_alcotest ~long:false prop_volume_batch_equals_singles ] );
+      ( "xor kernel",
+        [
+          Alcotest.test_case "refuses a short source" `Quick
+            test_xor_into_refuses_short_source;
+          QCheck_alcotest.to_alcotest ~long:false prop_xor_into_equals_oracle;
+        ] );
       ( "raid properties",
         [
           QCheck_alcotest.to_alcotest ~long:false prop_is_zero_equals_oracle;

@@ -189,6 +189,24 @@ let test_backup_rejects_never_firing_fault () =
       checkb "store unchanged" true (String.equal before (read_file store)))
     [ "net-flap:v:1:0"; "net-partition:v:-1" ]
 
+(* A replication interval must be finite: [--interval=inf] once printed
+   "scheduled every inf s" and exited 0 with an edge that never fires. *)
+let test_mirror_rejects_non_finite_interval () =
+  let store = temp_store () in
+  let repl = temp ".repl" in
+  Sys.remove repl;
+  List.iter
+    (fun flag ->
+      let what = "mirror init " ^ flag in
+      let code, err =
+        with_stderr (fun () ->
+            backupctl [ "mirror"; store; "init"; "m1"; "--repl"; repl; flag ])
+      in
+      Alcotest.(check int) (what ^ " exits 1") 1 code;
+      checkb (what ^ " says error:") true (starts_with ~prefix:"error:" err);
+      checkb "no topology written" false (Sys.file_exists repl))
+    [ "--interval=nan"; "--interval=inf" ]
+
 let test_init_rejects_no_drives () =
   List.iter
     (fun argv ->
@@ -237,6 +255,8 @@ let () =
             test_backup_rejects_never_firing_fault;
           Alcotest.test_case "init rejects fewer than one drive" `Quick
             test_init_rejects_no_drives;
+          Alcotest.test_case "mirror rejects a non-finite interval" `Quick
+            test_mirror_rejects_non_finite_interval;
           Alcotest.test_case "verify fails on a damaged chain" `Quick
             test_verify_fails_on_damage;
         ] );

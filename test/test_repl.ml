@@ -111,6 +111,32 @@ let test_cascade_schedule () =
   ok_or_fail "B" (Repl.verify t ~name:"B");
   ok_or_fail "C" (Repl.verify t ~name:"C")
 
+(* An interval must be a finite number of seconds, 0 or more: NaN and
+   infinity once put an edge on a schedule that never fired. *)
+let test_rejects_non_finite_interval () =
+  let t = Repl.create ~primary:"A" (fresh_primary ()) in
+  List.iter
+    (fun interval_s ->
+      match Repl.add_replica t ~upstream:"A" ~name:"B" ~interval_s () with
+      | () -> Alcotest.failf "interval %g accepted" interval_s
+      | exception Repl.Error _ -> ())
+    [ Float.nan; Float.infinity; Float.neg_infinity; -1.0 ];
+  checki "no replica added" 1 (List.length (Repl.status t))
+
+(* At 1e6 s the float spacing is about 1.2e-10 s, so a 1e-12 s interval
+   leaves the edge due at the same instant for ever; [run_until] fires it
+   once, reports it, and reaches its horizon instead of spinning. *)
+let test_stalled_schedule_reported () =
+  let t = Repl.create ~primary:"A" (fresh_primary ()) in
+  Clock.advance_to (Repl.clock t) 1e6;
+  Repl.add_replica t ~upstream:"A" ~name:"B" ~interval_s:1e-12 ();
+  let failures = Repl.run_until t (1e6 +. 10.) in
+  (match failures with
+  | [ ("B", Repl.Error m) ] -> checkb "names the stall" true (contains m "stalls")
+  | _ -> Alcotest.failf "want one stall failure for B, got %d failures" (List.length failures));
+  checkb "B synced once" true ((stat t "B").Repl.st_state = Repl.In_sync);
+  checkb "clock at horizon" true (Clock.now (Repl.clock t) = 1e6 +. 10.)
+
 (* --------------------- partition mid-transfer + resume --------------- *)
 
 let test_partition_resume () =
@@ -307,6 +333,43 @@ let test_rpl1_roundtrip () =
   | _ -> Alcotest.fail "expected Corrupt"
   | exception Serde.Corrupt _ -> ()
 
+(* A schedule interval that is negative or not finite is refused on load
+   as it is by [add_replica]. The edge's 61.25 s interval is the image's
+   one f64 61.25 (it is first due at 1061.25 s). *)
+let test_rpl1_refuses_bad_interval () =
+  let fs = fresh_primary () in
+  let t = Repl.create ~primary:"A" fs in
+  Clock.advance_to (Repl.clock t) 1000.0;
+  Repl.add_replica t ~upstream:"A" ~name:"B" ~interval_s:61.25 ();
+  let float_bytes f =
+    let w = Serde.writer () in
+    Serde.write_float w f;
+    Serde.contents w
+  in
+  let image =
+    let w = Serde.writer () in
+    Repl.save w t;
+    Serde.contents w
+  in
+  let interval = float_bytes 61.25 in
+  let at =
+    List.filter
+      (fun i -> String.sub image i 8 = interval)
+      (List.init (String.length image - 7) Fun.id)
+  in
+  checki "one 61.25 in the image" 1 (List.length at);
+  let i = List.hd at in
+  List.iter
+    (fun bad ->
+      let patched =
+        String.sub image 0 i ^ float_bytes bad
+        ^ String.sub image (i + 8) (String.length image - i - 8)
+      in
+      match Repl.load (Serde.reader patched) ~primary_fs:fs with
+      | _ -> Alcotest.failf "interval %g loaded" bad
+      | exception Serde.Corrupt _ -> ())
+    [ Float.nan; Float.infinity; -61.25 ]
+
 (* ---------------------- fault-storm determinism ---------------------- *)
 
 (* The same seed over a 3-node cascade with loss + flap + partition specs
@@ -369,6 +432,10 @@ let () =
             test_one_hop;
           Alcotest.test_case "cascade on the schedule" `Quick
             test_cascade_schedule;
+          Alcotest.test_case "non-finite interval refused" `Quick
+            test_rejects_non_finite_interval;
+          Alcotest.test_case "stalled schedule reported" `Quick
+            test_stalled_schedule_reported;
         ] );
       ( "faults",
         [
@@ -381,5 +448,9 @@ let () =
           q test_storm_determinism;
         ] );
       ( "persistence",
-        [ Alcotest.test_case "RPL1 round trip" `Quick test_rpl1_roundtrip ] );
+        [
+          Alcotest.test_case "RPL1 round trip" `Quick test_rpl1_roundtrip;
+          Alcotest.test_case "RPL1 refuses a bad interval" `Quick
+            test_rpl1_refuses_bad_interval;
+        ] );
     ]

@@ -219,21 +219,76 @@ let test_crc32_incremental () =
   in
   checki "incremental = one-shot" whole stepped
 
-(* The slicing-by-16 loop computes the same function as the bytewise
-   oracle loop (Oracle.Crc32) at any offset, aligned or not: lengths 0–40
-   cover the bytewise tail on its own and around one 16-byte step, and
-   lengths 16k+r run many steps before an r-byte tail. *)
-let prop_crc32_sliced_equals_bytewise =
+(* Every CRC kernel (Crc32.Private.kernels: the carry-less-multiply fold
+   where the CPU has one, and the portable table loop on every host)
+   computes the bytewise oracle's function (Oracle.Crc32) from any start
+   state, at any offset. Lengths 0–200 cover the table loop alone and the
+   first folds; 64k+r and 16k+r lengths sit on either side of each fold
+   edge; the rest run up to 70 KB. Offsets 0–31 move the start across
+   every 16-byte alignment, so the fold's head loop sees each length. The
+   start state is the CRC of a random 4-byte prefix, which reaches every
+   32-bit state. *)
+let prop_crc32_kernels_equal_bytewise =
   let open QCheck2.Gen in
   let len =
-    oneof [ int_range 0 40; map2 (fun k r -> (16 * k) + r) (int_range 1 300) (int_bound 15) ]
+    oneof
+      [
+        int_range 0 200;
+        map2 (fun k r -> (64 * k) + r) (int_range 1 64) (int_range (-1) 16);
+        map2 (fun k r -> (16 * k) + r) (int_range 4 300) (int_range (-1) 1);
+        int_range 200 70_000;
+      ]
   in
-  QCheck2.Test.make ~name:"crc32: sliced = bytewise"
-    ~print:(fun (s, pos, len) -> Printf.sprintf "%d-byte string, pos %d, len %d" (String.length s) pos len)
-    (triple (int_bound 31) len (int_bound 20) >>= fun (pos, len, slack) ->
-     map (fun s -> (s, pos, len)) (string_size (return (pos + len + slack))))
-    (fun (s, pos, len) ->
-      Crc32.substring s pos len = Oracle.Crc32.substring s pos len)
+  QCheck2.Test.make ~count:300 ~name:"crc32: every kernel = bytewise"
+    ~print:(fun (prefix, s, pos, len) ->
+      Printf.sprintf "prefix %S, %d-byte string, pos %d, len %d" prefix (String.length s) pos
+        len)
+    (let* prefix = string_size (return 4) in
+     let* pos, len, slack = triple (int_bound 31) len (int_bound 20) in
+     let+ s = string_size (return (pos + len + slack)) in
+     (prefix, s, pos, len))
+    (fun (prefix, s, pos, len) ->
+      let want =
+        Oracle.Crc32.(
+          finish (update_substring_bytewise (update_string init prefix) s pos len))
+      in
+      let start = Crc32.update_string Crc32.init prefix in
+      List.for_all
+        (fun (_, kernel) -> Crc32.finish (kernel start s pos len) = want)
+        Crc32.Private.kernels)
+
+(* Crc32 feeds the C kernels at most 1 MiB per call; input longer than
+   that is split, and each kernel must carry the state across the split
+   exactly as the oracle's one pass does. *)
+let test_crc32_chunk_split () =
+  let mib = 1 lsl 20 in
+  let b = Bytes.create ((2 * mib) + 100) in
+  Prng.fill (Prng.create 7) b 0 (Bytes.length b);
+  let s = Bytes.to_string b in
+  List.iter
+    (fun (pos, len) ->
+      let want = Oracle.Crc32.substring s pos len in
+      List.iter
+        (fun (name, kernel) ->
+          checki
+            (Printf.sprintf "%s, pos %d, len %d" name pos len)
+            want
+            (Crc32.finish (kernel Crc32.init s pos len)))
+        Crc32.Private.kernels;
+      checki (Printf.sprintf "substring, pos %d, len %d" pos len) want
+        (Crc32.substring s pos len))
+    [ (0, mib); (1, mib - 1); (3, mib + 1); (5, (2 * mib) + 77) ]
+
+let test_crc32_bounds () =
+  List.iter
+    (fun (pos, len) ->
+      List.iter
+        (fun (name, kernel) ->
+          match kernel Crc32.init "0123456789" pos len with
+          | _ -> Alcotest.failf "%s accepted pos %d, len %d" name pos len
+          | exception Invalid_argument _ -> ())
+        (("update_substring", Crc32.update_substring) :: Crc32.Private.kernels))
+    [ (-1, 2); (0, -1); (0, 11); (10, 1); (max_int, 2); (2, max_int) ]
 
 let prop_crc32_detects_flip =
   QCheck2.Test.make ~name:"crc32: single byte flip always detected"
@@ -666,9 +721,11 @@ let () =
         [
           Alcotest.test_case "standard vectors" `Quick test_crc32_vectors;
           Alcotest.test_case "incremental" `Quick test_crc32_incremental;
+          Alcotest.test_case "chunk split" `Quick test_crc32_chunk_split;
+          Alcotest.test_case "bounds" `Quick test_crc32_bounds;
         ] );
       qsuite "crc32 properties"
-        [ prop_crc32_sliced_equals_bytewise; prop_crc32_detects_flip ];
+        [ prop_crc32_kernels_equal_bytewise; prop_crc32_detects_flip ];
       ( "stage",
         [ Alcotest.test_case "rejects empty piece" `Quick test_stage_rejects_empty_piece ]
       );
