@@ -550,15 +550,16 @@ let do_backup t ~strategy ~level ~subtree ?exclude ~drives:requested ~label
          (fun p -> if is_done p then None else Some (p, pool, dump_part p))
          (List.init parts Fun.id))
   in
-  List.iter
-    (fun (slot, busy, _) ->
-      let d = slot_drive slot in
-      Obs.set_gauge (Printf.sprintf "scheduler.drive%d.busy_s" d) busy;
-      Obs.set_gauge
-        (Printf.sprintf "scheduler.drive%d.utilization" d)
-        (if stats.Scheduler.p_elapsed > 0.0 then busy /. stats.Scheduler.p_elapsed
-         else 0.0))
-    stats.Scheduler.p_slots;
+  if Obs.enabled () then
+    List.iter
+      (fun (slot, busy, _) ->
+        let d = slot_drive slot in
+        Obs.set_gauge (Printf.sprintf "scheduler.drive%d.busy_s" d) busy;
+        Obs.set_gauge
+          (Printf.sprintf "scheduler.drive%d.utilization" d)
+          (if stats.Scheduler.p_elapsed > 0.0 then busy /. stats.Scheduler.p_elapsed
+           else 0.0))
+      stats.Scheduler.p_slots;
   Obs.annotate [ ("sim_elapsed_s", Obs.Float stats.Scheduler.p_elapsed) ];
   (match
      Array.to_list outcomes
@@ -635,8 +636,12 @@ let with_backup_span t ~strategy ~label ~resume k =
       ]
     (fun () ->
       let entry = k () in
-      Obs.set_gauge "fs.used_blocks" (Float.of_int (Fs.used_blocks t.e_fs));
-      Obs.set_gauge "fs.free_blocks" (Float.of_int (Fs.free_blocks t.e_fs));
+      (* Observability-only work: with no plane armed, skip even the
+         block-map counts the gauges would be given. *)
+      if Obs.enabled () then begin
+        Obs.set_gauge "fs.used_blocks" (Float.of_int (Fs.used_blocks t.e_fs));
+        Obs.set_gauge "fs.free_blocks" (Float.of_int (Fs.free_blocks t.e_fs))
+      end;
       entry)
 
 let backup_job t (job : Job.t) =

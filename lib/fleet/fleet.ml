@@ -664,7 +664,10 @@ let volume_profile seed =
     max_depth = 2;
   }
 
+let p_exec = Repro_prof.Prof.probe "fleet.exec_volume"
+
 let exec_volume (v : Spec.volume) =
+  Repro_prof.Prof.with_probe p_exec @@ fun () ->
   let vol =
     Volume.create ~label:v.Spec.v_filer
       (Volume.small_geometry ~data_blocks:(volume_data_blocks v.Spec.v_bytes))

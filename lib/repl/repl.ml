@@ -241,12 +241,39 @@ let gauge_lag t name =
   Obs.sample ~at:(Clock.now t.clock) key v;
   gauge_rpo_est t
 
+(* A primary with every snapshot slot taken retires its oldest checkpoint
+   when it is older than each replica's last one. A replica's next
+   incremental is based on its last checkpoint, which its upstream must
+   hold, and a replica upstream holds a copy of the primary's snapshot
+   table, so cascade replicas bound it too. A base of unknown age pins
+   every checkpoint. Below the limit nothing is retired. *)
+let retire t fs =
+  if List.length (Fs.snapshots fs) >= Repro_wafl.Layout.max_snapshots then
+    let bound =
+      List.fold_left
+        (fun acc n ->
+          match n.n_last with
+          | Some l when n.n_name <> t.root -> (
+            match Hashtbl.find_opt t.snap_times l with
+            | Some at -> Float.min acc at
+            | None -> neg_infinity)
+          | _ -> acc)
+        infinity t.nodes
+    in
+    match checkpoints_on t fs with
+    | (oldest, at) :: _ when at < bound ->
+      Fs.snapshot_delete fs oldest;
+      Obs.instant "repl.retire"
+        ~attrs:[ ("snapshot", Obs.Str oldest); ("node", Obs.Str t.root) ]
+    | _ -> ()
+
 (* The checkpoint samples the recovery-point estimate too: during a
    partition no transfer completes, so without this the rpo_est series
    would sit frozen at its last healthy value while the real recovery
    point drifts — exactly the window an SLO rule needs to see. *)
 let checkpoint t =
   let p = node t t.root in
+  retire t (fs_of p);
   t.seq <- t.seq + 1;
   let name = Printf.sprintf "repl.%d" t.seq in
   Fs.snapshot_create (fs_of p) name;
@@ -590,11 +617,17 @@ let verify t ~name =
     let p = node t t.root in
     let pfs = fs_of p and nfs = fs_of n in
     let mine = checkpoints_on t nfs in
-    let theirs = List.map fst (checkpoints_on t pfs) in
+    let theirs = checkpoints_on t pfs in
+    (* A replica not yet synced since the primary retired a checkpoint
+       still holds it: older than all the primary holds, it is skipped. *)
+    let retired_before =
+      match theirs with (_, at) :: _ -> at | [] -> neg_infinity
+    in
     let diffs = ref [] in
     List.iter
-      (fun (snap, _) ->
-        if not (List.mem snap theirs) then
+      (fun (snap, at) ->
+        if at < retired_before then ()
+        else if not (List.mem_assoc snap theirs) then
           diffs :=
             Printf.sprintf "%s: not held by primary %s" snap p.n_name
             :: !diffs

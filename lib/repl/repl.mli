@@ -122,7 +122,10 @@ val volume : t -> name:string -> Repro_block.Volume.t
 
 val checkpoint : t -> string
 (** Snapshot the primary ([repl.N], monotonic across promotions) and
-    record its creation time; this is the unit replication ships. *)
+    record its creation time; this is the unit replication ships. When
+    every snapshot slot is taken, the oldest checkpoint older than each
+    replica's last one (cascade replicas included) is deleted first;
+    if none is, [Fs.Error] is raised as for any full snapshot table. *)
 
 val sync : t -> name:string -> transfer list
 (** Catch [name] up from its upstream: a full transfer of the newest
@@ -176,8 +179,9 @@ val resync : t -> name:string -> transfer list
 val verify : t -> name:string -> (unit, string list) result
 (** The any-point-in-time gate: walk every checkpoint the node holds
     and compare it inode-by-inode, byte-by-byte against the same
-    checkpoint on the current primary. [Ok ()] or the differences
-    (capped at 50). *)
+    checkpoint on the current primary. A checkpoint older than all the
+    primary holds was retired there ({!checkpoint}) and is skipped.
+    [Ok ()] or the differences (capped at 50). *)
 
 val status : t -> status list
 

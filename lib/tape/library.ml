@@ -76,7 +76,10 @@ let advance_for_read t =
 
 let change_time_total t = Float.of_int t.changes *. media_change_seconds
 
+let p_save = Repro_prof.Prof.probe "tape.save"
+
 let save w t =
+  Repro_prof.Prof.with_probe p_save @@ fun () ->
   let open Repro_util.Serde in
   write_fixed w "RLIB1";
   write_string w t.label;

@@ -38,6 +38,13 @@ let in_plane t ~plane vbn = Bitmap.get t.planes.(plane) vbn
 let plane_copy t p = Bitmap.copy t.planes.(p)
 let plane_used t p = Bitmap.count t.planes.(p)
 
+let free_count t =
+  let held = Bitmap.copy t.planes.(0) in
+  for p = 1 to nplanes - 1 do
+    Bitmap.union_into ~dst:held t.planes.(p)
+  done;
+  t.nblocks - Bitmap.count held
+
 let capture_snapshot t ~plane =
   if plane <= 0 || plane >= nplanes then invalid_arg "Blockmap.capture_snapshot";
   let src = t.planes.(0) in

@@ -40,6 +40,10 @@ val in_plane : t -> plane:int -> int -> bool
 val plane_copy : t -> int -> Repro_util.Bitmap.t
 val plane_used : t -> int -> int
 
+val free_count : t -> int
+(** Blocks whose word is zero: [nblocks] less the blocks in the union of
+    all 32 planes, counted a plane word at a time. *)
+
 val capture_snapshot : t -> plane:int -> unit
 (** Copy plane 0 into [plane]: the "updating the block allocation
     information" step of snapshot creation. *)

@@ -1552,12 +1552,7 @@ let max_inodes t = t.max_ino
 let size_blocks t = t.vol_blocks
 let used_blocks t = Blockmap.active_used t.bmap
 
-let free_blocks t =
-  let used = ref 0 in
-  for vbn = 0 to t.vol_blocks - 1 do
-    if not (Blockmap.is_free_block t.bmap vbn) then incr used
-  done;
-  t.vol_blocks - !used
+let free_blocks t = Blockmap.free_count t.bmap
 
 let blockmap t = t.bmap
 

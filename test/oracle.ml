@@ -686,6 +686,15 @@ module Blockmap = struct
         done
       end
     done
+
+  (* [Fs.free_blocks] as it was: ask every vbn's 32 planes whether any
+     holds it. [bmap] is a map of [nblocks] vbns. *)
+  let free_blocks bmap ~nblocks =
+    let used = ref 0 in
+    for vbn = 0 to nblocks - 1 do
+      if not (Repro_wafl.Blockmap.is_free_block bmap vbn) then incr used
+    done;
+    nblocks - !used
 end
 
 (* ---------------------------- dir, inode ----------------------------- *)

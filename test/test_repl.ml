@@ -111,6 +111,66 @@ let test_cascade_schedule () =
   ok_or_fail "B" (Repl.verify t ~name:"B");
   ok_or_fail "C" (Repl.verify t ~name:"C")
 
+(* ------------------------- checkpoint retirement --------------------- *)
+
+(* 30 checkpoints in 1800 s, against a 20-slot snapshot table: the
+   primary retires its oldest checkpoint once every replica is past it. *)
+let repl_snapshots fs =
+  List.filter (fun (s : Fs.snap_info) -> contains s.Fs.name "repl.") (Fs.snapshots fs)
+
+let test_retire_one_replica () =
+  let fs = fresh_primary () in
+  let t = Repl.create ~primary:"A" fs in
+  Repl.add_replica t ~upstream:"A" ~name:"B" ~interval_s:60.0 ();
+  churn fs 1;
+  let failures = Repl.run_until t 1800.0 in
+  checki "no failures" 0 (List.length failures);
+  checkb "B in sync" true ((stat t "B").Repl.st_state = Repl.In_sync);
+  let names fs = List.sort compare (List.map (fun (s : Fs.snap_info) -> s.Fs.name) (repl_snapshots fs)) in
+  let newest = List.sort compare (List.init 20 (fun i -> Printf.sprintf "repl.%d" (i + 11))) in
+  Alcotest.(check (list string)) "the newest 20 kept" newest (names fs);
+  Alcotest.(check (list string)) "B dropped the retired ones too" newest (names (Repl.fs t ~name:"B"));
+  ok_or_fail "B" (Repl.verify t ~name:"B")
+
+(* A cascade retires only what the replica furthest behind is past; a
+   replica that has not synced since a retirement still verifies. *)
+let test_retire_cascade () =
+  let fs = fresh_primary () in
+  let t = Repl.create ~primary:"A" fs in
+  Repl.add_replica t ~upstream:"A" ~name:"B" ~interval_s:60.0 ();
+  Repl.add_replica t ~upstream:"B" ~name:"C" ~interval_s:120.0 ();
+  churn fs 1;
+  checki "no failures to 1500 s" 0 (List.length (Repl.run_until t 1500.0));
+  checkb "C behind B" true (Repl.lag_s t ~name:"C" > 0.0);
+  ok_or_fail "C behind" (Repl.verify t ~name:"C");
+  checki "no failures to 1800 s" 0 (List.length (Repl.run_until t 1800.0));
+  checkb "B in sync" true ((stat t "B").Repl.st_state = Repl.In_sync);
+  checkb "C in sync" true ((stat t "C").Repl.st_state = Repl.In_sync);
+  ok_or_fail "B" (Repl.verify t ~name:"B");
+  ok_or_fail "C" (Repl.verify t ~name:"C")
+
+(* A replica that never moves pins its checkpoint and everything newer:
+   nothing qualifies, so a full table fails the checkpoint as before. *)
+let test_retire_blocked () =
+  let fs = fresh_primary () in
+  let t = Repl.create ~primary:"A" fs in
+  Repl.add_replica t ~upstream:"A" ~name:"B" ~interval_s:60.0 ();
+  Repl.add_replica t ~upstream:"A" ~name:"C" ();
+  ignore (Repl.checkpoint t);
+  ignore (Repl.sync t ~name:"C");
+  let pinned = Option.get (stat t "C").Repl.st_last in
+  let failures = Repl.run_until t 1800.0 in
+  checkb "full table fails" true (failures <> []);
+  List.iter
+    (function
+      | "B", Fs.Error m -> checkb "too many snapshots" true (contains m "too many snapshots")
+      | who, ex -> Alcotest.failf "%s: %s" who (Printexc.to_string ex))
+    failures;
+  checkb "C's checkpoint kept" true
+    (List.exists (fun (s : Fs.snap_info) -> s.Fs.name = pinned) (Fs.snapshots fs));
+  ignore (Repl.sync t ~name:"C");
+  ok_or_fail "C" (Repl.verify t ~name:"C")
+
 (* An interval must be a finite number of seconds, 0 or more: NaN and
    infinity once put an edge on a schedule that never fired. *)
 let test_rejects_non_finite_interval () =
@@ -436,6 +496,15 @@ let () =
             test_rejects_non_finite_interval;
           Alcotest.test_case "stalled schedule reported" `Quick
             test_stalled_schedule_reported;
+        ] );
+      ( "retire",
+        [
+          Alcotest.test_case "one replica past the snapshot limit" `Quick
+            test_retire_one_replica;
+          Alcotest.test_case "cascade past the snapshot limit" `Quick
+            test_retire_cascade;
+          Alcotest.test_case "a pinned checkpoint blocks retirement" `Quick
+            test_retire_blocked;
         ] );
       ( "faults",
         [

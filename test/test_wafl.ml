@@ -1698,6 +1698,141 @@ let test_file_is_no_parent () =
   checks "file kept" (String.make 100 'z') (Fs.read fs "/f" ~offset:0 ~len:200);
   fsck_clean fs
 
+(* ----------------------------- free count ----------------------------- *)
+
+(* [Fs.free_blocks] counts the union of the 32 planes a word at a time;
+   the per-vbn loop it replaced (Oracle.Blockmap.free_blocks) must agree
+   after every call of a sequence that writes, frees, checkpoints, and
+   takes and drops snapshots up to a full snapshot table. *)
+type fc_step =
+  | Fc_create of int
+  | Fc_write of int * int * int  (** file, offset, length *)
+  | Fc_unlink of int
+  | Fc_cp
+  | Fc_snap  (** a fresh name, so only a full table refuses it *)
+  | Fc_snap_delete of int  (** the [n mod count]-th snapshot held *)
+
+let show_fc = function
+  | Fc_create f -> Printf.sprintf "create /f%d" f
+  | Fc_write (f, off, len) -> Printf.sprintf "write /f%d @%d %d" f off len
+  | Fc_unlink f -> Printf.sprintf "unlink /f%d" f
+  | Fc_cp -> "cp"
+  | Fc_snap -> "snapshot"
+  | Fc_snap_delete n -> Printf.sprintf "snapshot_delete #%d" n
+
+let gen_fc_step =
+  let open QCheck2.Gen in
+  let file = int_bound 5 in
+  frequency
+    [
+      (2, map (fun f -> Fc_create f) file);
+      ( 4,
+        map3
+          (fun f off len -> Fc_write (f, off, len))
+          file
+          (oneofl [ 0; 100; 4096; 12_288 ])
+          (oneofl [ 1; 4096; 10_000 ]) );
+      (2, map (fun f -> Fc_unlink f) file);
+      (1, pure Fc_cp);
+      (4, pure Fc_snap);
+      (1, map (fun n -> Fc_snap_delete n) nat);
+    ]
+
+let run_fc fs ~step_no step =
+  let file f = Printf.sprintf "/f%d" f in
+  try
+    match step with
+    | Fc_create f -> ignore (Fs.create fs (file f) ~perms:0o644)
+    | Fc_write (f, offset, len) -> Fs.write fs (file f) ~offset (String.make len 'w')
+    | Fc_unlink f -> Fs.unlink fs (file f)
+    | Fc_cp -> Fs.cp fs
+    | Fc_snap -> Fs.snapshot_create fs (Printf.sprintf "s%d" step_no)
+    | Fc_snap_delete n -> (
+      match Fs.snapshots fs with
+      | [] -> ()
+      | held -> Fs.snapshot_delete fs (List.nth held (n mod List.length held)).Fs.name)
+  with Fs.Error _ -> ()
+
+let oracle_free fs =
+  Oracle.Blockmap.free_blocks (Fs.blockmap fs) ~nblocks:(Fs.size_blocks fs)
+
+let prop_free_count_equals_oracle =
+  QCheck2.Test.make ~count:150 ~name:"free count: plane union = per-vbn oracle"
+    ~print:(fun steps -> String.concat "\n" (List.map show_fc steps))
+    QCheck2.Gen.(list_size (int_range 1 100) gen_fc_step)
+    (fun steps ->
+      let fs, _ = make_fs ~blocks:1024 () in
+      let agree what =
+        let got = Fs.free_blocks fs and want = oracle_free fs in
+        if got <> want then QCheck2.Test.fail_reportf "%s: free %d, oracle %d" what got want
+      in
+      agree "after mkfs";
+      List.iteri
+        (fun step_no step ->
+          run_fc fs ~step_no step;
+          agree (show_fc step))
+        steps;
+      true)
+
+(* Any word in any plane, over map sizes that end inside a byte and
+   inside a 64-bit word: a count that skips a plane or a tail differs. *)
+let prop_free_count_any_plane =
+  QCheck2.Test.make ~count:200 ~name:"free count: any plane word = per-vbn oracle"
+    QCheck2.Gen.(pair (int_range 1 2600) nat)
+    (fun (nblocks, seed) ->
+      let st = Random.State.make [| seed |] in
+      let t = Blockmap.create ~nblocks in
+      let word () =
+        match Random.State.int st 4 with
+        | 0 | 1 -> 0
+        | 2 -> 1 lsl Random.State.int st Blockmap.nplanes
+        | _ -> (Random.State.bits st lsl 2) lxor Random.State.bits st land 0xffffffff
+      in
+      for lbn = 0 to Blockmap.file_blocks ~nblocks - 1 do
+        let b = Bytes.create 4096 in
+        for i = 0 to 1023 do
+          Bytes.set_int32_le b (i * 4) (Int32.of_int (word ()))
+        done;
+        Blockmap.load_file_block t lbn (Bytes.to_string b)
+      done;
+      Blockmap.free_count t = Oracle.Blockmap.free_blocks t ~nblocks)
+
+(* The two block gauges are observability-only: a backup job records
+   them, with the oracle's values, only while a plane is armed and on. *)
+let test_backup_gauges_armed_only () =
+  let module Engine = Repro_backup.Engine in
+  let module Obs = Repro_obs.Obs in
+  let fs, _ = make_fs ~blocks:2048 () in
+  ignore
+    (Repro_workload.Generator.populate ~fs ~root:"/data" ~total_bytes:200_000 ());
+  (* a snapshot holding blocks the live file system then frees *)
+  ignore (Fs.create fs "/gone" ~perms:0o644);
+  Fs.write fs "/gone" ~offset:0 (String.make 50_000 'g');
+  Fs.snapshot_create fs "keep";
+  Fs.unlink fs "/gone";
+  let lib = Repro_tape.Library.create ~slots:4 ~label:"t" () in
+  let eng = Engine.create ~fs ~libraries:[ lib ] () in
+  let job () =
+    ignore
+      (Engine.backup_job eng
+         (Engine.Job.make ~strategy:Repro_backup.Strategy.Physical ()))
+  in
+  let off = Obs.create ~enabled:false () in
+  Obs.with_armed off job;
+  List.iter
+    (fun g -> checkb (g ^ " unset while off") true (Obs.gauge_value off g = None))
+    [ "fs.used_blocks"; "fs.free_blocks"; "scheduler.drive0.busy_s" ];
+  let on = Obs.create () in
+  Obs.with_armed on job;
+  let gauge g =
+    match Obs.gauge_value on g with Some v -> Float.to_int v | None -> Alcotest.failf "%s unset" g
+  in
+  checki "fs.free_blocks" (oracle_free fs) (gauge "fs.free_blocks");
+  checki "fs.used_blocks" (Blockmap.active_used (Fs.blockmap fs)) (gauge "fs.used_blocks");
+  checkb "snapshot holds freed blocks" true
+    (gauge "fs.free_blocks" < Fs.size_blocks fs - gauge "fs.used_blocks");
+  checkb "drive gauge set" true (Obs.gauge_value on "scheduler.drive0.busy_s" <> None)
+
 let () =
   Alcotest.run "wafl"
     [
@@ -1719,6 +1854,13 @@ let () =
         [
           Alcotest.test_case "codec allocates only the block" `Quick
             test_blockmap_codec_allocates_only_the_block;
+        ] );
+      ( "free count",
+        [
+          QCheck_alcotest.to_alcotest ~long:false prop_free_count_equals_oracle;
+          QCheck_alcotest.to_alcotest ~long:false prop_free_count_any_plane;
+          Alcotest.test_case "backup gauges only while armed" `Quick
+            test_backup_gauges_armed_only;
         ] );
       ( "replay",
         QCheck_alcotest.to_alcotest ~long:false prop_replay_equals_live
