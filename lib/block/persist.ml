@@ -2,8 +2,20 @@ module Serde = Repro_util.Serde
 
 let magic = "RVOL1"
 
+(* 16 GiB of 4 KB blocks: a hundred times the largest volume anything in
+   this repository builds (the 64 MB paper run: 3 groups of 11 disks of
+   1,229 blocks), so a flipped high bit in a geometry field is damage,
+   not a volume to allocate. *)
+let max_volume_blocks = 1 lsl 22
+
+(* Groups x disks x blocks per disk, counted without overflow, of a
+   geometry Volume.geometry accepts. *)
+let fits (g : Volume.geometry) =
+  g.blocks_per_disk <= max_volume_blocks / (g.groups * g.disks_per_group)
+
 let write w vol =
   let g = Volume.geometry_of vol in
+  if not (fits g) then invalid_arg "Persist.write: volume above max_volume_blocks";
   Serde.write_fixed w magic;
   Serde.write_string w (Volume.label vol);
   Serde.write_u16 w g.Volume.groups;
@@ -24,12 +36,6 @@ let write w vol =
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Serde.Corrupt ("RVOL1: " ^ s))) fmt
 
-let rec check_vbns size = function
-  | [] -> ()
-  | (vbn, _) :: rest ->
-    if vbn >= size then corrupt "vbn %d outside %d blocks" vbn size;
-    check_vbns size rest
-
 let read r =
   Serde.expect_magic r magic;
   let label = Serde.read_string r in
@@ -47,15 +53,22 @@ let read r =
     with Invalid_argument _ ->
       corrupt "geometry %d groups x %d disks x %d blocks" groups disks_per_group blocks_per_disk
   in
+  if not (fits geometry) then
+    corrupt "geometry %d groups x %d disks x %d blocks exceeds %d blocks" groups
+      disks_per_group blocks_per_disk max_volume_blocks;
   let vol = Volume.create ~label geometry in
-  let blocks =
-    Serde.read_list Serde.U32
-      (fun r ->
-        let vbn = Serde.read_u32 r in
-        (vbn, Serde.read_fixed r Block.size))
-      r
-  in
-  check_vbns (Volume.size_blocks vol) blocks;
-  Volume.write_batch vol blocks;
+  (* Persist.write lists the blocks in ascending vbn order, the order the
+     writer takes them in. *)
+  let n = Serde.read_count Serde.U32 r in
+  let vbns = Array.make n 0 and blocks = Array.make n Block.zeros in
+  for i = 0 to n - 1 do
+    let vbn = Serde.read_u32 r in
+    if vbn >= Volume.size_blocks vol then
+      corrupt "vbn %d outside %d blocks" vbn (Volume.size_blocks vol);
+    if i > 0 && vbn <= vbns.(i - 1) then corrupt "vbn %d after vbn %d" vbn vbns.(i - 1);
+    vbns.(i) <- vbn;
+    blocks.(i) <- Serde.read_fixed r Block.size
+  done;
+  Volume.write_batch vol vbns blocks;
   Volume.reset_stats vol;
   vol

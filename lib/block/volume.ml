@@ -71,40 +71,48 @@ let read_extent t vbn n =
   if n <= 0 then invalid_arg "Volume.read_extent";
   Array.init n (fun i -> read t (vbn + i))
 
-(* Group sorted (vbn, block) pairs into maximal runs of consecutive vbns,
-   then write any run segment that covers a whole RAID stripe with one
-   write_stripe call. *)
-let write_batch t blocks =
+(* Every vbn is checked before any disk is written: strictly ascending,
+   inside the volume, each block a whole one. *)
+let check_batch t n vbns blocks =
+  if n < 0 || n > Array.length vbns || n > Array.length blocks then
+    invalid_arg "Volume.write_batch: length";
+  for i = 0 to n - 1 do
+    let vbn = vbns.(i) in
+    if vbn < 0 || vbn >= size_blocks t then
+      invalid_arg
+        (Printf.sprintf "Volume %s: vbn %d out of range [0,%d)" t.label vbn (size_blocks t));
+    if i > 0 && vbn <= vbns.(i - 1) then
+      invalid_arg (Printf.sprintf "Volume.write_batch: vbn %d after vbn %d" vbn vbns.(i - 1));
+    Block.check blocks.(i)
+  done
+
+(* A run ends at a vbn gap or at its RAID group's last block. The part of
+   a run that covers a whole stripe is written with one write_stripe
+   call, its edges block by block. *)
+let write_batch ?len t vbns blocks =
   Repro_prof.Prof.with_probe p_write @@ fun () ->
-  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) blocks in
-  let arr = Array.of_list sorted in
-  let n = Array.length arr in
+  let n = Option.value len ~default:(Array.length vbns) in
+  check_batch t n vbns blocks;
   let i = ref 0 in
   while !i < n do
-    let start_vbn, _ = arr.(!i) in
-    let g, start_gbn = locate t start_vbn in
+    let start_vbn = vbns.(!i) in
+    let g = t.rgroups.(start_vbn / t.group_data) in
+    let start_gbn = start_vbn mod t.group_data in
     let width = Raid.data_disks g in
-    (* Length of the consecutive run starting at !i that stays in group g. *)
+    let run_max = Stdlib.min (n - !i) (t.group_data - start_gbn) in
     let run_len = ref 1 in
-    let continue = ref true in
-    while !continue && !i + !run_len < n do
-      let vbn, _ = arr.(!i + !run_len) in
-      let g', _ = if vbn < size_blocks t then locate t vbn else (g, 0) in
-      if vbn = start_vbn + !run_len && g' == g then incr run_len else continue := false
+    while !run_len < run_max && vbns.(!i + !run_len) = start_vbn + !run_len do
+      incr run_len
     done;
-    (* Emit the run: full stripes via write_stripe, edges one by one. *)
     let emitted = ref 0 in
     while !emitted < !run_len do
       let gbn = start_gbn + !emitted in
-      let left = !run_len - !emitted in
-      if gbn mod width = 0 && left >= width then begin
-        let stripe = gbn / width in
-        let data = Array.init width (fun k -> snd arr.(!i + !emitted + k)) in
-        Raid.write_stripe g stripe data;
+      if gbn mod width = 0 && !run_len - !emitted >= width then begin
+        Raid.write_stripe g (gbn / width) (Array.sub blocks (!i + !emitted) width);
         emitted := !emitted + width
       end
       else begin
-        Raid.write g gbn (snd arr.(!i + !emitted));
+        Raid.write g gbn blocks.(!i + !emitted);
         incr emitted
       end
     done;

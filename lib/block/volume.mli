@@ -52,10 +52,14 @@ val read_extent : t -> Block.addr -> int -> string array
 (** [read_extent t vbn n] reads the [n] consecutive blocks from [vbn], in
     order. *)
 
-val write_batch : t -> (Block.addr * string) list -> unit
-(** Write a set of dirty blocks. Runs covering complete RAID stripes are
-    written with {!Raid.write_stripe} (one I/O per disk, parity in one
-    pass); stragglers fall back to read-modify-write. This is the payoff of
+val write_batch : ?len:int -> t -> Block.addr array -> string array -> unit
+(** [write_batch t vbns blocks] writes [blocks.(i)] at [vbns.(i)] for the
+    first [len] entries (default: all of [vbns]). The vbns must be
+    strictly ascending and inside the volume, and every block 4096 bytes:
+    anything else raises [Invalid_argument] before any disk is written.
+    Runs of consecutive vbns covering complete RAID stripes are written
+    with {!Raid.write_stripe} (one I/O per disk, parity in one pass);
+    stragglers fall back to read-modify-write. This is the payoff of
     write-anywhere allocation and the [write-allocation] ablation point. *)
 
 val fail_disk : t -> group:int -> disk:int -> unit

@@ -65,7 +65,7 @@ let read_header input =
   let rest = input (len + 4) in
   decode_header (Serde.reader (len_bytes ^ rest))
 
-type record = Extent of { vbn : int; data : string } | Trailer of { fsinfo : string }
+type record = Extent of { vbn : int; blocks : string array } | Trailer of { fsinfo : string }
 
 let tag_extent = 1
 let tag_trailer = 2
@@ -73,27 +73,23 @@ let tag_trailer = 2
 (* Tag, vbn, block count and CRC, then the blocks. *)
 let extent_header = 11
 
-(* One copy per block, straight into the record, and the CRC over the
-   copy while it is still in cache. *)
-let encode_extent ~vbn blocks =
+(* The head carries the CRC of the blocks, so it is computed over them
+   where they are stored; then each block goes to [output] as it is, to
+   be copied once, into the writer's own buffer. *)
+let write_extent output ~vbn blocks =
   let n = Array.length blocks in
   if
     n = 0 || n > max_extent_blocks || vbn < 0 || vbn > 0xffffffff
     || Array.exists (fun b -> String.length b <> block_size) blocks
-  then invalid_arg "Format.encode_extent";
-  let r = Bytes.create (extent_header + (n * block_size)) in
-  Bytes.set_uint8 r 0 tag_extent;
-  Bytes.set_int32_le r 1 (Int32.of_int vbn);
-  Bytes.set_uint16_le r 5 n;
-  let crc = ref Crc32.init in
-  Array.iteri
-    (fun i b ->
-      let off = extent_header + (i * block_size) in
-      Bytes.blit_string b 0 r off block_size;
-      crc := Crc32.update_substring !crc (Bytes.unsafe_to_string r) off block_size)
-    blocks;
-  Bytes.set_int32_le r 7 (Int32.of_int (Crc32.finish !crc));
-  Bytes.unsafe_to_string r
+  then invalid_arg "Format.write_extent";
+  let crc = Array.fold_left Crc32.update_string Crc32.init blocks in
+  let h = Bytes.create extent_header in
+  Bytes.set_uint8 h 0 tag_extent;
+  Bytes.set_int32_le h 1 (Int32.of_int vbn);
+  Bytes.set_uint16_le h 5 n;
+  Bytes.set_int32_le h 7 (Int32.of_int (Crc32.finish crc));
+  output (Bytes.unsafe_to_string h);
+  Array.iter output blocks
 
 let encode_trailer ~fsinfo =
   if String.length fsinfo <> block_size then invalid_arg "Format.encode_trailer";
@@ -104,7 +100,10 @@ let encode_trailer ~fsinfo =
   write_fixed w fsinfo;
   contents w
 
-let read_record input =
+(* Each block is one [input block_size] string, the string the restore
+   stores; the CRC runs over them, and nothing is returned until it
+   matches. *)
+let read_record ~after input =
   let open Serde in
   let byte s = Char.code s.[0] in
   let tag = byte (input 1) in
@@ -116,10 +115,12 @@ let read_record input =
     let crc = read_u32 r in
     if n = 0 || n > max_extent_blocks then
       raise (Corrupt (Printf.sprintf "extent at vbn %d has bad count %d" vbn n));
-    let data = input (n * block_size) in
-    if Crc32.string data <> crc then
+    if vbn <= after then
+      raise (Corrupt (Printf.sprintf "extent at vbn %d does not follow vbn %d" vbn after));
+    let blocks = Array.init n (fun _ -> input block_size) in
+    if Crc32.finish (Array.fold_left Crc32.update_string Crc32.init blocks) <> crc then
       raise (Corrupt (Printf.sprintf "extent at vbn %d fails checksum" vbn));
-    Extent { vbn; data }
+    Extent { vbn; blocks }
   end
   else if tag = tag_trailer then begin
     let r = reader (input 4) in

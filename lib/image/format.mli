@@ -30,21 +30,30 @@ val read_header : (int -> string) -> header
 (** [read_header input] where [input n] yields exactly [n] bytes. *)
 
 (** Records after the header are framed with a one-byte tag read via
-    {!read_record}. *)
+    {!read_record}. Extents come in ascending vbn order, none overlapping
+    the one before. *)
 
 type record =
-  | Extent of { vbn : int; data : string }
-      (** [data] is [count * 4096] bytes for blocks [vbn, vbn+count). A bad
-          checksum raises [Serde.Corrupt] naming the vbn. *)
+  | Extent of { vbn : int; blocks : string array }
+      (** 1 to {!max_extent_blocks} 4096-byte blocks for [vbn, vbn+count),
+          each a string of its own. *)
   | Trailer of { fsinfo : string }  (** 4096-byte fsinfo image *)
 
 val max_extent_blocks : int
 (** 64. *)
 
-val encode_extent : vbn:int -> string array -> string
-(** [encode_extent ~vbn blocks]: the record for blocks [vbn, vbn+count),
-    given as 1 to {!max_extent_blocks} 4 KB blocks. *)
+val write_extent : (string -> unit) -> vbn:int -> string array -> unit
+(** [write_extent output ~vbn blocks] writes the record for blocks
+    [vbn, vbn+count), given as 1 to {!max_extent_blocks} 4 KB blocks: the
+    11-byte head, carrying the CRC of the blocks, then each block as
+    given, one [output] call apiece. *)
 
 val encode_trailer : fsinfo:string -> string
-val read_record : (int -> string) -> record
-(** [read_record input] where [input n] yields exactly [n] bytes. *)
+
+val read_record : after:int -> (int -> string) -> record
+(** [read_record ~after input] where [input n] yields exactly [n] bytes,
+    and [after] is the last vbn of the stream's previous extent ([-1]
+    before the first). An extent's blocks are each read with one
+    [input 4096] call and returned as read. Raises [Serde.Corrupt],
+    naming the vbn, on a bad block count, an extent that does not start
+    above [after], or a checksum that does not match. *)

@@ -41,7 +41,7 @@ let emit_extents ?cpu ~fs ~sink set =
       let tok = Repro_prof.Prof.enter p_extent in
       let extent = Volume.read_extent vol vbn count in
       Cost.charge cpu (Float.of_int count *. block_cost);
-      Tapeio.output sink (Format.encode_extent ~vbn extent);
+      Format.write_extent (Tapeio.output sink) ~vbn extent;
       nblocks := !nblocks + count;
       Repro_prof.Prof.leave tok;
       Repro_prof.Prof.bump c_extents
@@ -196,7 +196,7 @@ let raw ?cpu ?(observe = Repro_obs.Obs.observe) ~volume ~sink () =
         let count = Stdlib.min Format.max_extent_blocks (nblocks - !vbn) in
         let extent = Volume.read_extent volume !vbn count in
         Cost.charge cpu (Float.of_int count *. block_cost);
-        Tapeio.output sink (Format.encode_extent ~vbn:!vbn extent);
+        Format.write_extent (Tapeio.output sink) ~vbn:!vbn extent;
         blocks := !blocks + count;
         vbn := !vbn + count
       done;

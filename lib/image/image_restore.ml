@@ -18,11 +18,25 @@ type result = {
 
 let block_size = 4096
 
-(* Each block is copied once, out of the extent into the string the
-   volume keeps. *)
-let split_blocks vbn data =
-  let n = String.length data / block_size in
-  List.init n (fun i -> (vbn + i, String.sub data (i * block_size) block_size))
+(* Consecutive extents are buffered so they merge into long runs and the
+   RAID layer sees full stripes: a batch is written once it holds
+   [flush_blocks] blocks, and at the trailer. *)
+let flush_blocks = 2048
+
+(* Every extent record after the header, in stream order, each checked
+   against its CRC and against the extent before it; [last] is the
+   highest vbn read so far. Stops after the trailer, which it returns. *)
+let iter_extents input f =
+  let last = ref (-1) in
+  let rec go () =
+    match Format.read_record ~after:!last input with
+    | Format.Extent { vbn; blocks } ->
+      last := vbn + Array.length blocks - 1;
+      f vbn blocks;
+      go ()
+    | Format.Trailer { fsinfo } -> fsinfo
+  in
+  go ()
 
 let apply ?cpu ?(observe = Repro_obs.Obs.observe) ~volume src =
   let input n = try Tapeio.input src n with End_of_file -> err "image stream truncated" in
@@ -51,41 +65,40 @@ let apply ?cpu ?(observe = Repro_obs.Obs.observe) ~volume src =
   let blocks = ref 0 in
   let bytes = ref 0 in
   observe "restoring blocks" (fun () ->
-      (* Buffer writes across extent records so consecutive extents merge
-         into long runs and the RAID layer sees full stripes. *)
-      let buffered = ref [] in
-      let buffered_count = ref 0 in
+      let cap = flush_blocks + Format.max_extent_blocks in
+      let vbns = Array.make cap 0 and stored = Array.make cap "" in
+      let buffered = ref 0 in
       let flush () =
-        if !buffered <> [] then begin
-          Volume.write_batch volume (List.concat (List.rev !buffered));
-          buffered := [];
-          buffered_count := 0
+        if !buffered > 0 then begin
+          Volume.write_batch ~len:!buffered volume vbns stored;
+          buffered := 0
         end
       in
-      let continue = ref true in
-      while !continue do
-        match
-          try Format.read_record input with Serde.Corrupt m -> err "corrupt image record: %s" m
-        with
-        | Format.Extent { vbn; data } ->
-          Cost.charge cpu
-            (Float.of_int (String.length data) *. Cost.f630.image_per_byte);
-          Cost.charge cpu
-            (Float.of_int (String.length data / block_size) *. Cost.f630.image_per_block);
-          buffered := split_blocks vbn data :: !buffered;
-          buffered_count := !buffered_count + (String.length data / block_size);
-          if !buffered_count >= 2048 then flush ();
-          blocks := !blocks + (String.length data / block_size);
-          bytes := !bytes + String.length data
-        | Format.Trailer { fsinfo } ->
-          flush ();
-          (match Fsinfo.decode fsinfo with
-          | Some _ -> ()
-          | None -> err "trailer fsinfo does not decode");
-          Volume.write volume Layout.fsinfo_vbn_primary fsinfo;
-          Volume.write volume Layout.fsinfo_vbn_backup fsinfo;
-          continue := false
-      done);
+      let fsinfo =
+        try
+          iter_extents input (fun vbn ext ->
+              let n = Array.length ext in
+              if vbn + n > Volume.size_blocks volume then
+                err "extent at vbn %d runs past the volume's %d blocks" vbn
+                  (Volume.size_blocks volume);
+              Cost.charge cpu (Float.of_int (n * block_size) *. Cost.f630.image_per_byte);
+              Cost.charge cpu (Float.of_int n *. Cost.f630.image_per_block);
+              for k = 0 to n - 1 do
+                vbns.(!buffered + k) <- vbn + k
+              done;
+              Array.blit ext 0 stored !buffered n;
+              buffered := !buffered + n;
+              if !buffered >= flush_blocks then flush ();
+              blocks := !blocks + n;
+              bytes := !bytes + (n * block_size))
+        with Serde.Corrupt m -> err "corrupt image record: %s" m
+      in
+      flush ();
+      (match Fsinfo.decode fsinfo with
+      | Some _ -> ()
+      | None -> err "trailer fsinfo does not decode");
+      Volume.write volume Layout.fsinfo_vbn_primary fsinfo;
+      Volume.write volume Layout.fsinfo_vbn_backup fsinfo);
   if !blocks <> header.Format.block_count then
     err "stream advertised %d blocks but carried %d" header.Format.block_count !blocks;
   Repro_obs.Obs.count "image_restore.blocks" !blocks;
@@ -104,18 +117,10 @@ let verify src =
   (try
      let input n = Tapeio.input src n in
      let header = Format.read_header input in
-     let continue = ref true in
-     while !continue do
-       match Format.read_record input with
-       | Format.Extent { vbn; data } ->
-         ignore vbn;
-         blocks := !blocks + (String.length data / block_size)
-       | Format.Trailer { fsinfo } ->
-         (match Fsinfo.decode fsinfo with
-         | Some _ -> ()
-         | None -> note "trailer fsinfo does not decode");
-         continue := false
-     done;
+     let fsinfo = iter_extents input (fun _ ext -> blocks := !blocks + Array.length ext) in
+     (match Fsinfo.decode fsinfo with
+     | Some _ -> ()
+     | None -> note "trailer fsinfo does not decode");
      if !blocks <> header.Format.block_count then
        note "stream advertised %d blocks but carried %d" header.Format.block_count !blocks
    with

@@ -122,6 +122,13 @@ let abort_stream st e =
   end;
   raise e
 
+(* Self-profiling: the two event callbacks of a stream. A frame's
+   arrival includes its deliver, which hands the payload to the
+   receiving side (a restore reading its stream, a tape server writing
+   records). *)
+let p_arrival = Repro_prof.Prof.probe "net.arrival"
+let p_ack = Repro_prof.Prof.probe "net.ack"
+
 let guard_deliver st (image, off, len) =
   try st.deliver image off len with e -> abort_stream st e
 
@@ -134,7 +141,7 @@ let rec send_frame st seq fs =
   let p = Link.params_of st.st.s_link in
   if not lost then
     Sim.schedule_at st.st.engine (finish +. p.Link.latency_s) (fun () ->
-        arrival st fs.fs_image);
+        Repro_prof.Prof.with_probe p_arrival (fun () -> arrival st fs.fs_image));
   let attempt = fs.fs_attempts in
   Sim.schedule_at st.st.engine
     (finish +. retransmit_timeout st)
@@ -157,7 +164,8 @@ and arrival st image =
       (* Cumulative acknowledgement, one propagation delay back. *)
       let upto = st.expected in
       let p = Link.params_of st.st.s_link in
-      Sim.schedule_in st.st.engine p.Link.latency_s (fun () -> ack st upto)
+      Sim.schedule_in st.st.engine p.Link.latency_s (fun () ->
+          Repro_prof.Prof.with_probe p_ack (fun () -> ack st upto))
     end
   end
 

@@ -625,9 +625,20 @@ let take_cp t ?capture () =
   for lbn = 0 to bm_blocks - 1 do
     Hashtbl.replace t.pending bft.f_ptrs.(lbn) (Blockmap.encode_file_block t.bmap lbn)
   done;
-  (* 6. write everything in one sorted batch (full stripes where possible) *)
+  (* 6. write everything in one batch in vbn order (full stripes where
+     possible). The buffer cache takes the blocks in the order the table
+     lists them, as it always has: that order decides what it evicts. A
+     list merge sort of the pairs costs a half to a third of an
+     [Array.sort] of the vbns plus a table lookup per block. *)
   let batch = Hashtbl.fold (fun vbn b acc -> (vbn, b) :: acc) t.pending [] in
-  Volume.write_batch t.vol batch;
+  let n = Hashtbl.length t.pending in
+  let vbns = Array.make n 0 and blocks = Array.make n "" in
+  List.iteri
+    (fun i (vbn, b) ->
+      vbns.(i) <- vbn;
+      blocks.(i) <- b)
+    (List.sort (fun (a, _) (b, _) -> Int.compare a b) batch);
+  Volume.write_batch t.vol vbns blocks;
   List.iter (fun (vbn, b) -> Lru.add t.lru vbn b) batch;
   Hashtbl.reset t.pending;
   (* 7. fsinfo, redundantly *)

@@ -15,10 +15,13 @@
    the split-list path walk (Namei) and the list-based LRU (Lru) that
    WAFL now runs in place and without allocating, and logical restore's
    concat-then-write run flush (Restore_run) that it now lends to
-   [Fs.writev]. They live here, not in lib/, so the library keeps
-   exactly one path per module; the properties in test_util, test_sim,
-   test_block, test_tape, test_wafl, test_dump, test_net and test_obs
-   assert the library computes the same function as its oracle. Like
+   [Fs.writev], and the physical image stream's one-string extent codec,
+   re-cut blocks and sorting list writer (Image_stream) that now move
+   each block as its own string into a stripe writer over ascending
+   arrays. They live here, not in lib/, so the library keeps exactly one
+   path per module; the properties in test_util, test_sim, test_block,
+   test_tape, test_wafl, test_dump, test_image, test_formats, test_net and
+   test_obs assert the library computes the same function as its oracle. Like
    differential.ml, this module is linked into every test executable and
    is not itself a test. *)
 
@@ -909,4 +912,179 @@ module Restore_run = struct
         *. Cost.f630.restore_write_per_byte);
       Fs.write fs path ~offset:(start_lbn * Spec.data_block_size) data;
       String.length data
+end
+
+(* ------------------------ physical image stream ------------------------ *)
+
+(* The physical image stream as it was. The dump encoded each extent
+   into one string; the restore read it back with one [input (n * 4096)],
+   cut it into blocks again with [String.sub] ([split_blocks]), joined
+   the buffered extents with [List.concat] and handed the list to a
+   writer that sorted it ([write_batch], which the CP and RVOL1 load
+   called too). [apply] is the restore loop around them. *)
+module Image_stream = struct
+  module Crc32 = Repro_util.Crc32
+  module Cost = Repro_sim.Cost
+  module Raid = Repro_block.Raid
+  module Volume = Repro_block.Volume
+  module Format = Repro_image.Format
+  module Layout = Repro_wafl.Layout
+  module Tapeio = Repro_tape.Tapeio
+
+  let block_size = 4096
+  let max_extent_blocks = 64
+  let tag_extent = 1
+  let tag_trailer = 2
+  let extent_header = 11
+
+  let encode_extent ~vbn blocks =
+    let n = Array.length blocks in
+    if
+      n = 0 || n > max_extent_blocks || vbn < 0 || vbn > 0xffffffff
+      || Array.exists (fun b -> String.length b <> block_size) blocks
+    then invalid_arg "Format.encode_extent";
+    let r = Bytes.create (extent_header + (n * block_size)) in
+    Bytes.set_uint8 r 0 tag_extent;
+    Bytes.set_int32_le r 1 (Int32.of_int vbn);
+    Bytes.set_uint16_le r 5 n;
+    let crc = ref Crc32.init in
+    Array.iteri
+      (fun i b ->
+        let off = extent_header + (i * block_size) in
+        Bytes.blit_string b 0 r off block_size;
+        crc := Crc32.update_substring !crc (Bytes.unsafe_to_string r) off block_size)
+      blocks;
+    Bytes.set_int32_le r 7 (Int32.of_int (Crc32.finish !crc));
+    Bytes.unsafe_to_string r
+
+  type record = Extent of { vbn : int; data : string } | Trailer of { fsinfo : string }
+
+  let read_record input =
+    let open Serde in
+    let byte s = Char.code s.[0] in
+    let tag = byte (input 1) in
+    if tag = tag_extent then begin
+      let hdr = input 10 in
+      let r = reader hdr in
+      let vbn = read_u32 r in
+      let n = read_u16 r in
+      let crc = read_u32 r in
+      if n = 0 || n > max_extent_blocks then
+        raise (Corrupt (Printf.sprintf "extent at vbn %d has bad count %d" vbn n));
+      let data = input (n * block_size) in
+      if Crc32.string data <> crc then
+        raise (Corrupt (Printf.sprintf "extent at vbn %d fails checksum" vbn));
+      Extent { vbn; data }
+    end
+    else if tag = tag_trailer then begin
+      let r = reader (input 4) in
+      let crc = read_u32 r in
+      let fsinfo = input block_size in
+      if Crc32.string fsinfo <> crc then raise (Corrupt "trailer fsinfo fails checksum");
+      Trailer { fsinfo }
+    end
+    else raise (Corrupt (Printf.sprintf "unknown image record tag %d" tag))
+
+  let split_blocks vbn data =
+    let n = String.length data / block_size in
+    List.init n (fun i -> (vbn + i, String.sub data (i * block_size) block_size))
+
+  (* [Volume.locate], from the volume's RAID groups. *)
+  let locate t vbn =
+    let groups = Volume.raid_groups t in
+    let group_data = Raid.data_blocks groups.(0) in
+    if vbn < 0 || vbn >= Volume.size_blocks t then
+      invalid_arg
+        (Printf.sprintf "Volume %s: vbn %d out of range [0,%d)" (Volume.label t) vbn
+           (Volume.size_blocks t));
+    (groups.(vbn / group_data), vbn mod group_data)
+
+  let size_blocks = Volume.size_blocks
+
+  (* Group sorted (vbn, block) pairs into maximal runs of consecutive vbns,
+     then write any run segment that covers a whole RAID stripe with one
+     write_stripe call. *)
+  let write_batch t blocks =
+    let sorted = List.sort (fun (a, _) (b, _) -> compare a b) blocks in
+    let arr = Array.of_list sorted in
+    let n = Array.length arr in
+    let i = ref 0 in
+    while !i < n do
+      let start_vbn, _ = arr.(!i) in
+      let g, start_gbn = locate t start_vbn in
+      let width = Raid.data_disks g in
+      (* Length of the consecutive run starting at !i that stays in group g. *)
+      let run_len = ref 1 in
+      let continue = ref true in
+      while !continue && !i + !run_len < n do
+        let vbn, _ = arr.(!i + !run_len) in
+        let g', _ = if vbn < size_blocks t then locate t vbn else (g, 0) in
+        if vbn = start_vbn + !run_len && g' == g then incr run_len else continue := false
+      done;
+      (* Emit the run: full stripes via write_stripe, edges one by one. *)
+      let emitted = ref 0 in
+      while !emitted < !run_len do
+        let gbn = start_gbn + !emitted in
+        let left = !run_len - !emitted in
+        if gbn mod width = 0 && left >= width then begin
+          let stripe = gbn / width in
+          let data = Array.init width (fun k -> snd arr.(!i + !emitted + k)) in
+          Raid.write_stripe g stripe data;
+          emitted := !emitted + width
+        end
+        else begin
+          Raid.write g gbn (snd arr.(!i + !emitted));
+          incr emitted
+        end
+      done;
+      i := !i + !run_len
+    done
+
+  (* Image_restore.apply's block loop, header and trailer as they were,
+     with its chain check's read of the target's fsinfo (a refusal is
+     [Failure]): [(blocks, bytes)] restored. *)
+  let apply ?cpu ~volume src =
+    let input n = Tapeio.input src n in
+    let header = Format.read_header input in
+    (match header.Format.kind with
+    | Format.Full -> ()
+    | Format.Incremental -> (
+      match Repro_wafl.Fsinfo.decode (Volume.read volume Layout.fsinfo_vbn_primary) with
+      | Some info
+        when List.exists
+               (fun (s : Repro_wafl.Fsinfo.snap_entry) ->
+                 String.equal s.snap_name header.Format.base_name)
+               info.Repro_wafl.Fsinfo.snaps ->
+        ()
+      | _ -> failwith "incremental base snapshot not present on target volume"));
+    let blocks = ref 0 in
+    let bytes = ref 0 in
+    let buffered = ref [] in
+    let buffered_count = ref 0 in
+    let flush () =
+      if !buffered <> [] then begin
+        write_batch volume (List.concat (List.rev !buffered));
+        buffered := [];
+        buffered_count := 0
+      end
+    in
+    let continue = ref true in
+    while !continue do
+      match read_record input with
+      | Extent { vbn; data } ->
+        Cost.charge cpu (Float.of_int (String.length data) *. Cost.f630.image_per_byte);
+        Cost.charge cpu
+          (Float.of_int (String.length data / block_size) *. Cost.f630.image_per_block);
+        buffered := split_blocks vbn data :: !buffered;
+        buffered_count := !buffered_count + (String.length data / block_size);
+        if !buffered_count >= 2048 then flush ();
+        blocks := !blocks + (String.length data / block_size);
+        bytes := !bytes + String.length data
+      | Trailer { fsinfo } ->
+        flush ();
+        Volume.write volume Layout.fsinfo_vbn_primary fsinfo;
+        Volume.write volume Layout.fsinfo_vbn_backup fsinfo;
+        continue := false
+    done;
+    (!blocks, !bytes)
 end

@@ -190,7 +190,9 @@ let test_volume_write_batch () =
         Bytes.set b 1 (Char.chr (i mod 256));
         (i + 3, Bytes.unsafe_to_string b))
   in
-  Volume.write_batch v blocks;
+  Volume.write_batch v
+    (Array.of_list (List.map fst blocks))
+    (Array.of_list (List.map snd blocks));
   List.iter
     (fun (vbn, b) ->
       Alcotest.(check string) (Printf.sprintf "vbn %d" vbn) b (Volume.read v vbn))
@@ -237,10 +239,161 @@ let prop_volume_batch_equals_singles =
       let writes = Hashtbl.fold (fun v c acc -> (v, c) :: acc) dedup [] in
       let v1 = Volume.create ~label:"a" (Volume.small_geometry ~data_blocks:128) in
       let v2 = Volume.create ~label:"b" (Volume.small_geometry ~data_blocks:128) in
-      Volume.write_batch v1 (List.map (fun (vbn, c) -> (vbn, block_of_char c)) writes);
+      let writes = List.sort compare writes in
+      Volume.write_batch v1
+        (Array.of_list (List.map fst writes))
+        (Array.of_list (List.map (fun (_, c) -> block_of_char c) writes));
       List.iter (fun (vbn, c) -> Volume.write v2 vbn (block_of_char c)) writes;
       List.for_all (fun (vbn, _) -> String.equal (Volume.read v1 vbn) (Volume.read v2 vbn)) writes
       && Volume.parity_consistent v1)
+
+(* ------------------------- stripe writer oracle ------------------------- *)
+
+(* Volume.write_batch takes ascending parallel arrays and checks them;
+   the list writer that sorted its input (Oracle.Image_stream.write_batch)
+   is the oracle. Random batches over 1-3 RAID groups, made of runs that
+   cross group edges and leave partial stripes, go into two volumes with
+   the same contents, healthy or with one data or parity disk failed.
+   Every disk's counters, then its blocks after a rebuild, and parity
+   must come out the same. *)
+
+type fault_case = Healthy | Data_disk_failed | Parity_disk_failed
+
+let gen_batch_case =
+  QCheck2.Gen.(
+    let* groups = int_range 1 3 in
+    let* disks = int_range 3 6 in
+    let* bpd = int_range 2 12 in
+    let size = groups * (disks - 1) * bpd in
+    (* runs: a gap, then a run length *)
+    let* runs = list_size (int_range 1 12) (pair (int_bound 6) (int_range 1 (2 * disks))) in
+    let* prefill = list_size (int_bound 20) (int_bound (size - 1)) in
+    let* fault = oneofl [ Healthy; Data_disk_failed; Parity_disk_failed ] in
+    let* fault_at = pair (int_bound (groups - 1)) (int_bound (disks - 2)) in
+    let+ seed = nat in
+    let vbns =
+      let rec go acc next = function
+        | [] -> List.rev acc
+        | (gap, len) :: rest ->
+          let start = next + gap in
+          let run = List.filter (fun v -> v < size) (List.init len (fun k -> start + k)) in
+          go (List.rev_append run acc) (start + len) rest
+      in
+      Array.of_list (go [] 0 runs)
+    in
+    (groups, disks, bpd, vbns, prefill, fault, fault_at, seed))
+
+let stamped seed vbn =
+  let b = Block.zero () in
+  Bytes.set_int64_le b 0 (Int64.of_int ((seed * 7919) + vbn));
+  Bytes.set_int64_le b (Block.size - 8) (Int64.of_int vbn);
+  Bytes.unsafe_to_string b
+
+let batch_volumes (groups, disks, bpd, _, prefill, fault, (fg, fd), seed) =
+  let make label =
+    let v =
+      Volume.create ~label (Volume.geometry ~groups ~disks_per_group:disks ~blocks_per_disk:bpd ())
+    in
+    List.iter (fun vbn -> Volume.write v vbn (stamped (seed + 1) vbn)) prefill;
+    (match fault with
+    | Healthy -> ()
+    | Data_disk_failed -> Volume.fail_disk v ~group:fg ~disk:fd
+    | Parity_disk_failed -> Volume.fail_disk v ~group:fg ~disk:(disks - 1));
+    Volume.reset_stats v;
+    v
+  in
+  (make "a", make "b")
+
+let disk_stats v =
+  let out = ref [] in
+  Array.iter
+    (fun g ->
+      Array.iter
+        (fun d ->
+          out :=
+            (Disk.bytes_moved d, Disk.seeks d, Int64.bits_of_float (Disk.busy_seconds d))
+            :: !out)
+        (Raid.disks g))
+    (Volume.raid_groups v);
+  !out
+
+(* Every block of every disk still running. *)
+let disk_blocks v =
+  Array.to_list (Volume.raid_groups v)
+  |> List.concat_map (fun g ->
+         let stripes = Raid.data_blocks g / Raid.data_disks g in
+         Array.to_list (Raid.disks g)
+         |> List.map (fun d ->
+                if Disk.failed d then [] else List.init stripes (fun s -> Disk.read d s)))
+
+let rebuild_all v =
+  Array.iteri
+    (fun gi g ->
+      Array.iteri
+        (fun di d -> if Disk.failed d then Volume.rebuild_disk v ~group:gi ~disk:di)
+        (Raid.disks g))
+    (Volume.raid_groups v)
+
+let prop_stripe_writer_equals_oracle =
+  QCheck2.Test.make ~count:300 ~name:"stripe writer: ascending arrays = sorting list writer"
+    gen_batch_case (fun ((_, _, _, vbns, _, _, _, seed) as case) ->
+      let a, b = batch_volumes case in
+      let blocks = Array.map (stamped seed) vbns in
+      let outcome f = match f () with () -> Ok () | exception e -> Error (Printexc.to_string e) in
+      let ra = outcome (fun () -> Volume.write_batch a vbns blocks) in
+      let rb =
+        outcome (fun () ->
+            (* the list writer sorted its input: hand it over reversed *)
+            Oracle.Image_stream.write_batch b
+              (List.rev (Array.to_list (Array.map2 (fun v blk -> (v, blk)) vbns blocks))))
+      in
+      let stats_equal = disk_stats a = disk_stats b in
+      rebuild_all a;
+      rebuild_all b;
+      ra = rb && stats_equal
+      && List.equal (List.equal String.equal) (disk_blocks a) (disk_blocks b)
+      && Volume.parity_consistent a && Volume.parity_consistent b
+      && Array.for_all2 (fun vbn blk -> String.equal (Volume.read a vbn) blk) vbns blocks)
+
+(* A batch out of order, with a vbn twice or with one outside the volume
+   is refused before any disk is read or written. *)
+type damage = Swap | Duplicate | Past_end | Negative | Short_block | Long_len
+
+let prop_stripe_writer_refuses =
+  QCheck2.Test.make ~count:200 ~name:"stripe writer: bad batches refused untouched"
+    QCheck2.Gen.(
+      pair gen_batch_case
+        (pair (oneofl [ Swap; Duplicate; Past_end; Negative; Short_block; Long_len ]) nat))
+    (fun (((groups, disks, bpd, vbns, _, _, _, seed) as case), (damage, at)) ->
+      let size = groups * (disks - 1) * bpd in
+      let vbns = if vbns = [||] then [| 0 |] else Array.copy vbns in
+      let n = Array.length vbns in
+      let blocks = Array.map (stamped seed) vbns in
+      let len = ref n in
+      (match damage with
+      | Swap when n >= 2 ->
+        let i = at mod (n - 1) in
+        let x = vbns.(i) in
+        vbns.(i) <- vbns.(i + 1);
+        vbns.(i + 1) <- x
+      | Duplicate when n >= 2 ->
+        let i = at mod (n - 1) in
+        vbns.(i + 1) <- vbns.(i)
+      | Swap | Duplicate | Past_end -> vbns.(n - 1) <- size + (at mod 3)
+      | Negative -> vbns.(0) <- -1 - (at mod 3)
+      | Short_block -> blocks.(at mod n) <- String.make (at mod Block.size) 'x'
+      | Long_len -> len := n + 1 + (at mod 3));
+      let a, _ = batch_volumes case in
+      let before = disk_blocks a in
+      Volume.reset_stats a;
+      let refused =
+        match Volume.write_batch ~len:!len a vbns blocks with
+        | () -> false
+        | exception Invalid_argument _ -> true
+      in
+      refused
+      && List.for_all (fun (bytes, seeks, _) -> bytes = 0 && seeks = 0) (disk_stats a)
+      && List.equal (List.equal ( == )) before (disk_blocks a))
 
 (* Block.is_zero scans 64-bit words; the bytewise original
    (Oracle.Raid_xor.is_zero) must agree on zero blocks and on blocks
@@ -396,6 +549,11 @@ let () =
         ] );
       ( "volume properties",
         [ QCheck_alcotest.to_alcotest ~long:false prop_volume_batch_equals_singles ] );
+      ( "stripe writer",
+        [
+          QCheck_alcotest.to_alcotest ~long:false prop_stripe_writer_equals_oracle;
+          QCheck_alcotest.to_alcotest ~long:false prop_stripe_writer_refuses;
+        ] );
       ( "xor kernel",
         [
           Alcotest.test_case "refuses a short source" `Quick

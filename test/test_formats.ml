@@ -108,44 +108,64 @@ let prop_dump_header_corruption =
          rejected *)
       Spec.decode (Bytes.to_string b) = None)
 
+(* The record as [Format.write_extent] streams it, joined. *)
+let extent_record ~vbn blocks =
+  let b = Buffer.create 4096 in
+  Format_img.write_extent (Buffer.add_string b) ~vbn blocks;
+  Buffer.contents b
+
+let input_of s =
+  let pos = ref 0 in
+  fun n ->
+    let r = String.sub s !pos n in
+    pos := !pos + n;
+    r
+
+(* The streamed record is byte for byte the one-string encoding it
+   replaced (Oracle.Image_stream.encode_extent), and reads back as the
+   same blocks, each one string. *)
 let prop_image_extent =
   QCheck2.Test.make ~name:"image: extent record codec round-trips"
     QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 1 8))
     (fun (vbn, nblocks) ->
       let data = String.init (nblocks * 4096) (fun i -> Char.chr ((i + vbn) mod 256)) in
       let blocks = Array.init nblocks (fun i -> String.sub data (i * 4096) 4096) in
-      let encoded = Format_img.encode_extent ~vbn blocks in
-      let pos = ref 0 in
-      let input n =
-        let s = String.sub encoded !pos n in
-        pos := !pos + n;
-        s
-      in
-      match Format_img.read_record input with
-      | Format_img.Extent { vbn = v; data = d } -> v = vbn && String.equal d data
+      let encoded = extent_record ~vbn blocks in
+      String.equal encoded (Oracle.Image_stream.encode_extent ~vbn blocks)
+      &&
+      match Format_img.read_record ~after:(vbn - 1) (input_of encoded) with
+      | Format_img.Extent { vbn = v; blocks = b } ->
+        v = vbn && Array.for_all2 String.equal b blocks
       | Format_img.Trailer _ -> false)
 
 let prop_image_extent_corruption =
   QCheck2.Test.make ~name:"image: corrupted extents rejected"
     QCheck2.Gen.(int_range 11 4000)
     (fun flip_at ->
-      let encoded = Format_img.encode_extent ~vbn:7 [| String.make 4096 'x' |] in
+      let encoded = extent_record ~vbn:7 [| String.make 4096 'x' |] in
       let b = Bytes.of_string encoded in
       let flip_at = flip_at mod Bytes.length b in
       if flip_at = 0 then true (* tag byte: framing error, different path *)
       else begin
         Bytes.set b flip_at (Char.chr (Char.code (Bytes.get b flip_at) lxor 0x81));
-        let s = Bytes.to_string b in
-        let pos = ref 0 in
-        let input n =
-          let r = String.sub s !pos n in
-          pos := !pos + n;
-          r
-        in
-        match Format_img.read_record input with
+        match Format_img.read_record ~after:(-1) (input_of (Bytes.to_string b)) with
         | exception Serde.Corrupt _ -> true
         | Format_img.Extent _ | Format_img.Trailer _ -> false
       end)
+
+(* An extent that does not start above the last vbn of the one before is
+   damage: extents are written in ascending vbn order. *)
+let prop_image_extent_order =
+  QCheck2.Test.make ~name:"image: extents out of order refused"
+    QCheck2.Gen.(pair (int_bound 1_000_000) (int_bound 100))
+    (fun (vbn, back) ->
+      let encoded = extent_record ~vbn [| String.make 4096 'o' |] in
+      let refused after =
+        match Format_img.read_record ~after (input_of encoded) with
+        | exception Serde.Corrupt _ -> true
+        | _ -> false
+      in
+      refused (vbn + back) && not (refused (vbn - 1)))
 
 let gen_snap_entry =
   QCheck2.Gen.(
@@ -957,7 +977,7 @@ let test_claimed_counts_refused () =
    device can have. Each must be [Serde.Corrupt], never
    [Invalid_argument] or a silent load. *)
 let rvol1 ?(groups = 1) ?(disks = 3) ?(blocks = 10) ?(seek = 8.0) ?(rate = 10.0)
-    ?(vbn = 5) () =
+    ?(vbns = [ 5 ]) () =
   let w = Serde.writer () in
   Serde.write_fixed w "RVOL1";
   Serde.write_string w "v";
@@ -970,7 +990,7 @@ let rvol1 ?(groups = 1) ?(disks = 3) ?(blocks = 10) ?(seek = 8.0) ?(rate = 10.0)
     (fun w vbn ->
       Serde.write_u32 w vbn;
       Serde.write_fixed w (String.make Repro_block.Block.size 'x'))
-    w [ vbn ];
+    w vbns;
   Serde.contents w
 
 let rlib1_drive ?(rate = 5.0) ?(compression = 1.7) ?(capacity = 1_000_000) () =
@@ -988,7 +1008,27 @@ let test_values_refused () =
   let read_vol s = ignore (Persist.read (Serde.reader s)) in
   let read_lib s = ignore (Library.load (Serde.reader s)) in
   read_vol (rvol1 ());
+  read_vol (rvol1 ~vbns:[ 0; 5; 19 ] ());
   read_lib (rlib1_drive ());
+  (* A geometry field with a flipped high bit is refused before the
+     volume is allocated; one just inside the bound loads. *)
+  List.iter
+    (fun (name, img) ->
+      let bytes, refused =
+        allocated (fun () ->
+            match read_vol img with () -> false | exception Serde.Corrupt _ -> true)
+      in
+      if not refused then Alcotest.failf "%s: loaded" name;
+      if bytes >= 1e6 then Alcotest.failf "%s allocated %.0f bytes" name bytes)
+    [
+      ("RVOL1 blocks per disk 2^31 + 10", rvol1 ~blocks:((1 lsl 31) + 10) ());
+      ("RVOL1 blocks per disk 2^22 + 10", rvol1 ~blocks:((1 lsl 22) + 10) ());
+      ("RVOL1 groups 2^15 + 1", rvol1 ~groups:((1 lsl 15) + 1) ~blocks:1000 ());
+      ("RVOL1 disks 2^15 + 3", rvol1 ~disks:((1 lsl 15) + 3) ~blocks:1000 ());
+      ( "RVOL1 one block past the bound",
+        rvol1 ~groups:2 ~disks:4 ~blocks:((Persist.max_volume_blocks / 8) + 1) () );
+    ];
+  read_vol (rvol1 ~groups:2 ~disks:4 ~blocks:(Persist.max_volume_blocks / 8) ());
   List.iter
     (fun (name, decode, img) ->
       match decode img with
@@ -996,8 +1036,10 @@ let test_values_refused () =
       | exception Serde.Corrupt _ -> ()
       | exception e -> Alcotest.failf "%s: %s" name (Printexc.to_string e))
     [
-      ("RVOL1 vbn 0x7ffffff0", read_vol, rvol1 ~vbn:0x7ffffff0 ());
-      ("RVOL1 vbn one past the end", read_vol, rvol1 ~vbn:20 ());
+      ("RVOL1 vbn 0x7ffffff0", read_vol, rvol1 ~vbns:[ 0x7ffffff0 ] ());
+      ("RVOL1 vbn one past the end", read_vol, rvol1 ~vbns:[ 20 ] ());
+      ("RVOL1 descending vbns", read_vol, rvol1 ~vbns:[ 6; 5 ] ());
+      ("RVOL1 a vbn twice", read_vol, rvol1 ~vbns:[ 5; 5 ] ());
       ("RVOL1 two disks per group", read_vol, rvol1 ~disks:2 ());
       ("RVOL1 no groups", read_vol, rvol1 ~groups:0 ());
       ("RVOL1 no blocks per disk", read_vol, rvol1 ~blocks:0 ());
@@ -1083,6 +1125,7 @@ let () =
           prop_dump_header_corruption;
           prop_image_extent;
           prop_image_extent_corruption;
+          prop_image_extent_order;
           prop_fsinfo_codec;
           prop_fsinfo_corruption;
         ];

@@ -340,6 +340,199 @@ let test_restore_to_smaller_volume_fails () =
     Alcotest.fail "expected size error"
   with Image_restore.Error _ -> ()
 
+(* ------------------------- image stream oracle ------------------------- *)
+
+module Disk = Repro_block.Disk
+module Raid = Repro_block.Raid
+module Resource = Repro_sim.Resource
+module Format = Repro_image.Format
+module Serde = Repro_util.Serde
+
+(* Two restore targets of one geometry, each with a CPU to charge. *)
+let twin_targets geometry =
+  let t label = (Volume.create ~label geometry, Resource.create ("cpu:" ^ label)) in
+  (t "lib", t "oracle")
+
+let disk_stats v =
+  Array.to_list (Volume.raid_groups v)
+  |> List.concat_map (fun g ->
+         Array.to_list (Raid.disks g)
+         |> List.map (fun d ->
+                (Disk.bytes_moved d, Disk.seeks d, Int64.bits_of_float (Disk.busy_seconds d))))
+
+let disk_blocks v =
+  Array.to_list (Volume.raid_groups v)
+  |> List.concat_map (fun g ->
+         let stripes = Raid.data_blocks g / Raid.data_disks g in
+         Array.to_list (Raid.disks g)
+         |> List.map (fun d -> List.init stripes (fun s -> Disk.read d s)))
+
+(* Restore [lib] into both targets, the library's way and the oracle's,
+   and compare what each restore reports, every disk's counters, the CPU
+   charge to the bit and then every block of every disk. *)
+let restore_like_oracle ((va, ca), (vb, cb)) lib =
+  let r = Image_restore.apply ~cpu:ca ~volume:va (Tapeio.source lib) in
+  let blocks, bytes = Oracle.Image_stream.apply ~cpu:cb ~volume:vb (Tapeio.source lib) in
+  r.Image_restore.blocks_restored = blocks
+  && r.Image_restore.bytes_read = bytes
+  && disk_stats va = disk_stats vb
+  && Int64.equal
+       (Int64.bits_of_float (Resource.busy ca))
+       (Int64.bits_of_float (Resource.busy cb))
+
+let same_disks ((va, _), (vb, _)) =
+  List.equal (List.equal String.equal) (disk_blocks va) (disk_blocks vb)
+
+(* Random file systems, dumped whole and then incrementally after a day
+   of churn, in one to three parts each. Big enough trees fill several
+   [flush_blocks] batches. *)
+let prop_stream_equals_oracle =
+  QCheck2.Test.make ~count:6 ~name:"image stream: restores = oracle, block for block"
+    QCheck2.Gen.(triple (int_range 1 1000) (int_range 100_000 9_000_000) (int_range 1 3))
+    (fun (seed, bytes, nparts) ->
+      let fs, vol = make_fs "src" in
+      ignore
+        (Generator.populate
+           ~profile:{ Generator.default with Generator.seed }
+           ~fs ~root:"/data" ~total_bytes:bytes ());
+      Fs.snapshot_create fs "full";
+      let dump kind =
+        List.init nparts (fun i ->
+            let lib = tape_lib (Printf.sprintf "t%d" i) in
+            ignore
+              (match kind with
+              | `Full -> Image_dump.full ~part:(i, nparts) ~fs ~snapshot:"full" ~sink:(Tapeio.sink lib) ()
+              | `Incr ->
+                Image_dump.incremental ~part:(i, nparts) ~fs ~base:"full" ~snapshot:"incr"
+                  ~sink:(Tapeio.sink lib) ());
+            lib)
+      in
+      let full = dump `Full in
+      ignore
+        (Repro_workload.Ager.age
+           ~churn:{ Repro_workload.Ager.default_churn with seed; rounds = 2; batch = 30 }
+           ~fs ~root:"/data" ());
+      Fs.snapshot_create fs "incr";
+      let incr = dump `Incr in
+      let targets = twin_targets (Volume.geometry_of vol) in
+      List.for_all (restore_like_oracle targets) (full @ incr) && same_disks targets)
+
+(* Raw device dumps of random volumes over one to three RAID groups: every
+   block but the fsinfo pair, so batches run across group edges. *)
+let prop_raw_stream_equals_oracle =
+  QCheck2.Test.make ~count:10 ~name:"image stream: raw dumps = oracle across groups"
+    QCheck2.Gen.(
+      triple (int_range 1 3) (int_range 3 9) (pair (int_range 64 1200) (int_bound 1000)))
+    (fun (groups, disks, (bpd, seed)) ->
+      let geometry = Volume.geometry ~groups ~disks_per_group:disks ~blocks_per_disk:bpd () in
+      let vol = Volume.create ~label:"src" geometry in
+      let fs = Fs.mkfs vol in
+      ignore
+        (Generator.populate
+           ~profile:{ Generator.default with Generator.seed }
+           ~fs ~root:"/data" ~total_bytes:(Volume.size_blocks vol * 1024) ());
+      Fs.cp fs;
+      let lib = tape_lib "raw" in
+      ignore (Image_dump.raw ~volume:vol ~sink:(Tapeio.sink lib) ());
+      let targets = twin_targets geometry in
+      restore_like_oracle targets lib && same_disks targets)
+
+(* A hand-built stream: header, then extents of [(vbn, blocks)], then the
+   trailer; [damage] may change the record image of extent [i]. *)
+let stream_lib ?(damage = fun _ r -> r) extents =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b
+    (Format.encode_header
+       {
+         Format.kind = Format.Full;
+         snap_name = "s";
+         base_name = "";
+         volume_blocks = 4096;
+         block_count = List.fold_left (fun a (_, bl) -> a + Array.length bl) 0 extents;
+         dump_date = 0.0;
+         generation = 1;
+       });
+  List.iteri
+    (fun i (vbn, blocks) ->
+      let r = Buffer.create 4096 in
+      Format.write_extent (Buffer.add_string r) ~vbn blocks;
+      Buffer.add_string b (damage i (Buffer.contents r)))
+    extents;
+  let src_fs = Fs.mkfs (make_vol ~blocks:4096 "fsinfo") in
+  Buffer.add_string b
+    (Format.encode_trailer ~fsinfo:(Volume.read (Fs.volume src_fs) Repro_wafl.Layout.fsinfo_vbn_primary));
+  let lib = tape_lib "hand" in
+  let sink = Tapeio.sink lib in
+  Tapeio.output sink (Buffer.contents b);
+  Tapeio.close_sink sink;
+  lib
+
+let contains ~needle hay =
+  let n = String.length needle in
+  let rec go i = i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+let stamped vbn = String.init 4096 (fun i -> Char.chr ((vbn + i) land 0xff))
+let extent vbn n = (vbn, Array.init n (fun k -> stamped (vbn + k)))
+
+(* 33 full extents: the first 2048 blocks are written as one batch
+   before the 33rd extent is read. A bad checksum in the 33rd writes none
+   of its blocks; one in the 2nd writes nothing at all. *)
+let test_bad_crc_writes_nothing () =
+  let extents = List.init 33 (fun i -> extent (2 + (i * 64)) 64) in
+  let flip r =
+    let b = Bytes.of_string r in
+    Bytes.set b 5000 (Char.chr (Char.code (Bytes.get b 5000) lxor 1));
+    Bytes.to_string b
+  in
+  let restore bad =
+    let vol = make_vol ~blocks:4096 "dst" in
+    let lib = stream_lib ~damage:(fun i r -> if i = bad then flip r else r) extents in
+    (match Image_restore.apply ~volume:vol (Tapeio.source lib) with
+    | _ -> Alcotest.failf "extent %d: a bad checksum was restored" bad
+    | exception Image_restore.Error _ -> ());
+    (match Image_restore.verify (Tapeio.source lib) with
+    | Ok _ -> Alcotest.failf "extent %d: verify passed a bad checksum" bad
+    | Error _ -> ());
+    vol
+  in
+  let vol = restore 32 in
+  let bad_vbn = 2 + (32 * 64) in
+  for vbn = bad_vbn to bad_vbn + 63 do
+    checkb (Printf.sprintf "vbn %d not written" vbn) true
+      (Repro_block.Block.is_zero (Volume.read vol vbn))
+  done;
+  checks "the batch before it is on disk" (stamped 2) (Volume.read vol 2);
+  let vol = restore 1 in
+  for vbn = 2 to 200 do
+    checkb (Printf.sprintf "vbn %d not written" vbn) true
+      (Repro_block.Block.is_zero (Volume.read vol vbn))
+  done
+
+(* Extents come in ascending vbn order; one that starts at or below the
+   last vbn restored (overlapping, repeated or going back) is a corrupt
+   stream to both apply and verify. *)
+let test_non_ascending_refused () =
+  let ok = stream_lib [ extent 100 4; extent 104 2; extent 300 1 ] in
+  ignore (Image_restore.apply ~volume:(make_vol ~blocks:4096 "dst") (Tapeio.source ok));
+  List.iter
+    (fun (name, extents) ->
+      let lib = stream_lib extents in
+      (match Image_restore.apply ~volume:(make_vol ~blocks:4096 "dst") (Tapeio.source lib) with
+      | _ -> Alcotest.failf "%s: restored" name
+      | exception Image_restore.Error m ->
+        checkb (name ^ ": " ^ m) true
+          (contains ~needle:"does not follow" m));
+      match Image_restore.verify (Tapeio.source lib) with
+      | Ok _ -> Alcotest.failf "%s: verified" name
+      | Error _ -> ())
+    [
+      ("overlapping", [ extent 100 4; extent 102 4 ]);
+      ("starting on the last vbn", [ extent 100 4; extent 103 2 ]);
+      ("repeated", [ extent 100 4; extent 100 4 ]);
+      ("going back", [ extent 100 4; extent 50 1 ]);
+    ]
+
 let suite =
   [
     ("Table 1: block states", `Quick, test_table1_block_states);
@@ -358,4 +551,16 @@ let suite =
     ("restore to smaller volume fails", `Quick, test_restore_to_smaller_volume_fails);
   ]
 
-let () = Alcotest.run "image" [ ("physical", suite) ]
+let () =
+  Alcotest.run "image"
+    [
+      ("physical", suite);
+      ( "stream oracle",
+        [
+          QCheck_alcotest.to_alcotest ~long:false prop_stream_equals_oracle;
+          QCheck_alcotest.to_alcotest ~long:false prop_raw_stream_equals_oracle;
+          Alcotest.test_case "bad checksum writes none of its blocks" `Quick
+            test_bad_crc_writes_nothing;
+          Alcotest.test_case "non-ascending extent refused" `Quick test_non_ascending_refused;
+        ] );
+    ]
