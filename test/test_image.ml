@@ -555,7 +555,7 @@ let () =
   Alcotest.run "image"
     [
       ("physical", suite);
-      ( "stream oracle",
+      ( "oracle",
         [
           QCheck_alcotest.to_alcotest ~long:false prop_stream_equals_oracle;
           QCheck_alcotest.to_alcotest ~long:false prop_raw_stream_equals_oracle;
